@@ -7,7 +7,14 @@ DESIGN.md calls out three design choices worth quantifying:
 2. **vertex rounding** vs. exact branch & bound at SAT leaves;
 3. the cost of exact branch & bound itself on schema-sized systems.
 
+Two costs around the solver are measured too: the float path fed the
+encoder's integer rows (what the DFS does) vs. a Fraction
+``LinearProblem``, and encoding a prefix incrementally on top of its
+parent's encoding (what the DFS does) vs. from scratch.
+
 The workload is a real encoding: prefixes of the MMR14 CB2 schema tree.
+
+    PYTHONPATH=src python -m pytest benchmarks/bench_solver_ablation.py
 """
 
 import pytest
@@ -20,15 +27,15 @@ from repro.checker.milestones import (
 )
 from repro.checker.schemas import EventItem
 from repro.protocols import mmr14
-from repro.solver.floatlp import float_feasible, rounded_integer_model
+from repro.solver.floatlp import RowMatrix, float_feasible, rounded_integer_model
 from repro.solver.ilp import ilp_feasible
 from repro.solver.simplex import lp_feasible
 from repro.spec.properties import PropertyLibrary
 
 
 @pytest.fixture(scope="module")
-def workload():
-    """A feasible mid-depth schema prefix of refined MMR14."""
+def setup():
+    """Encoder, query and a feasible mid-depth prefix of refined MMR14."""
     model = mmr14.refined_model().single_round()
     combined = CombinedModel(model)
     encoder = SchemaEncoder(combined)
@@ -41,13 +48,41 @@ def workload():
         by_name["[b1 reaches -f + 2*t + 1]"],
     ]
     query = PropertyLibrary(mmr14.refined_model()).cb(2)
-    encoded = encoder.encode(prefix, query)
+    return encoder, query, prefix
+
+
+@pytest.fixture(scope="module")
+def encoded(setup):
+    encoder, query, prefix = setup
+    return encoder.encode(prefix, query)
+
+
+@pytest.fixture(scope="module")
+def workload(encoded):
     return encoded.problem
 
 
 def test_float_lp_prefix_feasibility(benchmark, workload):
     feasible = benchmark(float_feasible, workload)
     assert feasible is True
+
+
+def test_float_lp_rows_prefix_feasibility(benchmark, encoded):
+    feasible = benchmark(lambda: float_feasible(RowMatrix(encoded.rows)))
+    assert feasible is True
+
+
+def test_encode_from_scratch(benchmark, setup):
+    encoder, query, prefix = setup
+    result = benchmark(encoder.encode, prefix, query)
+    assert result.rows
+
+
+def test_encode_incremental(benchmark, setup, encoded):
+    encoder, query, prefix = setup
+    parent = encoder.encode(prefix[:-1], query)
+    result = benchmark(encoder.encode, prefix, query, parent)
+    assert result.rows == encoded.rows
 
 
 def test_exact_lp_prefix_feasibility(benchmark, workload):

@@ -30,7 +30,11 @@ f=1``:
   keys revisited under growing state budgets) against each store
   backend (``dir``, ``sqlite``) plus the PR 4 whole-graph-snapshot
   emulation: bytes written by delta flushes vs snapshot rewrites, and
-  warm-from-storage second-run times per backend.
+  warm-from-storage second-run times per backend;
+* ``parameterized`` — the paper's own pipeline: schema-DFS nodes/sec of
+  the parameterized checker on validity (``inv2[0]``, ``inv2[1]``) for
+  fmr05, cc85a and rabin83, with its time split into encode, float
+  solve and exact confirm.
 
 Every run appends one labelled entry to ``BENCH_state_engine.json`` so
 the file accumulates a perf *trajectory* across PRs; regressions show
@@ -538,6 +542,90 @@ def bench_sim_fleet(quick: bool) -> dict:
     return out
 
 
+#: parameterized section: protocol -> DFS nodes per inv2 query (the
+#: counts pinned by tests/checker/data/param_verdicts.json)
+PARAM_PROTOCOLS = {"fmr05": 113, "cc85a": 360, "rabin83": 467}
+
+
+def bench_parameterized() -> dict:
+    """Schema-DFS nodes/sec on validity, split into encode/solve/confirm.
+
+    Runs ``inv2[0]`` and ``inv2[1]`` on one :class:`ParameterizedChecker`
+    per protocol, as the parameterized engine does.  For the duration of
+    the section the layer functions are wrapped with timers: *encode* is
+    ``SchemaEncoder.encode`` plus ``encode_set_relaxation``, *solve* the
+    float HiGHS feasibility (``float_feasible``), and *confirm* the exact
+    work (``lp_feasible`` fallbacks, leaf ``rounded_integer_model`` and
+    ``ilp_feasible``).  ``dfs_other`` is the rest: the DFS's own
+    bookkeeping, schema counting and replay.  Node counts are asserted
+    against the golden fixture's before any rate is reported.
+    """
+    import repro.checker.parameterized as parameterized
+    from repro.checker.encoder import SchemaEncoder
+    from repro.protocols.registry import by_name
+
+    layers = {"encode": 0.0, "solve": 0.0, "confirm": 0.0}
+    targets = [
+        (SchemaEncoder, "encode", "encode"),
+        (SchemaEncoder, "encode_set_relaxation", "encode"),
+        (parameterized, "float_feasible", "solve"),
+        (parameterized, "lp_feasible", "confirm"),
+        (parameterized, "rounded_integer_model", "confirm"),
+        (parameterized, "ilp_feasible", "confirm"),
+    ]
+
+    def timed(layer, fn):
+        def wrapper(*args, **kwargs):
+            t0 = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                layers[layer] += time.perf_counter() - t0
+        return wrapper
+
+    originals = [(owner, name, vars(owner)[name]) for owner, name, _ in targets]
+    out = {"queries": ["inv2[0]", "inv2[1]"], "protocols": {}}
+    try:
+        for owner, name, layer in targets:
+            setattr(owner, name, timed(layer, vars(owner)[name]))
+        for protocol, want_nodes in PARAM_PROTOCOLS.items():
+            for layer in layers:
+                layers[layer] = 0.0
+            model = by_name(protocol).build_model()
+            t0 = time.perf_counter()
+            checker = parameterized.ParameterizedChecker(model)
+            lib = PropertyLibrary(model)
+            nodes = 0
+            for value in (0, 1):
+                result = checker.check_reach(lib.inv2(value))
+                if result.verdict != "holds" or checker.nodes != want_nodes:
+                    raise AssertionError(
+                        f"{protocol} inv2[{value}]: {result.verdict}, "
+                        f"{checker.nodes} nodes (want holds, {want_nodes})"
+                    )
+                nodes += checker.nodes
+            seconds = time.perf_counter() - t0
+            out["protocols"][protocol] = {
+                "nodes": nodes,
+                "seconds": seconds,
+                "nodes_per_sec": nodes / seconds if seconds else 0.0,
+                **{f"{layer}_seconds": value for layer, value in layers.items()},
+                "dfs_other_seconds": seconds - sum(layers.values()),
+            }
+    finally:
+        for owner, name, original in originals:
+            setattr(owner, name, original)
+    per_protocol = out["protocols"].values()
+    nodes = sum(row["nodes"] for row in per_protocol)
+    seconds = sum(row["seconds"] for row in per_protocol)
+    out["nodes"] = nodes
+    out["seconds"] = seconds
+    out["nodes_per_sec"] = nodes / seconds if seconds else 0.0
+    for layer in ("encode", "solve", "confirm", "dfs_other"):
+        out[f"{layer}_seconds"] = sum(row[f"{layer}_seconds"] for row in per_protocol)
+    return out
+
+
 def bench_mdp_sample(
     checker: ExplicitChecker, paths: int, max_steps: int, warmup: bool
 ) -> dict:
@@ -604,6 +692,7 @@ def main(argv=None) -> int:
         "sweep": bench_sweep(args.quick),
         "store_sweep": bench_store_sweep(args.quick),
         "store_backends": bench_store_backends(args.quick),
+        "parameterized": bench_parameterized(),
     }
 
     out = Path(args.out)

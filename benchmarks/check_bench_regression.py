@@ -7,8 +7,9 @@ Compares the last entry of a freshly-produced trajectory file (the CI
 a >30% drop in any state-engine throughput metric
 (``check_reach``/``check_game`` states/sec, the ``frontier_batch``
 batched kernel states/sec and its scalar-vs-batched speedup,
-``mdp_sample`` steps/sec).  Metrics absent from the baseline entry
-(sections newer than the recorded baseline) are skipped with a note.
+``mdp_sample`` steps/sec, ``parameterized`` schema-DFS nodes/sec).
+Metrics absent from the baseline entry (sections newer than the
+recorded baseline) are skipped with a note.
 The sweep and sim_fleet sections are informational only — quick and
 full runs use different matrices / fleet sizes, so their rates are not
 comparable.
@@ -37,6 +38,7 @@ METRICS = {
         "frontier_batch batched states/sec",
     ("frontier_batch", "speedup"): "frontier_batch speedup",
     ("mdp_sample", "steps_per_sec"): "mdp_sample steps/sec",
+    ("parameterized", "nodes_per_sec"): "parameterized DFS nodes/sec",
 }
 
 
@@ -136,6 +138,14 @@ def main(argv=None) -> int:
               f"dir {backends['dir']['warm_seconds']:.2f}s / "
               f"sqlite {backends['sqlite']['warm_seconds']:.2f}s / "
               f"snapshot {backends['snapshot']['warm_seconds']:.2f}s")
+
+    param = fresh.get("parameterized")
+    if param:
+        print(f"  parameterized (informational)  {param['seconds']:.2f}s: "
+              f"encode {param['encode_seconds']:.2f}s, "
+              f"solve {param['solve_seconds']:.2f}s, "
+              f"confirm {param['confirm_seconds']:.2f}s, "
+              f"dfs other {param['dfs_other_seconds']:.2f}s")
 
     if failed:
         print("bench regression gate FAILED", file=sys.stderr)

@@ -28,6 +28,12 @@ Quickstart::
     report = api.sweep(processes=4)  # the whole Table II benchmark
 """
 
+import logging
+
 __version__ = "1.0.0"
+
+# Library loggers (``repro.solver.floatlp``, ``repro.checker.parameterized``,
+# ...) stay quiet unless the application configures logging.
+logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 __all__ = ["__version__"]

@@ -21,6 +21,24 @@ realize the prefix:
 * **Events**: at its boundary, the query event's counter proposition
   holds.
 
+The constraints are plain integer rows ``(coeffs, const, is_eq)`` (see
+:data:`repro.solver.linear.Row`).  The float pruning path reads them as
+a sparse matrix that extends the parent prefix's
+(:attr:`EncodedPrefix.matrix`); the Fraction :class:`LinearProblem` the
+exact solvers need is built only on demand (:attr:`EncodedPrefix.problem`).
+
+**Incremental encoding is exact.**  The schema DFS extends a prefix by
+one item at a time, so :meth:`SchemaEncoder.encode` accepts the parent
+prefix's encoding and only appends the new segment's block rows and the
+new boundary row.  This reproduces the from-scratch rows because
+nothing about segment ``i`` depends on the items after it: a rule is
+available in segment ``i`` iff its ``>=`` milestones sit at boundaries
+``<= i`` and none of its ``<`` milestones do (boundary ``j`` belongs to
+item ``j - 1``), so appending item ``k`` adds a position ``k + 1`` that
+no earlier segment can see.  The earlier rows, block lists and the
+symbolic counters after the last segment (``kappa``, ``g``) are
+therefore the parent's, unchanged.
+
 Every SAT model is decoded back into a concrete schedule
 (:meth:`SchemaEncoder.extract`) and *replayed* on the explicit
 counter-system semantics before a counterexample is reported.
@@ -29,15 +47,17 @@ counter-system semantics before a counterexample is reported.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.checker.milestones import CombinedModel, Milestone
-from repro.checker.schemas import EventItem, SchemaItem
+from repro.checker.schemas import SchemaItem
 from repro.core.guards import Cmp
 from repro.core.rules import Rule
 from repro.counter.actions import Action
 from repro.errors import CheckError
-from repro.solver.linear import LinearProblem
+from repro.solver.floatlp import RowMatrix
+from repro.solver.linear import LinearProblem, Row
 from repro.spec.propositions import PropKind
 from repro.spec.queries import ReachQuery
 
@@ -59,23 +79,53 @@ def _merge_scaled(target: Expr, source: Expr, scale: int) -> None:
         target[var] = target.get(var, 0) + scale * coeff
 
 
-def _split(expr: Expr) -> Tuple[Dict[str, int], int]:
-    coeffs = {var: c for var, c in expr.items() if var != CONST and c != 0}
-    return coeffs, expr.get(CONST, 0)
+def _row(coeffs: Mapping[str, int], const: int, is_eq: bool = False) -> Row:
+    """Canonical row ``coeffs . x + const (>=|==) 0`` (sorted, zero-free)."""
+    return (
+        tuple(sorted((var, c) for var, c in coeffs.items() if c)),
+        const,
+        is_eq,
+    )
+
+
+def _expr_row(expr: Expr, offset: int = 0, is_eq: bool = False) -> Row:
+    """Row ``expr + offset (>=|==) 0``."""
+    coeffs = {var: c for var, c in expr.items() if var != CONST}
+    return _row(coeffs, expr.get(CONST, 0) + offset, is_eq)
+
+
+def _copy_state(state: Dict[str, Expr]) -> Dict[str, Expr]:
+    return {name: dict(expr) for name, expr in state.items()}
 
 
 @dataclass
 class EncodedPrefix:
-    """The constraint system of a schema prefix plus decoding tables."""
+    """The constraint rows of a schema prefix plus decoding tables.
 
-    problem: LinearProblem
+    ``kappa``/``g``/``positions`` are the symbolic state after the last
+    segment; a child prefix's encoding continues from them.
+    """
+
+    rows: List[Row]
     #: per segment: list of (x-variable name, rule) blocks in firing order
     blocks: List[List[Tuple[str, Rule]]]
     start_vars: Dict[str, str]  # location name -> k0 variable
+    #: location counters / shared variables as linear expressions
+    kappa: Dict[str, Expr]
+    g: Dict[str, Expr]
+    #: milestone -> boundary position (boundary j = j-th prefix item)
+    positions: Dict[Milestone, int]
+    #: the rows in CSR form for the float solver (converted on use)
+    matrix: RowMatrix
+
+    @cached_property
+    def problem(self) -> LinearProblem:
+        """The rows as an exact (Fraction) problem, built on first use."""
+        return LinearProblem.from_rows(self.rows)
 
 
 class SchemaEncoder:
-    """Builds :class:`LinearProblem` instances for schema prefixes."""
+    """Builds the constraint rows of schema prefixes."""
 
     def __init__(self, combined: CombinedModel, passes: int = 1):
         if passes < 1:
@@ -113,63 +163,89 @@ class SchemaEncoder:
                 return False
         return True
 
+    def _base(
+        self, init_filter: Optional[Mapping[str, int]]
+    ) -> Tuple[List[Row], Dict[str, str], Dict[str, Expr], Dict[str, Expr]]:
+        """Resilience and population rows plus the initial symbolic state."""
+        combined = self.combined
+        env = combined.model.environment
+        rows: List[Row] = [
+            _row(dict(form.coeffs), form.const)
+            for item in env.resilience
+            for form in item.ge_zero_forms()
+        ]
+        start_vars = {loc.name: f"k0_{loc.name}" for loc in combined.process_start}
+        n_expr = env.num_processes
+        population = {var: 1 for var in start_vars.values()}
+        for name, coeff in n_expr.coeffs:
+            population[name] = population.get(name, 0) - coeff
+        rows.append(_row(population, -n_expr.const, is_eq=True))
+        # At least one modelled process.
+        rows.append(_row(dict(n_expr.coeffs), n_expr.const - 1))
+        for loc in combined.coin_start:
+            var = f"k0_{loc.name}"
+            start_vars[loc.name] = var
+            rows.append(_row({var: 1}, -env.num_coins, is_eq=True))
+        for loc_name, count in (init_filter or {}).items():
+            var = start_vars.get(loc_name)
+            if var is None:
+                raise CheckError(f"init filter pins non-start location {loc_name!r}")
+            rows.append(_row({var: 1}, -count, is_eq=True))
+
+        kappa: Dict[str, Expr] = {loc.name: _expr() for loc in combined.locations}
+        for loc_name, var in start_vars.items():
+            _add(kappa[loc_name], var, 1)
+        g: Dict[str, Expr] = {v: _expr() for v in combined.variables}
+        return rows, start_vars, kappa, g
+
+    @staticmethod
+    def _block(
+        kappa: Dict[str, Expr], g: Dict[str, Expr], rule: Rule, xvar: str
+    ) -> Row:
+        """Fire ``rule`` ``xvar`` times; the row says its source covers it."""
+        row = _expr_row({**kappa[rule.source], xvar: -1})
+        _add(kappa[rule.source], xvar, -1)
+        _add(kappa[rule.target], xvar, 1)
+        for var_name, increment in rule.update:
+            _add(g[var_name], xvar, increment)
+        return row
+
+    @staticmethod
+    def _threshold(milestone: Milestone, g: Dict[str, Expr]) -> Row:
+        """The milestone's threshold holds over the current ``g``."""
+        condition: Expr = _expr()
+        for var_name, coeff in milestone.lhs:
+            _merge_scaled(condition, g[var_name], coeff)
+        for name, coeff in milestone.rhs.coeffs:
+            _add(condition, name, -coeff)
+        return _expr_row(condition, -milestone.rhs.const)
+
     # ------------------------------------------------------------------
     def encode(
         self,
         prefix: Sequence[SchemaItem],
         query: ReachQuery,
+        parent: Optional[EncodedPrefix] = None,
     ) -> EncodedPrefix:
-        """Encode the prefix (and its event placements) as an ILP."""
-        combined = self.combined
-        model = combined.model
-        problem = LinearProblem()
+        """Encode the prefix (and its event placements) as integer rows.
 
-        # --- parameters and resilience ---------------------------------
-        for item in model.environment.resilience:
-            for form in item.ge_zero_forms():
-                problem.ge(dict(form.coeffs), form.const)
+        ``parent``, when given, is the encoding of a shorter prefix of
+        ``prefix`` under the same ``query``; only the items after it are
+        encoded (see the module docstring for why this is exact).
+        """
+        if parent is None:
+            rows, start_vars, kappa, g = self._base(query.init_filter)
+            blocks: List[List[Tuple[str, Rule]]] = []
+            positions: Dict[Milestone, int] = {}
+        else:
+            rows = list(parent.rows)
+            start_vars = parent.start_vars
+            kappa, g = _copy_state(parent.kappa), _copy_state(parent.g)
+            blocks = list(parent.blocks)
+            positions = dict(parent.positions)
 
-        # --- initial population ----------------------------------------
-        start_vars: Dict[str, str] = {}
-        population: Expr = _expr()
-        for loc in combined.process_start:
-            var = f"k0_{loc.name}"
-            start_vars[loc.name] = var
-            _add(population, var, 1)
-        n_expr = model.environment.num_processes
-        pop_coeffs = {var: 1 for var in start_vars.values()}
-        for name, coeff in n_expr.coeffs:
-            pop_coeffs[name] = pop_coeffs.get(name, 0) - coeff
-        problem.eq(pop_coeffs, -n_expr.const)
-        # At least one modelled process.
-        problem.ge(dict(n_expr.coeffs), n_expr.const - 1)
-        for loc in combined.coin_start:
-            var = f"k0_{loc.name}"
-            start_vars[loc.name] = var
-            problem.eq({var: 1}, -model.environment.num_coins)
-        if query.init_filter:
-            for loc_name, count in query.init_filter.items():
-                var = start_vars.get(loc_name)
-                if var is None:
-                    raise CheckError(
-                        f"init filter pins non-start location {loc_name!r}"
-                    )
-                problem.eq({var: 1}, -count)
-
-        # --- symbolic state ---------------------------------------------
-        kappa: Dict[str, Expr] = {loc.name: _expr() for loc in combined.locations}
-        for loc_name, var in start_vars.items():
-            _add(kappa[loc_name], var, 1)
-        g: Dict[str, Expr] = {v: _expr() for v in combined.variables}
-
-        # Milestone boundary positions (boundary j = j-th prefix item).
-        positions: Dict[Milestone, int] = {}
-        for index, item in enumerate(prefix):
-            if isinstance(item, Milestone):
-                positions[item] = index + 1
-
-        blocks: List[List[Tuple[str, Rule]]] = []
-        for index, item in enumerate(prefix):
+        for index in range(len(blocks), len(prefix)):
+            item = prefix[index]
             segment = index  # segment S_index runs before boundary index+1
             segment_blocks: List[Tuple[str, Rule]] = []
             for pass_no in range(self.passes):
@@ -179,42 +255,28 @@ class SchemaEncoder:
                     suffix = f"_{pass_no}" if self.passes > 1 else ""
                     xvar = f"x{segment}{suffix}_{rule.name}"
                     segment_blocks.append((xvar, rule))
-                    # Block feasibility: source counter covers the block.
-                    coeffs, const = _split(kappa[rule.source])
-                    coeffs[xvar] = coeffs.get(xvar, 0) - 1
-                    problem.ge(coeffs, const)
-                    # State update.
-                    _add(kappa[rule.source], xvar, -1)
-                    _add(kappa[rule.target], xvar, 1)
-                    for var_name, increment in rule.update:
-                        _add(g[var_name], xvar, increment)
+                    rows.append(self._block(kappa, g, rule, xvar))
             blocks.append(segment_blocks)
 
             # Boundary condition for the item itself.
             if isinstance(item, Milestone):
-                condition: Expr = _expr()
-                for var_name, coeff in item.lhs:
-                    _merge_scaled(condition, g[var_name], coeff)
-                for name, coeff in item.rhs.coeffs:
-                    _add(condition, name, -coeff)
-                condition[CONST] -= item.rhs.const
-                coeffs, const = _split(condition)
-                problem.ge(coeffs, const)
+                positions[item] = index + 1
+                rows.append(self._threshold(item, g))
             else:
                 event = query.events[item.index]
                 total: Expr = _expr()
                 for loc_name in event.locations:
                     _merge_scaled(total, kappa[loc_name], 1)
-                coeffs, const = _split(total)
                 if event.kind is PropKind.SOME:
-                    problem.ge(coeffs, const - event.bound)
+                    rows.append(_expr_row(total, -event.bound))
                 else:
-                    problem.eq(coeffs, const)
+                    rows.append(_expr_row(total, is_eq=True))
 
-        return EncodedPrefix(problem, blocks, start_vars)
+        matrix = RowMatrix(rows, parent.matrix if parent is not None else None)
+        return EncodedPrefix(rows, blocks, start_vars, kappa, g, positions, matrix)
 
     # ------------------------------------------------------------------
-    def encode_set_relaxation(self, flipped) -> LinearProblem:
+    def encode_set_relaxation(self, flipped) -> EncodedPrefix:
         """Order-insensitive relaxation: can this milestone *set* flip at all?
 
         One segment containing every rule whose ``>=`` guards lie inside
@@ -224,51 +286,19 @@ class SchemaEncoder:
         set also satisfies this relaxation: infeasibility soundly prunes
         *every* ordering of the set.  Cached by the caller per frozenset.
         """
-        combined = self.combined
-        model = combined.model
-        problem = LinearProblem()
-        for item in model.environment.resilience:
-            for form in item.ge_zero_forms():
-                problem.ge(dict(form.coeffs), form.const)
-
-        start_vars: Dict[str, str] = {}
-        for loc in combined.process_start:
-            start_vars[loc.name] = f"k0_{loc.name}"
-        n_expr = model.environment.num_processes
-        pop_coeffs = {var: 1 for var in start_vars.values()}
-        for name, coeff in n_expr.coeffs:
-            pop_coeffs[name] = pop_coeffs.get(name, 0) - coeff
-        problem.eq(pop_coeffs, -n_expr.const)
-        problem.ge(dict(n_expr.coeffs), n_expr.const - 1)
-        for loc in combined.coin_start:
-            start_vars[loc.name] = f"k0_{loc.name}"
-            problem.eq({f"k0_{loc.name}": 1}, -model.environment.num_coins)
-
-        kappa: Dict[str, Expr] = {loc.name: _expr() for loc in combined.locations}
-        for loc_name, var in start_vars.items():
-            _add(kappa[loc_name], var, 1)
-        g: Dict[str, Expr] = {v: _expr() for v in combined.variables}
+        rows, start_vars, kappa, g = self._base(None)
+        segment_blocks: List[Tuple[str, Rule]] = []
         for rule in self.topo_rules:
             if not all(m in flipped for m in self._ge_milestones[rule.name]):
                 continue
             xvar = f"xs_{rule.name}"
-            coeffs, const = _split(kappa[rule.source])
-            coeffs[xvar] = coeffs.get(xvar, 0) - 1
-            problem.ge(coeffs, const)
-            _add(kappa[rule.source], xvar, -1)
-            _add(kappa[rule.target], xvar, 1)
-            for var_name, increment in rule.update:
-                _add(g[var_name], xvar, increment)
+            segment_blocks.append((xvar, rule))
+            rows.append(self._block(kappa, g, rule, xvar))
         for milestone in flipped:
-            condition: Expr = _expr()
-            for var_name, coeff in milestone.lhs:
-                _merge_scaled(condition, g[var_name], coeff)
-            for name, coeff in milestone.rhs.coeffs:
-                _add(condition, name, -coeff)
-            condition[CONST] -= milestone.rhs.const
-            coeffs, const = _split(condition)
-            problem.ge(coeffs, const)
-        return problem
+            rows.append(self._threshold(milestone, g))
+        return EncodedPrefix(
+            rows, [segment_blocks], start_vars, kappa, g, {}, RowMatrix(rows)
+        )
 
     # ------------------------------------------------------------------
     def extract(

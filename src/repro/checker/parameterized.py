@@ -24,6 +24,7 @@ paper's Tables II/IV track.
 
 from __future__ import annotations
 
+import logging
 import time
 from typing import Dict, List, Optional, Tuple
 
@@ -54,6 +55,8 @@ from repro.solver.ilp import SAT, UNSAT, ilp_feasible
 from repro.solver.simplex import lp_feasible
 from repro.spec.obligations import ObligationSet
 from repro.spec.queries import ReachQuery
+
+logger = logging.getLogger(__name__)
 
 
 class _Budget(Exception):
@@ -94,6 +97,8 @@ class ParameterizedChecker(TimeBudgeted):
         #: order-insensitive feasibility of milestone sets (shared
         #: across queries — it does not depend on the events)
         self._set_cache: Dict[frozenset, bool] = {}
+        #: schema count per number of query events (queries share it)
+        self._nschemas: Dict[int, int] = {}
         # statistics of the latest check
         self.nodes = 0
         self.leaves = 0
@@ -103,15 +108,21 @@ class ParameterizedChecker(TimeBudgeted):
     # ------------------------------------------------------------------
     def nschemas(self, query: ReachQuery) -> int:
         """Analytic schema count for the query (Tables II/IV metric)."""
-        return count_schemas(self.milestones, self.predecessors, len(query.events))
+        n_events = len(query.events)
+        if n_events not in self._nschemas:
+            self._nschemas[n_events] = count_schemas(
+                self.milestones, self.predecessors, n_events
+            )
+        return self._nschemas[n_events]
 
     def milestone_count(self) -> int:
         return len(self.milestones)
 
     # ------------------------------------------------------------------
-    def _prefix_feasible(self, encoded: EncodedPrefix) -> bool:
+    def _feasible(self, encoded: EncodedPrefix) -> bool:
+        """Rational feasibility: float answer first, exact when undecided."""
         if self.use_float_lp:
-            answer = float_feasible(encoded.problem)
+            answer = float_feasible(encoded.matrix)
             if answer is not None:
                 return answer
         return lp_feasible(encoded.problem).feasible
@@ -121,13 +132,7 @@ class ParameterizedChecker(TimeBudgeted):
         cached = self._set_cache.get(flipped)
         if cached is not None:
             return cached
-        problem = self.encoder.encode_set_relaxation(flipped)
-        if self.use_float_lp:
-            answer = float_feasible(problem)
-            if answer is None:
-                answer = lp_feasible(problem).feasible
-        else:
-            answer = lp_feasible(problem).feasible
+        answer = self._feasible(self.encoder.encode_set_relaxation(flipped))
         self._set_cache[flipped] = answer
         return answer
 
@@ -157,7 +162,16 @@ class ParameterizedChecker(TimeBudgeted):
             system = CounterSystem(
                 self.model, valuation, intern_table=InternTable()
             )
-        except Exception:
+        except Exception as exc:
+            logger.warning(
+                "decoded witness does not replay: no counter system",
+                extra={
+                    "event": "parameterized.replay_error",
+                    "query": query.name,
+                    "valuation": dict(valuation),
+                    "error": repr(exc),
+                },
+            )
             return False
         config = system.make_config(placement)
         witnessed = [event.holds(system, config) for event in query.events]
@@ -181,7 +195,7 @@ class ParameterizedChecker(TimeBudgeted):
         counterexample: Optional[Counterexample] = None
         deadline = self.query_deadline(start)
 
-        def dfs(prefix, flipped, placed) -> Optional[Counterexample]:
+        def dfs(prefix, flipped, placed, parent) -> Optional[Counterexample]:
             self.nodes += 1
             if self.nodes > self.node_budget:
                 raise _Budget("max_nodes")
@@ -197,11 +211,12 @@ class ParameterizedChecker(TimeBudgeted):
                 if not self._set_feasible(flipped):
                     self.pruned += 1
                     return None
-            # Full order-sensitive prefix LP (event boundaries pinned).
+            # Full order-sensitive prefix LP (event boundaries pinned),
+            # encoded incrementally on top of the parent prefix's rows.
             encoded = None
             if prefix:
-                encoded = self.encoder.encode(prefix, query)
-                if not self._prefix_feasible(encoded):
+                encoded = self.encoder.encode(prefix, query, parent)
+                if not self._feasible(encoded):
                     self.pruned += 1
                     return None
             elif is_leaf:
@@ -249,10 +264,12 @@ class ParameterizedChecker(TimeBudgeted):
             ):
                 if isinstance(item, EventItem):
                     found = dfs(
-                        prefix + [item], flipped, placed | {item.index}
+                        prefix + [item], flipped, placed | {item.index}, encoded
                     )
                 else:
-                    found = dfs(prefix + [item], flipped | {item}, placed)
+                    found = dfs(
+                        prefix + [item], flipped | {item}, placed, encoded
+                    )
                 if found is not None:
                     return found
             return None
@@ -260,7 +277,7 @@ class ParameterizedChecker(TimeBudgeted):
         exhausted = True
         tripped = ""
         try:
-            counterexample = dfs([], frozenset(), frozenset())
+            counterexample = dfs([], frozenset(), frozenset(), None)
         except _Budget as budget:
             exhausted = False
             tripped = budget.limit

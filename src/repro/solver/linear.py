@@ -24,6 +24,11 @@ Number = Union[int, Fraction]
 GE = ">="
 EQ = "=="
 
+#: A constraint as a plain row ``(coeffs, const, is_eq)``: ``coeffs`` is
+#: a canonical (sorted, zero-free) tuple of ``(name, coeff)`` pairs, and
+#: the row reads ``coeffs . x + const == 0`` if ``is_eq`` else ``>= 0``.
+Row = Tuple[Tuple[Tuple[str, Number], ...], Number, bool]
+
 
 def _coerce(coeffs: Mapping[str, Number]) -> Dict[str, Fraction]:
     return {name: Fraction(value) for name, value in coeffs.items() if value != 0}
@@ -69,6 +74,24 @@ class LinearProblem:
 
     def __init__(self, constraints: Optional[Iterable[LinConstraint]] = None):
         self.constraints: List[LinConstraint] = list(constraints or [])
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[Row]) -> "LinearProblem":
+        """The problem of canonical rows (same constraints as ``ge``/``eq``)."""
+        return cls(
+            LinConstraint(
+                tuple((name, Fraction(coeff)) for name, coeff in coeffs),
+                Fraction(const),
+                EQ if is_eq else GE,
+            )
+            for coeffs, const, is_eq in rows
+        )
+
+    def rows(self) -> List[Row]:
+        """The constraints as rows (the float solver's input)."""
+        return [
+            (item.coeffs, item.const, item.sense == EQ) for item in self.constraints
+        ]
 
     # ------------------------------------------------------------------
     def add(self, item: LinConstraint) -> "LinearProblem":

@@ -4,10 +4,12 @@ import pytest
 
 from repro.checker.encoder import SchemaEncoder
 from repro.checker.milestones import CombinedModel, Milestone, extract_milestones
+from repro.checker.parameterized import ParameterizedChecker
 from repro.checker.schemas import EventItem
-from repro.protocols import mmr14, naive_voting
+from repro.protocols import fmr05, mmr14, naive_voting
 from repro.solver.floatlp import float_feasible
 from repro.solver.ilp import ilp_feasible
+from repro.solver.linear import LinearProblem
 from repro.spec.properties import PropertyLibrary
 
 
@@ -101,7 +103,75 @@ class TestCoinBranchEncoding:
             {milestones["[cc0 reaches 1]"], milestones["[cc1 reaches 1]"]}
         )
         problem = encoder.encode_set_relaxation(both_coins)
-        assert float_feasible(problem) is False
+        assert float_feasible(problem.matrix) is False
         # A single outcome is fine.
         one_coin = frozenset({milestones["[cc0 reaches 1]"]})
-        assert float_feasible(encoder.encode_set_relaxation(one_coin)) is True
+        assert float_feasible(encoder.encode_set_relaxation(one_coin).matrix) is True
+
+
+def _dfs_encodings(checker, query):
+    """Run the DFS, recording every ``encode`` call it makes."""
+    calls = []
+    original = checker.encoder.encode
+
+    def spy(prefix, query, parent=None):
+        encoded = original(prefix, query, parent)
+        calls.append((list(prefix), parent, encoded))
+        return encoded
+
+    checker.encoder.encode = spy
+    try:
+        checker.check_reach(query)
+    finally:
+        del checker.encoder.encode
+    return calls
+
+
+def _reference_problem(rows):
+    """The rows rebuilt through the ``LinearProblem.ge``/``eq`` API."""
+    problem = LinearProblem()
+    for coeffs, const, is_eq in rows:
+        (problem.eq if is_eq else problem.ge)(dict(coeffs), const)
+    return problem
+
+
+class TestIncrementalEncoding:
+    """Encoding on top of the parent prefix equals encoding from scratch."""
+
+    @pytest.mark.parametrize(
+        "factory, builder, value",
+        [(naive_voting.model, "inv1", 0), (fmr05.model, "inv2", 0)],
+        ids=["naive_voting-inv1[0]", "fmr05-inv2[0]"],
+    )
+    def test_every_dfs_prefix(self, factory, builder, value):
+        model = factory()
+        checker = ParameterizedChecker(model)
+        query = getattr(PropertyLibrary(model), builder)(value)
+        calls = _dfs_encodings(checker, query)
+        assert sum(parent is not None for _p, parent, _e in calls) > 0
+        for prefix, _parent, encoded in calls:
+            scratch = checker.encoder.encode(prefix, query)
+            assert encoded.rows == scratch.rows
+            assert encoded.blocks == scratch.blocks
+            assert encoded.start_vars == scratch.start_vars
+            assert (encoded.kappa, encoded.g) == (scratch.kappa, scratch.g)
+            assert encoded.positions == scratch.positions
+            assert (
+                encoded.problem.constraints
+                == _reference_problem(encoded.rows).constraints
+            )
+
+    def test_rows_are_integer_and_canonical(self, naive_setup):
+        _model, encoder, milestones, lib = naive_setup
+        m0 = milestones["[2*v0 reaches -2*f + n + 1]"]
+        encoded = encoder.encode([m0, EventItem(0)], lib.inv1(0))
+        for coeffs, const, is_eq in encoded.rows:
+            assert type(const) is int and type(is_eq) is bool
+            assert all(type(c) is int and c for _name, c in coeffs)
+            assert list(coeffs) == sorted(coeffs)
+
+    def test_problem_is_built_lazily_once(self, naive_setup):
+        _model, encoder, _ms, lib = naive_setup
+        encoded = encoder.encode([EventItem(0)], lib.inv1(0))
+        assert "problem" not in vars(encoded)
+        assert encoded.problem is encoded.problem

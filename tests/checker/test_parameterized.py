@@ -110,3 +110,50 @@ class TestObligations:
         )
         assert report.verdict == HOLDS
         assert len(report.results) == 2
+
+
+class TestFloatPrunesAreExact:
+    # About 35 s: the exact Fraction simplex refutes every pruned LP.
+    @pytest.mark.slow_equivalence
+    def test_every_float_infeasible_is_exactly_infeasible(self, monkeypatch):
+        """A float 'infeasible' only prunes what the exact simplex refutes."""
+        pytest.importorskip("scipy")
+        from repro.solver.simplex import lp_feasible
+
+        refuted = []
+        original = ParameterizedChecker._feasible
+
+        def spy(self, encoded):
+            answer = original(self, encoded)
+            if not answer:
+                refuted.append(encoded)
+            return answer
+
+        monkeypatch.setattr(ParameterizedChecker, "_feasible", spy)
+        model = fmr05.model()
+        checker = ParameterizedChecker(model)
+        assert checker.check_reach(PropertyLibrary(model).inv2(0)).verdict == HOLDS
+        assert refuted
+        for encoded in refuted:
+            assert not lp_feasible(encoded.problem).feasible
+
+
+class TestReplayFailureEvent:
+    def test_unbuildable_system_is_logged(self, naive_checker, monkeypatch, caplog):
+        import logging
+
+        import repro.checker.parameterized as parameterized
+
+        def broken(*_args, **_kwargs):
+            raise ValueError("no such valuation")
+
+        monkeypatch.setattr(parameterized, "CounterSystem", broken)
+        query = PropertyLibrary(naive_voting.model()).inv1(0)
+        with caplog.at_level(logging.WARNING, logger="repro.checker.parameterized"):
+            assert not naive_checker._replay(query, {"n": 3, "f": 1}, {}, ())
+        [record] = caplog.records
+        assert record.name == "repro.checker.parameterized"
+        assert record.event == "parameterized.replay_error"
+        assert record.query == query.name
+        assert record.valuation == {"n": 3, "f": 1}
+        assert "no such valuation" in record.error
