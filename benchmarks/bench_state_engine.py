@@ -42,6 +42,8 @@ up as a drop against the previous entry.  Run from the repo root::
 
     PYTHONPATH=src python benchmarks/bench_state_engine.py --label my-change
     PYTHONPATH=src python benchmarks/bench_state_engine.py --quick  # CI smoke
+    PYTHONPATH=src python benchmarks/bench_state_engine.py --label my-change \
+        --sections parameterized  # record only the sections a change touched
 
 The first recorded entry (label ``seed``) is the nested-tuple /
 quadratic-attractor implementation this engine replaced; the
@@ -555,7 +557,8 @@ def bench_parameterized() -> dict:
     the section the layer functions are wrapped with timers: *encode* is
     ``SchemaEncoder.encode`` plus ``encode_set_relaxation``, *solve* the
     float HiGHS feasibility (``float_feasible``), and *confirm* the exact
-    work (``lp_feasible`` fallbacks, leaf ``rounded_integer_model`` and
+    work (building the Fraction problem, ``LinearProblem.from_rows``;
+    ``lp_feasible`` fallbacks, leaf ``rounded_integer_model`` and
     ``ilp_feasible``).  ``dfs_other`` is the rest: the DFS's own
     bookkeeping, schema counting and replay.  Node counts are asserted
     against the golden fixture's before any rate is reported.
@@ -563,12 +566,14 @@ def bench_parameterized() -> dict:
     import repro.checker.parameterized as parameterized
     from repro.checker.encoder import SchemaEncoder
     from repro.protocols.registry import by_name
+    from repro.solver.linear import LinearProblem
 
     layers = {"encode": 0.0, "solve": 0.0, "confirm": 0.0}
     targets = [
         (SchemaEncoder, "encode", "encode"),
         (SchemaEncoder, "encode_set_relaxation", "encode"),
         (parameterized, "float_feasible", "solve"),
+        (LinearProblem, "from_rows", "confirm"),
         (parameterized, "lp_feasible", "confirm"),
         (parameterized, "rounded_integer_model", "confirm"),
         (parameterized, "ilp_feasible", "confirm"),
@@ -587,7 +592,12 @@ def bench_parameterized() -> dict:
     out = {"queries": ["inv2[0]", "inv2[1]"], "protocols": {}}
     try:
         for owner, name, layer in targets:
-            setattr(owner, name, timed(layer, vars(owner)[name]))
+            original = vars(owner)[name]
+            if isinstance(original, classmethod):
+                wrapped = classmethod(timed(layer, original.__func__))
+            else:
+                wrapped = timed(layer, original)
+            setattr(owner, name, wrapped)
         for protocol, want_nodes in PARAM_PROTOCOLS.items():
             for layer in layers:
                 layers[layer] = 0.0
@@ -666,6 +676,12 @@ def main(argv=None) -> int:
                             / "BENCH_state_engine.json"),
         help="trajectory JSON file to append to",
     )
+    parser.add_argument(
+        "--sections",
+        help="comma-separated sections to run (default: all). An entry "
+             "that records only some sections leaves the regression "
+             "gate's other floors at the earlier entries",
+    )
     args = parser.parse_args(argv)
 
     repeats = 1 if args.quick else 3
@@ -678,21 +694,30 @@ def main(argv=None) -> int:
     max_steps = 400
 
     checker = ExplicitChecker(mmr14.refined_model(), VALUATION)
+    sections = {
+        "check_reach": lambda: bench_check_reach(checker, repeats,
+                                                 warmup=args.quick),
+        "check_game": lambda: bench_check_game(checker, repeats,
+                                               warmup=args.quick),
+        "frontier_batch": lambda: bench_frontier_batch(args.quick),
+        "mdp_sample": lambda: bench_mdp_sample(checker, paths, max_steps,
+                                               warmup=args.quick),
+        "sim_fleet": lambda: bench_sim_fleet(args.quick),
+        "sweep": lambda: bench_sweep(args.quick),
+        "store_sweep": lambda: bench_store_sweep(args.quick),
+        "store_backends": lambda: bench_store_backends(args.quick),
+        "parameterized": bench_parameterized,
+    }
+    chosen = args.sections.split(",") if args.sections else list(sections)
+    unknown = sorted(set(chosen) - set(sections))
+    if unknown:
+        parser.error(f"unknown sections {unknown}; choose from {list(sections)}")
     entry = {
         "label": args.label,
         "valuation": VALUATION,
         "model": "mmr14-refined",
         "quick": args.quick,
-        "check_reach": bench_check_reach(checker, repeats, warmup=args.quick),
-        "check_game": bench_check_game(checker, repeats, warmup=args.quick),
-        "frontier_batch": bench_frontier_batch(args.quick),
-        "mdp_sample": bench_mdp_sample(checker, paths, max_steps,
-                                       warmup=args.quick),
-        "sim_fleet": bench_sim_fleet(args.quick),
-        "sweep": bench_sweep(args.quick),
-        "store_sweep": bench_store_sweep(args.quick),
-        "store_backends": bench_store_backends(args.quick),
-        "parameterized": bench_parameterized(),
+        **{name: run() for name, run in sections.items() if name in chosen},
     }
 
     out = Path(args.out)

@@ -2,14 +2,16 @@
 """Bench regression gate: fresh smoke run vs the recorded trajectory.
 
 Compares the last entry of a freshly-produced trajectory file (the CI
-``--quick`` smoke of ``bench_state_engine.py``) against the last
-*labelled* entry committed in ``BENCH_state_engine.json`` and fails on
-a >30% drop in any state-engine throughput metric
-(``check_reach``/``check_game`` states/sec, the ``frontier_batch``
-batched kernel states/sec and its scalar-vs-batched speedup,
-``mdp_sample`` steps/sec, ``parameterized`` schema-DFS nodes/sec).
-Metrics absent from the baseline entry (sections newer than the
-recorded baseline) are skipped with a note.
+``--quick`` smoke of ``bench_state_engine.py``) against the *labelled*
+entries committed in ``BENCH_state_engine.json`` and fails on a >30%
+drop in any state-engine throughput metric (``check_reach``/
+``check_game`` states/sec, the ``frontier_batch`` batched kernel
+states/sec and its scalar-vs-batched speedup, ``mdp_sample``
+steps/sec, ``parameterized`` schema-DFS nodes/sec).  Each metric's
+baseline is the last labelled full entry that records it, so an entry
+may record only the sections its change touched (``--sections``) and
+leave the other floors where they were.  Metrics no labelled entry
+records yet are skipped with a note.
 The sweep and sim_fleet sections are informational only — quick and
 full runs use different matrices / fleet sizes, so their rates are not
 comparable.
@@ -28,9 +30,8 @@ import sys
 from pathlib import Path
 
 #: metric path within an entry -> human label.  Paths may be nested;
-#: a metric missing from the baseline entry (sections added after the
-#: baseline was recorded, e.g. ``frontier_batch``) is skipped with a
-#: note rather than failing the gate.
+#: a metric no baseline entry records (a section newer than every
+#: labelled entry) is skipped with a note rather than failing the gate.
 METRICS = {
     ("check_reach", "states_per_sec"): "check_reach states/sec",
     ("check_game", "states_per_sec"): "check_game states/sec",
@@ -57,8 +58,8 @@ def metric_at(entry: dict, path: tuple):
 TRANSIENT_LABELS = ("dev", "ci-smoke")
 
 
-def last_entry(path: Path, labelled_full_only: bool = False) -> dict:
-    """Last trajectory entry; optionally the last *labelled full* one.
+def entries(path: Path, labelled_full_only: bool = False) -> list:
+    """Trajectory entries, oldest first; optionally only *labelled full* ones.
 
     The baseline side skips ``--quick`` entries (different repeat
     counts — not comparable) and transiently-labelled ones (``dev``,
@@ -73,7 +74,16 @@ def last_entry(path: Path, labelled_full_only: bool = False) -> dict:
         ]
     if not trajectory:
         raise SystemExit(f"{path}: no usable trajectory entry")
-    return trajectory[-1]
+    return trajectory
+
+
+def baseline_for(baselines: list, path: tuple):
+    """``(entry, value)`` of the last baseline entry recording ``path``."""
+    for entry in reversed(baselines):
+        value = metric_at(entry, path)
+        if value is not None:
+            return entry, value
+    return None, None
 
 
 def main(argv=None) -> int:
@@ -86,24 +96,24 @@ def main(argv=None) -> int:
                         help="maximum tolerated fractional drop (default 0.30)")
     args = parser.parse_args(argv)
 
-    fresh = last_entry(args.fresh)
-    baseline = last_entry(args.baseline, labelled_full_only=True)
-    print(f"gate: {fresh['label']!r} (fresh) vs {baseline['label']!r} (baseline), "
-          f"threshold {args.threshold:.0%}")
+    fresh = entries(args.fresh)[-1]
+    baselines = entries(args.baseline, labelled_full_only=True)
+    print(f"gate: {fresh['label']!r} (fresh) vs the last labelled entry "
+          f"recording each metric, threshold {args.threshold:.0%}")
 
     failed = False
     for path, label in METRICS.items():
         got = metric_at(fresh, path)
-        want = metric_at(baseline, path)
+        baseline, want = baseline_for(baselines, path)
         if got is None or want is None:
-            side = "fresh" if got is None else "baseline"
-            print(f"  {label:34s} skipped (absent from {side} entry)")
+            side = "the fresh entry" if got is None else "every baseline entry"
+            print(f"  {label:34s} skipped (absent from {side})")
             continue
         floor = want * (1.0 - args.threshold)
         ratio = got / want if want else float("inf")
         status = "ok" if got >= floor else "REGRESSION"
         print(f"  {label:34s} {got:12,.2f} vs {want:12,.2f} "
-              f"({ratio:5.2f}x, floor {floor:,.2f}) {status}")
+              f"({ratio:5.2f}x, floor {floor:,.2f}, {baseline['label']}) {status}")
         if got < floor:
             failed = True
 

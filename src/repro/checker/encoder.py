@@ -23,9 +23,8 @@ realize the prefix:
 
 The constraints are plain integer rows ``(coeffs, const, is_eq)`` (see
 :data:`repro.solver.linear.Row`).  The float pruning path reads them as
-a sparse matrix that extends the parent prefix's
-(:attr:`EncodedPrefix.matrix`); the Fraction :class:`LinearProblem` the
-exact solvers need is built only on demand (:attr:`EncodedPrefix.problem`).
+they are; the Fraction :class:`LinearProblem` the exact solvers need is
+built only on demand (:attr:`EncodedPrefix.problem`).
 
 **Incremental encoding is exact.**  The schema DFS extends a prefix by
 one item at a time, so :meth:`SchemaEncoder.encode` accepts the parent
@@ -56,7 +55,6 @@ from repro.core.guards import Cmp
 from repro.core.rules import Rule
 from repro.counter.actions import Action
 from repro.errors import CheckError
-from repro.solver.floatlp import RowMatrix
 from repro.solver.linear import LinearProblem, Row
 from repro.spec.propositions import PropKind
 from repro.spec.queries import ReachQuery
@@ -115,8 +113,6 @@ class EncodedPrefix:
     g: Dict[str, Expr]
     #: milestone -> boundary position (boundary j = j-th prefix item)
     positions: Dict[Milestone, int]
-    #: the rows in CSR form for the float solver (converted on use)
-    matrix: RowMatrix
 
     @cached_property
     def problem(self) -> LinearProblem:
@@ -272,11 +268,10 @@ class SchemaEncoder:
                 else:
                     rows.append(_expr_row(total, is_eq=True))
 
-        matrix = RowMatrix(rows, parent.matrix if parent is not None else None)
-        return EncodedPrefix(rows, blocks, start_vars, kappa, g, positions, matrix)
+        return EncodedPrefix(rows, blocks, start_vars, kappa, g, positions)
 
     # ------------------------------------------------------------------
-    def encode_set_relaxation(self, flipped) -> EncodedPrefix:
+    def encode_set_relaxation(self, flipped) -> List[Row]:
         """Order-insensitive relaxation: can this milestone *set* flip at all?
 
         One segment containing every rule whose ``>=`` guards lie inside
@@ -284,21 +279,16 @@ class SchemaEncoder:
         all milestone thresholds imposed at the final boundary.  Shared
         variables are monotone, so any ordered schedule realizing the
         set also satisfies this relaxation: infeasibility soundly prunes
-        *every* ordering of the set.  Cached by the caller per frozenset.
+        *every* ordering of the set.  Returns the constraint rows only;
+        the caller caches the answer per frozenset.
         """
-        rows, start_vars, kappa, g = self._base(None)
-        segment_blocks: List[Tuple[str, Rule]] = []
+        rows, _start_vars, kappa, g = self._base(None)
         for rule in self.topo_rules:
-            if not all(m in flipped for m in self._ge_milestones[rule.name]):
-                continue
-            xvar = f"xs_{rule.name}"
-            segment_blocks.append((xvar, rule))
-            rows.append(self._block(kappa, g, rule, xvar))
+            if all(m in flipped for m in self._ge_milestones[rule.name]):
+                rows.append(self._block(kappa, g, rule, f"xs_{rule.name}"))
         for milestone in flipped:
             rows.append(self._threshold(milestone, g))
-        return EncodedPrefix(
-            rows, [segment_blocks], start_vars, kappa, g, {}, RowMatrix(rows)
-        )
+        return rows
 
     # ------------------------------------------------------------------
     def extract(

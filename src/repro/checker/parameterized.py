@@ -26,9 +26,9 @@ from __future__ import annotations
 
 import logging
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.checker.encoder import EncodedPrefix, SchemaEncoder
+from repro.checker.encoder import SchemaEncoder
 from repro.checker.milestones import (
     CombinedModel,
     Milestone,
@@ -50,8 +50,9 @@ from repro.core.system import SystemModel
 from repro.counter.actions import Action
 from repro.counter.system import CounterSystem
 from repro.errors import CheckError
-from repro.solver.floatlp import float_feasible, rounded_integer_model
+from repro.solver.floatlp import RowMatrix, float_feasible, rounded_integer_model
 from repro.solver.ilp import SAT, UNSAT, ilp_feasible
+from repro.solver.linear import LinearProblem
 from repro.solver.simplex import lp_feasible
 from repro.spec.obligations import ObligationSet
 from repro.spec.queries import ReachQuery
@@ -119,20 +120,30 @@ class ParameterizedChecker(TimeBudgeted):
         return len(self.milestones)
 
     # ------------------------------------------------------------------
-    def _feasible(self, encoded: EncodedPrefix) -> bool:
-        """Rational feasibility: float answer first, exact when undecided."""
+    def _feasible(
+        self, matrix: RowMatrix, exact: Callable[[], LinearProblem]
+    ) -> bool:
+        """Rational feasibility: the float answer on ``matrix`` first.
+
+        When it is undecided (or the float path is off) the exact
+        simplex decides on ``exact()``, so the Fraction problem is built
+        only then.
+        """
         if self.use_float_lp:
-            answer = float_feasible(encoded.matrix)
+            answer = float_feasible(matrix)
             if answer is not None:
                 return answer
-        return lp_feasible(encoded.problem).feasible
+        return lp_feasible(exact()).feasible
 
     def _set_feasible(self, flipped: frozenset) -> bool:
         """Cached order-insensitive prune for milestone sets."""
         cached = self._set_cache.get(flipped)
         if cached is not None:
             return cached
-        answer = self._feasible(self.encoder.encode_set_relaxation(flipped))
+        rows = self.encoder.encode_set_relaxation(flipped)
+        answer = self._feasible(
+            RowMatrix(rows), lambda: LinearProblem.from_rows(rows)
+        )
         self._set_cache[flipped] = answer
         return answer
 
@@ -195,7 +206,9 @@ class ParameterizedChecker(TimeBudgeted):
         counterexample: Optional[Counterexample] = None
         deadline = self.query_deadline(start)
 
-        def dfs(prefix, flipped, placed, parent) -> Optional[Counterexample]:
+        def dfs(
+            prefix, flipped, placed, parent, parent_matrix
+        ) -> Optional[Counterexample]:
             self.nodes += 1
             if self.nodes > self.node_budget:
                 raise _Budget("max_nodes")
@@ -212,11 +225,13 @@ class ParameterizedChecker(TimeBudgeted):
                     self.pruned += 1
                     return None
             # Full order-sensitive prefix LP (event boundaries pinned),
-            # encoded incrementally on top of the parent prefix's rows.
-            encoded = None
+            # encoded incrementally on top of the parent prefix's rows;
+            # its float matrix likewise converts only the new rows.
+            encoded = matrix = None
             if prefix:
                 encoded = self.encoder.encode(prefix, query, parent)
-                if not self._feasible(encoded):
+                matrix = RowMatrix(encoded.rows, parent_matrix)
+                if not self._feasible(matrix, lambda: encoded.problem):
                     self.pruned += 1
                     return None
             elif is_leaf:
@@ -264,11 +279,15 @@ class ParameterizedChecker(TimeBudgeted):
             ):
                 if isinstance(item, EventItem):
                     found = dfs(
-                        prefix + [item], flipped, placed | {item.index}, encoded
+                        prefix + [item],
+                        flipped,
+                        placed | {item.index},
+                        encoded,
+                        matrix,
                     )
                 else:
                     found = dfs(
-                        prefix + [item], flipped | {item}, placed, encoded
+                        prefix + [item], flipped | {item}, placed, encoded, matrix
                     )
                 if found is not None:
                     return found
@@ -277,7 +296,7 @@ class ParameterizedChecker(TimeBudgeted):
         exhausted = True
         tripped = ""
         try:
-            counterexample = dfs([], frozenset(), frozenset(), None)
+            counterexample = dfs([], frozenset(), frozenset(), None, None)
         except _Budget as budget:
             exhausted = False
             tripped = budget.limit

@@ -102,11 +102,12 @@ class TestCoinBranchEncoding:
         both_coins = frozenset(
             {milestones["[cc0 reaches 1]"], milestones["[cc1 reaches 1]"]}
         )
-        problem = encoder.encode_set_relaxation(both_coins)
-        assert float_feasible(problem.matrix) is False
+        rows = encoder.encode_set_relaxation(both_coins)
+        assert float_feasible(LinearProblem.from_rows(rows)) is False
         # A single outcome is fine.
         one_coin = frozenset({milestones["[cc0 reaches 1]"]})
-        assert float_feasible(encoder.encode_set_relaxation(one_coin).matrix) is True
+        rows = encoder.encode_set_relaxation(one_coin)
+        assert float_feasible(LinearProblem.from_rows(rows)) is True
 
 
 def _dfs_encodings(checker, query):

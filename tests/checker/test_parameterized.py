@@ -123,10 +123,10 @@ class TestFloatPrunesAreExact:
         refuted = []
         original = ParameterizedChecker._feasible
 
-        def spy(self, encoded):
-            answer = original(self, encoded)
+        def spy(self, matrix, exact):
+            answer = original(self, matrix, exact)
             if not answer:
-                refuted.append(encoded)
+                refuted.append(exact)
             return answer
 
         monkeypatch.setattr(ParameterizedChecker, "_feasible", spy)
@@ -134,8 +134,8 @@ class TestFloatPrunesAreExact:
         checker = ParameterizedChecker(model)
         assert checker.check_reach(PropertyLibrary(model).inv2(0)).verdict == HOLDS
         assert refuted
-        for encoded in refuted:
-            assert not lp_feasible(encoded.problem).feasible
+        for exact in refuted:
+            assert not lp_feasible(exact()).feasible
 
 
 class TestReplayFailureEvent:
