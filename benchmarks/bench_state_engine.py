@@ -14,9 +14,9 @@ f=1``:
   level frontiers of the reach space with caches cleared per pass;
 * ``mdp_sample``  — Markov-chain path sampling under a random
   adversary (steps/sec);
-* ``sim_fleet``   — message-level Monte Carlo instances/sec: a
-  sequential loop vs the asyncio-interleaved fleet (plus the 2-worker
-  pooled path in full mode), with bit-identical records asserted;
+* ``sim_fleet``   — message-level Monte Carlo instances/sec: the
+  inline fleet vs the same fleet sharded over 2 pool workers, with
+  bit-identical records asserted;
 * ``sweep``       — tasks/sec over a protocol × valuation × target
   matrix, cold (shared program/system caches cleared per task,
   emulating per-task compilation) vs warm (process-wide
@@ -28,8 +28,7 @@ f=1``:
   the speedup a fresh process gets from a previous process's work;
 * ``store_backends`` — an incremental-exploration workload (the same
   keys revisited under growing state budgets) against each store
-  backend (``dir``, ``sqlite``) plus the PR 4 whole-graph-snapshot
-  emulation: bytes written by delta flushes vs snapshot rewrites, and
+  backend (``dir``, ``sqlite``): bytes written by delta flushes and
   warm-from-storage second-run times per backend;
 * ``parameterized`` — the paper's own pipeline: schema-DFS nodes/sec of
   the parameterized checker on validity (``inv2[0]``, ``inv2[1]``) for
@@ -250,12 +249,10 @@ def bench_store_backends(quick: bool) -> dict:
     The workload the delta segments were built for: the same
     ``(protocol, valuation)`` keys revisited by consecutive tasks under
     *growing* ``max_states`` budgets, so each task extends the stored
-    graph a little.  Whole-graph snapshot flushes (the PR 4 behaviour,
-    emulated by ``snapshot_mode=True``) rewrite the entire graph at
-    every growth step; delta flushes append only the increment.  Both
+    graph a little and each flush appends only the increment.  Both
     shipped backends run the matrix twice (cold then warm-from-storage
     with every in-process cache dropped) and must agree with each
-    other — and with the snapshot emulation — bit for bit.
+    other bit for bit.
     """
     import shutil
     import tempfile
@@ -286,9 +283,9 @@ def bench_store_backends(quick: bool) -> dict:
         for target in ("validity", "agreement")
     ]
 
-    def run_with_store(spec, snapshot_mode):
+    def run_with_store(spec):
         clear_shared_caches()
-        previous = activate_graph_store(spec, snapshot_mode=snapshot_mode)
+        previous = activate_graph_store(spec)
         t0 = time.perf_counter()
         try:
             results = [run_task(task) for task in tasks]
@@ -308,13 +305,12 @@ def bench_store_backends(quick: bool) -> dict:
     reference = None
     try:
         variants = {
-            "dir": (str(Path(base) / "graphs"), False),
-            "sqlite": (f"sqlite:{Path(base) / 'graphs.db'}", False),
-            "snapshot": (str(Path(base) / "snapshots"), True),
+            "dir": str(Path(base) / "graphs"),
+            "sqlite": f"sqlite:{Path(base) / 'graphs.db'}",
         }
-        for name, (spec, snapshot_mode) in variants.items():
-            first, cold = run_with_store(spec, snapshot_mode)
-            second, warm = run_with_store(spec, snapshot_mode)
+        for name, spec in variants.items():
+            first, cold = run_with_store(spec)
+            second, warm = run_with_store(spec)
             for results in (first, second):
                 if reference is None:
                     reference = _stable_results(results)
@@ -335,11 +331,6 @@ def bench_store_backends(quick: bool) -> dict:
             }
     finally:
         shutil.rmtree(base, ignore_errors=True)
-    snapshot_bytes = out["snapshot"]["cold_bytes_written"]
-    out["delta_vs_snapshot_cold_bytes"] = (
-        out["dir"]["cold_bytes_written"] / snapshot_bytes
-        if snapshot_bytes else 0.0
-    )
     return out
 
 
@@ -469,79 +460,45 @@ def bench_frontier_batch(quick: bool) -> dict:
 
 
 def bench_sim_fleet(quick: bool) -> dict:
-    """Monte Carlo fleet throughput: sequential loop vs concurrent fleet.
+    """Monte Carlo fleet throughput: inline vs a 2-worker pool.
 
-    Drives the same MMR14 seed list twice — a plain one-at-a-time loop
-    over the fleet's run generator (the pre-fleet shape) and the
-    asyncio-interleaved ``run_fleet`` engine — and asserts the two
-    record lists are bit-identical before reporting either rate (the
-    fleet's seed-reproducibility contract).  The full mode also shards
-    the same fleet across two pool workers to measure the multi-core
-    path, pool spawn cost included.
+    Runs the same MMR14 seed list through ``run_fleet(processes=1)``
+    (one interpreter, one run after another) and ``processes=2`` (the
+    seed list sharded over a supervised pool, spawn cost included), and
+    asserts the two record lists are bit-identical before reporting
+    either rate (the fleet's seed-reproducibility contract).
     """
-    from repro.sim.fleet import _drive, run_fleet
-    from repro.sim.registry import sim_by_name
+    from repro.sim.fleet import run_fleet
 
     protocol, max_steps = "mmr14", 20_000
     runs = 200 if quick else 1000
-    proto = sim_by_name(protocol)
 
-    def sequential():
-        records = []
-        for seed in range(runs):
-            stepper = _drive(proto, "perfect", "random", seed, max_steps,
-                             True, max_steps + 1)
-            while True:
-                try:
-                    next(stepper)
-                except StopIteration as finished:
-                    records.append(finished.value)
-                    break
-        return records
+    def timed(processes):
+        t0 = time.perf_counter()
+        report = run_fleet(protocol, runs=runs, max_steps=max_steps,
+                           processes=processes)
+        seconds = time.perf_counter() - t0
+        return report, {
+            "processes": processes,
+            "seconds": seconds,
+            "instances_per_sec": runs / seconds if seconds else 0.0,
+        }
 
-    t0 = time.perf_counter()
-    sequential_records = sequential()
-    sequential_seconds = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    report = run_fleet(protocol, runs=runs, max_steps=max_steps)
-    fleet_seconds = time.perf_counter() - t0
-    if report.records != sequential_records:
-        raise AssertionError("fleet records diverge from the sequential loop")
-
-    out = {
+    inline, inline_rate = timed(1)
+    pooled, pooled_rate = timed(2)
+    if pooled.records != inline.records:
+        raise AssertionError("pooled fleet records diverge from inline")
+    return {
         "protocol": protocol,
         "runs": runs,
-        "completion": report.completion,
-        "sequential": {
-            "seconds": sequential_seconds,
-            "instances_per_sec": (
-                runs / sequential_seconds if sequential_seconds else 0.0
-            ),
-        },
-        "fleet": {
-            "seconds": fleet_seconds,
-            "instances_per_sec": (
-                runs / fleet_seconds if fleet_seconds else 0.0
-            ),
-        },
+        "completion": inline.completion,
+        "inline": inline_rate,
+        "pooled": pooled_rate,
+        "pooled_speedup": (
+            inline_rate["seconds"] / pooled_rate["seconds"]
+            if pooled_rate["seconds"] else 0.0
+        ),
     }
-    if not quick:
-        t0 = time.perf_counter()
-        pooled = run_fleet(protocol, runs=runs, max_steps=max_steps,
-                           processes=2)
-        pooled_seconds = time.perf_counter() - t0
-        if pooled.records != sequential_records:
-            raise AssertionError("pooled fleet diverges from the "
-                                 "sequential loop")
-        out["pooled"] = {
-            "processes": 2,
-            "seconds": pooled_seconds,
-            "instances_per_sec": (
-                runs / pooled_seconds if pooled_seconds else 0.0
-            ),
-        }
-    return out
 
 
 #: parameterized section: protocol -> DFS nodes per inv2 query (the

@@ -119,15 +119,11 @@ def main(argv=None) -> int:
 
     fleet = fresh.get("sim_fleet")
     if fleet:
-        pooled = fleet.get("pooled")
-        pooled_note = (
-            f", pooled×{pooled['processes']} "
-            f"{pooled['instances_per_sec']:.1f}/s" if pooled else ""
-        )
-        print(f"  sim_fleet (informational)    sequential "
-              f"{fleet['sequential']['instances_per_sec']:.1f}/s -> fleet "
-              f"{fleet['fleet']['instances_per_sec']:.1f}/s over "
-              f"{fleet['runs']} runs{pooled_note}")
+        print(f"  sim_fleet (informational)    inline "
+              f"{fleet['inline']['instances_per_sec']:.1f}/s -> "
+              f"pooled×{fleet['pooled']['processes']} "
+              f"{fleet['pooled']['instances_per_sec']:.1f}/s over "
+              f"{fleet['runs']} runs ({fleet['pooled_speedup']:.2f}x)")
     sweep = fresh.get("sweep")
     if sweep:
         print(f"  sweep (informational)        cold {sweep['cold_tasks_per_sec']:.2f} "
@@ -140,14 +136,10 @@ def main(argv=None) -> int:
               f"({store['warm_speedup']:.2f}x second-run speedup)")
     backends = fresh.get("store_backends")
     if backends:
-        ratio = backends.get("delta_vs_snapshot_cold_bytes", 0.0)
         print(f"  store_backends (informational)  delta flushes wrote "
-              f"{backends['dir']['cold_bytes_written']:,} bytes vs "
-              f"{backends['snapshot']['cold_bytes_written']:,} snapshot "
-              f"bytes ({ratio:.2f}x); warm runs "
+              f"{backends['dir']['cold_bytes_written']:,} bytes; warm runs "
               f"dir {backends['dir']['warm_seconds']:.2f}s / "
-              f"sqlite {backends['sqlite']['warm_seconds']:.2f}s / "
-              f"snapshot {backends['snapshot']['warm_seconds']:.2f}s")
+              f"sqlite {backends['sqlite']['warm_seconds']:.2f}s")
 
     param = fresh.get("parameterized")
     if param:

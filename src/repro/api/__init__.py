@@ -56,7 +56,7 @@ from repro.api.report import (
     TaskResult,
     worst_verdict,
 )
-from repro.api.journal import RunJournal
+from repro.api.journal import Journal
 from repro.api.supervisor import RetryPolicy, SupervisedPool
 from repro.api.sweep import ResultCache, SweepRunner, code_version, run_task
 from repro.api.task import TARGETS, Limits, VerificationTask
@@ -70,13 +70,13 @@ __all__ = [
     "ExplicitEngine",
     "FaultPlan",
     "GraphStore",
+    "Journal",
     "Limits",
     "ObligationOutcome",
     "ParameterizedEngine",
     "QueryOutcome",
     "ResultCache",
     "RetryPolicy",
-    "RunJournal",
     "RunReport",
     "SupervisedPool",
     "SweepRunner",
@@ -280,7 +280,7 @@ def sweep(
         processes=processes,
         cache_dir=cache_dir,
         scheduling=scheduling,
-        graph_store_dir=graph_store,
+        graph_store=graph_store,
         task_timeout=task_timeout,
         retry=retry,
         journal=journal,

@@ -1,47 +1,68 @@
-"""Append-only sweep journal: resume an interrupted sweep where it died.
+"""Append-only JSON-lines journals: resume work where a process died.
 
-The :class:`~repro.api.sweep.ResultCache` already persists *cacheable*
-results across runs, but an interrupted sweep still re-runs everything
-the cache refuses to hold (error results, ``max_seconds`` trips, tasks
-with unpicklable custom models).  The journal closes that gap: the
-sweep supervisor appends one JSON line per **completed** task — the
-full :class:`~repro.api.report.TaskResult` payload plus its attempt
-count — and a ``resume=True`` run serves journaled results verbatim,
-re-executing only tasks with no (or only *error*) records.  Because
-replay happens by input index against an identical task list, a
-resumed report stays input-ordered and bit-identical to what the
-uninterrupted run would have produced.
+Two callers keep one of these files:
 
-File format — one JSON object per line:
+* the **sweep journal** — the sweep supervisor appends one
+  :class:`JournalRecord` per *completed* task (the full
+  :class:`~repro.api.report.TaskResult` payload plus its attempt
+  count), and a ``resume=True`` run serves journaled results verbatim,
+  re-executing only tasks with no (or only *error*) records.  The
+  :class:`~repro.api.sweep.ResultCache` already persists *cacheable*
+  results; the journal also covers what the cache refuses to hold
+  (error results, ``max_seconds`` trips, custom-model tasks).  Records
+  are keyed by input index against an identical task list, so a
+  resumed report stays input-ordered and bit-identical to an
+  uninterrupted run;
+* the **service journal** — the verification daemon appends one
+  ``{"key", "task", "result"}`` line per finished task, keyed by
+  :attr:`~repro.api.task.VerificationTask.dedup_key`, and a restarted
+  daemon preloads it (see :mod:`repro.service.server`).
 
-* line 1, the header: ``{"magic", "format", "digest", "version"}``
-  where ``digest`` fingerprints the sweep (the ordered task identity
-  list + code version, see :func:`sweep_digest`).  A resume against a
-  journal whose header doesn't match the current sweep **discards**
-  the journal and starts fresh — stale journals must never leak
-  results into a different sweep;
-* each following line: ``{"index", "key", "result", "attempts",
-  "timed_out"}``.  The ``key`` double-checks the task at that index.
+:class:`Journal` owns the file mechanics both share.  Line 1 is the
+header ``{"magic", "format", ...}``: the journal kind's magic string,
+the file format, and the caller's identity fields (the sweep's
+``digest`` and ``version``, the daemon's ``version``).  A file whose
+header is not *exactly* this one (a different sweep, code version or
+journal kind) is truncated to a fresh header on load — a stale journal
+must never leak results into other work.  Each following line is one
+JSON object.  A torn final line (the writer died mid-append) or a
+garbage line is skipped.  Which record
+wins for a key, and which records replay at all, is the caller's call:
+both callers take the last record per key and drop error results —
+resume exists to finish work, not to pin its failures.
 
-The journal tolerates the crashes it exists for: a torn final line
-(the supervisor died mid-append) is skipped, and duplicate records for
-one index resolve last-wins.  Everything here is supervisor-side only;
-workers never touch the journal.
+Journaling is best-effort, like the caches: an unreadable or
+unwritable file costs resumability, never the sweep or the daemon.
+Each swallowed ``OSError`` is logged as one ``journal.*`` warning on
+this module's logger (quiet unless the application configures
+logging).
 """
 
 from __future__ import annotations
 
 import json
+import logging
+import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.version import stable_digest
 
-__all__ = ["JournalRecord", "RunJournal", "sweep_digest"]
+__all__ = [
+    "Journal",
+    "JournalRecord",
+    "SWEEP_JOURNAL_MAGIC",
+    "replayable_records",
+    "sweep_digest",
+]
 
-_MAGIC = "repro-sweep-journal"
+logger = logging.getLogger(__name__)
+
+#: ``format`` of every journal header.
 _FORMAT = 1
+#: ``magic`` of the sweep journal's header.
+SWEEP_JOURNAL_MAGIC = "repro-sweep-journal"
 
 
 def sweep_digest(tasks: Sequence, version: str) -> str:
@@ -60,7 +81,7 @@ def sweep_digest(tasks: Sequence, version: str) -> str:
 
 @dataclass(frozen=True)
 class JournalRecord:
-    """One completed task as journaled (``result`` is a to_dict payload)."""
+    """One completed sweep task (``result`` is a to_dict payload)."""
 
     index: int
     key: str
@@ -72,137 +93,142 @@ class JournalRecord:
     def is_error(self) -> bool:
         return bool(self.result.get("error"))
 
-    def to_line(self) -> str:
-        return json.dumps(
-            {
-                "index": self.index,
-                "key": self.key,
-                "result": self.result,
-                "attempts": self.attempts,
-                "timed_out": self.timed_out,
-            },
-            sort_keys=True,
-        )
+    def to_dict(self) -> dict:
+        return {
+            "index": self.index,
+            "key": self.key,
+            "result": self.result,
+            "attempts": self.attempts,
+            "timed_out": self.timed_out,
+        }
 
-
-class RunJournal:
-    """The journal file for one sweep (see the module doc).
-
-    Usage: construct with the sweep's digest, call :meth:`load` once
-    (``resume=False`` truncates; ``resume=True`` returns the replayable
-    records), then :meth:`append` each completed task and
-    :meth:`close` when the sweep finishes.
-    """
-
-    def __init__(self, path, digest: str, version: str):
-        self.path = Path(path)
-        self.digest = digest
-        self.version = version
-        self._handle = None
-
-    # -- reading -------------------------------------------------------
-    def load(self, resume: bool) -> Dict[int, JournalRecord]:
-        """Return replayable records by index; prepare for appending.
-
-        Without ``resume`` (or when the existing journal's header does
-        not match this sweep) any existing journal is discarded and a
-        fresh one is started.  Error records are *not* replayable —
-        resume exists to finish a sweep, not to pin its failures — so
-        they are dropped here and their tasks re-execute.
-        """
-        records: Dict[int, JournalRecord] = {}
-        lines: List[str] = []
-        if resume and self.path.exists():
-            try:
-                lines = self.path.read_text(encoding="utf-8").splitlines()
-            except OSError:
-                lines = []
-        if lines and self._header_matches(lines[0]):
-            for line in lines[1:]:
-                record = self._parse(line)
-                if record is not None and not record.is_error:
-                    records[record.index] = record
-            self._open(fresh=False)
-        else:
-            records.clear()
-            self._open(fresh=True)
-        return records
-
-    def _header_matches(self, line: str) -> bool:
+    @classmethod
+    def from_dict(cls, payload: dict) -> Optional["JournalRecord"]:
+        """The record a journal line holds, or None if it is malformed."""
         try:
-            header = json.loads(line)
-        except (json.JSONDecodeError, ValueError):
-            return False
-        return (
-            isinstance(header, dict)
-            and header.get("magic") == _MAGIC
-            and header.get("format") == _FORMAT
-            and header.get("digest") == self.digest
-            and header.get("version") == self.version
-        )
-
-    @staticmethod
-    def _parse(line: str) -> Optional[JournalRecord]:
-        try:
-            payload = json.loads(line)
-            return JournalRecord(
+            return cls(
                 index=int(payload["index"]),
                 key=str(payload["key"]),
                 result=dict(payload["result"]),
                 attempts=int(payload.get("attempts", 1)),
                 timed_out=bool(payload.get("timed_out", False)),
             )
-        except (json.JSONDecodeError, ValueError, KeyError, TypeError):
-            return None  # torn/corrupt line — exactly what resume tolerates
+        except (ValueError, KeyError, TypeError):
+            return None
+
+
+def replayable_records(lines: Iterable[dict]) -> Dict[int, JournalRecord]:
+    """The sweep's replay rule: the last clean record per index wins.
+
+    Malformed records are skipped and error records never replay, so
+    their tasks re-execute on resume.
+    """
+    records: Dict[int, JournalRecord] = {}
+    for line in lines:
+        record = JournalRecord.from_dict(line)
+        if record is not None and not record.is_error:
+            records[record.index] = record
+    return records
+
+
+class Journal:
+    """One journal file (see the module doc).
+
+    Usage: construct with the path, the journal kind's magic string and
+    the identity fields the header must carry, call :meth:`load` once
+    (``resume=False`` truncates; otherwise it returns the records of a
+    matching file, oldest first), then :meth:`append` each completion
+    and :meth:`close` at the end.  Appends and close share a lock: the
+    daemon's dispatcher appends while its shutdown path may close.
+    """
+
+    def __init__(self, path, magic: str, **identity):
+        self.path = Path(path)
+        self.header = {"magic": magic, "format": _FORMAT, **identity}
+        self._lock = threading.Lock()
+        self._handle = None
+
+    # -- reading -------------------------------------------------------
+    def load(self, resume: bool = True) -> List[dict]:
+        """Records of a matching journal; prepares for appending.
+
+        Without ``resume``, or when the existing file's header is not
+        this journal's, the file is discarded and a fresh one started.
+        """
+        lines: List[str] = []
+        if resume and self.path.exists():
+            try:
+                lines = self.path.read_text(encoding="utf-8").splitlines()
+            except OSError as exc:
+                self._warn("journal.read_error", "journal unreadable; "
+                           "starting a fresh one", exc)
+        if lines and _parse(lines[0]) == self.header:
+            self._open("a")
+            return [record for record in map(_parse, lines[1:])
+                    if isinstance(record, dict)]
+        self._open("w")
+        return []
 
     # -- writing -------------------------------------------------------
-    def _open(self, fresh: bool) -> None:
+    def _open(self, mode: str) -> None:
         try:
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            if fresh or not self.path.exists():
-                header = json.dumps(
-                    {
-                        "magic": _MAGIC,
-                        "format": _FORMAT,
-                        "digest": self.digest,
-                        "version": self.version,
-                    },
-                    sort_keys=True,
-                )
-                self._handle = open(self.path, "w", encoding="utf-8")
-                self._handle.write(header + "\n")
+            self._handle = open(self.path, mode, encoding="utf-8")
+            if mode == "w":
+                self._handle.write(_line(self.header))
                 self._handle.flush()
-            else:
-                self._handle = open(self.path, "a", encoding="utf-8")
-        except OSError:
-            self._handle = None  # journaling is best-effort, like the cache
+        except OSError as exc:
+            self._handle = None
+            self._warn("journal.open_error", "journal unwritable; "
+                       "continuing without it", exc)
 
-    def append(self, record: JournalRecord) -> None:
-        """Persist one completed task (best-effort, crash-tolerant).
+    def append(self, record: dict) -> None:
+        """Persist one record (best-effort, crash-tolerant).
 
         Flushed to the OS per record — that survives the failure mode
-        resume exists for (the sweep process dying); a per-record
-        ``fsync`` would tax every task for machine-crash durability the
-        journal doesn't promise (a torn tail is tolerated on load).
+        resume exists for (the process dying); a per-record ``fsync``
+        would tax every task for machine-crash durability the journal
+        doesn't promise (a torn tail is tolerated on load).
         """
-        if self._handle is None:
-            return
-        try:
-            self._handle.write(record.to_line() + "\n")
-            self._handle.flush()
-        except (OSError, ValueError):
-            pass
+        with self._lock:
+            if self._handle is None:
+                return
+            try:
+                self._handle.write(_line(record))
+                self._handle.flush()
+            except (OSError, ValueError) as exc:
+                self._warn("journal.append_error", "journal append "
+                           "failed; record lost", exc)
 
     def close(self) -> None:
-        if self._handle is not None:
+        with self._lock:
+            if self._handle is None:
+                return
             try:
                 self._handle.close()
-            except OSError:
-                pass
+            except OSError as exc:
+                self._warn("journal.close_error", "journal close failed",
+                           exc)
             self._handle = None
 
-    def __enter__(self) -> "RunJournal":
-        return self
+    def _warn(self, event: str, message: str, exc: BaseException) -> None:
+        logger.warning(
+            message,
+            extra={
+                "event": event,
+                "journal": str(self.path),
+                "magic": self.header.get("magic"),
+                "error": repr(exc),
+            },
+        )
 
-    def __exit__(self, *_exc) -> None:
-        self.close()
+
+def _line(payload: dict) -> str:
+    return json.dumps(payload, sort_keys=True) + "\n"
+
+
+def _parse(line: str):
+    try:
+        return json.loads(line)
+    except ValueError:
+        return None  # torn/corrupt line — exactly what resume tolerates

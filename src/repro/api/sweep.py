@@ -42,7 +42,7 @@ engine, limits, code-version)`` lets repeated sweeps (cross-validation
 over many valuations, CI re-runs) skip work that cannot have changed:
 the code-version component is a digest of every ``repro`` source file,
 so any engine change invalidates the whole cache.  Alongside it lives
-the **sweep journal** (:class:`~repro.api.journal.RunJournal`,
+the **sweep journal** (:class:`~repro.api.journal.Journal`,
 ``sweep-journal.jsonl`` under the cache dir): one appended record per
 *completed* task — including the error results and ``max_seconds``
 trips the cache refuses to hold — so ``resume=True`` /
@@ -84,7 +84,13 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.api.engines import BUILTIN_ENGINES, engine_for
-from repro.api.journal import JournalRecord, RunJournal, sweep_digest
+from repro.api.journal import (
+    SWEEP_JOURNAL_MAGIC,
+    Journal,
+    JournalRecord,
+    replayable_records,
+    sweep_digest,
+)
 from repro.api.report import RunReport, TaskResult
 from repro.api.supervisor import RetryPolicy, SupervisedPool
 from repro.api.task import VerificationTask
@@ -384,8 +390,7 @@ class SweepRunner:
             flush delta segments of what they grow, so a sweep re-run
             in a fresh process replays on memoised successors —
             results-neutral (verdicts and ``states_explored`` stay
-            bit-identical to cold runs).  ``graph_store_dir`` is the
-            historical alias.
+            bit-identical to cold runs).
         scheduling: ``"flat"`` (one task per pool job) or ``"sharded"``
             (one protocol-shard per pool job, executed by a persistent
             warm worker).  Reports are bit-identical across modes
@@ -429,7 +434,6 @@ class SweepRunner:
         cache_version: Optional[str] = None,
         scheduling: str = "flat",
         graph_store: Optional[str] = None,
-        graph_store_dir: Optional[str] = None,
         task_timeout: Optional[float] = None,
         retry=None,
         journal: Optional[str] = None,
@@ -443,10 +447,7 @@ class SweepRunner:
                 f"{self.SCHEDULING_MODES}"
             )
         self.scheduling = scheduling
-        # graph_store is the backend spec (dir path or sqlite: URI);
-        # graph_store_dir is the PR 4 name, kept as an alias.
-        spec = graph_store if graph_store else graph_store_dir
-        self.graph_store = str(spec) if spec else None
+        self.graph_store = str(graph_store) if graph_store else None
         self.cache = (
             ResultCache(Path(cache_dir), version=cache_version)
             if cache_dir
@@ -466,11 +467,6 @@ class SweepRunner:
             )
         self.resume = bool(resume)
         self.fault_plan = fault_plan
-
-    @property
-    def graph_store_dir(self) -> Optional[str]:
-        """Historical alias for :attr:`graph_store` (PR 4 name)."""
-        return self.graph_store
 
     def run(self, tasks: Sequence[VerificationTask]) -> RunReport:
         # Inline tasks (processes=1, unpicklable models, runtime
@@ -500,13 +496,14 @@ class SweepRunner:
         cache_hits = 0
         resumed = 0
 
-        journal: Optional[RunJournal] = None
+        journal: Optional[Journal] = None
         replayable: Dict[int, JournalRecord] = {}
         if self.journal_path is not None:
-            journal = RunJournal(
-                self.journal_path, sweep_digest(tasks, version), version
+            journal = Journal(
+                self.journal_path, SWEEP_JOURNAL_MAGIC,
+                digest=sweep_digest(tasks, version), version=version,
             )
-            replayable = journal.load(resume=self.resume)
+            replayable = replayable_records(journal.load(resume=self.resume))
 
         def complete(index: int, result: TaskResult,
                      journaled: bool = False) -> None:
@@ -522,7 +519,7 @@ class SweepRunner:
                     result=result.to_dict(),
                     attempts=result.attempts,
                     timed_out=result.timed_out,
-                ))
+                ).to_dict())
 
         try:
             pending: List[int] = []

@@ -319,10 +319,10 @@ class StoreBackend:
     def write_canonical(self, key: str, blob: bytes, drop=()) -> None:
         """Publish ``blob`` as the canonical segment for ``key``.
 
-        ``drop`` names the segment tokens this blob supersedes
-        (``None`` = every current segment).  Segments appended by a
-        concurrent writer *after* the caller read its tokens must
-        survive — that is what lets compaction run under live writers.
+        ``drop`` names the segment tokens this blob supersedes.
+        Segments appended by a concurrent writer *after* the caller
+        read its tokens must survive — that is what lets compaction run
+        under live writers.
         """
         raise NotImplementedError
 
@@ -410,8 +410,7 @@ class LocalDirBackend(StoreBackend):
     def write_canonical(self, key: str, blob: bytes, drop=()) -> None:
         path = self.canonical_path(key)
         self._publish(path, blob)
-        doomed = self._segment_paths(key) if drop is None else list(drop)
-        for stale in doomed:
+        for stale in drop:
             stale = Path(stale)
             if stale == path:
                 continue
@@ -653,9 +652,7 @@ class SQLiteBackend(StoreBackend):
         def go(conn):
             conn.execute("BEGIN IMMEDIATE")
             try:
-                if drop is None:
-                    conn.execute("DELETE FROM segments WHERE key = ?", (key,))
-                elif drop:
+                if drop:
                     marks = ",".join("?" * len(drop))
                     conn.execute(
                         f"DELETE FROM segments WHERE key = ? AND id IN ({marks})",
@@ -787,9 +784,7 @@ class GraphStore:
 
     Flushes append deltas (only entries grown since the last flush/load
     of the same system — the PR 4 epoch triple tracks destructive cache
-    events and degrades the next flush to a full segment);
-    ``snapshot_mode=True`` restores the PR 4 whole-graph-replace
-    behaviour, kept for the benchmark's bytes-written comparison.
+    events and degrades the next flush to a full segment).
 
     All methods are best-effort: any backend failure (and, on the read
     side, any parse error) is swallowed, counted, and treated as a
@@ -800,13 +795,11 @@ class GraphStore:
     FORMAT = 1
     MAGIC = "repro-graph"
 
-    def __init__(self, store, version: Optional[str] = None,
-                 snapshot_mode: bool = False):
+    def __init__(self, store, version: Optional[str] = None):
         self.backend = as_backend(store)
         #: Back-compat convenience: the directory of a local backend.
         self.root = getattr(self.backend, "root", None)
         self.version = version if version is not None else code_version()
-        self.snapshot_mode = snapshot_mode
         #: key -> (system weakref, epoch, succ entries, option entries)
         #: at the last flush/load.  The weakref scopes the baseline to
         #: one system instance: a *different* system under the same key
@@ -826,8 +819,7 @@ class GraphStore:
         self.load_misses = 0
         self.saves = 0
         self.errors = 0
-        #: Total serialized bytes handed to the backend (bench metric:
-        #: delta flushes vs whole-graph snapshots).
+        #: Total serialized bytes handed to the backend (bench metric).
         self.bytes_written = 0
         self.last_error: Optional[BaseException] = None
 
@@ -887,8 +879,7 @@ class GraphStore:
             return False  # unchanged since the last flush/load
         start_succ, start_options = (
             record[2:]
-            if fresh and not self.snapshot_mode
-            and record[2] <= n_succ and record[3] <= n_options
+            if fresh and record[2] <= n_succ and record[3] <= n_options
             else (0, 0)
         )
         try:
@@ -899,11 +890,8 @@ class GraphStore:
         # Chaos hook: a "corrupt" rule flips a byte of what lands on
         # storage, so the next load sees a real checksum mismatch.
         blob = faults.transform("graph_store.flush", key, blob)
-        if (
-            not self.snapshot_mode
-            and (start_succ, start_options) == (0, 0)
-            and self._already_stored(key, blob)
-        ):
+        full = (start_succ, start_options) == (0, 0)
+        if full and self._already_stored(key, blob):
             # A byte-identical body is already on storage — typical
             # when a warm system meets a freshly activated store over
             # a corpus its previous activation wrote.  Establish the
@@ -917,10 +905,7 @@ class GraphStore:
             # Chaos hook inside the guard: an injected OSError takes the
             # exact recorded-error path a real disk failure would.
             faults.fire("graph_store.flush", key)
-            if self.snapshot_mode:
-                self.backend.write_canonical(key, blob, drop=None)
-            else:
-                self.backend.append_segment(key, blob)
+            self.backend.append_segment(key, blob)
         except BACKEND_ERRORS as exc:
             self._record(exc)
             return False
@@ -1442,7 +1427,7 @@ _ACTIVE_STORE: Optional[GraphStore] = None
 
 
 def activate_graph_store(
-    store, version: Optional[str] = None, snapshot_mode: bool = False
+    store, version: Optional[str] = None
 ) -> Optional[GraphStore]:
     """Install the process-wide store; returns the previous one.
 
@@ -1451,8 +1436,7 @@ def activate_graph_store(
     """
     global _ACTIVE_STORE
     previous = _ACTIVE_STORE
-    _ACTIVE_STORE = GraphStore(store, version=version,
-                               snapshot_mode=snapshot_mode)
+    _ACTIVE_STORE = GraphStore(store, version=version)
     return previous
 
 

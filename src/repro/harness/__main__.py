@@ -328,7 +328,7 @@ def _cmd_simulate(argv: List[str]) -> int:
                         "derived from seed + i")
     parser.add_argument("--processes", type=int, default=1,
                         help="shard the fleet over a supervised worker "
-                        "pool (1 = one in-process asyncio runner)")
+                        "pool (1 = run every seed in this process)")
     parser.add_argument("--json", action="store_true",
                         help="emit the full FleetReport as JSON")
     args = parser.parse_args(argv)

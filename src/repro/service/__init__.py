@@ -8,9 +8,9 @@ The package splits along the process boundary:
   survives across HTTP requests, streaming NDJSON results as tasks
   complete;
 * :mod:`repro.service.registry` — the daemon's bookkeeping: in-flight
-  dedup (:class:`TaskRegistry`), the durable completion log
-  (:class:`ServiceJournal`) a restarted daemon resumes from, and the
-  state-file breadcrumb ``harness cache info`` reports;
+  dedup (:class:`TaskRegistry`), the name and header of the durable
+  completion log a restarted daemon resumes from, and the state-file
+  breadcrumb ``harness cache info`` reports;
 * :mod:`repro.service.client` — the stdlib-only thin client
   (:class:`ServiceClient`) that rebuilds local-identical
   :class:`~repro.api.report.RunReport` objects from the stream
@@ -21,7 +21,6 @@ from repro.service.client import ServiceClient, ServiceError
 from repro.service.registry import (
     SERVICE_JOURNAL_NAME,
     SERVICE_STATE_NAME,
-    ServiceJournal,
     TaskRegistry,
     read_state_file,
 )
@@ -32,7 +31,6 @@ __all__ = [
     "SERVICE_STATE_NAME",
     "ServiceClient",
     "ServiceError",
-    "ServiceJournal",
     "TaskRegistry",
     "VerificationService",
     "read_state_file",

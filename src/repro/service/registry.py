@@ -1,4 +1,4 @@
-"""Daemon-side task registry: in-flight dedup + the service journal.
+"""Daemon-side task registry: in-flight dedup + the daemon's state files.
 
 The verification daemon serves many clients from one warm substrate;
 this module is the bookkeeping that makes that safe and cheap:
@@ -16,18 +16,22 @@ this module is the bookkeeping that makes that safe and cheap:
   of replaying a failure forever — the same rule the sweep journal
   applies on load.
 
-* :class:`ServiceJournal` — the daemon's durable completion log, one
-  JSON line per finished task keyed by ``dedup_key``.  Unlike the
-  per-sweep :class:`~repro.api.journal.RunJournal` (which fingerprints
-  one fixed task list), the service journal spans arbitrary requests,
-  so records are keyed by task identity rather than input index.  A
-  restarted daemon preloads it into the registry and serves previously
-  completed work in milliseconds instead of recomputing — the
-  restart-and-resume half of the daemon's SIGTERM contract (the other
-  half is that completions are appended and flushed as they happen, so
-  an interrupted daemon's journal already holds everything that
-  finished).  The header pins the code version: a journal written by
-  different sources is discarded wholesale, never replayed.
+* the **service journal** (``service-journal.jsonl``) — the daemon's
+  durable completion log, a :class:`~repro.api.journal.Journal` with a
+  ``{"magic", "format", "version"}`` header and one ``{"key", "task",
+  "result"}`` line per finished task: the ``dedup_key``, the
+  human-readable :attr:`~repro.api.task.VerificationTask.journal_key`
+  (a double-check and debugging aid) and the full TaskResult payload.
+  Unlike the sweep journal (which fingerprints one fixed task list), it
+  spans arbitrary requests, so records are keyed by task identity
+  rather than input index.  A restarted daemon preloads it into the
+  registry and serves previously completed work in milliseconds
+  instead of recomputing — the restart-and-resume half of the daemon's
+  SIGTERM contract (the other half is that completions are appended
+  and flushed as they happen, so an interrupted daemon's journal
+  already holds everything that finished).  The header pins the code
+  version: a journal written by different sources is discarded
+  wholesale, never replayed.
 
 * the **state file** (``service-state.json``) — a breadcrumb the
   daemon drops in its state directory while running (pid, endpoint,
@@ -49,9 +53,9 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
 __all__ = [
+    "SERVICE_JOURNAL_MAGIC",
     "SERVICE_JOURNAL_NAME",
     "SERVICE_STATE_NAME",
-    "ServiceJournal",
     "TaskRegistry",
     "read_state_file",
     "remove_state_file",
@@ -64,8 +68,8 @@ __all__ = [
 SERVICE_JOURNAL_NAME = "service-journal.jsonl"
 SERVICE_STATE_NAME = "service-state.json"
 
-_MAGIC = "repro-service-journal"
-_FORMAT = 1
+#: ``magic`` of the service journal's header.
+SERVICE_JOURNAL_MAGIC = "repro-service-journal"
 
 #: ``waiter(key, payload)`` — ``payload`` is a TaskResult ``to_dict``
 #: dict, or None when the daemon is shutting down before completion.
@@ -173,119 +177,6 @@ class TaskRegistry:
                 "retained": len(self._done),
                 "in_flight": len(self._inflight),
             }
-
-
-class ServiceJournal:
-    """Append-only completion log of one daemon state directory.
-
-    Format — one JSON object per line:
-
-    * line 1, the header: ``{"magic", "format", "version"}`` where
-      ``version`` is the code version the daemon runs; a journal whose
-      header doesn't match is discarded (truncated) on load;
-    * each following line: ``{"key", "task", "result"}`` — the dedup
-      key, the human-readable
-      :attr:`~repro.api.task.VerificationTask.journal_key` (a
-      double-check and debugging aid), and the full TaskResult payload.
-
-    Load semantics mirror the sweep journal: torn tails are skipped,
-    duplicate keys resolve last-wins, and error results are appended
-    (a diagnostic trail) but never preloaded.
-    """
-
-    def __init__(self, path, version: str):
-        self.path = Path(path)
-        self.version = version
-        self._lock = threading.Lock()
-        self._handle = None
-
-    # -- reading -------------------------------------------------------
-    def load(self) -> Dict[str, dict]:
-        """Replayable payloads by dedup key; prepares for appending."""
-        payloads: Dict[str, dict] = {}
-        lines: List[str] = []
-        if self.path.exists():
-            try:
-                lines = self.path.read_text(encoding="utf-8").splitlines()
-            except OSError:
-                lines = []
-        if lines and self._header_matches(lines[0]):
-            for line in lines[1:]:
-                parsed = self._parse(line)
-                if parsed is not None:
-                    key, payload = parsed
-                    if not payload.get("error"):
-                        payloads[key] = payload
-            self._open(fresh=False)
-        else:
-            payloads.clear()
-            self._open(fresh=True)
-        return payloads
-
-    def _header_matches(self, line: str) -> bool:
-        try:
-            header = json.loads(line)
-        except (json.JSONDecodeError, ValueError):
-            return False
-        return (
-            isinstance(header, dict)
-            and header.get("magic") == _MAGIC
-            and header.get("format") == _FORMAT
-            and header.get("version") == self.version
-        )
-
-    @staticmethod
-    def _parse(line: str) -> Optional[Tuple[str, dict]]:
-        try:
-            record = json.loads(line)
-            return str(record["key"]), dict(record["result"])
-        except (json.JSONDecodeError, ValueError, KeyError, TypeError):
-            return None  # torn/corrupt line — tolerated by design
-
-    # -- writing -------------------------------------------------------
-    def _open(self, fresh: bool) -> None:
-        try:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            if fresh or not self.path.exists():
-                header = json.dumps(
-                    {"magic": _MAGIC, "format": _FORMAT,
-                     "version": self.version},
-                    sort_keys=True,
-                )
-                self._handle = open(self.path, "w", encoding="utf-8")
-                self._handle.write(header + "\n")
-                self._handle.flush()
-            else:
-                self._handle = open(self.path, "a", encoding="utf-8")
-        except OSError:
-            self._handle = None  # journaling is best-effort
-
-    def append(self, key: str, task_key: str, payload: dict) -> None:
-        """Persist one completion (flushed per record, crash-tolerant).
-
-        Thread-safe: the dispatcher appends while handler threads may
-        be triggering a close during shutdown.
-        """
-        with self._lock:
-            if self._handle is None:
-                return
-            try:
-                self._handle.write(json.dumps(
-                    {"key": key, "task": task_key, "result": payload},
-                    sort_keys=True,
-                ) + "\n")
-                self._handle.flush()
-            except (OSError, ValueError):
-                pass
-
-    def close(self) -> None:
-        with self._lock:
-            if self._handle is not None:
-                try:
-                    self._handle.close()
-                except OSError:
-                    pass
-                self._handle = None
 
 
 # ----------------------------------------------------------------------

@@ -38,7 +38,7 @@ Shutdown (SIGTERM/SIGINT via :func:`serve`, or :meth:`~
 VerificationService.stop`) is drain-and-journal, not drop: the
 dispatcher's in-flight batch is interrupted through the pool's
 ``stop`` hook, everything workers already completed is appended to the
-:class:`~repro.service.registry.ServiceJournal` (flushed per record,
+service :class:`~repro.api.journal.Journal` (flushed per record,
 so it is durable the moment it lands), pending streams are woken with
 an error event, workers are reaped, and the state-file breadcrumb is
 removed.  A daemon restarted on the same ``--cache-dir`` preloads the
@@ -59,6 +59,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.api.journal import Journal
 from repro.api.report import TaskResult
 from repro.api.supervisor import RetryPolicy, SupervisedPool
 from repro.api.sweep import (
@@ -75,8 +76,8 @@ from repro.core.coinspec import resolve_coin_spec
 from repro.counter.system import flush_shared_graphs
 from repro.errors import CheckError
 from repro.service.registry import (
+    SERVICE_JOURNAL_MAGIC,
     SERVICE_JOURNAL_NAME,
-    ServiceJournal,
     TaskRegistry,
     remove_state_file,
     write_state_file,
@@ -214,7 +215,7 @@ class VerificationService:
         self.default_coin = None if spec.is_default else spec
         self.registry = TaskRegistry()
         self.cache: Optional[ResultCache] = None
-        self.journal: Optional[ServiceJournal] = None
+        self.journal: Optional[Journal] = None
         self._pool = SupervisedPool(
             self.processes,
             run_task,
@@ -260,8 +261,9 @@ class VerificationService:
         if self.state_dir is not None:
             self.state_dir.mkdir(parents=True, exist_ok=True)
             self.cache = ResultCache(self.state_dir)
-            self.journal = ServiceJournal(
-                self.state_dir / SERVICE_JOURNAL_NAME, self.version
+            self.journal = Journal(
+                self.state_dir / SERVICE_JOURNAL_NAME, SERVICE_JOURNAL_MAGIC,
+                version=self.version,
             )
             preloaded = self._preloadable(self.journal.load())
             self.registry.preload(preloaded)
@@ -304,14 +306,23 @@ class VerificationService:
             })
 
     @staticmethod
-    def _preloadable(payloads: Dict[str, dict]) -> Dict[str, dict]:
-        """Journal records safe to serve warm forever.
+    def _preloadable(records: List[dict]) -> Dict[str, dict]:
+        """Journal records safe to serve warm forever, by dedup key.
 
-        The journal's own load drops error records; this additionally
+        The last clean record per key wins; error records are a
+        diagnostic trail and never replay.  Of the winners, this also
         drops ``max_seconds`` trips by reusing the result cache's
         admission rule — a load-dependent ``unknown`` must recompute,
         not be pinned for the daemon's lifetime.
         """
+        payloads: Dict[str, dict] = {}
+        for record in records:
+            try:
+                key, payload = str(record["key"]), dict(record["result"])
+            except (KeyError, TypeError, ValueError):
+                continue  # a malformed line — tolerated by design
+            if not payload.get("error"):
+                payloads[key] = payload
         replayable: Dict[str, dict] = {}
         for key, payload in payloads.items():
             try:
@@ -449,7 +460,9 @@ class VerificationService:
         """Land one computed result: journal, cache, notify, count."""
         payload = result.to_dict()
         if self.journal is not None:
-            self.journal.append(key, task.journal_key, payload)
+            self.journal.append(
+                {"key": key, "task": task.journal_key, "result": payload}
+            )
         retain = SweepRunner._cacheable(result)
         if retain and self.cache is not None:
             cache_key = self.cache.key_for(task)

@@ -1,19 +1,14 @@
-"""Concurrent Monte Carlo fleets over the executable substrate.
+"""Monte Carlo fleets over the executable substrate.
 
 One *fleet* is thousands of independent :class:`~repro.sim.runner.
 Simulation` instances of a single (protocol, coin, scheduler) cell.
-Two nested levels of concurrency:
-
-* **in-process**: an asyncio cooperative runner interleaves many
-  simulation event loops in one interpreter — each run yields control
-  every ``yield_every`` deliveries, so a bounded window of
-  ``concurrency`` runs is always in flight (the shape of the asyncio
-  broadcast stacks this layer imitates);
-* **across cores**: the seed list is sharded over the existing
-  :class:`~repro.api.supervisor.SupervisedPool` workers, so a fleet
-  inherits the sweep infrastructure's timeouts, bounded retries and
-  crash-resilience for free — a worker OOM-killed mid-shard surfaces
-  as per-seed ``error`` records, never a crashed experiment.
+Runs are pure CPU, so each shard of seeds is one plain loop, one run
+after another; a run that raises becomes that seed's ``error`` record.
+Across cores, the seed list is sharded over the existing
+:class:`~repro.api.supervisor.SupervisedPool` workers, so a fleet
+inherits the sweep infrastructure's timeouts, bounded retries and
+crash-resilience for free — a worker OOM-killed mid-shard surfaces as
+per-seed ``error`` records, never a crashed experiment.
 
 The product is a :class:`FleetReport`: per-run records (seed, outcome,
 termination round, safety checks) plus derived statistics — the
@@ -24,16 +19,15 @@ agreement/validity violation counts with the offending seeds for
 replay.  Reports round-trip through JSON (``to_dict``/``from_dict``)
 and are **seed-reproducible**: every run's RNG streams derive from
 ``base_seed + i`` via :func:`~repro.sim.runner.split_seed`, so the
-same invocation yields the same report regardless of sharding, worker
-count or interleaving order.
+same invocation yields the same report regardless of sharding or
+worker count.
 """
 
 from __future__ import annotations
 
-import asyncio
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.coinspec import CoinLike, resolve_coin_spec
 from repro.sim.registry import SimProtocol, sim_by_name
@@ -44,11 +38,6 @@ FLEET_REPORT_VERSION = 1
 
 #: z for 99% Wilson score intervals (matches the α=0.01 gate tests).
 _Z99 = 2.5758293035489004
-
-#: deliveries between cooperative yields of one interleaved run
-DEFAULT_YIELD_EVERY = 64
-#: simulations concurrently in flight per interpreter
-DEFAULT_CONCURRENCY = 128
 
 
 def wilson_interval(successes: int, total: int, z: float = _Z99):
@@ -244,9 +233,7 @@ class FleetReport:
 
 
 # ----------------------------------------------------------------------
-# Driving one run as a resumable generator (shared by the sync and the
-# asyncio paths: the generator yields at cooperative-switch points and
-# *returns* the finished record).
+# Driving the runs of one shard
 
 
 def _drive(
@@ -256,8 +243,7 @@ def _drive(
     seed: int,
     max_steps: int,
     byzantine_noise: bool,
-    yield_every: int,
-) -> Iterator[None]:
+) -> RunRecord:
     sim = Simulation(
         proto.process_cls,
         proto.n,
@@ -274,7 +260,7 @@ def _drive(
     stop = proto.stop_predicate()
     byzantine = getattr(scheduler, "byzantine", None)
     sim.start()
-    for step in range(max_steps):
+    for _ in range(max_steps):
         if proto.decides and sim.all_decided():
             break
         if stop is not None and stop(sim):
@@ -285,10 +271,8 @@ def _drive(
         if envelope is None:
             break
         sim.deliver(envelope)
-        if (step + 1) % yield_every == 0:
-            yield
     decision_round = proto.termination_round(sim)
-    return RunRecord(  # noqa: B901 — StopIteration.value carries the record
+    return RunRecord(
         seed=seed,
         decided=decision_round is not None,
         decision_round=decision_round,
@@ -314,40 +298,24 @@ def _error_record(seed: int, exc: BaseException) -> RunRecord:
     )
 
 
-async def _run_one_async(
-    semaphore: asyncio.Semaphore, proto: SimProtocol, payload: dict, seed: int
-) -> RunRecord:
-    async with semaphore:
-        stepper = _drive(
-            proto,
-            payload["coin"],
-            payload["scheduler"],
-            seed,
-            payload["max_steps"],
-            payload["byzantine_noise"],
-            payload["yield_every"],
-        )
-        while True:
-            try:
-                next(stepper)
-            except StopIteration as finished:
-                return finished.value
-            except Exception as exc:  # noqa: BLE001 — per-run isolation
-                return _error_record(seed, exc)
-            await asyncio.sleep(0)
-
-
-async def _run_shard_async(payload: dict) -> List[RunRecord]:
+def _run_shard(payload: dict) -> List[RunRecord]:
+    """Run one shard's seeds in order; a raising run is its seed's error."""
     proto = sim_by_name(payload["protocol"])
-    semaphore = asyncio.Semaphore(payload["concurrency"])
-    return list(
-        await asyncio.gather(
-            *(
-                _run_one_async(semaphore, proto, payload, seed)
-                for seed in payload["seeds"]
+    records = []
+    for seed in payload["seeds"]:
+        try:
+            record = _drive(
+                proto,
+                payload["coin"],
+                payload["scheduler"],
+                seed,
+                payload["max_steps"],
+                payload["byzantine_noise"],
             )
-        )
-    )
+        except Exception as exc:  # noqa: BLE001 — per-run isolation
+            record = _error_record(seed, exc)
+        records.append(record)
+    return records
 
 
 # -- SupervisedPool glue (module-level, picklable) ---------------------
@@ -355,8 +323,7 @@ async def _run_shard_async(payload: dict) -> List[RunRecord]:
 
 def _fleet_worker(payload: dict) -> List[dict]:
     """Pool target: run one shard's seeds, return plain record dicts."""
-    records = asyncio.run(_run_shard_async(payload))
-    return [asdict(record) for record in records]
+    return [asdict(record) for record in _run_shard(payload)]
 
 
 def _fleet_fallback(payload: dict, exc: BaseException) -> dict:
@@ -391,18 +358,16 @@ def run_fleet(
     base_seed: int = 0,
     processes: int = 1,
     byzantine_noise: bool = True,
-    concurrency: int = DEFAULT_CONCURRENCY,
-    yield_every: int = DEFAULT_YIELD_EVERY,
     task_timeout: Optional[float] = None,
 ) -> FleetReport:
     """Execute ``runs`` instances of one (protocol, coin, scheduler) cell.
 
-    ``processes <= 1`` keeps everything in this interpreter (one asyncio
-    loop interleaving up to ``concurrency`` runs); larger values shard
-    the seed list across a :class:`~repro.api.supervisor.SupervisedPool`
-    (each worker running the same asyncio runner on its shard).  The
-    report is identical either way — records are keyed and re-ordered
-    by seed, and every RNG stream derives from the seed alone.
+    ``processes <= 1`` runs every seed in this interpreter, one after
+    another; larger values shard the seed list across a
+    :class:`~repro.api.supervisor.SupervisedPool` (each worker running
+    the same loop on its shard).  The report is identical either way —
+    records are keyed and re-ordered by seed, and every RNG stream
+    derives from the seed alone.
     """
     proto = sim_by_name(protocol)
     spec = resolve_coin_spec(coin)
@@ -423,11 +388,9 @@ def run_fleet(
         "scheduler": scheduler,
         "max_steps": max_steps,
         "byzantine_noise": byzantine_noise,
-        "concurrency": concurrency,
-        "yield_every": yield_every,
     }
     if processes <= 1:
-        records = asyncio.run(_run_shard_async({**payload_base, "seeds": seeds}))
+        records = _run_shard({**payload_base, "seeds": seeds})
     else:
         records = _pooled_records(
             payload_base, seeds, processes, task_timeout

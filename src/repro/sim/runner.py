@@ -214,33 +214,21 @@ def expected_rounds_stats(
     byzantine_count: Optional[int] = None,
     with_byzantine_noise: bool = True,
     coin=None,
-    seed_streams: str = "split",
 ) -> RoundStats:
     """Decision-round statistics over ``runs`` random-scheduler runs.
 
-    ``seed_streams`` picks the RNG wiring: ``"split"`` (default)
-    derives decorrelated sub-seeds for the coin and the scheduler via
-    :func:`split_seed`; ``"legacy"`` pins the historical pairing that
-    fed the *same* integer to both streams (kept for reproducing old
-    golden statistical numbers).
+    Run ``seed`` derives decorrelated sub-seeds for the coin and the
+    scheduler via :func:`split_seed`.
     """
-    if seed_streams not in ("split", "legacy"):
-        raise ValueError(
-            f"seed_streams must be 'split' or 'legacy', got {seed_streams!r}"
-        )
     total = 0.0
     completed = 0
     for seed in range(runs):
-        if seed_streams == "split":
-            coin_seed = split_seed(seed, "coin")
-            sched_seed = split_seed(seed, "scheduler")
-        else:
-            coin_seed = sched_seed = seed
         sim = Simulation(
             process_cls, n, t, inputs,
-            coin_seed=coin_seed, byzantine_count=byzantine_count, coin=coin,
+            coin_seed=split_seed(seed, "coin"),
+            byzantine_count=byzantine_count, coin=coin,
         )
-        scheduler = RandomScheduler(seed=sched_seed)
+        scheduler = RandomScheduler(seed=split_seed(seed, "scheduler"))
         if with_byzantine_noise and sim.byzantine:
             scheduler.byzantine = EquivocatingByzantine(list(sim.byzantine))
         result = run(sim, scheduler, max_steps=max_steps)
@@ -261,7 +249,6 @@ def expected_rounds(
     byzantine_count: Optional[int] = None,
     with_byzantine_noise: bool = True,
     coin=None,
-    seed_streams: str = "split",
 ) -> float:
     """Mean decision round (1-based) over ``runs`` random-scheduler runs.
 
@@ -274,5 +261,4 @@ def expected_rounds(
         process_cls, n, t, inputs,
         runs=runs, max_steps=max_steps, byzantine_count=byzantine_count,
         with_byzantine_noise=with_byzantine_noise, coin=coin,
-        seed_streams=seed_streams,
     ).mean

@@ -131,15 +131,17 @@ class TestServiceFiles:
 
     @pytest.fixture
     def with_service_state(self, tmp_path):
+        from repro.api.journal import Journal
         from repro.service.registry import (
-            SERVICE_JOURNAL_NAME, ServiceJournal, write_state_file,
+            SERVICE_JOURNAL_MAGIC, SERVICE_JOURNAL_NAME, write_state_file,
         )
 
-        journal = ServiceJournal(tmp_path / SERVICE_JOURNAL_NAME,
-                                 api.code_version())
+        journal = Journal(tmp_path / SERVICE_JOURNAL_NAME,
+                          SERVICE_JOURNAL_MAGIC, version=api.code_version())
         journal.load()
-        journal.append("k", "task", {"task_id": "t", "verdict": "holds",
-                                     "error": ""})
+        journal.append({"key": "k", "task": "task",
+                        "result": {"task_id": "t", "verdict": "holds",
+                                   "error": ""}})
         journal.close()
         write_state_file(tmp_path, {"pid": 4242, "host": "127.0.0.1",
                                     "port": 8123, "processes": 2})

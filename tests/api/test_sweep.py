@@ -323,17 +323,6 @@ class TestGraphStore:
         baseline = api.sweep(**{**kwargs, "graph_store": None})
         assert stable(first) == stable(baseline)
 
-    def test_graph_store_dir_alias_still_accepted(self, tmp_path):
-        from repro.counter.store import GraphStore
-
-        runner = api.SweepRunner(graph_store_dir=str(tmp_path))
-        assert runner.graph_store == str(tmp_path)
-        report = runner.run(
-            [api.VerificationTask(protocol="cc85a", targets=("validity",))]
-        )
-        assert report.results[0].verdict == "holds"
-        assert GraphStore.entries(tmp_path)
-
 
 class TestTaskMatrix:
     def test_matrix_order_is_protocol_major(self):

@@ -594,31 +594,6 @@ class TestBackends:
         _explore(system, limit=700)
         assert third.flush(system)
 
-    def test_snapshot_mode_rewrites_whole_graph(self, backend_spec):
-        # The PR 4 emulation the benchmark compares against: every
-        # flush serializes from zero and replaces prior segments.
-        store = GraphStore(backend_spec, version="v1", snapshot_mode=True)
-        model = ks16.model()
-        system = CounterSystem(model, VAL_A)
-        _explore(system, limit=40)
-        assert store.flush(system)
-        _explore(system, limit=400)
-        assert store.flush(system)
-        key = store.key_for(system)
-        assert store.backend.stats()[key][0] == 1
-        delta = GraphStore(backend_spec + "-delta"
-                           if not backend_spec.startswith("sqlite:")
-                           else backend_spec + "2", version="v1")
-        other = _fresh_system(model)
-        _explore(other, limit=40)
-        delta.flush(other)
-        _explore(other, limit=400)
-        delta.flush(other)
-        assert delta.bytes_written < store.bytes_written
-        cold = _fresh_system(model)
-        assert GraphStore(backend_spec, version="v1").load_into(cold)
-        assert _caches_equal(system, cold)
-
 
 class TestCorruptSegments:
     def _segmented(self, tmp_path):

@@ -2,9 +2,10 @@
 
 Covers the task wire format (:meth:`VerificationTask.to_dict` /
 ``from_dict`` and the ``dedup_key`` identity), the
-:class:`TaskRegistry` dedup state machine, the
-:class:`ServiceJournal`'s durability contract, and the state-file
-breadcrumb — all without starting a daemon.
+:class:`TaskRegistry` dedup state machine and the state-file
+breadcrumb — all without starting a daemon.  The service journal's
+durability contract is checked with the sweep journal's in
+``tests/api/test_journal.py``.
 """
 
 import json
@@ -15,7 +16,6 @@ from repro.api.task import Limits, VerificationTask
 from repro.errors import CheckError
 from repro.service.registry import (
     SERVICE_STATE_NAME,
-    ServiceJournal,
     TaskRegistry,
     read_state_file,
     remove_state_file,
@@ -138,60 +138,6 @@ class TestTaskRegistry:
         registry.preload({"a": make_payload(), "b": make_payload()})
         registry.claim("c", object(), lambda k, p: None)
         assert registry.stats() == {"retained": 2, "in_flight": 1}
-
-
-class TestServiceJournal:
-    def test_append_then_load_roundtrip(self, tmp_path):
-        path = tmp_path / "service-journal.jsonl"
-        journal = ServiceJournal(path, "v1")
-        assert journal.load() == {}
-        journal.append("k1", "task-1", make_payload("one"))
-        journal.append("k2", "task-2", make_payload("two"))
-        journal.close()
-        loaded = ServiceJournal(path, "v1").load()
-        assert set(loaded) == {"k1", "k2"}
-        assert loaded["k1"]["task_id"] == "one"
-
-    def test_error_records_are_appended_but_not_loaded(self, tmp_path):
-        path = tmp_path / "service-journal.jsonl"
-        journal = ServiceJournal(path, "v1")
-        journal.load()
-        journal.append("k", "task", make_payload(error="OSError: disk"))
-        journal.close()
-        assert "OSError" in path.read_text()  # the diagnostic trail
-        assert ServiceJournal(path, "v1").load() == {}
-
-    def test_version_mismatch_discards_wholesale(self, tmp_path):
-        path = tmp_path / "service-journal.jsonl"
-        journal = ServiceJournal(path, "v1")
-        journal.load()
-        journal.append("k", "task", make_payload())
-        journal.close()
-        assert ServiceJournal(path, "v2").load() == {}
-        # ... and the file was truncated to a fresh v2 header.
-        assert ServiceJournal(path, "v2").load() == {}
-        assert "v2" in path.read_text().splitlines()[0]
-
-    def test_torn_tail_and_garbage_are_tolerated(self, tmp_path):
-        path = tmp_path / "service-journal.jsonl"
-        journal = ServiceJournal(path, "v1")
-        journal.load()
-        journal.append("k1", "task", make_payload("good"))
-        journal.close()
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write("not json at all\n")
-            handle.write('{"key": "k2", "task": "t", "result": {"tr')
-        loaded = ServiceJournal(path, "v1").load()
-        assert set(loaded) == {"k1"}
-
-    def test_duplicate_keys_resolve_last_wins(self, tmp_path):
-        path = tmp_path / "service-journal.jsonl"
-        journal = ServiceJournal(path, "v1")
-        journal.load()
-        journal.append("k", "task", make_payload("old"))
-        journal.append("k", "task", make_payload("new"))
-        journal.close()
-        assert ServiceJournal(path, "v1").load()["k"]["task_id"] == "new"
 
 
 class TestStateFile:

@@ -8,9 +8,9 @@ arguments.  The calibration smoke pins MMR14 at ``n=4, t=1`` near the
 fixed MMR14-family protocols.
 """
 
-import pytest
-
 from repro.sim import MMR14Process, expected_rounds, expected_rounds_stats
+from repro.sim import runner
+from repro.sim.runner import split_seed
 
 
 class TestDeterminism:
@@ -68,24 +68,32 @@ class TestCompletionFraction:
 class TestSeedStreams:
     """Regression: coin and scheduler RNGs used to share one integer
     seed, correlating delivery order with the coin sequence across
-    every run of a sweep.  ``"split"`` (default) decorrelates them;
-    ``"legacy"`` pins the historical pairing for old golden numbers."""
+    every run of a sweep.  Each run now derives one decorrelated
+    stream per RNG from its seed."""
 
-    def test_split_and_legacy_are_distinct_deterministic_chains(self):
-        kwargs = dict(n=4, t=1, inputs=[0, 0, 1], runs=25)
-        split = expected_rounds(MMR14Process, **kwargs)
-        legacy = expected_rounds(MMR14Process, seed_streams="legacy",
-                                 **kwargs)
-        assert split == expected_rounds(MMR14Process, **kwargs)
-        assert legacy == expected_rounds(
-            MMR14Process, seed_streams="legacy", **kwargs
-        )
-        assert split != legacy
+    def test_coin_and_scheduler_get_distinct_split_streams(
+            self, monkeypatch):
+        seen = []
+        real_simulation = runner.Simulation
+        real_scheduler = runner.RandomScheduler
 
-    def test_unknown_stream_wiring_rejected(self):
-        with pytest.raises(ValueError):
-            expected_rounds(MMR14Process, 4, 1, [0, 0, 1], runs=2,
-                            seed_streams="zip")
+        def simulation(*args, coin_seed, **kwargs):
+            seen.append(("coin", coin_seed))
+            return real_simulation(*args, coin_seed=coin_seed, **kwargs)
+
+        def scheduler(seed):
+            seen.append(("scheduler", seed))
+            return real_scheduler(seed=seed)
+
+        monkeypatch.setattr(runner, "Simulation", simulation)
+        monkeypatch.setattr(runner, "RandomScheduler", scheduler)
+        expected_rounds(MMR14Process, 4, 1, [0, 0, 1], runs=3)
+        assert seen == [
+            (stream, split_seed(seed, stream))
+            for seed in range(3)
+            for stream in ("coin", "scheduler")
+        ]
+        assert len({value for _stream, value in seen}) == 6
 
 
 class TestFolkloreCalibration:

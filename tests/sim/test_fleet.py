@@ -10,6 +10,7 @@ registry-wide statistical gate against the checker's MDP lives in
 """
 
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -23,6 +24,7 @@ from repro.sim.fleet import (
     run_fleet,
     wilson_interval,
 )
+from repro.sim.runner import Simulation, split_seed
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -136,6 +138,45 @@ class TestErrorRecords:
         )
         assert report.completion == 0.0
         assert report.expected_rounds() == float("inf")
+
+
+class TestRunIsolation:
+    """A run that raises costs exactly its own seed, inline or pooled."""
+
+    BAD_SEED = 7
+
+    @pytest.fixture(scope="class")
+    def clean(self):
+        return small_fleet(runs=16)
+
+    @pytest.mark.parametrize("processes", [
+        1,
+        pytest.param(2, marks=pytest.mark.skipif(
+            multiprocessing.get_start_method() != "fork",
+            reason="pool workers inherit the patched simulator by fork")),
+    ])
+    def test_raising_run_becomes_its_seeds_error_record(
+            self, monkeypatch, clean, processes):
+        bad_coin = split_seed(self.BAD_SEED, "coin")
+        real_deliver = Simulation.deliver
+
+        def deliver(sim, envelope):
+            if sim.coin._seed == bad_coin and sim.steps == 10:
+                raise RuntimeError("injected mid-run failure")
+            real_deliver(sim, envelope)
+
+        monkeypatch.setattr(Simulation, "deliver", deliver)
+        report = small_fleet(runs=16, processes=processes)
+        assert report.error_seeds() == [self.BAD_SEED]
+        [bad] = [r for r in report.records if r.seed == self.BAD_SEED]
+        assert bad.error == "RuntimeError: injected mid-run failure"
+        assert not bad.decided and bad.steps == 0
+
+        def others(fleet):
+            return [r for r in fleet.records if r.seed != self.BAD_SEED]
+
+        assert len(others(report)) == 15
+        assert others(report) == others(clean)
 
 
 class TestAdaptiveAttack:
