@@ -137,9 +137,9 @@ def main(argv=None) -> int:
     backends = fresh.get("store_backends")
     if backends:
         print(f"  store_backends (informational)  delta flushes wrote "
-              f"{backends['dir']['cold_bytes_written']:,} bytes; warm runs "
-              f"dir {backends['dir']['warm_seconds']:.2f}s / "
-              f"sqlite {backends['sqlite']['warm_seconds']:.2f}s")
+              f"{backends['dir']['cold_bytes_written']:,} bytes; "
+              f"cold {backends['dir']['cold_seconds']:.2f}s -> warm "
+              f"{backends['dir']['warm_seconds']:.2f}s")
 
     param = fresh.get("parameterized")
     if param:

@@ -254,12 +254,12 @@ def sweep(
     shard on one persistent warm worker (compiled program + engine
     caches shared across the shard's valuations) — same report, less
     recompilation; best for protocol × many-valuation matrices.
-    ``graph_store=`` selects the persistent state-graph store: a
-    directory path (per-file layout) or ``sqlite:<path>`` (single-file
-    shared corpus for a whole sweep fleet).  Explored successor graphs
-    are flushed there as delta segments per task and reloaded by later
-    runs (fresh processes included), which speeds the tasks the result
-    cache cannot skip — results stay bit-identical either way.
+    ``graph_store=`` names the directory of the persistent
+    state-graph store, shared by the whole worker pool.  Explored
+    successor graphs are flushed there as delta segments per task and
+    reloaded by later runs (fresh processes included), which speeds
+    the tasks the result cache cannot skip — results stay
+    bit-identical either way.
     With a ``cache_dir`` (or explicit ``journal=`` path) every
     completed task is appended to a sweep journal; ``resume=True``
     finishes an interrupted identical sweep by re-running only tasks

@@ -112,9 +112,7 @@ class RetryPolicy:
     key (normally the task id) and the attempt number — so reruns of a
     chaos test back off identically, while different tasks of one
     fleet still decorrelate (the point of jitter: synchronized writers
-    retrying in lockstep re-collide forever; see
-    :class:`~repro.counter.store.SQLiteBackend`'s locked/busy loop for
-    the same fix at the database layer).
+    retrying in lockstep re-collide forever).
     """
 
     max_attempts: int = 3

@@ -55,11 +55,8 @@ store (:class:`~repro.counter.store.GraphStore`): workers (and inline
 runs) warm each task's explored successor graph from storage on
 startup and flush delta segments of what they grew after every task,
 so a fresh process replays a previously-expanded sweep on memoised
-successors.  The spec selects the backend — a directory path for the
-per-file :class:`~repro.counter.store.LocalDirBackend` layout, or
-``sqlite:<path>`` for the single-file shared
-:class:`~repro.counter.store.SQLiteBackend` corpus a whole sweep fleet
-can read and write concurrently.  The result cache skips whole tasks;
+successors.  The store is one directory that the whole worker pool
+reads and writes concurrently.  The result cache skips whole tasks;
 the graph store speeds the tasks that still run — notably tasks whose
 result is *not* cacheable (custom models, ``max_seconds`` trips) or
 not yet cached.
@@ -96,6 +93,7 @@ from repro.api.supervisor import RetryPolicy, SupervisedPool
 from repro.api.task import VerificationTask
 from repro.counter.store import (
     activate_graph_store,
+    check_graph_store_dir,
     deactivate_graph_store,
     prune_stale_temp_files,
     unique_temp_path,
@@ -175,33 +173,13 @@ def _init_worker(version: str, graph_store: Optional[str]) -> None:
 
     Workers inherit the parent's source digest instead of re-hashing
     the tree, and — when the sweep persists state graphs — install the
-    process-wide store (``graph_store`` is a backend spec string: a
-    directory or a ``sqlite:`` URI) so
+    process-wide store over the ``graph_store`` directory so
     :func:`~repro.counter.system.shared_system` warms fresh systems
     from storage.
     """
     seed_code_version(version)
     if graph_store:
         activate_graph_store(graph_store, version=version)
-
-
-def _run_shard(tasks: Sequence[VerificationTask]) -> List[TaskResult]:
-    """Execute one shard sequentially (kept for inline/diagnostic use).
-
-    All tasks of a shard target the same protocol, so after the first
-    task compiles the shared program, the rest bind it per valuation;
-    the engine-level system cache keeps their explored graphs warm too.
-    The supervised pool streams shard items individually instead of
-    calling this (so the supervisor sees per-item completions), with
-    :func:`~repro.counter.system.flush_shared_graphs` as the per-job
-    finalizer playing the role of the final sweep below.
-    """
-    results = [run_task(task) for task in tasks]
-    # Shard completion: per-task flushes already persisted each
-    # valuation's graph; this final sweep catches anything the bounded
-    # system cache still holds before the worker moves on.
-    flush_shared_graphs()
-    return results
 
 
 def run_task(task: VerificationTask) -> TaskResult:
@@ -382,10 +360,9 @@ class SweepRunner:
             are cacheable (custom models / ad-hoc queries have no
             stable identity) — others always run.  Also the default
             home of the sweep journal (see ``resume``).
-        graph_store: backend spec for the persistent state-graph store
-            (:class:`~repro.counter.store.GraphStore`): a directory
-            path (per-file layout) or ``sqlite:<path>`` (single-file
-            shared corpus); ``None`` disables it.  Workers and inline
+        graph_store: directory of the persistent state-graph store
+            (:class:`~repro.counter.store.GraphStore`); ``None``
+            disables it.  Workers and inline
             runs warm each task's explored graph from storage and
             flush delta segments of what they grow, so a sweep re-run
             in a fresh process replays on memoised successors —
@@ -447,6 +424,8 @@ class SweepRunner:
                 f"{self.SCHEDULING_MODES}"
             )
         self.scheduling = scheduling
+        if graph_store:
+            check_graph_store_dir(graph_store)
         self.graph_store = str(graph_store) if graph_store else None
         self.cache = (
             ResultCache(Path(cache_dir), version=cache_version)

@@ -19,24 +19,15 @@ kept warm across checkers.  This module extends that sharing across
   A sweep worker starting cold loads the graph a previous process
   already expanded and replays every query on memoised successors.
 
-Storage backends
-----------------
-The store front end is backend-agnostic: raw segment I/O goes through
-the :class:`StoreBackend` protocol, with two shipped implementations —
-
-* :class:`LocalDirBackend` (default) — one directory of ``*.graph``
-  files, the PR 4 layout; canonical snapshots live at
-  ``<key>.graph`` and delta segments at ``<key>~<writer>.graph``.
-* :class:`SQLiteBackend` — a single-file shared graph corpus
-  (``sqlite:<path>``): one ``segments`` table in WAL mode with a busy
-  timeout and a locked/busy retry loop, so a whole sweep fleet can
-  append to and read one corpus concurrently.
-
-Both speak the same entry contract (header line with identity fields +
-body sha256 checksum, pickled int-tuple payload loaded through a
-class-refusing restricted unpickler), so entries are byte-compatible
-across backends.  :func:`as_backend` resolves a spec — a directory
-path, a ``sqlite:`` URI, or a ready backend instance.
+On-disk layout
+--------------
+The store is one directory of ``*.graph`` files, and
+:class:`LocalDirBackend` is the one place that knows its layout:
+canonical snapshots live at ``<key>.graph`` and delta segments at
+``<key>~<writer>.graph``.  Every segment follows one entry contract: a
+header line with the identity fields and a body sha256 checksum, then
+a pickled int-tuple payload loaded through a class-refusing restricted
+unpickler.
 
 Delta segments
 --------------
@@ -56,23 +47,24 @@ checksum-corrupt segments along the way.
 
 Durability contract (mirrors :class:`~repro.api.sweep.ResultCache`):
 
-* directory-backend writes go to a **unique per-writer temp file**
+* writes go to a **unique per-writer temp file**
   (``<name>.<pid>.<token>.tmp``) followed by an atomic
-  :meth:`~pathlib.Path.replace`; SQLite writes are single transactions
-  — either way concurrent writers of one key interleave freely and
-  readers only ever see complete segments;
+  :meth:`~pathlib.Path.replace`, so concurrent writers of one key
+  interleave freely and readers only ever see complete segments;
 * all I/O is **best-effort** — a missing, truncated, hand-edited or
-  stale entry (or a full disk / locked-out database) is a cold miss
-  recorded on the store, never a crash; entries carry a body checksum
-  so accidental corruption is detected rather than deserialized, and
-  payloads load through a restricted unpickler that refuses every
-  class lookup, so a crafted pickle cannot execute code;
-* temp-file orphans from crashed writers are pruned on directory-
-  backend init (SQLite needs no temp files).
+  stale entry (or a full disk) is a cold miss recorded on the store
+  and logged as one ``store.*`` warning on this module's logger
+  (quiet unless the application configures logging), never a crash;
+  entries carry a body checksum so accidental corruption is detected
+  rather than deserialized, and payloads load through a restricted
+  unpickler that refuses every class lookup, so a crafted pickle
+  cannot execute code;
+* temp-file orphans from crashed writers are pruned when a store
+  opens its directory.
 
-Threat model: the store (directory or database file) is *trusted
-input*, like any local cache.  The checksum and unpickler close the
-accident and code-execution holes, but an internally-consistent forged
+Threat model: the store directory is *trusted input*, like any local
+cache.  The checksum and unpickler close the accident and
+code-execution holes, but an internally-consistent forged
 entry (valid checksum over wrong successor ids) would be replayed as-is
 — do not point the store at storage writable by parties you would not
 let edit your results.
@@ -91,10 +83,9 @@ import hashlib
 import io
 import itertools
 import json
+import logging
 import os
 import pickle
-import random
-import sqlite3
 import time
 import uuid
 import weakref
@@ -103,6 +94,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.counter.actions import Action
 from repro.counter.config import Config
+from repro.errors import ValidationError
 from repro.testing import faults
 from repro.version import code_version, stable_digest
 
@@ -110,11 +102,9 @@ __all__ = [
     "GraphStore",
     "InternTable",
     "LocalDirBackend",
-    "SQLiteBackend",
-    "StoreBackend",
     "activate_graph_store",
     "active_graph_store",
-    "as_backend",
+    "check_graph_store_dir",
     "compact_backend",
     "deactivate_graph_store",
     "program_digest",
@@ -123,13 +113,26 @@ __all__ = [
     "valuation_digest",
 ]
 
+logger = logging.getLogger(__name__)
+
 #: Temp files older than this are crashed-writer orphans; live writers
 #: hold a temp file for milliseconds (one serialized entry write).
 STALE_TEMP_SECONDS = 600.0
 
-#: Failures any backend operation may raise; everything the best-effort
-#: store layer swallows and records.
-BACKEND_ERRORS = (OSError, sqlite3.Error)
+
+def check_graph_store_dir(spec) -> None:
+    """Refuse a ``sqlite:`` graph-store spec with a clear error.
+
+    The store is a directory.  Older releases also took a ``sqlite:``
+    URI; passed through unchecked, such a spec would silently become a
+    directory of that name.  Called where a spec enters the program,
+    before any worker starts.
+    """
+    if str(spec).startswith("sqlite:"):
+        raise ValidationError(
+            f"graph store {str(spec)!r}: the SQLite store was removed; "
+            f"pass a directory path instead (e.g. .repro-cache/graphs)"
+        )
 
 
 # ----------------------------------------------------------------------
@@ -286,83 +289,21 @@ def _safe_loads(body: bytes):
 
 
 # ----------------------------------------------------------------------
-# Storage backends
+# The directory layout
 # ----------------------------------------------------------------------
-class StoreBackend:
-    """Raw segment storage under the :class:`GraphStore` front end.
+class LocalDirBackend:
+    """Raw segment storage: one directory of ``*.graph`` files.
 
-    A backend stores opaque byte blobs (*segments*) under string keys
-    and never interprets them — the header/checksum/unpickler contract
-    lives in :class:`GraphStore`.  Implementations must tolerate
-    concurrent writers (unique temp files + atomic rename, or
-    transactions) and may raise any of :data:`BACKEND_ERRORS`; the
-    store layer turns those into recorded cold misses.
-
-    ``spec`` is the canonical string form (:func:`as_backend` round-
-    trips it), which is what the sweep runner ships to pool workers.
-    """
-
-    spec: str
-
-    def read_segments(self, key: str) -> List[Tuple[object, bytes]]:
-        """All segments for ``key``, oldest first, as (token, blob).
-
-        Tokens identify segments to :meth:`write_canonical`'s ``drop``
-        — a file path for directories, a rowid for SQLite.
-        """
-        raise NotImplementedError
-
-    def append_segment(self, key: str, blob: bytes) -> None:
-        """Durably add one segment for ``key`` (never replaces)."""
-        raise NotImplementedError
-
-    def write_canonical(self, key: str, blob: bytes, drop=()) -> None:
-        """Publish ``blob`` as the canonical segment for ``key``.
-
-        ``drop`` names the segment tokens this blob supersedes.
-        Segments appended by a concurrent writer *after* the caller
-        read its tokens must survive — that is what lets compaction run
-        under live writers.
-        """
-        raise NotImplementedError
-
-    def segment_heads(self, key: str) -> List[bytes]:
-        """The header-line prefix of each of ``key``'s segments.
-
-        Cheap (no payloads): the store dedups no-baseline full-segment
-        flushes against the body checksums already on storage.
-        """
-        raise NotImplementedError
-
-    def keys(self) -> List[str]:
-        """All keys with at least one segment, sorted."""
-        raise NotImplementedError
-
-    def stats(self) -> Dict[str, Tuple[int, int]]:
-        """Per-key ``(segment count, total bytes)``."""
-        raise NotImplementedError
-
-    def delete_key(self, key: str) -> int:
-        """Drop every segment of ``key``; returns segments removed."""
-        raise NotImplementedError
-
-    def clear(self) -> int:
-        """Drop everything; returns segments removed."""
-        raise NotImplementedError
-
-    def close(self) -> None:
-        """Release handles; every operation may lazily reopen."""
-
-
-class LocalDirBackend(StoreBackend):
-    """The default backend: one directory of ``*.graph`` files.
-
-    Canonical snapshots (compaction output, PR 4 entries) live at
-    ``<key>.graph``; delta segments at ``<key>~<pid>_<token>.graph`` —
-    the ``~`` suffix is writer-unique, so any number of processes can
-    append segments for one key without ever racing on a file name.
-    Writes are a unique temp file plus an atomic rename; stale temp
-    orphans are pruned on init.
+    Stores opaque byte blobs (*segments*) under string keys and never
+    interprets them — the header/checksum/unpickler contract lives in
+    :class:`GraphStore`.  Canonical snapshots (compaction output, PR 4
+    entries) live at ``<key>.graph``; delta segments at
+    ``<key>~<pid>_<sequence>_<token>.graph`` — the ``~`` suffix is
+    writer-unique, so any number of processes can append segments for
+    one key without ever racing on a file name.  Writes are a unique
+    temp file plus an atomic rename; stale temp orphans are pruned on
+    init.  Operations may raise ``OSError``; the store layer turns
+    those into recorded cold misses.
     """
 
     #: Process-wide segment sequence (shared by every instance): makes
@@ -376,10 +317,6 @@ class LocalDirBackend(StoreBackend):
         self.root.mkdir(parents=True, exist_ok=True)
         prune_stale_temp_files(self.root)
 
-    @property
-    def spec(self) -> str:
-        return str(self.root)
-
     def canonical_path(self, key: str) -> Path:
         return self.root / f"{key}.graph"
 
@@ -391,7 +328,8 @@ class LocalDirBackend(StoreBackend):
         paths.extend(sorted(self.root.glob(f"{key}~*.graph")))
         return paths
 
-    def read_segments(self, key: str) -> List[Tuple[object, bytes]]:
+    def read_segments(self, key: str) -> List[Tuple[Path, bytes]]:
+        """All segments for ``key``, canonical first, as (path, blob)."""
         out = []
         for path in self._segment_paths(key):
             try:
@@ -401,6 +339,7 @@ class LocalDirBackend(StoreBackend):
         return out
 
     def append_segment(self, key: str, blob: bytes) -> None:
+        """Durably add one segment for ``key`` (never replaces)."""
         token = uuid.uuid4().hex[:8]
         path = self.root / (
             f"{key}~{os.getpid()}_{next(self._SEQUENCE):06d}_{token}.graph"
@@ -408,6 +347,13 @@ class LocalDirBackend(StoreBackend):
         self._publish(path, blob)
 
     def write_canonical(self, key: str, blob: bytes, drop=()) -> None:
+        """Publish ``blob`` as the canonical segment for ``key``.
+
+        ``drop`` names the segment paths this blob supersedes.
+        Segments appended by a concurrent writer *after* the caller
+        read its paths survive — that is what lets compaction run under
+        live writers.
+        """
         path = self.canonical_path(key)
         self._publish(path, blob)
         for stale in drop:
@@ -433,6 +379,11 @@ class LocalDirBackend(StoreBackend):
             raise
 
     def segment_heads(self, key: str) -> List[bytes]:
+        """The header-line prefix of each of ``key``'s segments.
+
+        Cheap (no payloads): the store dedups no-baseline full-segment
+        flushes against the body checksums already on storage.
+        """
         heads = []
         for path in self._segment_paths(key):
             try:
@@ -446,12 +397,14 @@ class LocalDirBackend(StoreBackend):
         return path.stem.split("~", 1)[0]
 
     def keys(self) -> List[str]:
+        """All keys with at least one segment, sorted."""
         try:
             return sorted({self._key_of(p) for p in self.root.glob("*.graph")})
         except OSError:
             return []
 
     def stats(self) -> Dict[str, Tuple[int, int]]:
+        """Per-key ``(segment count, total bytes)``."""
         out: Dict[str, List[int]] = {}
         try:
             paths = list(self.root.glob("*.graph"))
@@ -468,6 +421,7 @@ class LocalDirBackend(StoreBackend):
         return {key: (count, size) for key, (count, size) in out.items()}
 
     def delete_key(self, key: str) -> int:
+        """Drop every segment of ``key``; returns segments removed."""
         removed = 0
         for path in self._segment_paths(key):
             try:
@@ -478,6 +432,7 @@ class LocalDirBackend(StoreBackend):
         return removed
 
     def clear(self) -> int:
+        """Drop everything; returns segments removed."""
         removed = 0
         for key in self.keys():
             removed += self.delete_key(key)
@@ -485,294 +440,15 @@ class LocalDirBackend(StoreBackend):
         return removed
 
 
-class SQLiteBackend(StoreBackend):
-    """A single-file shared graph corpus (``sqlite:<path>``).
-
-    One ``segments`` table holds every (key, blob) pair; appends are
-    single-statement transactions and compaction is one ``BEGIN
-    IMMEDIATE`` transaction, so readers never observe torn segments.
-    WAL journaling lets a fleet of sweep workers read while one writes;
-    a busy timeout plus a short locked/busy retry loop absorbs writer
-    contention.  Connections are opened lazily per process — a forked
-    pool worker abandons (never closes) an inherited handle, so it can
-    never release locks its parent still holds.
-    """
-
-    BUSY_TIMEOUT_MS = 5000
-    RETRIES = 5
-    #: Locked/busy backoff: ``RETRY_BASE_DELAY * 2**attempt`` seconds,
-    #: capped at ``RETRY_MAX_DELAY``, then jittered by up to
-    #: ``±RETRY_JITTER`` (a fraction of the delay).  Without jitter a
-    #: contending fleet's writers back off in lockstep and re-collide
-    #: on every round; decorrelating the sleeps lets one writer win
-    #: each window.
-    RETRY_BASE_DELAY = 0.02
-    RETRY_MAX_DELAY = 0.5
-    RETRY_JITTER = 0.5
-
-    #: Connections inherited across fork are parked here forever:
-    #: merely unbinding them would let the Connection finalizer run
-    #: ``sqlite3_close`` in the child — which SQLite documents as
-    #: unsafe for a handle the parent still uses (a close-after-fork
-    #: can checkpoint the WAL out from under the parent's writes).
-    #: One entry per (backend, fork), so the leak is bounded and tiny.
-    _FORK_GRAVEYARD: List[sqlite3.Connection] = []
-
-    def __init__(self, path):
-        self.path = str(path)
-        self._conn: Optional[sqlite3.Connection] = None
-        self._conn_pid: Optional[int] = None
-
-    def _disown(self) -> None:
-        """Drop the handle without ever letting its finalizer close it."""
-        if self._conn is not None and self._conn_pid != os.getpid():
-            self._FORK_GRAVEYARD.append(self._conn)
-        self._conn = None
-        self._conn_pid = None
-
-    @property
-    def spec(self) -> str:
-        return f"sqlite:{self.path}"
-
-    @classmethod
-    def probe(cls, path) -> Optional[bool]:
-        """Is ``path`` a graph corpus?  Strictly read-only.
-
-        Opens the file with ``mode=ro`` (no table/index creation, no
-        journal-mode switch) and answers True when a ``segments``
-        table exists, False when the database lacks one (a foreign
-        application database maintenance must not touch), and None
-        when the file is unreadable or not SQLite at all.
-        """
-        try:
-            conn = sqlite3.connect(f"file:{Path(path)}?mode=ro", uri=True)
-        except sqlite3.Error:
-            return None
-        try:
-            row = conn.execute(
-                "SELECT name FROM sqlite_master "
-                "WHERE type = 'table' AND name = 'segments'"
-            ).fetchone()
-            return row is not None
-        except sqlite3.Error:
-            return None
-        finally:
-            try:
-                conn.close()
-            except sqlite3.Error:
-                pass
-
-    # -- connection management ----------------------------------------
-    def _connection(self) -> sqlite3.Connection:
-        pid = os.getpid()
-        if self._conn is None or self._conn_pid != pid:
-            # Abandon (do not close, do not finalize) a handle
-            # inherited across fork.
-            self._disown()
-            parent = Path(self.path).resolve().parent
-            parent.mkdir(parents=True, exist_ok=True)
-            conn = sqlite3.connect(
-                self.path, timeout=self.BUSY_TIMEOUT_MS / 1000.0,
-                isolation_level=None,
-            )
-            conn.execute(f"PRAGMA busy_timeout={self.BUSY_TIMEOUT_MS}")
-            try:
-                conn.execute("PRAGMA journal_mode=WAL")
-            except sqlite3.Error:
-                pass  # e.g. network filesystems: rollback journal is fine
-            conn.execute("PRAGMA synchronous=NORMAL")
-            conn.execute(
-                "CREATE TABLE IF NOT EXISTS segments ("
-                " id INTEGER PRIMARY KEY AUTOINCREMENT,"
-                " key TEXT NOT NULL,"
-                " blob BLOB NOT NULL,"
-                " created REAL NOT NULL)"
-            )
-            conn.execute(
-                "CREATE INDEX IF NOT EXISTS segments_key ON segments(key)"
-            )
-            self._conn = conn
-            self._conn_pid = pid
-        return self._conn
-
-    def _retry(self, operation):
-        """Run ``operation(conn)``, retrying on locked/busy contention."""
-        last: Optional[sqlite3.OperationalError] = None
-        for attempt in range(self.RETRIES):
-            conn = self._connection()
-            try:
-                return operation(conn)
-            except sqlite3.OperationalError as exc:
-                message = str(exc).lower()
-                if "locked" not in message and "busy" not in message:
-                    raise
-                last = exc
-                try:
-                    conn.execute("ROLLBACK")
-                except sqlite3.Error:
-                    pass
-                if attempt < self.RETRIES - 1:
-                    time.sleep(self._retry_delay(attempt))
-        raise last  # type: ignore[misc]  # loop ran >= once
-
-    def _retry_delay(self, attempt: int) -> float:
-        """Capped exponential backoff, decorrelated per process.
-
-        ``random.random()`` (seeded per process) supplies the jitter:
-        the whole point is that *different* workers sleep differently,
-        and graph-store I/O is results-neutral, so this randomness can
-        never reach a verdict.
-        """
-        raw = min(self.RETRY_MAX_DELAY,
-                  self.RETRY_BASE_DELAY * (2 ** attempt))
-        spread = raw * self.RETRY_JITTER
-        return raw - spread + random.random() * 2.0 * spread
-
-    # -- StoreBackend -------------------------------------------------
-    def read_segments(self, key: str) -> List[Tuple[object, bytes]]:
-        def go(conn):
-            rows = conn.execute(
-                "SELECT id, blob FROM segments WHERE key = ? ORDER BY id",
-                (key,),
-            ).fetchall()
-            return [(row[0], bytes(row[1])) for row in rows]
-
-        return self._retry(go)
-
-    def append_segment(self, key: str, blob: bytes) -> None:
-        def go(conn):
-            conn.execute(
-                "INSERT INTO segments(key, blob, created) VALUES (?, ?, ?)",
-                (key, sqlite3.Binary(blob), time.time()),
-            )
-
-        self._retry(go)
-
-    def write_canonical(self, key: str, blob: bytes, drop=()) -> None:
-        def go(conn):
-            conn.execute("BEGIN IMMEDIATE")
-            try:
-                if drop:
-                    marks = ",".join("?" * len(drop))
-                    conn.execute(
-                        f"DELETE FROM segments WHERE key = ? AND id IN ({marks})",
-                        (key, *drop),
-                    )
-                conn.execute(
-                    "INSERT INTO segments(key, blob, created) VALUES (?, ?, ?)",
-                    (key, sqlite3.Binary(blob), time.time()),
-                )
-                conn.execute("COMMIT")
-            except BaseException:
-                try:
-                    conn.execute("ROLLBACK")
-                except sqlite3.Error:
-                    pass
-                raise
-
-        self._retry(go)
-
-    def keys(self) -> List[str]:
-        def go(conn):
-            rows = conn.execute(
-                "SELECT DISTINCT key FROM segments ORDER BY key"
-            ).fetchall()
-            return [row[0] for row in rows]
-
-        return self._retry(go)
-
-    def head(self, key: str, size: int = 65536) -> Optional[bytes]:
-        """First ``size`` bytes of the key's oldest segment, or None.
-
-        Enough for the header line; the maintenance CLI summarises a
-        fleet-sized corpus without materialising whole blobs.
-        """
-        def go(conn):
-            row = conn.execute(
-                "SELECT substr(blob, 1, ?) FROM segments WHERE key = ? "
-                "ORDER BY id LIMIT 1",
-                (size, key),
-            ).fetchone()
-            return bytes(row[0]) if row is not None else None
-
-        return self._retry(go)
-
-    def segment_heads(self, key: str) -> List[bytes]:
-        def go(conn):
-            rows = conn.execute(
-                "SELECT substr(blob, 1, 65536) FROM segments "
-                "WHERE key = ? ORDER BY id",
-                (key,),
-            ).fetchall()
-            return [bytes(row[0]) for row in rows]
-
-        return self._retry(go)
-
-    def stats(self) -> Dict[str, Tuple[int, int]]:
-        def go(conn):
-            rows = conn.execute(
-                "SELECT key, COUNT(*), COALESCE(SUM(LENGTH(blob)), 0) "
-                "FROM segments GROUP BY key"
-            ).fetchall()
-            return {row[0]: (row[1], row[2]) for row in rows}
-
-        return self._retry(go)
-
-    def delete_key(self, key: str) -> int:
-        def go(conn):
-            return conn.execute(
-                "DELETE FROM segments WHERE key = ?", (key,)
-            ).rowcount
-
-        return self._retry(go)
-
-    def clear(self) -> int:
-        def go(conn):
-            return conn.execute("DELETE FROM segments").rowcount
-
-        return self._retry(go)
-
-    def close(self) -> None:
-        if self._conn is not None and self._conn_pid == os.getpid():
-            try:
-                self._conn.close()
-            except sqlite3.Error:
-                pass
-            self._conn = None
-            self._conn_pid = None
-        else:
-            self._disown()
-
-
-def as_backend(spec) -> StoreBackend:
-    """Resolve a store spec into a backend instance.
-
-    Accepts a ready :class:`StoreBackend`, a ``sqlite:<path>`` URI
-    (``sqlite://<path>`` tolerated), or anything else as a local
-    directory path.  The result's ``spec`` attribute round-trips, which
-    is how the sweep runner ships the store to pool workers.
-    """
-    if isinstance(spec, StoreBackend):
-        return spec
-    text = str(spec)
-    if text.startswith("sqlite:"):
-        rest = text[len("sqlite:"):]
-        if rest.startswith("//"):
-            rest = rest[2:]
-        return SQLiteBackend(rest)
-    return LocalDirBackend(text)
-
-
 # ----------------------------------------------------------------------
 # The store front end
 # ----------------------------------------------------------------------
 class GraphStore:
-    """Serialized state graphs, keyed by
-    ``(program digest, valuation, code version)``, on a pluggable
-    backend.
+    """Serialized state graphs under one directory, keyed by
+    ``(program digest, valuation, code version)``.
 
     Entry keys are ``<slug>-<program>-<valuation>-<version>`` — every
-    identity component slugged into the key, whatever the backend.
+    identity component slugged into the key.
     Each segment is one header line — ``repro-graph <format> <json>``
     with the identity fields, entry counts and a body checksum —
     followed by a pickled payload of plain int tuples: the config
@@ -786,19 +462,17 @@ class GraphStore:
     of the same system — the PR 4 epoch triple tracks destructive cache
     events and degrades the next flush to a full segment).
 
-    All methods are best-effort: any backend failure (and, on the read
-    side, any parse error) is swallowed, counted, and treated as a
-    cold miss.  ``last_error`` keeps the most recent failure for
+    All methods are best-effort: any I/O failure (and, on the read
+    side, any parse error) is swallowed, counted, logged, and treated
+    as a cold miss.  ``last_error`` keeps the most recent failure for
     diagnostics.
     """
 
     FORMAT = 1
     MAGIC = "repro-graph"
 
-    def __init__(self, store, version: Optional[str] = None):
-        self.backend = as_backend(store)
-        #: Back-compat convenience: the directory of a local backend.
-        self.root = getattr(self.backend, "root", None)
+    def __init__(self, root, version: Optional[str] = None):
+        self.backend = LocalDirBackend(root)
         self.version = version if version is not None else code_version()
         #: key -> (system weakref, epoch, succ entries, option entries)
         #: at the last flush/load.  The weakref scopes the baseline to
@@ -819,7 +493,7 @@ class GraphStore:
         self.load_misses = 0
         self.saves = 0
         self.errors = 0
-        #: Total serialized bytes handed to the backend (bench metric).
+        #: Total serialized bytes written (bench metric).
         self.bytes_written = 0
         self.last_error: Optional[BaseException] = None
 
@@ -834,7 +508,7 @@ class GraphStore:
         )
 
     def path_for(self, system) -> Path:
-        """The canonical entry path (local directory backends only)."""
+        """The canonical entry path of ``system``'s key."""
         return self.backend.canonical_path(self.key_for(system))
 
     # ------------------------------------------------------------------
@@ -885,7 +559,7 @@ class GraphStore:
         try:
             blob = self._serialize(system, start_succ, start_options)
         except Exception as exc:  # noqa: BLE001 — never kill the caller
-            self._record(exc)
+            self._record("store.serialize_error", key, exc)
             return False
         # Chaos hook: a "corrupt" rule flips a byte of what lands on
         # storage, so the next load sees a real checksum mismatch.
@@ -906,8 +580,8 @@ class GraphStore:
             # exact recorded-error path a real disk failure would.
             faults.fire("graph_store.flush", key)
             self.backend.append_segment(key, blob)
-        except BACKEND_ERRORS as exc:
-            self._record(exc)
+        except OSError as exc:
+            self._record("store.flush_error", key, exc)
             return False
         self._flushed[key] = (weakref.ref(system), epoch, n_succ, n_options)
         self.saves += 1
@@ -927,7 +601,7 @@ class GraphStore:
         """
         try:
             heads = self.backend.segment_heads(key)
-        except BACKEND_ERRORS:
+        except OSError:
             return False
         if not heads:
             return False
@@ -1030,8 +704,8 @@ class GraphStore:
         try:
             faults.fire("graph_store.load", key)
             segments = self.backend.read_segments(key)
-        except BACKEND_ERRORS as exc:
-            self._record(exc)
+        except OSError as exc:
+            self._record("store.load_error", key, exc)
             self.load_misses += 1
             return False
         if not segments:
@@ -1049,7 +723,7 @@ class GraphStore:
             system._succ_cache.clear()
             system._options_cache.clear()
             self._flushed.pop(key, None)
-            self._record(exc)
+            self._record("store.load_error", key, exc)
             self.load_misses += 1
             return False
         self._flushed[key] = (
@@ -1134,13 +808,6 @@ class GraphStore:
         """Squash every key's segments into one canonical snapshot."""
         return compact_backend(self.backend)
 
-    def close(self) -> None:
-        """Release backend handles (safe: operations lazily reopen)."""
-        try:
-            self.backend.close()
-        except BACKEND_ERRORS as exc:
-            self._record(exc)
-
     @staticmethod
     def entries(root) -> List[Path]:
         try:
@@ -1174,7 +841,7 @@ class GraphStore:
 
     @classmethod
     def describe_blob(cls, raw: bytes) -> Optional[dict]:
-        """Like :meth:`describe` for an in-memory segment (SQLite rows)."""
+        """Like :meth:`describe` for an in-memory segment."""
         try:
             head = raw.partition(b"\n")[0]
             magic, fmt, header_json = head.decode().split(" ", 2)
@@ -1193,9 +860,14 @@ class GraphStore:
         except (ValueError, TypeError, UnicodeDecodeError):
             return None
 
-    def _record(self, exc: BaseException) -> None:
+    def _record(self, event: str, key: str, exc: BaseException) -> None:
+        """Count, keep and log one swallowed failure (a cold miss)."""
         self.errors += 1
         self.last_error = exc
+        logger.warning(
+            "graph store failure (%s) on %s: %r", event, key, exc,
+            extra={"event": event, "key": key, "error": repr(exc)},
+        )
 
 
 # ----------------------------------------------------------------------
@@ -1332,11 +1004,11 @@ def _merge_payloads(entries: Sequence[Tuple[dict, dict]]) -> Tuple[dict, dict]:
     return header_core, payload
 
 
-def compact_backend(backend: StoreBackend) -> Dict[str, int]:
+def compact_backend(backend: LocalDirBackend) -> Dict[str, int]:
     """Squash every key's delta segments into one canonical snapshot.
 
     Pure data-level merging (checksum-verified payload union), so it
-    needs no protocol models and works on any backend.  Per key:
+    needs no protocol models.  Per key:
     checksum-corrupt or structurally-invalid segments are *dropped*
     (they would otherwise poison every load of the key); the remaining
     segments merge into a single canonical segment that replaces
@@ -1358,14 +1030,14 @@ def compact_backend(backend: StoreBackend) -> Dict[str, int]:
     }
     try:
         keys = backend.keys()
-    except BACKEND_ERRORS:
+    except OSError:
         stats["errors"] += 1
         return stats
     for key in keys:
         stats["keys"] += 1
         try:
             segments = backend.read_segments(key)
-        except BACKEND_ERRORS:
+        except OSError:
             stats["errors"] += 1
             continue
         if not segments:
@@ -1386,9 +1058,8 @@ def compact_backend(backend: StoreBackend) -> Dict[str, int]:
             except Exception:  # noqa: BLE001 — bad segment: drop it
                 corrupt += 1
         stats["corrupt_dropped"] += corrupt
-        canonical = getattr(backend, "canonical_path", None)
         if not corrupt and len(segments) == 1 and (
-            canonical is None or Path(segments[0][0]) == canonical(key)
+            segments[0][0] == backend.canonical_path(key)
         ):
             # Already one *valid* canonical segment: nothing to do.
             stats["segments_after"] += 1
@@ -1427,16 +1098,12 @@ _ACTIVE_STORE: Optional[GraphStore] = None
 
 
 def activate_graph_store(
-    store, version: Optional[str] = None
+    root, version: Optional[str] = None
 ) -> Optional[GraphStore]:
-    """Install the process-wide store; returns the previous one.
-
-    ``store`` is anything :func:`as_backend` resolves: a directory
-    path, a ``sqlite:<path>`` URI, or a backend instance.
-    """
+    """Install a store over directory ``root``; returns the previous one."""
     global _ACTIVE_STORE
     previous = _ACTIVE_STORE
-    _ACTIVE_STORE = GraphStore(store, version=version)
+    _ACTIVE_STORE = GraphStore(root, version=version)
     return previous
 
 
@@ -1448,14 +1115,6 @@ def active_graph_store() -> Optional[GraphStore]:
 def deactivate_graph_store(
     previous: Optional[GraphStore] = None,
 ) -> None:
-    """Clear (or restore) the process-wide store installation.
-
-    The store being replaced releases its backend handles — safe even
-    if someone still holds a reference, because every backend operation
-    lazily reopens.
-    """
+    """Clear (or restore) the process-wide store installation."""
     global _ACTIVE_STORE
-    current = _ACTIVE_STORE
     _ACTIVE_STORE = previous
-    if current is not None and current is not previous:
-        current.close()

@@ -15,7 +15,6 @@ Usage::
         --coin perfect --coin biased:1/4 --targets agreement
     python -m repro.harness sweep --processes 4 --targets validity \
         --cache-dir .repro-cache --graph-store .repro-cache/graphs --json
-    python -m repro.harness sweep --graph-store sqlite:graphs.db --json
 
     # crash-resilient fleets: supervised timeouts, bounded retries,
     # and resuming an interrupted sweep from its journal
@@ -38,11 +37,10 @@ Usage::
     python -m repro.harness verify mmr14 --server http://127.0.0.1:8123
     python -m repro.harness sweep --server http://127.0.0.1:8123 --json
 
-    # on-disk cache maintenance (result cache + state-graph store);
-    # --dir takes a directory or a sqlite:<path> store URI
+    # on-disk cache maintenance (result cache + state-graph store)
     python -m repro.harness cache info    --dir .repro-cache
     python -m repro.harness cache prune   --dir .repro-cache
-    python -m repro.harness cache compact --dir sqlite:graphs.db
+    python -m repro.harness cache compact --dir .repro-cache
     python -m repro.harness cache clear   --dir .repro-cache
 """
 
@@ -62,9 +60,8 @@ from repro.counter.store import (
     STALE_TEMP_SECONDS,
     GraphStore,
     LocalDirBackend,
-    as_backend,
+    check_graph_store_dir,
     compact_backend,
-    key_version,
 )
 from repro.core.coinspec import parse_coin_spec
 from repro.errors import ValidationError
@@ -94,6 +91,15 @@ def _parse_coin(text: str):
         return parse_coin_spec(text)
     except ValidationError as exc:
         raise SystemExit(f"bad --coin {text!r}: {exc}") from None
+
+
+def _store_dir(text: str) -> str:
+    """A graph-store or cache directory argument, checked up front."""
+    try:
+        check_graph_store_dir(text)
+    except ValidationError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return text
 
 
 def _limits(args: argparse.Namespace) -> api.Limits:
@@ -207,12 +213,12 @@ def _cmd_sweep(argv: List[str]) -> int:
                         "(identical results, less recompilation)")
     parser.add_argument("--cache-dir", default=None,
                         help="on-disk result cache directory")
-    parser.add_argument("--graph-store", default=None, metavar="STORE",
-                        help="persistent state-graph store: a directory "
-                        "(per-file layout) or sqlite:<path> (single-file "
-                        "shared corpus); workers warm explored graphs "
-                        "from it on startup and flush delta segments per "
-                        "task (results stay bit-identical)")
+    parser.add_argument("--graph-store", type=_store_dir, default=None,
+                        metavar="DIR",
+                        help="persistent state-graph store directory; "
+                        "workers warm explored graphs from it on startup "
+                        "and flush delta segments per task (results stay "
+                        "bit-identical)")
     parser.add_argument("--task-timeout", type=float, default=None,
                         metavar="SECONDS",
                         help="supervisor-enforced wall clock per task: a "
@@ -396,9 +402,10 @@ def _cmd_serve(argv: List[str]) -> int:
                         help="state directory: on-disk result cache + "
                         "service journal + state file; omitting it runs "
                         "in-memory (no resume across restarts)")
-    parser.add_argument("--graph-store", default=None, metavar="STORE",
-                        help="persistent state-graph store for the "
-                        "workers (directory or sqlite:<path>)")
+    parser.add_argument("--graph-store", type=_store_dir, default=None,
+                        metavar="DIR",
+                        help="persistent state-graph store directory for "
+                        "the workers")
     parser.add_argument("--task-timeout", type=float, default=None,
                         metavar="SECONDS",
                         help="supervisor-enforced wall clock per task")
@@ -471,93 +478,6 @@ def _scan_cache(root: Path):
     )
 
 
-def _cache_sqlite(action: str, spec: str) -> int:
-    """Maintain a ``sqlite:<path>`` graph store through its backend.
-
-    The single-file corpus has no temp files and no result blobs;
-    maintenance is keys and segments: ``info`` summarises them,
-    ``prune`` drops keys written under another code version,
-    ``compact`` squashes each key's delta segments into one canonical
-    snapshot, and ``clear`` drops everything.
-
-    Maintenance must never *create* or *mutate* a store it merely
-    inspects: a typo'd path must not materialise an empty database,
-    and a foreign application database must not gain our table/index
-    or be switched to WAL by a lazily-created read-write connection —
-    so the file is probed strictly read-only before any backend
-    operation, and a non-database file degrades to a diagnostic, not
-    a traceback.
-    """
-    import sqlite3
-
-    from repro.counter.store import SQLiteBackend
-
-    backend = as_backend(spec)
-    if not Path(backend.path).exists():
-        print(f"cache store    {spec}  (no such store)")
-        return 0 if action == "info" else 1
-    probe = SQLiteBackend.probe(backend.path)
-    if probe is None:
-        print(f"cache store    {spec}  (unreadable: not a SQLite database)")
-        return 1
-    if not probe:
-        print(f"cache store    {spec}  (not a graph store: "
-              f"no segments table)")
-        return 1
-    current = api.code_version()
-    try:
-        stats = backend.stats()
-    except sqlite3.Error as exc:
-        print(f"cache store    {spec}  (unreadable: {exc})")
-        return 1
-    stale = [key for key in stats if key_version(key) != current]
-
-    if action == "info":
-        segments = sum(count for count, _size in stats.values())
-        size = sum(size for _count, size in stats.values())
-        print(f"cache store    {spec}  (code version {current})")
-        print(f"graph keys     {len(stats):6d}  ({segments} segments, "
-              f"{size:,} bytes, {len(stale)} stale)")
-        for key in sorted(stats):
-            count, size = stats[key]
-            try:
-                head = backend.head(key)
-            except sqlite3.Error:
-                head = None
-            header = GraphStore.describe_blob(head) if head else None
-            mark = "" if key_version(key) == current else "  [stale]"
-            detail = ""
-            if header:
-                detail = (f": {header['model']} {dict(header['valuation'])}"
-                          f" ({header['configs']} configs)")
-            print(f"  key {key} ({count} segments, {size:,} bytes)"
-                  f"{detail}{mark}")
-        return 0
-
-    if action == "compact":
-        _print_compact_summary(compact_backend(backend), spec)
-        return 0
-
-    doomed = stale if action == "prune" else list(stats)
-    try:
-        removed = sum(backend.delete_key(key) for key in doomed)
-    except sqlite3.Error as exc:
-        print(f"{action}: failed under {spec}: {exc}")
-        return 1
-    print(f"{action}: removed {removed} segments "
-          f"({len(doomed)} keys) under {spec}")
-    return 0
-
-
-def _print_compact_summary(stats: Dict[str, int], where) -> None:
-    print(f"compact: {stats['compacted']} of {stats['keys']} keys "
-          f"squashed, {stats['segments_before']} -> "
-          f"{stats['segments_after']} segments, "
-          f"{stats['bytes_before']:,} -> {stats['bytes_after']:,} bytes, "
-          f"{stats['corrupt_dropped']} corrupt segments dropped, "
-          f"{stats['errors']} errors under {where}")
-
-
 def _compact_dirs(root: Path) -> int:
     """``cache compact`` over a directory tree: one backend per dir.
 
@@ -572,7 +492,12 @@ def _compact_dirs(root: Path) -> int:
     for parent in sorted({path.parent for path in graphs}):
         for field, value in compact_backend(LocalDirBackend(parent)).items():
             totals[field] += value
-    _print_compact_summary(totals, root)
+    print(f"compact: {totals['compacted']} of {totals['keys']} keys "
+          f"squashed, {totals['segments_before']} -> "
+          f"{totals['segments_after']} segments, "
+          f"{totals['bytes_before']:,} -> {totals['bytes_after']:,} bytes, "
+          f"{totals['corrupt_dropped']} corrupt segments dropped, "
+          f"{totals['errors']} errors under {root}")
     return 0
 
 
@@ -597,13 +522,11 @@ def _cmd_cache(argv: List[str]) -> int:
         "snapshots), clear (drop everything).",
     )
     parser.add_argument("action", choices=("info", "prune", "compact", "clear"))
-    parser.add_argument("--dir", default=".repro-cache", metavar="STORE",
-                        help="cache root to operate on — a directory "
-                        "(scanned recursively) or a sqlite:<path> graph "
-                        "store (default: .repro-cache)")
+    parser.add_argument("--dir", type=_store_dir, default=".repro-cache",
+                        metavar="DIR",
+                        help="cache root directory to operate on, scanned "
+                        "recursively (default: .repro-cache)")
     args = parser.parse_args(argv)
-    if args.dir.startswith("sqlite:"):
-        return _cache_sqlite(args.action, args.dir)
     root = Path(args.dir)
     if args.action == "compact":
         return _compact_dirs(root)
@@ -700,7 +623,7 @@ def _list_experiments() -> int:
     print("  serve              run the verification daemon: one warm "
           "worker fleet serving verify/sweep --server clients")
     print("  cache              on-disk cache maintenance: "
-          "info | prune | compact | clear (--dir DIR|sqlite:PATH)")
+          "info | prune | compact | clear (--dir DIR)")
     print("experiments:")
     for ident in sorted(REGISTRY):
         experiment = REGISTRY[ident]

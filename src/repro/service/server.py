@@ -73,6 +73,7 @@ from repro.api.sweep import (
 )
 from repro.api.task import VerificationTask
 from repro.core.coinspec import resolve_coin_spec
+from repro.counter.store import check_graph_store_dir
 from repro.counter.system import flush_shared_graphs
 from repro.errors import CheckError
 from repro.service.registry import (
@@ -178,8 +179,8 @@ class VerificationService:
             on-disk result cache, the service journal and the state
             file; ``None`` runs fully in-memory (no resume, no
             cross-run cache).
-        graph_store: backend spec for the workers' persistent
-            state-graph store (same syntax as ``sweep --graph-store``).
+        graph_store: directory of the workers' persistent
+            state-graph store (as ``sweep --graph-store``).
         task_timeout / retry: supervision knobs, passed through to the
             pool (see :class:`~repro.api.sweep.SweepRunner`).
         fault_plan: a :class:`~repro.testing.faults.FaultPlan`
@@ -209,6 +210,8 @@ class VerificationService:
         self.port = int(port)
         self.processes = max(1, int(processes))
         self.state_dir = Path(state_dir) if state_dir else None
+        if graph_store:
+            check_graph_store_dir(graph_store)
         self.graph_store = str(graph_store) if graph_store else None
         self.version = code_version()
         spec = resolve_coin_spec(default_coin)

@@ -201,77 +201,16 @@ class TestCompact:
         assert "0 of 0 keys" in out
 
 
-class TestSQLiteMaintenance:
-    @pytest.fixture
-    def spec(self, tmp_path):
-        return f"sqlite:{tmp_path / 'graphs.db'}"
-
-    def _populate(self, spec, version=None):
-        store = GraphStore(spec, version=version or api.code_version())
-        system = CounterSystem(ks16.model(), {"n": 4, "t": 1, "f": 1})
-        system.successor_groups(next(system.initial_configs()))
-        assert store.flush(system)
-        return store
-
-    def test_info_lists_keys_and_stale(self, spec, capsys):
-        self._populate(spec)
-        self._populate(spec, version="0ld0ld0ld0ld0ld0")
-        out = _run(capsys, "cache", "info", "--dir", spec)
-        assert "graph keys          2" in out
-        assert "1 stale" in out
-        assert "[stale]" in out
-        assert "ks16" in out
-
-    def test_prune_drops_stale_versions_only(self, spec, capsys):
-        fresh = self._populate(spec)
-        self._populate(spec, version="0ld0ld0ld0ld0ld0")
-        out = _run(capsys, "cache", "prune", "--dir", spec)
-        assert "1 keys" in out
-        assert len(fresh.backend.keys()) == 1
-
-    def test_info_on_missing_store_does_not_create_it(self, tmp_path, capsys):
-        # Maintenance is read-only diagnostics: a typo'd path must not
-        # silently materialise an empty database file.
-        path = tmp_path / "nope.db"
-        out = _run(capsys, "cache", "info", "--dir", f"sqlite:{path}")
-        assert "no such store" in out
-        assert not path.exists()
-
-    def test_non_database_file_is_a_diagnostic_not_a_traceback(
-        self, tmp_path, capsys
+class TestStoreDir:
+    def test_sqlite_spec_is_refused_without_creating_it(
+        self, tmp_path, monkeypatch, capsys
     ):
-        junk = tmp_path / "junk.db"
-        junk.write_text("this is not a database")
-        assert main(["harness", "cache", "info",
-                     "--dir", f"sqlite:{junk}"]) == 1
-        assert "unreadable" in capsys.readouterr().out
-
-    def test_foreign_database_is_refused_and_left_untouched(
-        self, tmp_path, capsys
-    ):
-        # A real SQLite database belonging to some other application
-        # must be refused read-only: no segments table/index creation,
-        # no journal-mode switch.
-        import sqlite3
-
-        foreign = tmp_path / "app.db"
-        conn = sqlite3.connect(foreign)
-        conn.execute("CREATE TABLE users (id INTEGER PRIMARY KEY)")
-        conn.commit()
-        conn.close()
-        before = foreign.read_bytes()
+        # The store is a directory: an old ``sqlite:`` spec must fail
+        # loudly, never become a directory named after it.
+        monkeypatch.chdir(tmp_path)
         for action in ("info", "prune", "compact", "clear"):
-            assert main(["harness", "cache", action,
-                         "--dir", f"sqlite:{foreign}"]) == 1
-            assert "not a graph store" in capsys.readouterr().out
-        assert foreign.read_bytes() == before, "foreign database mutated"
-        assert not (tmp_path / "app.db-wal").exists()
-
-    def test_compact_and_clear(self, spec, capsys):
-        store = _segmented_store(spec)
-        out = _run(capsys, "cache", "compact", "--dir", spec)
-        assert "1 of 1 keys squashed" in out
-        key = store.backend.keys()[0]
-        assert store.backend.stats()[key][0] == 1
-        _run(capsys, "cache", "clear", "--dir", spec)
-        assert store.backend.keys() == []
+            with pytest.raises(SystemExit) as exit_info:
+                main(["harness", "cache", action, "--dir", "sqlite:graphs.db"])
+            assert exit_info.value.code == 2
+            assert "pass a directory path" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []

@@ -301,27 +301,15 @@ class TestGraphStore:
         second = api.sweep(**kwargs)
         assert stable(first) == stable(second)
 
-    def test_sqlite_backend_serves_a_whole_pool(self, tmp_path):
-        # One single-file corpus, written by two pool workers and the
-        # parent, re-read warm by a fresh sweep: the fleet-sharing
-        # backend must stay bit-identical to the dir layout.
-        from repro.counter.store import as_backend
-        from repro.counter.system import clear_shared_caches
+    def test_sqlite_spec_is_refused(self, tmp_path, monkeypatch):
+        # The store is a directory: an old ``sqlite:`` spec must fail
+        # loudly, never become a directory named after it.
+        from repro.errors import ValidationError
 
-        spec = f"sqlite:{tmp_path / 'corpus.db'}"
-        kwargs = dict(protocols=("cc85a", "ks16"),
-                      valuations=({"n": 4, "t": 1, "f": 1},
-                                  {"n": 5, "t": 1, "f": 1}),
-                      targets=("validity",), processes=2,
-                      scheduling="sharded", graph_store=spec)
-        clear_shared_caches()
-        first = api.sweep(**kwargs)
-        assert len(as_backend(spec).keys()) == 4
-        clear_shared_caches()
-        second = api.sweep(**kwargs)
-        assert stable(first) == stable(second)
-        baseline = api.sweep(**{**kwargs, "graph_store": None})
-        assert stable(first) == stable(baseline)
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ValidationError, match="pass a directory path"):
+            api.SweepRunner(processes=2, graph_store="sqlite:graphs.db")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestTaskMatrix:
@@ -389,34 +377,32 @@ class TestGoldenSweep:
         assert len(report.results) == 8
         _assert_matches_golden(report)
 
-    @pytest.mark.parametrize("backend", ["dir", "sqlite"])
     def test_warm_from_disk_full_sweep_reproduces_seed_verdicts(
-        self, tmp_path, backend
+        self, tmp_path
     ):
         """Acceptance: the persistent graph store is results-neutral.
 
-        All 8 registry protocols, all 3 targets, through BOTH store
-        backends: a cold sweep populates the store, every in-process
+        All 8 registry protocols, all 3 targets: a cold sweep
+        populates the store, every in-process
         cache is dropped (a fresh process as far as the engine can
         tell), and the warm-from-storage re-run must reproduce
         ``seed_verdicts.json`` bit-identically — verdicts *and*
         ``states_explored`` — before AND after a ``cache compact``.
         """
-        from repro.counter.store import as_backend, compact_backend
+        from repro.counter.store import LocalDirBackend, compact_backend
         from repro.counter.system import clear_shared_caches
 
-        spec = (str(tmp_path / "graphs") if backend == "dir"
-                else f"sqlite:{tmp_path / 'graphs.db'}")
+        spec = str(tmp_path / "graphs")
         clear_shared_caches()
         cold = api.sweep(processes=4, graph_store=spec)
         _assert_matches_golden(cold)
-        assert as_backend(spec).keys(), "cold sweep persisted nothing"
+        assert LocalDirBackend(spec).keys(), "cold sweep persisted nothing"
         clear_shared_caches()
         warm = api.sweep(processes=4, graph_store=spec)
         assert len(warm.results) == 8
         _assert_matches_golden(warm)
         assert stable(cold) == stable(warm)
-        stats = compact_backend(as_backend(spec))
+        stats = compact_backend(LocalDirBackend(spec))
         assert stats["errors"] == 0 and stats["corrupt_dropped"] == 0
         clear_shared_caches()
         compacted = api.sweep(processes=4, graph_store=spec)

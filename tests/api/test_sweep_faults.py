@@ -10,11 +10,13 @@ in-process via :func:`repro.testing.faults.install`.
 """
 
 import json
+import logging
 import sys
 
 import pytest
 
 from repro import api
+from repro.counter.system import clear_shared_caches
 from repro.testing import FaultPlan, faults
 from tests.api.test_sweep import ALL_PROTOCOLS, GOLDEN, stable
 
@@ -59,11 +61,8 @@ class TestWorkerKills:
         assert all(r.attempts == 1 for r in report.results
                    if r.protocol != "ks16")
 
-    @pytest.mark.parametrize("store", ["dir", "sqlite"])
-    def test_killed_worker_with_graph_store(self, tmp_path, clean_fast,
-                                            store):
-        spec = (str(tmp_path / "graphs") if store == "dir"
-                else f"sqlite:{tmp_path / 'graphs.db'}")
+    def test_killed_worker_with_graph_store(self, tmp_path, clean_fast):
+        spec = str(tmp_path / "graphs")
         plan = FaultPlan(scratch=str(tmp_path)).kill_task("cc85a", nth=1)
         report = api.sweep(protocols=FAST, targets=("validity",),
                            processes=2, task_timeout=TIMEOUT,
@@ -158,13 +157,21 @@ class TestStoreAndCacheFaults:
         assert runner.cache.put_errors == len(FAST)
 
     def test_graph_store_io_faults_are_results_neutral(self, tmp_path,
-                                                       clean_fast):
+                                                       clean_fast, caplog):
         faults.install(FaultPlan(scratch=str(tmp_path))
                        .break_io("graph_store.flush", times=0)
                        .break_io("graph_store.load", times=0))
-        report = api.sweep(protocols=FAST, targets=("validity",),
-                           graph_store=str(tmp_path / "graphs"))
+        clear_shared_caches()  # cold systems, so every load hook fires
+        with caplog.at_level(logging.WARNING, logger="repro.counter.store"):
+            report = api.sweep(protocols=FAST, targets=("validity",),
+                               graph_store=str(tmp_path / "graphs"))
         assert stable(report) == stable(clean_fast)
+        # Every swallowed store failure is one structured warning.
+        events = {record.event for record in caplog.records}
+        assert events == {"store.flush_error", "store.load_error"}
+        for record in caplog.records:
+            assert record.key.startswith(FAST)
+            assert record.error.startswith("OSError(")
 
     def test_corrupted_segment_is_a_cold_miss(self, tmp_path, clean_fast):
         spec = str(tmp_path / "graphs")

@@ -228,11 +228,9 @@ class TestWarmStoreFuzzCase:
         deactivate_graph_store(previous)
         clear_shared_caches()
 
-    @pytest.fixture(params=["dir", "sqlite"])
-    def backend_spec(self, request, tmp_path):
-        if request.param == "dir":
-            return str(tmp_path / "graphs")
-        return f"sqlite:{tmp_path / 'graphs.db'}"
+    @pytest.fixture
+    def backend_spec(self, tmp_path):
+        return str(tmp_path / "graphs")
 
     def test_cold_vs_warm_reports_identical(self, backend_spec):
         model_factory = lambda: random_model(self.SEED)  # noqa: E731

@@ -21,10 +21,8 @@ from repro.counter.program import ProtocolProgram, shared_program
 from repro.counter.store import (
     GraphStore,
     LocalDirBackend,
-    SQLiteBackend,
     activate_graph_store,
     active_graph_store,
-    as_backend,
     compact_backend,
     deactivate_graph_store,
     key_version,
@@ -419,12 +417,10 @@ class TestResultNeutrality:
             clear_shared_caches()
 
 
-@pytest.fixture(params=["dir", "sqlite"])
-def backend_spec(request, tmp_path):
-    """One spec per shipped backend; both speak the same entry contract."""
-    if request.param == "dir":
-        return str(tmp_path / "graphs")
-    return f"sqlite:{tmp_path / 'graphs.db'}"
+@pytest.fixture
+def backend_spec(tmp_path):
+    """The store directory."""
+    return str(tmp_path / "graphs")
 
 
 def _caches_equal(a, b) -> bool:
@@ -444,7 +440,7 @@ def _fresh_system(model, valuation=VAL_A):
 
 
 class TestBackends:
-    """Both backends round-trip, append deltas, and compact identically."""
+    """The store round-trips, appends deltas, and compacts."""
 
     def test_round_trip(self, backend_spec):
         store = GraphStore(backend_spec, version="v1")
@@ -651,94 +647,6 @@ class TestCorruptSegments:
         stats = compact_backend(LocalDirBackend(tmp_path))
         assert stats["corrupt_dropped"] == 1
         assert GraphStore.entries(tmp_path) == []
-        # ... and on the canonical-free SQLite backend too.
-        db = GraphStore(f"sqlite:{tmp_path / 'g.db'}", version="v1")
-        db.backend.append_segment("some-key-xx-v1", b"garbage")
-        stats = compact_backend(db.backend)
-        assert stats["corrupt_dropped"] == 1
-        assert db.backend.keys() == []
-
-
-class TestBackendSpecs:
-    def test_as_backend_resolves_dirs_and_uris(self, tmp_path):
-        local = as_backend(tmp_path / "x")
-        assert isinstance(local, LocalDirBackend)
-        db = as_backend(f"sqlite:{tmp_path / 'g.db'}")
-        assert isinstance(db, SQLiteBackend)
-        assert db.path == str(tmp_path / "g.db")
-        slashed = as_backend(f"sqlite://{tmp_path / 'h.db'}")
-        assert slashed.path == str(tmp_path / "h.db")
-
-    def test_spec_round_trips(self, tmp_path):
-        for spec in (str(tmp_path / "graphs"), f"sqlite:{tmp_path / 'g.db'}"):
-            backend = as_backend(spec)
-            again = as_backend(backend.spec)
-            assert type(again) is type(backend)
-            assert again.spec == backend.spec
-
-    def test_backend_instance_passes_through(self, tmp_path):
-        backend = LocalDirBackend(tmp_path)
-        assert as_backend(backend) is backend
-        store = GraphStore(backend, version="v1")
-        assert store.backend is backend
-        assert store.root == Path(tmp_path)
-
-    def test_sqlite_store_has_no_root(self, tmp_path):
-        store = GraphStore(f"sqlite:{tmp_path / 'g.db'}", version="v1")
-        assert store.root is None
-
-    def test_key_version_parses(self):
-        assert key_version("m-aaaa-bbbb-v123") == "v123"
-        assert key_version("nonsense") is None
-
-
-class TestSQLiteResilience:
-    def test_locked_database_is_a_recorded_miss_not_a_crash(self, tmp_path):
-        import sqlite3 as sql
-
-        db = tmp_path / "g.db"
-        store = GraphStore(f"sqlite:{db}", version="v1")
-        system = CounterSystem(ks16.model(), VAL_A)
-        _explore(system, limit=40)
-        assert store.flush(system)
-        # A second connection holding the write lock blocks our INSERT
-        # (WAL allows concurrent readers, never concurrent writers);
-        # with the timeout and retries floored, flush must degrade to a
-        # recorded error instead of raising or hanging.
-        store.backend.BUSY_TIMEOUT_MS = 1
-        store.backend.RETRIES = 1
-        store.backend.close()
-        blocker = sql.connect(db, isolation_level=None)
-        blocker.execute("BEGIN IMMEDIATE")
-        try:
-            _explore(system, limit=400)
-            assert not store.flush(system)  # must not raise
-            assert store.errors >= 1
-        finally:
-            blocker.execute("ROLLBACK")
-            blocker.close()
-
-    def test_fresh_readonly_info_of_missing_db(self, tmp_path):
-        backend = SQLiteBackend(tmp_path / "missing.db")
-        assert backend.keys() == []
-        assert backend.stats() == {}
-
-    def test_inherited_connection_is_disowned_not_closed(self, tmp_path):
-        # A handle inherited across fork must be parked, never closed:
-        # finalizing it in the child would run sqlite3_close on a WAL
-        # database the parent still writes.  Simulate the child by
-        # faking a pid mismatch.
-        backend = SQLiteBackend(tmp_path / "g.db")
-        backend.keys()
-        conn = backend._conn
-        assert conn is not None
-        backend._conn_pid = (backend._conn_pid or 0) + 1
-        before = len(SQLiteBackend._FORK_GRAVEYARD)
-        backend.close()
-        assert backend._conn is None
-        assert len(SQLiteBackend._FORK_GRAVEYARD) == before + 1
-        assert SQLiteBackend._FORK_GRAVEYARD[-1] is conn
-        conn.execute("SELECT 1")  # parked handle was never closed
 
 
 class TestKeying:
@@ -756,6 +664,10 @@ class TestKeying:
         )
         assert valuation_digest(VAL_A) != valuation_digest(VAL_B)
 
+    def test_key_version_parses(self):
+        assert key_version("m-aaaa-bbbb-v123") == "v123"
+        assert key_version("nonsense") is None
+
     def test_entry_version_parses_from_file_name(self, tmp_path):
         store = GraphStore(tmp_path, version="cafebabe00000000")
         system = CounterSystem(ks16.model(), VAL_A)
@@ -771,26 +683,3 @@ class TestKeying:
                for g in gs for _a, s in g}
             | set(system._options_cache)
         )
-
-
-class TestSQLiteRetryBackoff:
-    def test_delay_grows_exponentially_within_jitter_band(self, tmp_path):
-        backend = SQLiteBackend(tmp_path / "g.db")
-        base = backend.RETRY_BASE_DELAY
-        for attempt in range(6):
-            raw = min(backend.RETRY_MAX_DELAY, base * (2 ** attempt))
-            spread = raw * backend.RETRY_JITTER
-            delay = backend._retry_delay(attempt)
-            assert raw - spread <= delay <= raw + spread
-
-    def test_delay_is_capped(self, tmp_path):
-        backend = SQLiteBackend(tmp_path / "g.db")
-        cap = backend.RETRY_MAX_DELAY * (1 + backend.RETRY_JITTER)
-        assert backend._retry_delay(50) <= cap
-
-    def test_delays_decorrelate_writers(self, tmp_path):
-        # The whole point of the jitter: two processes that collided on
-        # the write lock must not sleep identically and re-collide.
-        backend = SQLiteBackend(tmp_path / "g.db")
-        samples = {backend._retry_delay(3) for _ in range(16)}
-        assert len(samples) > 1

@@ -2,8 +2,7 @@
 
 Mirrors the :mod:`tests.api.test_result_cache` hammer one layer down:
 four processes flush delta segments for the *same* ``(program,
-valuation)`` key concurrently — against both shipped backends — while
-the parent reads.  Nothing the store does on a contended day may
+valuation)`` key concurrently while the parent reads.  Nothing the store does on a contended day may
 publish a torn segment, lose a writer's entries, or crash:
 
 * every segment on disk parses and passes its body checksum;
@@ -21,8 +20,8 @@ import pytest
 from repro.counter.program import ProtocolProgram
 from repro.counter.store import (
     GraphStore,
+    LocalDirBackend,
     active_graph_store,
-    as_backend,
     compact_backend,
     deactivate_graph_store,
 )
@@ -41,11 +40,9 @@ def _no_leaked_store():
     deactivate_graph_store(previous)
 
 
-@pytest.fixture(params=["dir", "sqlite"])
-def backend_spec(request, tmp_path):
-    if request.param == "dir":
-        return str(tmp_path / "graphs")
-    return f"sqlite:{tmp_path / 'graphs.db'}"
+@pytest.fixture
+def backend_spec(tmp_path):
+    return str(tmp_path / "graphs")
 
 
 def _fresh_system():
@@ -131,7 +128,6 @@ class TestMultiWriterHammer:
                 if reader.load_into(system):
                     reader_hits += 1
                     assert reader.errors == 0
-                reader.close()
             reports = async_result.get()
 
         assert all(report["errors"] == 0 for report in reports)
@@ -161,7 +157,7 @@ class TestMultiWriterHammer:
         seconds = 1.5
         with multiprocessing.Pool(1) as pool:
             async_result = pool.map_async(_churn, [(backend_spec, seconds)])
-            backend = as_backend(backend_spec)
+            backend = LocalDirBackend(backend_spec)
             compactions = 0
             while not async_result.ready():
                 stats = compact_backend(backend)

@@ -220,6 +220,16 @@ class TestHttpSurface:
             rival.start()
         assert not rival._pool.persistent  # close() ran, fleet reaped
 
+    def test_sqlite_graph_store_is_refused_before_the_fleet_starts(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.errors import ValidationError
+
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ValidationError, match="pass a directory path"):
+            VerificationService(processes=2, graph_store="sqlite:graphs.db")
+        assert list(tmp_path.iterdir()) == []
+
     def test_client_rejects_non_http_urls(self):
         with pytest.raises(ServiceError):
             ServiceClient("ftp://example.org:21")
