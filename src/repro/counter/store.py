@@ -296,8 +296,9 @@ class LocalDirBackend:
 
     Stores opaque byte blobs (*segments*) under string keys and never
     interprets them — the header/checksum/unpickler contract lives in
-    :class:`GraphStore`.  Canonical snapshots (compaction output, PR 4
-    entries) live at ``<key>.graph``; delta segments at
+    :class:`GraphStore`.  Canonical snapshots (compaction output, and
+    whole-graph entries from before delta segments) live at
+    ``<key>.graph``; delta segments at
     ``<key>~<pid>_<sequence>_<token>.graph`` — the ``~`` suffix is
     writer-unique, so any number of processes can append segments for
     one key without ever racing on a file name.  Writes are a unique

@@ -23,7 +23,7 @@ guard thresholds, resilience condition and optional cross rules —
 small enough that every case decides in well under a second.
 
 A second suite replays one fuzz case cold vs warm-from-store through
-each :class:`~repro.counter.store.GraphStore` backend and asserts the
+the :class:`~repro.counter.store.GraphStore` and asserts the
 reports are bit-identical — the store must stay results-neutral on
 models it has never seen in any registry.
 """
@@ -216,7 +216,7 @@ def _stable(result: api.TaskResult) -> list:
 
 
 class TestWarmStoreFuzzCase:
-    """One fuzz case, cold vs warm-from-store, per backend."""
+    """One fuzz case, cold vs warm-from-store."""
 
     SEED = 7  # a seed whose agreement query is genuinely violated
 
