@@ -7,6 +7,7 @@ import time
 import pytest
 
 from repro import api
+from repro.counter.program import ProtocolProgram
 from repro.counter.store import GraphStore
 from repro.counter.system import CounterSystem, clear_shared_caches
 from repro.harness.__main__ import main
@@ -199,6 +200,80 @@ class TestCompact:
     def test_compact_of_empty_root_is_fine(self, tmp_path, capsys):
         out = _run(capsys, "cache", "compact", "--dir", str(tmp_path))
         assert "0 of 0 keys" in out
+
+    def test_compact_drops_a_corrupt_segment(self, tmp_path, capsys):
+        store = _segmented_store(tmp_path / "graphs")
+        last = GraphStore.entries(tmp_path / "graphs")[-1]
+        raw = bytearray(last.read_bytes())
+        raw[-5] ^= 0xFF
+        last.write_bytes(bytes(raw))
+        out = _run(capsys, "cache", "compact", "--dir", str(tmp_path))
+        assert "1 corrupt segments dropped" in out
+        assert "3 -> 1 segments" in out
+        assert list(store.backend.stats().values())[0][0] == 1
+
+    def test_compact_covers_every_graph_directory(self, tmp_path, capsys):
+        _segmented_store(tmp_path / "a", segments=2)
+        _segmented_store(tmp_path / "b" / "nested", segments=2)
+        out = _run(capsys, "cache", "compact", "--dir", str(tmp_path))
+        assert "2 of 2 keys squashed, 4 -> 2 segments" in out
+
+
+class TestGraphMaintenance:
+    """The maintenance commands over a directory graph store."""
+
+    def test_info_describes_every_segment(self, tmp_path, capsys):
+        _segmented_store(tmp_path / "graphs")
+        out = _run(capsys, "cache", "info", "--dir", str(tmp_path))
+        assert "graph entries       3" in out
+        assert "0 stale" in out
+        assert out.count("  graph ") == 3
+        assert out.count(": ks16 {") == 3
+
+    def test_maintenance_on_a_missing_store_does_not_create_it(
+        self, tmp_path, capsys
+    ):
+        missing = tmp_path / "nope"
+        for action in ("info", "prune", "compact", "clear"):
+            _run(capsys, "cache", action, "--dir", str(missing))
+        assert not missing.exists()
+
+    def test_prune_drops_stale_graph_versions_only(self, tmp_path, capsys):
+        fresh = _segmented_store(tmp_path / "graphs", segments=2)
+        stale = GraphStore(tmp_path / "graphs", version="0ld0ld0ld0ld0ld0")
+        system = CounterSystem(ks16.model(), {"n": 4, "t": 1, "f": 1})
+        system.successor_groups(next(system.initial_configs()))
+        assert stale.flush(system)
+        out = _run(capsys, "cache", "prune", "--dir", str(tmp_path))
+        assert "removed 1 of 1" in out
+        assert list(fresh.backend.stats().values()) and all(
+            GraphStore.entry_version(path) == api.code_version()
+            for path in GraphStore.entries(tmp_path / "graphs"))
+        cold = CounterSystem(ks16.model(), {"n": 4, "t": 1, "f": 1},
+                             program=ProtocolProgram(ks16.model()))
+        assert GraphStore(tmp_path / "graphs",
+                          version=api.code_version()).load_into(cold)
+
+    def test_compact_then_clear_leaves_only_foreign_files(self, tmp_path,
+                                                          capsys):
+        _segmented_store(tmp_path / "graphs")
+        notes = tmp_path / "graphs" / "README.txt"
+        notes.write_text("the store directory also holds notes")
+        _run(capsys, "cache", "compact", "--dir", str(tmp_path))
+        assert len(GraphStore.entries(tmp_path / "graphs")) == 1
+        out = _run(capsys, "cache", "clear", "--dir", str(tmp_path))
+        assert "removed 1 of 1" in out
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == [notes]
+
+    def test_a_file_in_place_of_the_root_is_left_alone(self, tmp_path,
+                                                       capsys):
+        # ``--dir`` naming a regular file scans as empty: no traceback,
+        # and the file is never deleted or replaced by a directory.
+        root = tmp_path / "graphs.db"
+        root.write_bytes(b"SQLite format 3\x00")
+        for action in ("info", "prune", "compact", "clear"):
+            _run(capsys, "cache", action, "--dir", str(root))
+        assert root.read_bytes() == b"SQLite format 3\x00"
 
 
 class TestStoreDir:

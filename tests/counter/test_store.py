@@ -23,6 +23,7 @@ from repro.counter.store import (
     LocalDirBackend,
     activate_graph_store,
     active_graph_store,
+    check_graph_store_dir,
     compact_backend,
     deactivate_graph_store,
     key_version,
@@ -35,6 +36,7 @@ from repro.counter.system import (
     flush_shared_graphs,
     shared_system,
 )
+from repro.errors import ValidationError
 from repro.protocols import cc85, ks16, naive_voting
 from repro.spec.obligations import obligations_for
 
@@ -647,6 +649,201 @@ class TestCorruptSegments:
         stats = compact_backend(LocalDirBackend(tmp_path))
         assert stats["corrupt_dropped"] == 1
         assert GraphStore.entries(tmp_path) == []
+
+
+class TestLocalDirBackend:
+    """The raw directory layout: opaque blobs under string keys."""
+
+    def test_missing_root_is_created_empty(self, tmp_path):
+        backend = LocalDirBackend(tmp_path / "a" / "b")
+        assert (tmp_path / "a" / "b").is_dir()
+        assert backend.keys() == []
+        assert backend.stats() == {}
+        assert backend.read_segments("k-p-v-x") == []
+
+    def test_segments_read_canonical_first_then_in_append_order(self, tmp_path):
+        backend = LocalDirBackend(tmp_path)
+        backend.append_segment("k-p-v-x", b"first")
+        backend.append_segment("k-p-v-x", b"second")
+        backend.write_canonical("k-p-v-x", b"canon")
+        blobs = [blob for _path, blob in backend.read_segments("k-p-v-x")]
+        assert blobs == [b"canon", b"first", b"second"]
+        assert backend.read_segments("k-p-v-x")[0][0] == \
+            backend.canonical_path("k-p-v-x")
+
+    def test_append_never_replaces_a_segment(self, tmp_path):
+        backend = LocalDirBackend(tmp_path)
+        for _ in range(3):
+            backend.append_segment("k-p-v-x", b"same bytes")
+        assert backend.stats() == {"k-p-v-x": (3, 30)}
+
+    def test_write_canonical_drops_only_the_superseded_segments(self, tmp_path):
+        backend = LocalDirBackend(tmp_path)
+        backend.append_segment("k-p-v-x", b"old")
+        read = [path for path, _blob in backend.read_segments("k-p-v-x")]
+        # A concurrent writer appends after the compactor read its list.
+        backend.append_segment("k-p-v-x", b"late")
+        backend.write_canonical("k-p-v-x", b"merged", drop=read)
+        blobs = [blob for _path, blob in backend.read_segments("k-p-v-x")]
+        assert blobs == [b"merged", b"late"]
+
+    def test_rewriting_the_canonical_segment_keeps_it(self, tmp_path):
+        # The canonical path may appear in ``drop`` (compacting a key
+        # that already had one); it is replaced, never unlinked.
+        backend = LocalDirBackend(tmp_path)
+        backend.write_canonical("k-p-v-x", b"v1")
+        canonical = backend.canonical_path("k-p-v-x")
+        backend.write_canonical("k-p-v-x", b"v2", drop=[canonical])
+        assert canonical.read_bytes() == b"v2"
+
+    def test_keys_and_stats_group_segments_by_key(self, tmp_path):
+        backend = LocalDirBackend(tmp_path)
+        backend.write_canonical("a-p-v-x", b"12345")
+        backend.append_segment("a-p-v-x", b"678")
+        backend.append_segment("b-p-v-x", b"9")
+        assert backend.keys() == ["a-p-v-x", "b-p-v-x"]
+        assert backend.stats() == {"a-p-v-x": (2, 8), "b-p-v-x": (1, 1)}
+
+    def test_delete_key_spares_keys_sharing_its_prefix(self, tmp_path):
+        backend = LocalDirBackend(tmp_path)
+        backend.write_canonical("m-p-v-x", b"a")
+        backend.append_segment("m-p-v-x", b"b")
+        backend.append_segment("m-p-v-x2", b"c")
+        assert backend.delete_key("m-p-v-x") == 2
+        assert backend.keys() == ["m-p-v-x2"]
+
+    def test_clear_removes_segments_and_every_temp_file(self, tmp_path):
+        backend = LocalDirBackend(tmp_path)
+        backend.append_segment("k-p-v-x", b"a")
+        backend.append_segment("j-p-v-x", b"b")
+        live = tmp_path / "k-p-v-x.graph.1.aa.tmp"
+        live.write_bytes(b"half")  # fresh mtime: clear takes it anyway
+        notes = tmp_path / "notes.txt"
+        notes.write_text("not a store file")
+        assert backend.clear() == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["notes.txt"]
+
+    def test_failed_publish_leaves_neither_temp_nor_target(
+        self, tmp_path, monkeypatch
+    ):
+        backend = LocalDirBackend(tmp_path)
+
+        def refuse(self, target):
+            raise OSError(30, "read-only file system")
+
+        monkeypatch.setattr(Path, "replace", refuse)
+        with pytest.raises(OSError):
+            backend.write_canonical("k-p-v-x", b"blob")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_vanished_segment_is_skipped(self, tmp_path, monkeypatch):
+        # A compactor may unlink a segment between the listing and the
+        # read; the reader sees the survivors, never an error.
+        backend = LocalDirBackend(tmp_path)
+        backend.append_segment("k-p-v-x", b"kept")
+        listed = backend._segment_paths("k-p-v-x")
+        gone = tmp_path / "k-p-v-x~0_000000_dead.graph"
+        monkeypatch.setattr(backend, "_segment_paths",
+                            lambda key: [gone] + listed)
+        assert [blob for _p, blob in backend.read_segments("k-p-v-x")] == \
+            [b"kept"]
+
+    def test_segment_heads_are_the_header_lines(self, tmp_path):
+        store = GraphStore(tmp_path, version="v1")
+        system = CounterSystem(ks16.model(), VAL_A)
+        _explore(system, limit=40)
+        store.flush(system)
+        key = store.key_for(system)
+        (head,) = store.backend.segment_heads(key)
+        ((_path, raw),) = store.backend.read_segments(key)
+        assert raw.startswith(head) and head.endswith(b"\n")
+        assert GraphStore.describe_blob(head)["segment"] == [0, 0]
+
+
+class TestStoreDirSpec:
+    @pytest.mark.parametrize("spec", ["sqlite:g.db", "sqlite://g.db",
+                                      "sqlite:"])
+    def test_sqlite_specs_are_refused(self, spec):
+        with pytest.raises(ValidationError, match="pass a directory path"):
+            check_graph_store_dir(spec)
+
+    def test_directory_specs_pass(self, tmp_path):
+        for spec in (tmp_path, str(tmp_path / "graphs"), "rel/graphs",
+                     "graphs.sqlite"):
+            check_graph_store_dir(spec)
+
+
+class TestDirectoryResilience:
+    """Directory failures are recorded cold misses, never crashes."""
+
+    def _flushed(self, tmp_path):
+        store = GraphStore(tmp_path / "graphs", version="v1")
+        system = CounterSystem(ks16.model(), VAL_A)
+        _explore(system, limit=40)
+        assert store.flush(system)
+        return store, system
+
+    def test_unreadable_segment_is_a_recorded_miss(self, tmp_path,
+                                                   monkeypatch):
+        store, system = self._flushed(tmp_path)
+        monkeypatch.setattr(
+            Path, "read_bytes",
+            lambda self: (_ for _ in ()).throw(PermissionError(13, "denied")),
+        )
+        cold = _fresh_system(ks16.model())
+        assert not store.load_into(cold)
+        assert store.errors == 1 and store.load_misses == 1
+        assert isinstance(store.last_error, PermissionError)
+
+    def test_flush_into_a_removed_directory_is_a_recorded_error(
+        self, tmp_path
+    ):
+        import shutil
+
+        store, system = self._flushed(tmp_path)
+        shutil.rmtree(tmp_path / "graphs")
+        _explore(system, limit=300)
+        assert not store.flush(system)  # must not raise
+        assert store.errors == 1
+        assert isinstance(store.last_error, OSError)
+
+    def test_load_after_the_directory_is_removed_is_a_plain_miss(
+        self, tmp_path
+    ):
+        import shutil
+
+        store, system = self._flushed(tmp_path)
+        shutil.rmtree(tmp_path / "graphs")
+        assert not store.load_into(_fresh_system(ks16.model()))
+        assert store.load_misses == 1 and store.errors == 0
+
+    def test_every_failure_logs_one_store_warning(self, tmp_path, caplog):
+        import logging
+
+        store, system = self._flushed(tmp_path)
+        (path,) = GraphStore.entries(tmp_path / "graphs")
+        path.write_bytes(b"repro-graph 1 {}\n")
+        with caplog.at_level(logging.WARNING, logger="repro.counter.store"):
+            assert not store.load_into(_fresh_system(ks16.model()))
+        [record] = caplog.records
+        assert record.event == "store.load_error"
+        assert record.key == store.key_for(system)
+
+
+class TestDescribe:
+    @pytest.mark.parametrize("head", [
+        b"repro-graph 1 [1, 2]\n",
+        b"repro-graph 2 {}\n",
+        b"other-magic 1 {}\n",
+        b'repro-graph 1 {"model": "m", "configs": 1, "succ": 1}\n',
+        b'repro-graph 1 {"configs": 1, "succ": 1, "options": 1}\n',
+        b"\xff\xfe\n",
+    ])
+    def test_malformed_headers_describe_as_none(self, head):
+        assert GraphStore.describe_blob(head) is None
+
+    def test_describe_of_a_missing_file_is_none(self, tmp_path):
+        assert GraphStore.describe(tmp_path / "gone.graph") is None
 
 
 class TestKeying:
