@@ -13,6 +13,7 @@ import pytest
 
 from repro.checker.explicit import ExplicitChecker
 from repro.checker.parameterized import ParameterizedChecker
+from repro.checker.result import HOLDS, VIOLATED
 from repro.protocols import miller18, mmr14
 from repro.sim import (
     ABY22Process,
@@ -36,7 +37,7 @@ def test_cb2_explicit_counterexample(benchmark, run_once):
         return checker.check_reach(PropertyLibrary(model).cb(2))
 
     result = run_once(benchmark, check)
-    assert result.violated
+    assert result.verdict == VIOLATED
     assert result.counterexample is not None
 
 
@@ -48,7 +49,7 @@ def test_cb2_parameterized_counterexample(benchmark, run_once):
         return checker.check_reach(PropertyLibrary(model).cb(2))
 
     result = run_once(benchmark, check)
-    assert result.violated
+    assert result.verdict == VIOLATED
     benchmark.extra_info["ce_parameters"] = result.counterexample.valuation
     benchmark.extra_info["nschemas"] = result.nschemas
 
@@ -61,7 +62,7 @@ def test_cb2_holds_for_miller18_explicit(benchmark, run_once):
         return checker.check_reach(PropertyLibrary(model).cb(2))
 
     result = run_once(benchmark, check)
-    assert result.holds
+    assert result.verdict == HOLDS
 
 
 def _starve(cls, expect_decision):

@@ -12,6 +12,7 @@ import pytest
 
 from repro.checker.milestones import CombinedModel, extract_milestones, precedence_order
 from repro.checker.parameterized import ParameterizedChecker
+from repro.checker.result import HOLDS, VIOLATED
 from repro.checker.schemas import count_schemas
 from repro.protocols import benchmark as protocol_benchmark
 from repro.spec.properties import PropertyLibrary
@@ -31,7 +32,7 @@ def test_parameterized_validity(benchmark, run_once, name):
         return [checker.check_reach(lib.inv2(v)) for v in (0, 1)]
 
     results = run_once(benchmark, check)
-    assert all(r.holds for r in results)
+    assert all(r.verdict == HOLDS for r in results)
     benchmark.extra_info["nschemas"] = sum(r.nschemas for r in results)
 
 
@@ -53,7 +54,7 @@ def test_parameterized_agreement(benchmark, run_once, name):
         return checker.check_reach(lib.inv1(0))
 
     result = run_once(benchmark, check)
-    assert not result.violated
+    assert result.verdict != VIOLATED
     benchmark.extra_info["nschemas"] = result.nschemas
     benchmark.extra_info["verdict"] = result.verdict
 

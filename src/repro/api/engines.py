@@ -36,12 +36,12 @@ import time
 from typing import Callable, Dict, List, Optional, Protocol, Tuple
 
 from repro.checker.explicit import ExplicitChecker
-from repro.checker.parameterized import ParameterizedChecker
-from repro.checker.result import UNKNOWN, CheckResult
+from repro.checker.parameterized import ParameterizedChecker, unsupported
+from repro.checker.result import ObligationOutcome
 from repro.errors import CheckError
 from repro.spec.obligations import obligations_for
 from repro.spec.queries import ReachQuery
-from repro.api.report import ObligationOutcome, QueryOutcome, TaskResult
+from repro.api.report import TaskResult
 from repro.api.task import VerificationTask
 
 __all__ = [
@@ -119,10 +119,9 @@ class ExplicitEngine:
                 max_seconds=limits.max_seconds,
                 expansion=self.expansion,
             )
-            report = checker.check_obligations(
-                obligations_for(checker.model, target)
+            outcomes.append(
+                checker.check_obligations(obligations_for(checker.model, target))
             )
-            outcomes.append(ObligationOutcome.from_report(report))
         if task.queries:
             outcomes.append(self._custom_queries(task, valuation))
         return _result(task, outcomes, started)
@@ -142,10 +141,10 @@ class ExplicitEngine:
             expansion=self.expansion,
         )
         with checker.shared_deadline():
-            results = [checker.check(query) for query in task.queries]
+            results = tuple(checker.check(query) for query in task.queries)
         return ObligationOutcome(
             target="custom",
-            queries=tuple(QueryOutcome.from_check_result(r) for r in results),
+            queries=results,
             time_seconds=time.perf_counter() - t0,
         )
 
@@ -159,28 +158,9 @@ class ParameterizedEngine:
         started = time.perf_counter()
         outcomes: List[ObligationOutcome] = []
         for target in task.targets:
-            model = task.model_for_target(target)
-            checker = self._checker(task, model)
-            obligations = obligations_for(checker.model, target)
-            t0 = time.perf_counter()
-            # shared_deadline: the wall-clock budget covers the whole
-            # bundle, matching the explicit engine's semantics.
-            with checker.shared_deadline():
-                results = [
-                    checker.check_reach(query)
-                    for query in obligations.reach_queries
-                ]
-            results.extend(
-                self._unsupported(query.name) for query in obligations.game_queries
-            )
+            checker = self._checker(task, task.model_for_target(target))
             outcomes.append(
-                ObligationOutcome(
-                    target=target,
-                    queries=tuple(
-                        QueryOutcome.from_check_result(r) for r in results
-                    ),
-                    time_seconds=time.perf_counter() - t0,
-                )
+                checker.check_obligations(obligations_for(checker.model, target))
             )
         if task.queries:
             outcomes.append(self._custom_queries(task))
@@ -198,14 +178,6 @@ class ParameterizedEngine:
             max_seconds=limits.max_seconds,
         )
 
-    @staticmethod
-    def _unsupported(name: str) -> CheckResult:
-        return CheckResult(
-            query=name,
-            verdict=UNKNOWN,
-            detail="game queries require the explicit engine",
-        )
-
     def _custom_queries(self, task: VerificationTask) -> ObligationOutcome:
         t0 = time.perf_counter()
         model = task.model_for_target(
@@ -218,10 +190,10 @@ class ParameterizedEngine:
                 if isinstance(query, ReachQuery):
                     results.append(checker.check_reach(query))
                 else:
-                    results.append(self._unsupported(query.name))
+                    results.append(unsupported(query.name))
         return ObligationOutcome(
             target="custom",
-            queries=tuple(QueryOutcome.from_check_result(r) for r in results),
+            queries=tuple(results),
             time_seconds=time.perf_counter() - t0,
         )
 

@@ -1,5 +1,9 @@
 """Model checkers: exhaustive explicit-state (fixed parameters) and
 schema-based parameterized checking (the ByMC substitute).
+
+Both return the result types of :mod:`repro.checker.result`:
+a :class:`QueryOutcome` per query (with a :class:`CounterexampleData`
+witness when violated) and an :class:`ObligationOutcome` per bundle.
 """
 
 from repro.checker.explicit import ExplicitChecker
@@ -7,17 +11,17 @@ from repro.checker.result import (
     HOLDS,
     UNKNOWN,
     VIOLATED,
-    CheckResult,
-    Counterexample,
-    ObligationReport,
+    CounterexampleData,
+    ObligationOutcome,
+    QueryOutcome,
 )
 
 __all__ = [
-    "CheckResult",
-    "Counterexample",
+    "CounterexampleData",
     "ExplicitChecker",
     "HOLDS",
-    "ObligationReport",
+    "ObligationOutcome",
+    "QueryOutcome",
     "UNKNOWN",
     "VIOLATED",
 ]

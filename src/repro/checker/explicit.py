@@ -74,9 +74,9 @@ from repro.checker.result import (
     HOLDS,
     UNKNOWN,
     VIOLATED,
-    CheckResult,
-    Counterexample,
-    ObligationReport,
+    CounterexampleData,
+    ObligationOutcome,
+    QueryOutcome,
 )
 from repro.checker.timebox import TimeBudgeted
 from repro.errors import CheckError, DeadlineExceeded, StateBudgetExceeded
@@ -148,14 +148,14 @@ class ExplicitChecker(TimeBudgeted):
             )
         return [(config, _mask(config, events, 0)) for config in configs]
 
-    def _timeout_result(self, query, states: int, start: float) -> CheckResult:
-        return CheckResult(
+    def _timeout_result(self, query, states: int, start: float) -> QueryOutcome:
+        return QueryOutcome(
             query=query.name,
             verdict=UNKNOWN,
             states_explored=states,
             time_seconds=time.perf_counter() - start,
             detail=f"wall-clock limit {self.max_seconds}s exceeded",
-            limit="max_seconds",
+            limit_tripped="max_seconds",
         )
 
     def _placement_of(self, config: Config) -> Dict[str, int]:
@@ -169,7 +169,7 @@ class ExplicitChecker(TimeBudgeted):
     # ------------------------------------------------------------------
     # A-queries
     # ------------------------------------------------------------------
-    def check_reach(self, query: ReachQuery) -> CheckResult:
+    def check_reach(self, query: ReachQuery) -> QueryOutcome:
         """BFS for a schedule witnessing every event of the query."""
         start = time.perf_counter()
         events = self._compiled_events(query)
@@ -189,13 +189,13 @@ class ExplicitChecker(TimeBudgeted):
         pops = 0
         while queue:
             if len(parents) > self.max_states:
-                return CheckResult(
+                return QueryOutcome(
                     query=query.name,
                     verdict=UNKNOWN,
                     states_explored=len(parents),
                     time_seconds=time.perf_counter() - start,
                     detail=f"state budget {self.max_states} exceeded",
-                    limit="max_states",
+                    limit_tripped="max_states",
                 )
             if deadline is not None:
                 pops += 1
@@ -221,7 +221,7 @@ class ExplicitChecker(TimeBudgeted):
                     if succ_mask == full:
                         return self._reach_violation(query, state, parents, start)
                     queue.append(state)
-        return CheckResult(
+        return QueryOutcome(
             query=query.name,
             verdict=HOLDS,
             states_explored=len(parents),
@@ -234,7 +234,7 @@ class ExplicitChecker(TimeBudgeted):
         state: State,
         parents: Dict[State, Optional[Tuple[State, Action]]],
         start: float,
-    ) -> CheckResult:
+    ) -> QueryOutcome:
         actions: List[Action] = []
         cursor: Optional[State] = state
         while True:
@@ -244,13 +244,13 @@ class ExplicitChecker(TimeBudgeted):
             cursor, action = entry[0], entry[1]
             actions.append(action)
         actions.reverse()
-        counterexample = Counterexample(
-            valuation=self.valuation,
+        counterexample = CounterexampleData(
+            valuation=dict(self.valuation),
             initial_placement=self._placement_of(cursor[0]),
             schedule=tuple(actions),
             description=f"violates {query.name}: {query.formula}",
         )
-        return CheckResult(
+        return QueryOutcome(
             query=query.name,
             verdict=VIOLATED,
             counterexample=counterexample,
@@ -261,7 +261,7 @@ class ExplicitChecker(TimeBudgeted):
     # ------------------------------------------------------------------
     # E-queries (reachability games, Lemma 2)
     # ------------------------------------------------------------------
-    def check_game(self, query: GameQuery) -> CheckResult:
+    def check_game(self, query: GameQuery) -> QueryOutcome:
         """Can a (coin-blind) adversary force all events?
 
         Builds the reachable game graph over *(config, mask)* states.
@@ -288,13 +288,13 @@ class ExplicitChecker(TimeBudgeted):
         pops = 0
         while stack:
             if len(explored) > self.max_states:
-                return CheckResult(
+                return QueryOutcome(
                     query=query.name,
                     verdict=UNKNOWN,
                     states_explored=len(explored),
                     time_seconds=time.perf_counter() - start,
                     detail=f"state budget {self.max_states} exceeded",
-                    limit="max_states",
+                    limit_tripped="max_states",
                 )
             if deadline is not None:
                 pops += 1
@@ -328,8 +328,8 @@ class ExplicitChecker(TimeBudgeted):
         for state in initial:
             if state in winning:
                 schedule = self._strategy_play(explored, winning, state, full)
-                counterexample = Counterexample(
-                    valuation=self.valuation,
+                counterexample = CounterexampleData(
+                    valuation=dict(self.valuation),
                     initial_placement=self._placement_of(state[0]),
                     schedule=tuple(schedule),
                     description=(
@@ -337,14 +337,14 @@ class ExplicitChecker(TimeBudgeted):
                         f"(one play shown; all coin outcomes lose)"
                     ),
                 )
-                return CheckResult(
+                return QueryOutcome(
                     query=query.name,
                     verdict=VIOLATED,
                     counterexample=counterexample,
                     states_explored=len(explored),
                     time_seconds=time.perf_counter() - start,
                 )
-        return CheckResult(
+        return QueryOutcome(
             query=query.name,
             verdict=HOLDS,
             states_explored=len(explored),
@@ -416,7 +416,7 @@ class ExplicitChecker(TimeBudgeted):
     # ------------------------------------------------------------------
     # Dispatch / bundles
     # ------------------------------------------------------------------
-    def check(self, query: Union[ReachQuery, GameQuery]) -> CheckResult:
+    def check(self, query: Union[ReachQuery, GameQuery]) -> QueryOutcome:
         if isinstance(query, ReachQuery):
             return self.check_reach(query)
         if isinstance(query, GameQuery):
@@ -443,7 +443,7 @@ class ExplicitChecker(TimeBudgeted):
             )
         raise CheckError(f"unknown side condition {name!r}")
 
-    def check_obligations(self, obligations: ObligationSet) -> ObligationReport:
+    def check_obligations(self, obligations: ObligationSet) -> ObligationOutcome:
         """Check every obligation, sharing one explored graph.
 
         All queries (and the side conditions) run on the same
@@ -486,16 +486,15 @@ class ExplicitChecker(TimeBudgeted):
         store = active_graph_store()
         if store is not None:
             store.flush(self.system)
-        return ObligationReport(
-            protocol=obligations.protocol,
+        return ObligationOutcome(
             target=obligations.target,
-            results=tuple(results),
+            queries=tuple(results),
             side_conditions=sides,
             time_seconds=time.perf_counter() - start,
             skipped_side_conditions=skipped,
         )
 
-    def check_target(self, target: str) -> ObligationReport:
+    def check_target(self, target: str) -> ObligationOutcome:
         """Check agreement / validity / termination end-to-end."""
         return self.check_obligations(obligations_for(self.model, target))
 

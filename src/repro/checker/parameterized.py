@@ -39,9 +39,9 @@ from repro.checker.result import (
     HOLDS,
     UNKNOWN,
     VIOLATED,
-    CheckResult,
-    Counterexample,
-    ObligationReport,
+    CounterexampleData,
+    ObligationOutcome,
+    QueryOutcome,
 )
 from repro.checker.schemas import EventItem, count_schemas, iter_extensions
 from repro.checker.timebox import TimeBudgeted
@@ -49,7 +49,6 @@ from repro.core.locations import LocKind
 from repro.core.system import SystemModel
 from repro.counter.actions import Action
 from repro.counter.system import CounterSystem
-from repro.errors import CheckError
 from repro.solver.floatlp import RowMatrix, float_feasible, rounded_integer_model
 from repro.solver.ilp import SAT, UNSAT, ilp_feasible
 from repro.solver.linear import LinearProblem
@@ -196,19 +195,19 @@ class ParameterizedChecker(TimeBudgeted):
         return all(witnessed)
 
     # ------------------------------------------------------------------
-    def check_reach(self, query: ReachQuery) -> CheckResult:
+    def check_reach(self, query: ReachQuery) -> QueryOutcome:
         """Verify one A-query parametrically."""
         start = time.perf_counter()
         self.nodes = 0
         self.leaves = 0
         self.pruned = 0
         self.unknown_leaves = 0
-        counterexample: Optional[Counterexample] = None
+        counterexample: Optional[CounterexampleData] = None
         deadline = self.query_deadline(start)
 
         def dfs(
             prefix, flipped, placed, parent, parent_matrix
-        ) -> Optional[Counterexample]:
+        ) -> Optional[CounterexampleData]:
             self.nodes += 1
             if self.nodes > self.node_budget:
                 raise _Budget("max_nodes")
@@ -256,7 +255,7 @@ class ParameterizedChecker(TimeBudgeted):
                         encoded, model_values
                     )
                     if self._replay(query, valuation, placement, schedule):
-                        return Counterexample(
+                        return CounterexampleData(
                             valuation=valuation,
                             initial_placement={
                                 k: v for k, v in placement.items() if v
@@ -304,7 +303,7 @@ class ParameterizedChecker(TimeBudgeted):
         elapsed = time.perf_counter() - start
         schemas = self.nschemas(query)
         if counterexample is not None:
-            return CheckResult(
+            return QueryOutcome(
                 query=query.name,
                 verdict=VIOLATED,
                 counterexample=counterexample,
@@ -314,7 +313,7 @@ class ParameterizedChecker(TimeBudgeted):
                 detail=f"{self.leaves} schemas decided, {self.pruned} pruned",
             )
         if not exhausted or self.unknown_leaves:
-            return CheckResult(
+            return QueryOutcome(
                 query=query.name,
                 verdict=UNKNOWN,
                 states_explored=self.nodes,
@@ -324,9 +323,9 @@ class ParameterizedChecker(TimeBudgeted):
                     f"limit tripped={tripped or 'none'}, "
                     f"unknown leaves={self.unknown_leaves}"
                 ),
-                limit=tripped,
+                limit_tripped=tripped,
             )
-        return CheckResult(
+        return QueryOutcome(
             query=query.name,
             verdict=HOLDS,
             states_explored=self.nodes,
@@ -336,14 +335,30 @@ class ParameterizedChecker(TimeBudgeted):
         )
 
     # ------------------------------------------------------------------
-    def check_obligations(self, obligations: ObligationSet) -> ObligationReport:
-        """Check the reach queries of a bundle (games are explicit-only)."""
+    def check_obligations(self, obligations: ObligationSet) -> ObligationOutcome:
+        """Check the reach queries of a bundle; games are explicit-only
+        and come back ``unknown``.
+
+        The ``max_seconds`` budget covers the whole bundle, matching the
+        explicit checker.  The Theorem 2 side conditions are omitted:
+        they are discharged on the explicit engine.
+        """
         start = time.perf_counter()
         with self.shared_deadline():
             results = [self.check_reach(q) for q in obligations.reach_queries]
-        return ObligationReport(
-            protocol=obligations.protocol,
+        results.extend(unsupported(q.name) for q in obligations.game_queries)
+        return ObligationOutcome(
             target=obligations.target,
-            results=tuple(results),
+            queries=tuple(results),
             time_seconds=time.perf_counter() - start,
         )
+
+
+def unsupported(name: str) -> QueryOutcome:
+    """The ``unknown`` outcome of a game query, which needs the explicit
+    engine (Lemma 2's game reduction has no schema encoding)."""
+    return QueryOutcome(
+        query=name,
+        verdict=UNKNOWN,
+        detail="game queries require the explicit engine",
+    )

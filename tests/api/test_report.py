@@ -2,6 +2,9 @@
 
 import json
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 from repro.api import (
     CounterexampleData,
     ObligationOutcome,
@@ -10,14 +13,17 @@ from repro.api import (
     TaskResult,
     worst_verdict,
 )
-from repro.checker.result import Counterexample, HOLDS, UNKNOWN, VIOLATED
+from repro.checker.result import HOLDS, UNKNOWN, VIOLATED
 from repro.counter.actions import Action
 
 
 def roundtrip(obj, cls):
     """to_dict → JSON text → from_dict; must compare equal."""
-    restored = cls.from_dict(json.loads(json.dumps(obj.to_dict())))
+    text = json.dumps(obj.to_dict())
+    restored = cls.from_dict(json.loads(text))
     assert restored == obj
+    # A second serialization writes the very same bytes.
+    assert json.dumps(restored.to_dict()) == text
     return restored
 
 
@@ -25,7 +31,7 @@ def make_ce() -> CounterexampleData:
     return CounterexampleData(
         valuation={"n": 4, "t": 1, "f": 1},
         initial_placement={"J0": 2, "J1": 2},
-        schedule=(("r1", 0, None), ("r9", 0, "H"), ("r3", 1, None)),
+        schedule=(Action("r1", 0), Action("r9", 0, "H"), Action("r3", 1)),
         description="violates inv1[0]",
     )
 
@@ -53,6 +59,35 @@ def make_task_result() -> TaskResult:
     )
 
 
+names = st.text(min_size=1, max_size=6)
+counts = st.dictionaries(names, st.integers(0, 10**6), max_size=4)
+actions = st.builds(
+    Action,
+    rule=names,
+    round=st.integers(0, 50),
+    branch=st.none() | names,
+)
+counterexamples = st.builds(
+    CounterexampleData,
+    valuation=counts,
+    initial_placement=counts,
+    schedule=st.lists(actions, max_size=8).map(tuple),
+    description=st.text(max_size=20),
+)
+query_outcomes = st.builds(
+    QueryOutcome,
+    query=names,
+    verdict=st.sampled_from((HOLDS, VIOLATED, UNKNOWN)),
+    states_explored=st.integers(0, 10**9),
+    nschemas=st.integers(0, 10**9),
+    time_seconds=st.floats(0, 1e6, allow_nan=False, allow_infinity=False),
+    limit_tripped=st.sampled_from(("", "max_states", "max_nodes",
+                                   "max_seconds")),
+    detail=st.text(max_size=20),
+    counterexample=st.none() | counterexamples,
+)
+
+
 class TestWorstVerdict:
     def test_severity_order(self):
         assert worst_verdict([]) == HOLDS
@@ -63,33 +98,25 @@ class TestWorstVerdict:
 
 
 class TestCounterexampleData:
-    def test_roundtrip(self):
-        roundtrip(make_ce(), CounterexampleData)
-
-    def test_from_checker_counterexample(self):
-        ce = Counterexample(
-            valuation={"n": 3, "f": 1},
-            initial_placement={"I0": 1},
-            schedule=(Action("r1", 0), Action("r9", 1, "T")),
-            description="demo",
-        )
-        data = CounterexampleData.from_counterexample(ce)
-        assert data.schedule == (("r1", 0, None), ("r9", 1, "T"))
-        # The schedule rebuilds into replayable Action objects.
-        assert data.actions() == ce.schedule
-        # Same human rendering as the checker-native counterexample.
-        assert str(data) == str(ce)
+    @settings(max_examples=60, deadline=None)
+    @given(ce=counterexamples)
+    @example(ce=make_ce())
+    def test_roundtrip(self, ce):
+        roundtrip(ce, CounterexampleData)
 
     def test_roundtrip_preserves_branch_none(self):
         restored = roundtrip(make_ce(), CounterexampleData)
-        assert restored.schedule[0][2] is None
-        assert restored.schedule[1][2] == "H"
+        assert restored.schedule[0].branch is None
+        assert restored.schedule[1].branch == "H"
 
 
 class TestOutcomes:
-    def test_query_roundtrip(self):
-        for query in make_task_result().queries:
-            roundtrip(query, QueryOutcome)
+    @settings(max_examples=60, deadline=None)
+    @given(query=query_outcomes)
+    @example(query=make_task_result().queries[0])
+    @example(query=make_task_result().queries[1])
+    def test_query_roundtrip(self, query):
+        roundtrip(query, QueryOutcome)
 
     def test_obligation_aggregation(self):
         outcome = make_task_result().obligations[0]

@@ -49,7 +49,7 @@ def _observed(model, valuation, target):
     report = checker.check_obligations(obligations_for(checker.model, target))
     return {
         "queries": [
-            [r.query, r.verdict, r.states_explored] for r in report.results
+            [r.query, r.verdict, r.states_explored] for r in report.queries
         ],
         "sides": dict(report.side_conditions),
     }

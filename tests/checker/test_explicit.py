@@ -67,26 +67,26 @@ class TestMMR14Safety:
     def test_inv2_single_query(self, mmr_checker):
         lib = PropertyLibrary(mmr_checker.model)
         result = mmr_checker.check_reach(lib.inv2(0))
-        assert result.holds
+        assert result.verdict == HOLDS
 
     def test_inv1_holds(self, mmr_checker):
         lib = PropertyLibrary(mmr_checker.model)
-        assert mmr_checker.check_reach(lib.inv1(0)).holds
-        assert mmr_checker.check_reach(lib.inv1(1)).holds
+        assert mmr_checker.check_reach(lib.inv1(0)).verdict == HOLDS
+        assert mmr_checker.check_reach(lib.inv1(1)).verdict == HOLDS
 
 
 class TestMMR14Binding:
     def test_cb2_violated(self, refined_checker):
         lib = PropertyLibrary(refined_checker.model)
         result = refined_checker.check_reach(lib.cb(2))
-        assert result.violated
+        assert result.verdict == VIOLATED
         assert result.counterexample is not None
 
     def test_cb0_cb1_cb4_hold(self, refined_checker):
         lib = PropertyLibrary(refined_checker.model)
-        assert refined_checker.check_reach(lib.cb(0)).holds
-        assert refined_checker.check_reach(lib.cb(1)).holds
-        assert refined_checker.check_reach(lib.cb(4)).holds
+        assert refined_checker.check_reach(lib.cb(0)).verdict == HOLDS
+        assert refined_checker.check_reach(lib.cb(1)).verdict == HOLDS
+        assert refined_checker.check_reach(lib.cb(4)).verdict == HOLDS
 
     def test_cb2_counterexample_replays(self, refined_checker):
         lib = PropertyLibrary(refined_checker.model)
@@ -101,15 +101,15 @@ class TestMMR14Binding:
     def test_termination_bundle_reports_violation(self, refined_checker):
         report = refined_checker.check_target("termination")
         assert report.verdict == VIOLATED
-        violated = {r.query for r in report.results if r.violated}
+        violated = {r.query for r in report.queries if r.verdict == VIOLATED}
         assert "cb2" in violated
 
 
 class TestGames:
     def test_c2prime_holds(self, refined_checker):
         lib = PropertyLibrary(refined_checker.model)
-        assert refined_checker.check_game(lib.c2prime(0)).holds
-        assert refined_checker.check_game(lib.c2prime(1)).holds
+        assert refined_checker.check_game(lib.c2prime(0)).verdict == HOLDS
+        assert refined_checker.check_game(lib.c2prime(1)).verdict == HOLDS
 
     def test_unknown_side_condition_rejected(self, mmr_checker):
         with pytest.raises(CheckError):

@@ -16,6 +16,7 @@ from repro.core.environment import ge, gt, standard_environment
 from repro.core.expression import params
 from repro.core.system import SystemModel
 from repro.checker.explicit import ExplicitChecker
+from repro.checker.result import HOLDS, VIOLATED
 from repro.spec.properties import PropertyLibrary
 
 VAL = {"n": 4, "t": 1, "f": 1}
@@ -74,15 +75,15 @@ class TestGameVerdicts:
         model = tiny_model(escape_rule=False)
         checker = ExplicitChecker(model, VAL)
         lib = PropertyLibrary(model)
-        assert checker.check_game(lib.c2prime(0)).holds
-        assert checker.check_game(lib.c2prime(1)).holds
+        assert checker.check_game(lib.c2prime(0)).verdict == HOLDS
+        assert checker.check_game(lib.c2prime(1)).verdict == HOLDS
 
     def test_escape_rule_violates_c2prime(self):
         model = tiny_model(escape_rule=True)
         checker = ExplicitChecker(model, VAL)
         lib = PropertyLibrary(model)
         result = checker.check_game(lib.c2prime(0))
-        assert result.violated
+        assert result.verdict == VIOLATED
         # The strategy witness ends with the coin-free escape into E0.
         assert any(action.rule == "r9" for action in result.counterexample.schedule)
 
@@ -96,7 +97,7 @@ class TestGameVerdicts:
         checker = ExplicitChecker(model, VAL)
         lib = PropertyLibrary(model)
         result = checker.check_game(lib.c1())
-        assert result.violated  # mixed M0/M1 forces mixed finals
+        assert result.verdict == VIOLATED  # mixed M0/M1 forces mixed finals
 
     def test_inv1_needs_quorum_guards(self):
         """Without quorum-exclusive guards M0/M1 coexist, so a decision
@@ -106,7 +107,7 @@ class TestGameVerdicts:
         model = tiny_model(escape_rule=False)
         checker = ExplicitChecker(model, VAL)
         lib = PropertyLibrary(model)
-        assert checker.check_reach(lib.inv1(0)).violated
+        assert checker.check_reach(lib.inv1(0)).verdict == VIOLATED
 
     def test_opposite_decisions_impossible_single_round(self):
         """D0 and D1 in one round would need both coin outcomes — the
@@ -121,4 +122,4 @@ class TestGameVerdicts:
             formula="A F (EX{D0}) → G (¬EX{D1})",
             events=(some_at("D0"), some_at("D1")),
         )
-        assert checker.check_reach(query).holds
+        assert checker.check_reach(query).verdict == HOLDS

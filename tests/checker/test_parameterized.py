@@ -109,7 +109,7 @@ class TestObligations:
             validity_obligations(naive_voting.model())
         )
         assert report.verdict == HOLDS
-        assert len(report.results) == 2
+        assert len(report.queries) == 2
 
 
 class TestFloatPrunesAreExact:

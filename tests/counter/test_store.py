@@ -73,7 +73,7 @@ def _verdicts(model, valuation, target="validity"):
     report = checker.check_obligations(obligations_for(checker.model, target))
     return {
         "queries": [[r.query, r.verdict, r.states_explored]
-                    for r in report.results],
+                    for r in report.queries],
         "sides": dict(report.side_conditions),
     }
 
@@ -159,7 +159,7 @@ def _verdicts_private(model, valuation, target="validity"):
     report = checker.check_obligations(obligations_for(checker.model, target))
     return {
         "queries": [[r.query, r.verdict, r.states_explored]
-                    for r in report.results],
+                    for r in report.queries],
         "sides": dict(report.side_conditions),
     }
 
