@@ -163,11 +163,6 @@ def _graceful_termination():
         signal.signal(signal.SIGTERM, previous)
 
 
-def _seed_code_version(version: str) -> None:
-    """Adopt the parent's source digest (kept as the historical name)."""
-    seed_code_version(version)
-
-
 def _init_worker(version: str, graph_store: Optional[str]) -> None:
     """Pool-worker initializer: seed the digest, open the graph store.
 

@@ -21,7 +21,7 @@ count (Table IV) without enumerating anything.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, Iterator, List, Mapping, Sequence, Tuple, Union
 
 from repro.checker.milestones import Milestone
 
@@ -111,25 +111,3 @@ def count_schemas(
         return 1
     return visit(frozenset(), n_events)
 
-
-def count_linear_extensions(
-    milestones: Sequence[Milestone],
-    predecessors: Mapping[Milestone, FrozenSet[Milestone]],
-) -> int:
-    """Number of full milestone orderings (no events) — diagnostic."""
-    order = {m: i for i, m in enumerate(milestones)}
-    cache: Dict[FrozenSet[int], int] = {}
-
-    def visit(flipped: FrozenSet[Milestone]) -> int:
-        if len(flipped) == len(milestones):
-            return 1
-        key = frozenset(order[m] for m in flipped)
-        if key in cache:
-            return cache[key]
-        total = 0
-        for m in addable_milestones(milestones, predecessors, flipped):
-            total += visit(flipped | {m})
-        cache[key] = total
-        return total
-
-    return visit(frozenset())

@@ -105,15 +105,6 @@ GuardConjunction = Tuple[Guard, ...]
 TRUE: GuardConjunction = ()
 
 
-def conjunction_holds(
-    guards: GuardConjunction,
-    variables: Mapping[str, int],
-    parameters: Mapping[str, int],
-) -> bool:
-    """Evaluate a conjunction of guards (empty conjunction is ``true``)."""
-    return all(g.evaluate(variables, parameters) for g in guards)
-
-
 class Var:
     """A fluent handle for a (shared or coin) variable.
 

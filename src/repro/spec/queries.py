@@ -23,7 +23,7 @@ starts the round with estimate 1").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.spec.propositions import Prop
@@ -57,7 +57,3 @@ class GameQuery:
     def __str__(self) -> str:
         return f"{self.name}: {self.formula}"
 
-
-def implication_formula(premise: str, conclusion: str) -> str:
-    """Pretty ``A premise → conclusion`` string in the paper's style."""
-    return f"A {premise} → {conclusion}"

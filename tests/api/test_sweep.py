@@ -128,15 +128,17 @@ class TestShardedScheduling:
     def test_code_version_seed_roundtrip(self):
         import importlib
 
+        from repro.version import seed_code_version
+
         # repro.api re-exports a sweep() *function*; fetch the module.
         sweep_module = importlib.import_module("repro.api.sweep")
 
         original = sweep_module.code_version()
         try:
-            sweep_module._seed_code_version("feedface00000000")
+            seed_code_version("feedface00000000")
             assert sweep_module.code_version() == "feedface00000000"
         finally:
-            sweep_module._seed_code_version(original)
+            seed_code_version(original)
         assert sweep_module.code_version() == original
 
 

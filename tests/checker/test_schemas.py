@@ -10,7 +10,6 @@ from repro.checker.milestones import Milestone
 from repro.checker.schemas import (
     EventItem,
     addable_milestones,
-    count_linear_extensions,
     count_schemas,
     iter_extensions,
 )
@@ -95,11 +94,6 @@ class TestCounting:
             return total
 
         assert walk(frozenset(), frozenset()) == count_schemas(ms, preds, n_events)
-
-    def test_linear_extensions_factorial_for_antichain(self):
-        ms = [mk(c) for c in "abcd"]
-        assert count_linear_extensions(ms, antichain_preds(ms)) == 24
-        assert count_linear_extensions(ms, chain_preds(ms)) == 1
 
 
 @settings(max_examples=20, deadline=None)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.expression import params
-from repro.core.guards import Cmp, Guard, Var, conjunction_holds
+from repro.core.guards import Cmp, Guard, Var
 from repro.errors import SemanticsError
 
 
@@ -63,15 +63,6 @@ class TestEvaluation:
         guard = Var("x") >= 0
         with pytest.raises(SemanticsError):
             guard.evaluate({}, {})
-
-    def test_conjunction_empty_is_true(self):
-        assert conjunction_holds((), {}, {})
-
-    def test_conjunction_all_atoms(self):
-        g1 = Var("a") >= 1
-        g2 = Var("b") < 1
-        assert conjunction_holds((g1, g2), {"a": 1, "b": 0}, {})
-        assert not conjunction_holds((g1, g2), {"a": 1, "b": 1}, {})
 
 
 class TestNegation:
