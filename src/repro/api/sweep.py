@@ -72,6 +72,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import logging
 import pickle
 import signal
 import threading
@@ -110,6 +111,8 @@ __all__ = [
     "ResultCache",
     "RetryPolicy",
 ]
+
+logger = logging.getLogger(__name__)
 
 #: Error-name prefixes of :attr:`TaskResult.error` treated as transient
 #: (retried under the sweep's :class:`RetryPolicy`).  ``WorkerCrash`` /
@@ -255,6 +258,14 @@ def _transient_result(result: TaskResult) -> bool:
     )
 
 
+def _warn(event: str, key: str, exc: BaseException) -> None:
+    """Log one swallowed result-cache failure (the sweep carries on)."""
+    logger.warning(
+        "result cache failure (%s) on %s: %r", event, key, exc,
+        extra={"event": event, "key": key, "error": repr(exc)},
+    )
+
+
 class ResultCache:
     """A directory of ``<key>.json`` files, one cached TaskResult each.
 
@@ -295,9 +306,10 @@ class ResultCache:
             if not path.exists():
                 return None
             return TaskResult.from_dict(json.loads(path.read_text())).as_cached()
-        except (OSError, ValueError, KeyError, TypeError):
-            # Unreadable/stale/hand-edited entry: a cache miss, not a
-            # dead sweep — the task simply recomputes.
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            # Unreadable/stale/hand-edited entry: a logged cache miss,
+            # not a dead sweep — the task simply recomputes.
+            _warn("result_cache.get_error", key, exc)
             return None
 
     def put(self, key: str, result: TaskResult) -> None:
@@ -318,6 +330,7 @@ class ResultCache:
         except OSError as exc:
             self.put_errors += 1
             self.last_error = exc
+            _warn("result_cache.put_error", key, exc)
             try:
                 tmp.unlink()
             except OSError:

@@ -135,26 +135,43 @@ class TestStoreAndCacheFaults:
     """I/O faults at the persistence boundaries (inline: hooks fire here)."""
 
     def test_cache_read_faults_are_misses_not_crashes(self, tmp_path,
-                                                      clean_fast):
+                                                      clean_fast, caplog):
         cache_dir = str(tmp_path / "cache")
-        first = api.sweep(protocols=FAST, targets=("validity",),
-                          cache_dir=cache_dir)
+        with caplog.at_level(logging.WARNING, logger="repro.api.sweep"):
+            first = api.sweep(protocols=FAST, targets=("validity",),
+                              cache_dir=cache_dir)
+        assert caplog.records == []  # a missing entry is a quiet miss
         faults.install(FaultPlan(scratch=str(tmp_path))
                        .break_io("result_cache.get", times=0))
-        second = api.sweep(protocols=FAST, targets=("validity",),
-                           cache_dir=cache_dir)
+        with caplog.at_level(logging.WARNING, logger="repro.api.sweep"):
+            second = api.sweep(protocols=FAST, targets=("validity",),
+                               cache_dir=cache_dir)
         assert second.cache_hits == 0  # every read failed -> recompute
         assert stable(second) == stable(first) == stable(clean_fast)
+        # Every swallowed read failure is one structured warning.
+        assert [r.event for r in caplog.records] == (
+            ["result_cache.get_error"] * len(FAST)
+        )
+        for record in caplog.records:
+            assert len(record.key) == 32
+            assert record.error.startswith("OSError(")
 
     def test_cache_write_faults_cost_entries_not_results(self, tmp_path,
-                                                         clean_fast):
+                                                         clean_fast, caplog):
         faults.install(FaultPlan(scratch=str(tmp_path))
                        .break_io("result_cache.put", times=0))
         runner = api.SweepRunner(cache_dir=str(tmp_path / "cache"))
-        report = runner.run(api.task_matrix(protocols=FAST,
-                                            targets=("validity",)))
+        with caplog.at_level(logging.WARNING, logger="repro.api.sweep"):
+            report = runner.run(api.task_matrix(protocols=FAST,
+                                                targets=("validity",)))
         assert stable(report) == stable(clean_fast)
         assert runner.cache.put_errors == len(FAST)
+        assert [r.event for r in caplog.records] == (
+            ["result_cache.put_error"] * len(FAST)
+        )
+        for record in caplog.records:
+            assert len(record.key) == 32
+            assert record.error.startswith("OSError(")
 
     def test_graph_store_io_faults_are_results_neutral(self, tmp_path,
                                                        clean_fast, caplog):
