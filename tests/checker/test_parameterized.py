@@ -111,6 +111,23 @@ class TestObligations:
         assert report.verdict == HOLDS
         assert len(report.queries) == 2
 
+    def test_bundle_reports_game_queries_unknown(self, naive_checker):
+        from repro.checker.result import UNKNOWN
+        from repro.spec.obligations import ObligationSet
+        from repro.spec.queries import GameQuery
+
+        lib = PropertyLibrary(naive_voting.model())
+        game = GameQuery(name="c2'", formula="E F G ...", events=())
+        report = naive_checker.check_obligations(ObligationSet(
+            protocol="naive_voting", target="termination",
+            reach_queries=(lib.inv2(0),), game_queries=(game,),
+        ))
+        assert [(q.query, q.verdict) for q in report.queries] == [
+            ("inv2[0]", HOLDS), ("c2'", UNKNOWN),
+        ]
+        assert "explicit engine" in report.queries[1].detail
+        assert report.verdict == UNKNOWN
+
 
 class TestFloatPrunesAreExact:
     # About 35 s: the exact Fraction simplex refutes every pruned LP.
