@@ -38,9 +38,19 @@ warm explored graph.  With an active persistent graph store
 installs one in every worker when asked) the sharing crosses
 *processes* too: a cold system loads the successor graph a previous
 process flushed, and :meth:`check_obligations` flushes what this
-bundle explored.  Query events are compiled once per check into
-index-based closures (:meth:`repro.spec.propositions.Prop.compile`), so
-the per-successor mask update does no name→index resolution.
+bundle explored.
+
+Labelling: every distinct query proposition gets a program-wide bit in
+the program's proposition table
+(:meth:`~repro.counter.program.ProtocolProgram.prop_mask`), compiled
+once into an index-based closure
+(:meth:`repro.spec.propositions.Prop.compile`).  Each configuration
+caches the bits evaluated so far (``Config.labels``), so it is labelled
+once per proposition, however many edges and queries reach it; the
+per-successor mask update is ``mask | (labels & query_bits)``, and the
+masks live in program-bit space, one-to-one with per-query masks.  The
+side conditions are walked once per bound system and memoised on it
+(:meth:`ExplicitChecker.side_condition`).
 
 Frontier-batched expansion: with ``expansion="batch"`` (the default
 when numpy is importable; ``REPRO_ENGINE_BATCH=0`` or
@@ -134,19 +144,15 @@ class ExplicitChecker(TimeBudgeted):
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
-    def _compiled_events(self, query) -> Tuple[Event, ...]:
-        return tuple(event.compile(self.system) for event in query.events)
-
-    def _initial_states(
-        self, query, events: Sequence[Event]
-    ) -> List[Tuple[Config, int]]:
+    def _initial_states(self, query, bits: int) -> List[Tuple[Config, int]]:
         configs = list(self.system.initial_configs(query.init_filter))
         if not configs:
             raise CheckError(
                 f"{self.model.name}: no initial configuration matches the "
                 f"init filter {query.init_filter!r}"
             )
-        return [(config, _mask(config, events, 0)) for config in configs]
+        program = self.system.program
+        return [(config, _labels(program, config) & bits) for config in configs]
 
     def _timeout_result(self, query, states: int, start: float) -> QueryOutcome:
         return QueryOutcome(
@@ -172,11 +178,12 @@ class ExplicitChecker(TimeBudgeted):
     def check_reach(self, query: ReachQuery) -> QueryOutcome:
         """BFS for a schedule witnessing every event of the query."""
         start = time.perf_counter()
-        events = self._compiled_events(query)
-        full = (1 << len(events)) - 1
+        program = self.system.program
+        full = program.prop_mask(query.events)
+        events = program.prop_events
         parents: Dict[State, Optional[Tuple[State, Action]]] = {}
         queue: deque = deque()
-        for config, mask in self._initial_states(query, events):
+        for config, mask in self._initial_states(query, full):
             state = (config, mask)
             if state not in parents:
                 parents[state] = None
@@ -213,7 +220,9 @@ class ExplicitChecker(TimeBudgeted):
                 expander.ensure(config, (c for c, _m in queue))
             for group in successor_groups(config):
                 for action, succ in group:
-                    succ_mask = _mask(succ, events, mask)
+                    if succ.label_events is not events:
+                        _labels(program, succ)
+                    succ_mask = mask | (succ.labels & full)
                     state = (succ, succ_mask)
                     if state in parents:
                         continue
@@ -270,12 +279,13 @@ class ExplicitChecker(TimeBudgeted):
         branch successors win.
         """
         start = time.perf_counter()
-        events = self._compiled_events(query)
-        full = (1 << len(events)) - 1
+        program = self.system.program
+        full = program.prop_mask(query.events)
+        events = program.prop_events
         initial = []
         explored: Dict[State, List[List[Tuple[Action, State]]]] = {}
         stack: List[State] = []
-        for config, mask in self._initial_states(query, events):
+        for config, mask in self._initial_states(query, full):
             state = (config, mask)
             initial.append(state)
             if state not in explored:
@@ -316,7 +326,9 @@ class ExplicitChecker(TimeBudgeted):
             for group in successor_groups(config):
                 branch_states: List[Tuple[Action, State]] = []
                 for action, succ in group:
-                    succ_state = (succ, _mask(succ, events, mask))
+                    if succ.label_events is not events:
+                        _labels(program, succ)
+                    succ_state = (succ, mask | (succ.labels & full))
                     branch_states.append((action, succ_state))
                     if succ_state not in explored:
                         explored[succ_state] = []
@@ -431,17 +443,28 @@ class ExplicitChecker(TimeBudgeted):
         :class:`~repro.errors.DeadlineExceeded` on expiry and
         :class:`~repro.errors.StateBudgetExceeded` when ``max_states``
         overflows (an incomplete search must not report ``True``).
+
+        Each condition is walked once per bound system: a later call
+        reads the system's memo, replaying the walk's budget check
+        against the smallest ``max_states`` it needed.
         """
+        if name not in ("non_blocking", "fair_termination"):
+            raise CheckError(f"unknown side condition {name!r}")
+        memo = self.system.side_conditions.get(name)
+        if memo is not None:
+            verdict, needed = memo
+            if self.max_states < needed:
+                raise StateBudgetExceeded(
+                    f"{name} search exceeded {self.max_states} states")
+            return verdict
         deadline = self.query_deadline(time.perf_counter())
         if name == "non_blocking":
             return is_non_blocking(
                 self.system, max_states=self.max_states, deadline=deadline
             )
-        if name == "fair_termination":
-            return all_fair_executions_terminate(
-                self.system, max_states=self.max_states, deadline=deadline
-            )
-        raise CheckError(f"unknown side condition {name!r}")
+        return all_fair_executions_terminate(
+            self.system, max_states=self.max_states, deadline=deadline
+        )
 
     def check_obligations(self, obligations: ObligationSet) -> ObligationOutcome:
         """Check every obligation, sharing one explored graph.
@@ -497,6 +520,22 @@ class ExplicitChecker(TimeBudgeted):
     def check_target(self, target: str) -> ObligationOutcome:
         """Check agreement / validity / termination end-to-end."""
         return self.check_obligations(obligations_for(self.model, target))
+
+
+def _labels(program, config: Config) -> int:
+    """``config``'s truth bits over ``program``'s proposition table.
+
+    Bits the config already carries for this program are kept and only
+    the props registered since are evaluated; labels left by another
+    program (a config interned by two) are discarded.
+    """
+    events = program.prop_events
+    seen = config.label_events or ()
+    done = len(seen) if events[: len(seen)] == seen else 0
+    labels = (config.labels if done else 0) | _mask(config, events[done:], 0) << done
+    config.label_events = events
+    config.labels = labels
+    return labels
 
 
 def _mask(config: Config, events: Sequence[Event], base: int) -> int:

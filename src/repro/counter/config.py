@@ -62,9 +62,18 @@ class Config:
     g)``) or, on hot paths, via :meth:`from_flat` which skips all
     conversion work.  Treat instances as frozen: the engine relies on
     the cached hash never going stale.
+
+    The one mutable cache is the label pair the explicit checker
+    fills: ``labels`` holds the truth bits of the propositions in
+    ``label_events``, a program's proposition table as it stood when
+    the config was last labelled (see
+    :meth:`~repro.counter.program.ProtocolProgram.prop_mask`).  It is
+    derived from ``data`` alone, so it never affects equality or
+    hashing.
     """
 
-    __slots__ = ("data", "width_kappa", "width_g", "rounds", "_hash", "intern_id")
+    __slots__ = ("data", "width_kappa", "width_g", "rounds", "_hash",
+                 "intern_id", "label_events", "labels")
 
     def __init__(
         self,
@@ -86,6 +95,8 @@ class Config:
         self.rounds = rounds
         self._hash = hash((width_kappa, self.data))
         self.intern_id = -1
+        self.label_events = None
+        self.labels = 0
 
     @classmethod
     def from_flat(
@@ -99,6 +110,8 @@ class Config:
         obj.rounds = rounds
         obj._hash = hash((width_kappa, data))
         obj.intern_id = -1
+        obj.label_events = None
+        obj.labels = 0
         return obj
 
     # ------------------------------------------------------------------

@@ -9,6 +9,11 @@ reachable configuration graph built from configuration-changing
 actions.  Shared variables only grow, so any such cycle would have to
 move processes around a zero-update location cycle; canonical automata
 make this detectable by plain cycle search on the explicit graph.
+
+Both conditions depend only on the bound system, so a complete walk
+from the system's own initial configurations (``initial=None``) is
+memoised in :attr:`CounterSystem.side_conditions` with the smallest
+``max_states`` it needed; a walk that raised is never recorded.
 """
 
 from __future__ import annotations
@@ -35,17 +40,31 @@ def progress_successors(system: CounterSystem, config: Config) -> List[Config]:
 
     Served from :meth:`CounterSystem.successor_groups`, so the side
     conditions share the explored graph with the reach/game queries run
-    on the same system.  The "did the configuration change" test uses
-    value equality (interning makes the common identical case a
-    pointer check inside ``__eq__``, but identity is not semantically
+    on the same system.  The "did the configuration change" test
+    compares the flat ``data`` tuples: a successor shares its source's
+    layout, so this is still value equality, without the Python-level
+    :meth:`Config.__eq__` call (identity is not semantically
     load-bearing — the intern table may be recycled).
     """
+    data = config.data
     result = []
     for group in system.successor_groups(config):
         for _action, successor in group:
-            if successor != config:
+            if successor.data != data:
                 result.append(successor)
     return result
+
+
+def _decided(system, initial, name: str, verdict: bool, needed: int) -> bool:
+    """Memoise a complete walk from the system's own initial configs.
+
+    ``needed`` is the smallest ``max_states`` under which the walk
+    finishes; :meth:`repro.checker.explicit.ExplicitChecker.
+    side_condition` replays the budget check against it.
+    """
+    if initial is None:
+        system.side_conditions[name] = (verdict, needed)
+    return verdict
 
 
 def find_progress_cycle(
@@ -63,7 +82,13 @@ def find_progress_cycle(
     exists"); a passed ``deadline`` (absolute ``perf_counter`` time)
     raises :class:`~repro.errors.DeadlineExceeded` once exceeded.
     """
+    return _progress_cycle_walk(system, initial, max_states, deadline)[0]
+
+
+def _progress_cycle_walk(system, initial, max_states: int, deadline):
+    """:func:`find_progress_cycle` plus the smallest budget it needs."""
     WHITE, GREY, BLACK = 0, 1, 2
+    needed = 0
     colour: Dict[Config, int] = {}
     parent: Dict[Config, Optional[Config]] = {}
 
@@ -88,7 +113,7 @@ def find_progress_cycle(
                         cycle.append(cursor)
                         cursor = parent[cursor]
                     cycle.reverse()
-                    return tuple(cycle)
+                    return tuple(cycle), needed
                 if state == WHITE:
                     if len(colour) >= max_states:
                         raise StateBudgetExceeded(
@@ -96,6 +121,7 @@ def find_progress_cycle(
                         )
                     _check_deadline(len(colour), deadline)
                     colour[succ] = GREY
+                    needed = len(colour)
                     parent[succ] = node
                     stack.append((succ, iter(progress_successors(system, succ))))
                     advanced = True
@@ -103,7 +129,7 @@ def find_progress_cycle(
             if not advanced:
                 colour[node] = BLACK
                 stack.pop()
-    return None
+    return None, needed
 
 
 def all_fair_executions_terminate(
@@ -114,9 +140,8 @@ def all_fair_executions_terminate(
 ) -> bool:
     """Theorem 2's side condition for the single-round system."""
     configs = list(initial) if initial is not None else list(system.initial_configs())
-    return find_progress_cycle(
-        system, configs, max_states=max_states, deadline=deadline
-    ) is None
+    cycle, needed = _progress_cycle_walk(system, configs, max_states, deadline)
+    return _decided(system, initial, "fair_termination", cycle is None, needed)
 
 
 def is_non_blocking(
@@ -150,16 +175,17 @@ def is_non_blocking(
         _check_deadline(pops, deadline)
         config = frontier.pop()
         successors = progress_successors(system, config)
-        busy = any(
+        if not successors and any(
             config.counter(k, i) > 0
             for k in range(config.rounds)
             for i in range(len(system.locations))
             if i not in resting
-        )
-        if busy and not successors:
-            return False
+        ):
+            # The walk passed every budget check so far, and seen has
+            # not grown since the last one: len(seen) is what it needs.
+            return _decided(system, initial, "non_blocking", False, len(seen))
         for succ in successors:
             if succ not in seen:
                 seen.add(succ)
                 frontier.append(succ)
-    return True
+    return _decided(system, initial, "non_blocking", True, len(seen))

@@ -35,7 +35,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.expression import ParamExpr
 from repro.core.guards import Cmp
@@ -275,6 +275,13 @@ class ProtocolProgram:
         #: attempted, ``None`` = numpy unavailable.
         self._batch_plan: object = False
 
+        #: Proposition table: ``prop_events[bit]`` is the compiled
+        #: predicate of the query proposition holding that program-wide
+        #: bit.  It only grows, each growth swapping in a new tuple, so
+        #: a config's ``label_events`` shows which bits it has evaluated.
+        self.prop_events: Tuple[Callable[[object], bool], ...] = ()
+        self._prop_bits: Dict[object, int] = {}
+
     # ------------------------------------------------------------------
     # Compilation (valuation-independent)
     # ------------------------------------------------------------------
@@ -386,6 +393,23 @@ class ProtocolProgram:
         bound = ({rule.name: rule for rule in rule_list}, rule_list)
         bounded_insert(self._bound, key, bound, self.BOUND_CACHE_CAP)
         return bound
+
+    def prop_mask(self, props: Sequence) -> int:
+        """The program-wide bits of ``props``, registering new ones.
+
+        A :class:`~repro.spec.propositions.Prop` gets its bit the first
+        time any query uses it; the layout is structural, so the bit
+        and its compiled predicate serve every valuation.
+        """
+        mask = 0
+        for prop in props:
+            if prop not in self._prop_bits:
+                # Compile first: a prop that fails to compile gets no bit.
+                event = prop.compile(self)
+                self._prop_bits[prop] = len(self.prop_events)
+                self.prop_events += (event,)
+            mask |= 1 << self._prop_bits[prop]
+        return mask
 
     def batch_plan(self):
         """The shared :class:`~repro.counter.batch.BatchPlan` of this

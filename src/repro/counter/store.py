@@ -1005,6 +1005,14 @@ def _merge_payloads(entries: Sequence[Tuple[dict, dict]]) -> Tuple[dict, dict]:
     return header_core, payload
 
 
+def _compact_warning(event: str, key: str, exc: BaseException) -> None:
+    """Log one swallowed compaction failure (``GraphStore._record``'s idiom)."""
+    logger.warning(
+        "graph store compaction failure (%s) on %s: %r", event, key, exc,
+        extra={"event": event, "key": key, "error": repr(exc)},
+    )
+
+
 def compact_backend(backend: LocalDirBackend) -> Dict[str, int]:
     """Squash every key's delta segments into one canonical snapshot.
 
@@ -1017,7 +1025,8 @@ def compact_backend(backend: LocalDirBackend) -> Dict[str, int]:
     segment survives untouched, so compaction under a live fleet only
     ever trades duplicates for one extra merge at the next compaction.
     Best-effort throughout: a key that cannot be compacted is counted
-    in ``errors`` and left as-is.
+    in ``errors`` and left as-is.  Every swallowed failure also logs one
+    ``store.compact.*`` warning on this module's logger.
     """
     stats = {
         "keys": 0,
@@ -1031,15 +1040,17 @@ def compact_backend(backend: LocalDirBackend) -> Dict[str, int]:
     }
     try:
         keys = backend.keys()
-    except OSError:
+    except OSError as exc:
         stats["errors"] += 1
+        _compact_warning("store.compact.keys_error", str(backend.root), exc)
         return stats
     for key in keys:
         stats["keys"] += 1
         try:
             segments = backend.read_segments(key)
-        except OSError:
+        except OSError as exc:
             stats["errors"] += 1
+            _compact_warning("store.compact.read_error", key, exc)
             continue
         if not segments:
             continue
@@ -1056,8 +1067,9 @@ def compact_backend(backend: LocalDirBackend) -> Dict[str, int]:
                 payload = _safe_loads(body)
                 _validate_payload(payload, header)
                 entries.append((header, payload))
-            except Exception:  # noqa: BLE001 — bad segment: drop it
+            except Exception as exc:  # noqa: BLE001 — bad segment: drop it
                 corrupt += 1
+                _compact_warning("store.compact.corrupt_segment", key, exc)
         stats["corrupt_dropped"] += corrupt
         if not corrupt and len(segments) == 1 and (
             segments[0][0] == backend.canonical_path(key)
@@ -1077,8 +1089,9 @@ def compact_backend(backend: LocalDirBackend) -> Dict[str, int]:
             backend.write_canonical(
                 key, blob, drop=[token for token, _blob in segments]
             )
-        except Exception:  # noqa: BLE001 — leave the key as it was
+        except Exception as exc:  # noqa: BLE001 — leave the key as it was
             stats["errors"] += 1
+            _compact_warning("store.compact.write_error", key, exc)
             stats["segments_after"] += len(segments)
             stats["bytes_after"] += total
             continue

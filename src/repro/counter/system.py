@@ -156,6 +156,11 @@ class CounterSystem:
         self._cache_epoch = 0
         #: Lazily-bound frontier batch expander (see :meth:`batch_expander`).
         self._batch_expander = None
+        #: Theorem 2 side conditions decided on this system: name ->
+        #: (verdict, smallest ``max_states`` under which the walk
+        #: finishes).  Filled by the walks of :mod:`repro.counter.
+        #: fairness`; only complete walks are recorded.
+        self.side_conditions: Dict[str, Tuple[bool, int]] = {}
         self._intern_table.register(self)
 
     def cache_state(self) -> Tuple[int, int, int]:

@@ -62,12 +62,12 @@ class Prop:
 
         Resolves the location names against ``system``'s index maps
         *once* and returns a predicate reading absolute offsets out of
-        ``config.data`` — the explicit checker evaluates events on every
-        successor state, so per-call name lookups dominate otherwise.
-        The closure assumes configurations produced by ``system`` (same
-        flat block layout) and tracking at least ``round_no + 1``
-        rounds, which holds for every reachable state the checker
-        feeds it.
+        ``config.data``.  ``system`` may equally be the shared
+        :class:`~repro.counter.program.ProtocolProgram`, which compiles
+        each query proposition once for its proposition table.  The
+        closure assumes configurations with the same flat block layout
+        tracking at least ``round_no + 1`` rounds, which holds for every
+        reachable state the checker feeds it.
         """
         offsets = tuple(
             round_no * system.block + system.loc_index[name]

@@ -13,10 +13,12 @@ import pytest
 from repro.checker.explicit import ExplicitChecker
 from repro.checker.result import HOLDS, VIOLATED
 from repro.counter.schedule import Schedule, is_applicable
-from repro.counter.system import CounterSystem
-from repro.errors import CheckError
-from repro.protocols import mmr14, naive_voting
+from repro.counter.system import CounterSystem, clear_shared_caches
+from repro.errors import CheckError, StateBudgetExceeded
+from repro.protocols import cc85, mmr14, naive_voting
+from repro.spec.obligations import obligations_for
 from repro.spec.properties import PropertyLibrary
+from tests.counter.test_fairness import pingpong_model, stuck_model
 
 VAL = {"n": 4, "t": 1, "f": 1}
 
@@ -114,3 +116,102 @@ class TestGames:
     def test_unknown_side_condition_rejected(self, mmr_checker):
         with pytest.raises(CheckError):
             mmr_checker.side_condition("nope")
+
+
+SIDE_MODELS = {
+    "cc85a-validity": (cc85.model_a, VAL),
+    "pingpong": (pingpong_model, {"n": 3, "f": 1}),
+    "stuck": (stuck_model, {"n": 3, "f": 1}),
+}
+SIDE_NAMES = ("non_blocking", "fair_termination")
+FULL = 400_000
+
+
+def _side(factory, valuation, name, max_states):
+    """``side_condition`` outcome: ``("ok", verdict)`` or the raised type."""
+    checker = ExplicitChecker(factory(), valuation, max_states=max_states)
+    try:
+        return "ok", checker.side_condition(name)
+    except StateBudgetExceeded as exc:
+        return "raised", type(exc)
+
+
+def _fresh_side(factory, valuation, name, max_states):
+    """The outcome of a walk on a freshly bound system (empty memo)."""
+    clear_shared_caches()
+    return _side(factory, valuation, name, max_states)
+
+
+class TestSideConditionMemo:
+    """A memo hit answers or raises exactly as a fresh walk does."""
+
+    @pytest.fixture(autouse=True)
+    def _cold(self):
+        clear_shared_caches()
+        yield
+        clear_shared_caches()
+
+    @pytest.mark.parametrize("budgets", [(FULL, 10), (10, FULL)])
+    @pytest.mark.parametrize("name", SIDE_NAMES)
+    @pytest.mark.parametrize("model", sorted(SIDE_MODELS))
+    def test_second_call_matches_a_fresh_checker(self, model, name, budgets):
+        factory, valuation = SIDE_MODELS[model]
+        expected = [
+            _fresh_side(factory, valuation, name, budget) for budget in budgets
+        ]
+        clear_shared_caches()
+        got = [_side(factory, valuation, name, budget) for budget in budgets]
+        assert got == expected
+
+    def test_cc85a_validity_needs_more_than_ten_states(self):
+        factory, valuation = SIDE_MODELS["cc85a-validity"]
+        assert obligations_for(
+            ExplicitChecker(factory(), valuation).model, "validity"
+        ).side_conditions == SIDE_NAMES
+        for name in SIDE_NAMES:
+            assert _fresh_side(factory, valuation, name, 10) == (
+                "raised", StateBudgetExceeded
+            )
+            assert _fresh_side(factory, valuation, name, FULL) == ("ok", True)
+
+    @pytest.mark.parametrize("name", SIDE_NAMES)
+    def test_recorded_budget_is_the_smallest_that_finishes(self, name):
+        factory, valuation = SIDE_MODELS["cc85a-validity"]
+        system = ExplicitChecker(factory(), valuation).system
+        _side(factory, valuation, name, FULL)
+        verdict, needed = system.side_conditions[name]
+        assert needed > 10
+        for budget, want in ((needed, ("ok", verdict)),
+                             (needed - 1, ("raised", StateBudgetExceeded))):
+            assert _side(factory, valuation, name, budget) == want
+            assert _fresh_side(factory, valuation, name, budget) == want
+
+    @pytest.mark.parametrize("name", SIDE_NAMES)
+    def test_a_walk_that_raised_is_not_memoized(self, name):
+        factory, valuation = SIDE_MODELS["cc85a-validity"]
+        checker = ExplicitChecker(factory(), valuation, max_states=10)
+        with pytest.raises(StateBudgetExceeded):
+            checker.side_condition(name)
+        assert name not in checker.system.side_conditions
+
+    def test_each_condition_walks_once_per_system(self, monkeypatch):
+        import repro.checker.explicit as explicit
+
+        factory, valuation = SIDE_MODELS["cc85a-validity"]
+        for name in SIDE_NAMES:
+            _side(factory, valuation, name, FULL)
+
+        def walked(*_args, **_kwargs):
+            raise AssertionError("side condition walked twice")
+
+        monkeypatch.setattr(explicit, "is_non_blocking", walked)
+        monkeypatch.setattr(explicit, "all_fair_executions_terminate", walked)
+        report = ExplicitChecker(factory(), valuation).check_target("validity")
+        assert report.side_conditions == dict.fromkeys(SIDE_NAMES, True)
+
+    def test_unknown_side_condition_still_rejected(self):
+        factory, valuation = SIDE_MODELS["stuck"]
+        checker = ExplicitChecker(factory(), valuation)
+        checker.side_condition("non_blocking")
+        with pytest.raises(CheckError):
+            checker.side_condition("nope")

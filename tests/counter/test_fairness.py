@@ -13,6 +13,35 @@ from repro.counter.system import CounterSystem
 from repro.protocols import mmr14, naive_voting
 
 
+def pingpong_model() -> SystemModel:
+    """Two locations with rules both ways: a progress cycle."""
+    b = AutomatonBuilder("pingpong")
+    b.initial("A")
+    b.location("B")
+    b.rule("go", "A", "B")
+    b.rule("back", "B", "A")
+    return SystemModel(
+        name="pingpong",
+        environment=naive_voting.model().environment,
+        process=b.build(check=None),
+    )
+
+
+def stuck_model() -> SystemModel:
+    """A process blocked before its final location."""
+    b = AutomatonBuilder("stuck")
+    b.shared("x")
+    b.initial("A")
+    b.final("B")
+    # Guard can never fire: x is never incremented.
+    b.rule("go", "A", "B", guard=b.var("x") >= 1)
+    return SystemModel(
+        name="stuck",
+        environment=naive_voting.model().environment,
+        process=b.build(check=None),
+    )
+
+
 class TestTermination:
     def test_naive_voting_terminates(self):
         system = CounterSystem(naive_voting.model(), {"n": 3, "f": 1})
@@ -23,17 +52,7 @@ class TestTermination:
         assert all_fair_executions_terminate(system)
 
     def test_ping_pong_cycle_detected(self):
-        b = AutomatonBuilder("pingpong")
-        b.initial("A")
-        b.location("B")
-        b.rule("go", "A", "B")
-        b.rule("back", "B", "A")
-        model = SystemModel(
-            name="pingpong",
-            environment=naive_voting.model().environment,
-            process=b.build(check=None),
-        )
-        system = CounterSystem(model, {"n": 3, "f": 1})
+        system = CounterSystem(pingpong_model(), {"n": 3, "f": 1})
         cycle = find_progress_cycle(system, system.initial_configs())
         assert cycle is not None
         assert len(cycle) >= 2
@@ -46,16 +65,5 @@ class TestNonBlocking:
         assert is_non_blocking(system)
 
     def test_blocked_automaton_detected(self):
-        b = AutomatonBuilder("stuck")
-        b.shared("x")
-        b.initial("A")
-        b.final("B")
-        # Guard can never fire: x is never incremented.
-        b.rule("go", "A", "B", guard=b.var("x") >= 1)
-        model = SystemModel(
-            name="stuck",
-            environment=naive_voting.model().environment,
-            process=b.build(check=None),
-        )
-        system = CounterSystem(model, {"n": 3, "f": 1})
+        system = CounterSystem(stuck_model(), {"n": 3, "f": 1})
         assert not is_non_blocking(system)

@@ -616,17 +616,52 @@ class TestCorruptSegments:
         assert not reader.load_into(cold)
         assert not cold._succ_cache, "poisoned key must be a full cold miss"
 
-    def test_compact_repairs_a_poisoned_key(self, tmp_path):
+    def test_compact_repairs_a_poisoned_key(self, tmp_path, caplog):
+        import logging
+
         model, store = self._segmented(tmp_path)
         paths = GraphStore.entries(tmp_path)
         raw = bytearray(paths[-1].read_bytes())
         raw[-5] ^= 0xFF
         paths[-1].write_bytes(bytes(raw))
-        stats = compact_backend(LocalDirBackend(tmp_path))
+        with caplog.at_level(logging.WARNING, logger="repro.counter.store"):
+            stats = compact_backend(LocalDirBackend(tmp_path))
         assert stats["corrupt_dropped"] == 1
+        [record] = caplog.records
+        assert record.event == "store.compact.corrupt_segment"
+        assert record.key == LocalDirBackend(tmp_path).keys()[0]
+        assert "checksum" in record.error
         cold = _fresh_system(model)
         assert GraphStore(tmp_path, version="v1").load_into(cold)
         assert cold._succ_cache, "surviving segment must load after repair"
+
+    def test_compact_write_failure_logs_and_leaves_the_key(
+        self, tmp_path, caplog, monkeypatch
+    ):
+        import logging
+
+        self._segmented(tmp_path)
+        before = {p: p.read_bytes() for p in GraphStore.entries(tmp_path)}
+        backend = LocalDirBackend(tmp_path)
+
+        def full_disk(*_args, **_kwargs):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(backend, "write_canonical", full_disk)
+        with caplog.at_level(logging.WARNING, logger="repro.counter.store"):
+            stats = compact_backend(backend)
+        total = sum(len(blob) for blob in before.values())
+        assert stats == {
+            "keys": 1, "compacted": 0,
+            "segments_before": 2, "segments_after": 2,
+            "bytes_before": total, "bytes_after": total,
+            "corrupt_dropped": 0, "errors": 1,
+        }
+        [record] = caplog.records
+        assert record.event == "store.compact.write_error"
+        assert record.key == backend.keys()[0]
+        assert "No space left" in record.error
+        assert {p: p.read_bytes() for p in GraphStore.entries(tmp_path)} == before
 
     def test_compact_deletes_fully_corrupt_keys(self, tmp_path):
         _model, _store = self._segmented(tmp_path)
