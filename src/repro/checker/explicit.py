@@ -49,8 +49,8 @@ caches the bits evaluated so far (``Config.labels``), so it is labelled
 once per proposition, however many edges and queries reach it; the
 per-successor mask update is ``mask | (labels & query_bits)``, and the
 masks live in program-bit space, one-to-one with per-query masks.  The
-side conditions are walked once per bound system and memoised on it
-(:meth:`ExplicitChecker.side_condition`).
+side conditions are walked once per bound system: the walks of
+:mod:`repro.counter.fairness` memoise them on it.
 
 Frontier-batched expansion: with ``expansion="batch"`` (the default
 when numpy is importable; ``REPRO_ENGINE_BATCH=0`` or
@@ -444,27 +444,20 @@ class ExplicitChecker(TimeBudgeted):
         :class:`~repro.errors.StateBudgetExceeded` when ``max_states``
         overflows (an incomplete search must not report ``True``).
 
-        Each condition is walked once per bound system: a later call
-        reads the system's memo, replaying the walk's budget check
-        against the smallest ``max_states`` it needed.
+        Each condition is walked once per bound system: the walks of
+        :mod:`repro.counter.fairness` memoise it and replay the budget
+        check on a later call.
         """
-        if name not in ("non_blocking", "fair_termination"):
-            raise CheckError(f"unknown side condition {name!r}")
-        memo = self.system.side_conditions.get(name)
-        if memo is not None:
-            verdict, needed = memo
-            if self.max_states < needed:
-                raise StateBudgetExceeded(
-                    f"{name} search exceeded {self.max_states} states")
-            return verdict
         deadline = self.query_deadline(time.perf_counter())
         if name == "non_blocking":
             return is_non_blocking(
                 self.system, max_states=self.max_states, deadline=deadline
             )
-        return all_fair_executions_terminate(
-            self.system, max_states=self.max_states, deadline=deadline
-        )
+        if name == "fair_termination":
+            return all_fair_executions_terminate(
+                self.system, max_states=self.max_states, deadline=deadline
+            )
+        raise CheckError(f"unknown side condition {name!r}")
 
     def check_obligations(self, obligations: ObligationSet) -> ObligationOutcome:
         """Check every obligation, sharing one explored graph.

@@ -114,6 +114,10 @@ class Config:
         obj.labels = 0
         return obj
 
+    def __reduce__(self):
+        # The state only: the label cache holds closures, which don't pickle.
+        return Config.from_flat, (self.data, self.width_kappa, self.width_g, self.rounds)
+
     # ------------------------------------------------------------------
     # Identity
     # ------------------------------------------------------------------

@@ -10,10 +10,13 @@ actions.  Shared variables only grow, so any such cycle would have to
 move processes around a zero-update location cycle; canonical automata
 make this detectable by plain cycle search on the explicit graph.
 
-Both conditions depend only on the bound system, so a complete walk
-from the system's own initial configurations (``initial=None``) is
-memoised in :attr:`CounterSystem.side_conditions` with the smallest
-``max_states`` it needed; a walk that raised is never recorded.
+Both conditions depend only on the bound system, so the public walks
+memoise a complete walk from the system's own initial configurations
+(``initial=None``) in :attr:`CounterSystem.side_conditions`, with the
+smallest ``max_states`` it needed, and answer later such calls from it:
+a call whose budget is below the recorded one raises the walk's own
+:class:`~repro.errors.StateBudgetExceeded`.  A walk that raised is never
+recorded; a walk from explicitly passed configurations is never memoised.
 """
 
 from __future__ import annotations
@@ -55,15 +58,30 @@ def progress_successors(system: CounterSystem, config: Config) -> List[Config]:
     return result
 
 
-def _decided(system, initial, name: str, verdict: bool, needed: int) -> bool:
-    """Memoise a complete walk from the system's own initial configs.
+#: The budget-exceeded message of each walk, shared by memo hits.
+_BUDGET_MESSAGES = {
+    "non_blocking": "non-blocking search exceeded {} states",
+    "fair_termination": "progress-cycle search exceeded {} states",
+}
+
+
+def _budget_exceeded(name: str, max_states: int) -> StateBudgetExceeded:
+    return StateBudgetExceeded(_BUDGET_MESSAGES[name].format(max_states))
+
+
+def _memoised(system, initial, name: str, max_states: int, walk) -> bool:
+    """Run ``walk(configs) -> (verdict, needed)``, once per system.
 
     ``needed`` is the smallest ``max_states`` under which the walk
-    finishes; :meth:`repro.checker.explicit.ExplicitChecker.
-    side_condition` replays the budget check against it.
+    finishes, so a memo hit raises exactly when a fresh walk would.
     """
-    if initial is None:
-        system.side_conditions[name] = (verdict, needed)
+    if initial is not None:
+        return walk(list(initial))[0]
+    if name not in system.side_conditions:
+        system.side_conditions[name] = walk(list(system.initial_configs()))
+    verdict, needed = system.side_conditions[name]
+    if max_states < needed:
+        raise _budget_exceeded(name, max_states)
     return verdict
 
 
@@ -116,9 +134,7 @@ def _progress_cycle_walk(system, initial, max_states: int, deadline):
                     return tuple(cycle), needed
                 if state == WHITE:
                     if len(colour) >= max_states:
-                        raise StateBudgetExceeded(
-                            f"progress-cycle search exceeded {max_states} states"
-                        )
+                        raise _budget_exceeded("fair_termination", max_states)
                     _check_deadline(len(colour), deadline)
                     colour[succ] = GREY
                     needed = len(colour)
@@ -138,10 +154,15 @@ def all_fair_executions_terminate(
     max_states: int = 200_000,
     deadline: Optional[float] = None,
 ) -> bool:
-    """Theorem 2's side condition for the single-round system."""
-    configs = list(initial) if initial is not None else list(system.initial_configs())
-    cycle, needed = _progress_cycle_walk(system, configs, max_states, deadline)
-    return _decided(system, initial, "fair_termination", cycle is None, needed)
+    """Theorem 2's side condition for the single-round system.
+
+    Memoised on ``system`` when ``initial`` is ``None`` (module note).
+    """
+    def walk(configs):
+        cycle, needed = _progress_cycle_walk(system, configs, max_states, deadline)
+        return cycle is None, needed
+
+    return _memoised(system, initial, "fair_termination", max_states, walk)
 
 
 def is_non_blocking(
@@ -157,18 +178,24 @@ def is_non_blocking(
     explore the reachable graph and verify that every such configuration
     enables at least one progress action.  The resting-location set is
     precompiled into the shared :class:`~repro.counter.program.
-    ProtocolProgram` (it depends only on location kinds).
+    ProtocolProgram` (it depends only on location kinds).  Memoised on
+    ``system`` when ``initial`` is ``None`` (module note).
     """
+    return _memoised(
+        system, initial, "non_blocking", max_states,
+        lambda configs: _non_blocking_walk(system, configs, max_states, deadline),
+    )
+
+
+def _non_blocking_walk(system, configs, max_states: int, deadline):
+    """:func:`is_non_blocking` plus the smallest budget it needs."""
     resting = system.program.resting_locations
-    configs = list(initial) if initial is not None else list(system.initial_configs())
     seen: Set[Config] = set(configs)
     frontier = list(configs)
     pops = 0
     while frontier:
         if len(seen) > max_states:
-            raise StateBudgetExceeded(
-                f"non-blocking search exceeded {max_states} states"
-            )
+            raise _budget_exceeded("non_blocking", max_states)
         # Poll on a per-iteration counter: len(seen) grows in batches
         # and could stride over the residue forever.
         pops += 1
@@ -183,9 +210,9 @@ def is_non_blocking(
         ):
             # The walk passed every budget check so far, and seen has
             # not grown since the last one: len(seen) is what it needs.
-            return _decided(system, initial, "non_blocking", False, len(seen))
+            return False, len(seen)
         for succ in successors:
             if succ not in seen:
                 seen.add(succ)
                 frontier.append(succ)
-    return _decided(system, initial, "non_blocking", True, len(seen))
+    return True, len(seen)

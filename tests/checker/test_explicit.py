@@ -128,12 +128,12 @@ FULL = 400_000
 
 
 def _side(factory, valuation, name, max_states):
-    """``side_condition`` outcome: ``("ok", verdict)`` or the raised type."""
+    """``side_condition`` outcome: ``("ok", verdict)`` or what it raised."""
     checker = ExplicitChecker(factory(), valuation, max_states=max_states)
     try:
         return "ok", checker.side_condition(name)
     except StateBudgetExceeded as exc:
-        return "raised", type(exc)
+        return "raised", type(exc), str(exc)
 
 
 def _fresh_side(factory, valuation, name, max_states):
@@ -169,7 +169,7 @@ class TestSideConditionMemo:
             ExplicitChecker(factory(), valuation).model, "validity"
         ).side_conditions == SIDE_NAMES
         for name in SIDE_NAMES:
-            assert _fresh_side(factory, valuation, name, 10) == (
+            assert _fresh_side(factory, valuation, name, 10)[:2] == (
                 "raised", StateBudgetExceeded
             )
             assert _fresh_side(factory, valuation, name, FULL) == ("ok", True)
@@ -181,10 +181,11 @@ class TestSideConditionMemo:
         _side(factory, valuation, name, FULL)
         verdict, needed = system.side_conditions[name]
         assert needed > 10
-        for budget, want in ((needed, ("ok", verdict)),
-                             (needed - 1, ("raised", StateBudgetExceeded))):
-            assert _side(factory, valuation, name, budget) == want
-            assert _fresh_side(factory, valuation, name, budget) == want
+        assert _side(factory, valuation, name, needed) == ("ok", verdict)
+        got = _side(factory, valuation, name, needed - 1)
+        assert got[:2] == ("raised", StateBudgetExceeded)
+        assert got == _fresh_side(factory, valuation, name, needed - 1)
+        assert _fresh_side(factory, valuation, name, needed) == ("ok", verdict)
 
     @pytest.mark.parametrize("name", SIDE_NAMES)
     def test_a_walk_that_raised_is_not_memoized(self, name):
@@ -195,7 +196,7 @@ class TestSideConditionMemo:
         assert name not in checker.system.side_conditions
 
     def test_each_condition_walks_once_per_system(self, monkeypatch):
-        import repro.checker.explicit as explicit
+        import repro.counter.fairness as fairness
 
         factory, valuation = SIDE_MODELS["cc85a-validity"]
         for name in SIDE_NAMES:
@@ -204,8 +205,8 @@ class TestSideConditionMemo:
         def walked(*_args, **_kwargs):
             raise AssertionError("side condition walked twice")
 
-        monkeypatch.setattr(explicit, "is_non_blocking", walked)
-        monkeypatch.setattr(explicit, "all_fair_executions_terminate", walked)
+        monkeypatch.setattr(fairness, "_non_blocking_walk", walked)
+        monkeypatch.setattr(fairness, "_progress_cycle_walk", walked)
         report = ExplicitChecker(factory(), valuation).check_target("validity")
         assert report.side_conditions == dict.fromkeys(SIDE_NAMES, True)
 

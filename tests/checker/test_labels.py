@@ -8,6 +8,8 @@ query's own events, with query bit ``i`` remapped to the program bit of
 event ``i``.
 """
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -221,3 +223,15 @@ def test_random_reachable_configs_label_like_the_props(start, walk, order, split
         assert bool(labels & program.prop_mask((prop,))) == prop.holds(
             system, config
         )
+
+
+def test_a_labelled_config_pickles_without_its_labels():
+    checker = _bundle_checker("cc85b", "agreement")
+    program = checker.system.program
+    query = _queries(checker, "agreement")[0]
+    program.prop_mask(query.events)
+    config = next(checker.system.initial_configs())
+    _labels(program, config)
+    copy = pickle.loads(pickle.dumps(config))
+    assert copy == config and hash(copy) == hash(config)
+    assert (copy.rounds, copy.label_events, copy.labels) == (config.rounds, None, 0)

@@ -10,6 +10,7 @@ from repro.counter.fairness import (
     is_non_blocking,
 )
 from repro.counter.system import CounterSystem
+from repro.errors import StateBudgetExceeded
 from repro.protocols import mmr14, naive_voting
 
 
@@ -67,3 +68,27 @@ class TestNonBlocking:
     def test_blocked_automaton_detected(self):
         system = CounterSystem(stuck_model(), {"n": 3, "f": 1})
         assert not is_non_blocking(system)
+
+
+class TestMemo:
+    """Walks from the system's own initial configs are memoised on it."""
+
+    def test_walks_from_passed_configs_are_not_memoised(self):
+        system = CounterSystem(stuck_model(), {"n": 3, "f": 1})
+        initial = list(system.initial_configs())
+        assert not is_non_blocking(system, initial)
+        assert all_fair_executions_terminate(system, initial)
+        assert system.side_conditions == {}
+
+    def test_memo_hit_replays_the_walks_budget_error(self):
+        system = CounterSystem(mmr14.model().single_round(), {"n": 4, "t": 1, "f": 1})
+        for walk, name in ((is_non_blocking, "non_blocking"),
+                           (all_fair_executions_terminate, "fair_termination")):
+            fresh = CounterSystem(mmr14.model().single_round(), {"n": 4, "t": 1, "f": 1})
+            with pytest.raises(StateBudgetExceeded) as cold:
+                walk(fresh, max_states=10)
+            assert walk(system)
+            assert system.side_conditions[name][0] is True
+            with pytest.raises(StateBudgetExceeded) as warm:
+                walk(system, max_states=10)
+            assert str(warm.value) == str(cold.value)
