@@ -9,7 +9,14 @@ searching the schema tree:
    and event placements, events eagerly first).
 3. Every prefix is encoded into linear arithmetic
    (:mod:`repro.checker.encoder`); an infeasible prefix prunes its whole
-   subtree (fast float LP, exact simplex as fallback/option).
+   subtree.  Feasibility (over the reals, ``x >= 0``) is decided by the
+   first of: one exact bound-propagation pass over the rows the parent
+   prefix lacks, from the parent's bounds (proves infeasible); the
+   parent's integer witness, checked exactly on those rows (proves
+   feasible); the float HiGHS LP; the exact simplex when HiGHS is
+   undecided.  The shortcuts (:mod:`repro.solver.shortcuts`) are exact
+   proofs, so they answer as HiGHS does and the DFS prunes the same
+   prefixes with or without them; they only save solver calls.
 4. A complete schema (all events placed) is decided exactly by the
    Fraction-based branch & bound; a SAT model is decoded into a concrete
    schedule and **replayed on the explicit counter-system semantics**
@@ -52,6 +59,7 @@ from repro.counter.system import CounterSystem
 from repro.solver.floatlp import RowMatrix, float_feasible, rounded_integer_model
 from repro.solver.ilp import SAT, UNSAT, ilp_feasible
 from repro.solver.linear import LinearProblem
+from repro.solver.shortcuts import integer_witness, propagate, satisfies
 from repro.solver.simplex import lp_feasible
 from repro.spec.obligations import ObligationSet
 from repro.spec.queries import ReachQuery
@@ -75,7 +83,6 @@ class ParameterizedChecker(TimeBudgeted):
         model: SystemModel,
         node_budget: int = 100_000,
         leaf_ilp_nodes: int = 4_000,
-        use_float_lp: bool = True,
         passes: int = 1,
         max_seconds: Optional[float] = None,
     ):
@@ -89,7 +96,6 @@ class ParameterizedChecker(TimeBudgeted):
         self.predecessors = precedence_order(self.milestones, self.model)
         self.node_budget = node_budget
         self.leaf_ilp_nodes = leaf_ilp_nodes
-        self.use_float_lp = use_float_lp
         # max_seconds: wall-clock budget per query — or per obligation
         # bundle under check_obligations (TimeBudgeted mixin, same
         # semantics as the explicit checker).
@@ -104,6 +110,12 @@ class ParameterizedChecker(TimeBudgeted):
         self.leaves = 0
         self.pruned = 0
         self.unknown_leaves = 0
+        #: feasibility questions of the latest check, by who answered:
+        #: HiGHS, bound propagation (infeasible), a parent's witness
+        #: (feasible)
+        self.lp_calls = 0
+        self.bound_prunes = 0
+        self.witness_hits = 0
 
     # ------------------------------------------------------------------
     def nschemas(self, query: ReachQuery) -> int:
@@ -122,17 +134,36 @@ class ParameterizedChecker(TimeBudgeted):
     def _feasible(
         self, matrix: RowMatrix, exact: Callable[[], LinearProblem]
     ) -> bool:
-        """Rational feasibility: the float answer on ``matrix`` first.
+        """Rational feasibility of ``matrix``'s rows over ``x >= 0``.
 
-        When it is undecided (or the float path is off) the exact
-        simplex decides on ``exact()``, so the Fraction problem is built
-        only then.
+        Two exact shortcuts (:mod:`repro.solver.shortcuts`) come first.
+        One propagation pass over the rows ``matrix.base`` lacks, from
+        the base's bounds, may prove the rows infeasible; the base's
+        integer witness may satisfy those rows, proving them feasible.
+        Otherwise HiGHS answers, and the rounded vertex of a feasible
+        answer becomes this matrix's witness if it checks exactly.  When
+        HiGHS is undecided the exact simplex decides on ``exact()``, so
+        the Fraction problem is built only then.
         """
-        if self.use_float_lp:
-            answer = float_feasible(matrix)
-            if answer is not None:
-                return answer
-        return lp_feasible(exact()).feasible
+        base = matrix.base
+        rows = matrix.new_rows()
+        bounds = propagate(rows, None if base is None else base.bounds)
+        if bounds is None:
+            self.bound_prunes += 1
+            return False
+        matrix.bounds = bounds
+        if base is not None and base.witness is not None:
+            if satisfies(rows, base.witness):
+                self.witness_hits += 1
+                matrix.witness = base.witness
+                return True
+        self.lp_calls += 1
+        answer = float_feasible(matrix)
+        if answer is None:
+            return lp_feasible(exact()).feasible
+        if answer:
+            matrix.witness = integer_witness(matrix.rows, matrix.vertex)
+        return answer
 
     def _set_feasible(self, flipped: frozenset) -> bool:
         """Cached order-insensitive prune for milestone sets."""
@@ -202,6 +233,9 @@ class ParameterizedChecker(TimeBudgeted):
         self.leaves = 0
         self.pruned = 0
         self.unknown_leaves = 0
+        self.lp_calls = 0
+        self.bound_prunes = 0
+        self.witness_hits = 0
         counterexample: Optional[CounterexampleData] = None
         deadline = self.query_deadline(start)
 
@@ -238,9 +272,7 @@ class ParameterizedChecker(TimeBudgeted):
             if is_leaf:
                 self.leaves += 1
                 # Fast path: round the float vertex and verify exactly.
-                model_values = None
-                if self.use_float_lp:
-                    model_values = rounded_integer_model(encoded.problem)
+                model_values = rounded_integer_model(encoded.problem)
                 if model_values is None:
                     result = ilp_feasible(
                         encoded.problem, max_nodes=self.leaf_ilp_nodes

@@ -2,12 +2,16 @@
 
 The schema DFS asks thousands of "is this prefix still realizable?"
 questions; answering each with the exact Fraction simplex is needlessly
-slow.  We only ever use the *infeasible* answer for pruning, and leaf
-verdicts are confirmed by the exact solver (see
+slow.  The exact shortcuts of :mod:`repro.solver.shortcuts` answer many
+of them first; the rest come here.  Only the *infeasible* answer prunes
+the DFS, and leaf verdicts are confirmed by the exact solver (see
 :mod:`repro.checker.parameterized`), so a numerically optimistic
-"feasible" merely costs time.  Returns ``None`` (no answer) on any
-solver hiccup, which callers treat as "do not prune"; each such hiccup
-is logged as one ``floatlp.*`` event on this module's logger.
+"feasible" merely costs time.  The vertex of a feasible answer is left
+on the :class:`RowMatrix`; the DFS keeps it as the prefix's witness
+only after rounding it to integers and checking it exactly.  Returns
+``None`` (no answer) on any solver hiccup, which callers treat as "do
+not prune"; each such hiccup is logged as one ``floatlp.*`` event on
+this module's logger.
 
 One path: constraint rows (:data:`repro.solver.linear.Row`) become a
 sparse CSR matrix, handed to :func:`scipy.optimize.milp` as one
@@ -55,19 +59,34 @@ class RowMatrix:
     of growing problems (the schema DFS, child = parent rows + a few)
     converts every row once.  Columns are numbered in order of first
     appearance.
+
+    The exact shortcuts of :mod:`repro.solver.shortcuts` keep their
+    per-prefix state here, so it travels down the DFS path with the
+    matrix: ``bounds`` (propagated variable bounds), ``witness`` (an
+    integer point satisfying every row) and ``vertex`` (the float point
+    :func:`float_feasible` found, if any).
     """
 
-    __slots__ = ("_rows", "_base", "_csr")
+    __slots__ = ("rows", "base", "_csr", "bounds", "witness", "vertex")
 
     def __init__(self, rows: Sequence[Row], base: Optional["RowMatrix"] = None):
-        self._rows = rows
-        self._base = base
+        self.rows = rows
+        self.base = base
         self._csr = None
+        self.bounds = None
+        self.witness = None
+        self.vertex = None
+
+    def new_rows(self) -> Sequence[Row]:
+        """The rows that ``base`` lacks (all rows when there is none)."""
+        if self.base is None:
+            return self.rows
+        return self.rows[len(self.base.rows):]
 
     def csr(self):
         """``(columns, indptr, indices, data, lower, upper)`` as lists."""
         if self._csr is None:
-            if self._base is None:
+            if self.base is None:
                 columns: Dict[str, int] = {}
                 indptr: List[int] = [0]
                 indices: List[int] = []
@@ -76,9 +95,9 @@ class RowMatrix:
                 upper: List[float] = []
             else:
                 columns, indptr, indices, data, lower, upper = (
-                    part.copy() for part in self._base.csr()
+                    part.copy() for part in self.base.csr()
                 )
-            for coeffs, const, is_eq in self._rows[len(lower):]:
+            for coeffs, const, is_eq in self.rows[len(lower):]:
                 for name, coeff in coeffs:
                     indices.append(columns.setdefault(name, len(columns)))
                     data.append(coeff)
@@ -87,7 +106,6 @@ class RowMatrix:
                 lower.append(-const)
                 upper.append(-const if is_eq else np.inf)
             self._csr = (columns, indptr, indices, data, lower, upper)
-            self._rows = self._base = None
         return self._csr
 
 
@@ -146,8 +164,14 @@ def float_solve(problem: Union[LinearProblem, RowMatrix]):
 
 
 def float_feasible(problem: Union[LinearProblem, RowMatrix]) -> Optional[bool]:
-    """Feasibility over non-negative reals; ``None`` when undecided."""
-    feasible, _assignment = float_solve(problem)
+    """Feasibility over non-negative reals; ``None`` when undecided.
+
+    Given a :class:`RowMatrix`, it also leaves the float vertex of a
+    feasible answer (else ``None``) in the matrix's ``vertex``.
+    """
+    feasible, assignment = float_solve(problem)
+    if isinstance(problem, RowMatrix):
+        problem.vertex = assignment
     return feasible
 
 

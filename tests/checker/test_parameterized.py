@@ -13,6 +13,7 @@ from repro.counter.schedule import Schedule, is_applicable
 from repro.counter.system import CounterSystem
 from repro.protocols import cc85, fmr05, mmr14, naive_voting
 from repro.spec.properties import PropertyLibrary
+from tests.checker.test_param_verdicts import CASES as VERDICT_CASES
 
 
 @pytest.fixture(scope="module")
@@ -153,6 +154,69 @@ class TestFloatPrunesAreExact:
         assert refuted
         for exact in refuted:
             assert not lp_feasible(exact()).feasible
+
+
+class TestShortcutsMatchHiGHS:
+    """Every answer of the exact shortcuts is the answer HiGHS gives."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        """Log ``(who answered, answer, HiGHS's answer)`` per feasibility
+        question; who is "bounds", "witness" or "lp"."""
+        pytest.importorskip("scipy")
+        from repro.solver.floatlp import RowMatrix, float_feasible
+
+        log = []
+        original = ParameterizedChecker._feasible
+
+        def spy(self, matrix, exact):
+            prunes, hits = self.bound_prunes, self.witness_hits
+            answer = original(self, matrix, exact)
+            if self.bound_prunes != prunes:
+                who = "bounds"
+            elif self.witness_hits != hits:
+                who = "witness"
+            else:
+                log.append(("lp", answer, answer))
+                return answer
+            log.append((who, answer, float_feasible(RowMatrix(matrix.rows))))
+            return answer
+
+        monkeypatch.setattr(ParameterizedChecker, "_feasible", spy)
+        return log
+
+    @pytest.mark.parametrize("case", sorted(VERDICT_CASES))
+    def test_every_shortcut_answer_matches(self, case, monkeypatch):
+        log = self._spy(monkeypatch)
+        factory, queries = VERDICT_CASES[case]
+        model = factory()
+        checker = ParameterizedChecker(model)
+        lib = PropertyLibrary(model)
+        for builder, argument in queries:
+            checker.check_reach(getattr(lib, builder)(argument))
+        assert any(who != "lp" for who, _, _ in log)
+        for who, answer, highs in log:
+            if who != "lp":
+                assert answer is (who == "witness")
+                assert highs is answer, who
+
+    def test_counters_on_fmr05(self, monkeypatch):
+        log = self._spy(monkeypatch)
+        model = fmr05.model()
+        lib = PropertyLibrary(model)
+        checker = ParameterizedChecker(model)
+        assert checker.check_reach(lib.inv2(0)).verdict == HOLDS
+        # both shortcuts fire: a switched-off one fails here
+        counters = (checker.lp_calls, checker.bound_prunes, checker.witness_hits)
+        assert counters == (73, 38, 7)
+        # each query counts from zero, and every question is counted once
+        for query in (lib.inv2(0), lib.inv2(1)):
+            log.clear()
+            checker.check_reach(query)
+            whos = [who for who, _, _ in log]
+            assert (
+                checker.lp_calls, checker.bound_prunes, checker.witness_hits
+            ) == (whos.count("lp"), whos.count("bounds"), whos.count("witness"))
 
 
 class TestReplayFailureEvent:
