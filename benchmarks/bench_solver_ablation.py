@@ -91,7 +91,7 @@ def test_exact_lp_prefix_feasibility(benchmark, workload):
 
 
 def test_vertex_rounding_fast_path(benchmark, workload):
-    model = benchmark(rounded_integer_model, workload)
+    model = benchmark(rounded_integer_model, RowMatrix(workload.rows()))
     assert model is not None
     assert workload.check(model)
 

@@ -57,10 +57,10 @@ from repro.api.report import (
     worst_verdict,
 )
 from repro.api.journal import Journal
-from repro.api.supervisor import RetryPolicy, SupervisedPool
 from repro.api.sweep import ResultCache, SweepRunner, code_version, run_task
 from repro.api.task import TARGETS, Limits, VerificationTask
 from repro.counter.store import GraphStore
+from repro.supervisor import RetryPolicy, SupervisedPool
 from repro.testing import FaultPlan
 
 __all__ = [

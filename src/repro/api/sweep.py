@@ -1,7 +1,7 @@
 """Parallel sweep execution: supervised, deterministic, cached, resumable.
 
 :class:`SweepRunner` fans a task list out across a *supervised* worker
-pool (:class:`~repro.api.supervisor.SupervisedPool`) and returns one
+pool (:class:`~repro.supervisor.SupervisedPool`) and returns one
 :class:`~repro.api.report.RunReport` whose results are in *input task
 order* regardless of completion order — a sweep run with
 ``processes=4`` is bit-identical to the same sweep run with
@@ -15,7 +15,7 @@ side (the engine's own ``max_seconds`` budget is cooperative — it
 cannot interrupt a wedged native call) and handled the same way.  Both
 failure classes — plus *transient* completed results (``max_seconds``
 limit trips, ``OSError``-family engine errors) — are retried under a
-:class:`~repro.api.supervisor.RetryPolicy` with exponential backoff
+:class:`~repro.supervisor.RetryPolicy` with exponential backoff
 and deterministic jitter; when attempts run out the task is recorded
 as an error result.  **No worker failure mode raises out of**
 :meth:`SweepRunner.run`.
@@ -90,17 +90,17 @@ from repro.api.journal import (
     sweep_digest,
 )
 from repro.api.report import RunReport, TaskResult
-from repro.api.supervisor import RetryPolicy, SupervisedPool
 from repro.api.task import VerificationTask
 from repro.counter.store import (
     activate_graph_store,
     check_graph_store_dir,
     deactivate_graph_store,
     prune_stale_temp_files,
-    unique_temp_path,
+    publish,
 )
 from repro.counter.system import flush_shared_graphs
 from repro.errors import CheckError
+from repro.supervisor import RetryPolicy, SupervisedPool
 from repro.testing import faults
 from repro.version import code_version, seed_code_version, stable_digest
 
@@ -317,24 +317,18 @@ class ResultCache:
 
         Caching is an optimization: a disk-full or permission
         ``OSError`` mid-sweep must cost one cache entry, not the sweep.
-        The half-written temp file is cleaned up on failure.
+        :func:`~repro.counter.store.publish` cleans up the half-written
+        temp file on failure.
         """
-        path = self.root / f"{key}.json"
         blob = json.dumps({**result.to_dict(), "_code_version": self.version},
                           indent=1) + "\n"
-        tmp = unique_temp_path(path)
         try:
             faults.fire("result_cache.put", key)
-            tmp.write_text(blob)
-            tmp.replace(path)
+            publish(self.root / f"{key}.json", blob)
         except OSError as exc:
             self.put_errors += 1
             self.last_error = exc
             _warn("result_cache.put_error", key, exc)
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
 
     @staticmethod
     def entry_version(path: Path) -> Optional[str]:
@@ -386,7 +380,7 @@ class SweepRunner:
             retried / recorded per the retry policy.  ``None`` (the
             default) disables supervision timeouts — the engine's own
             cooperative ``max_seconds`` budget still applies.
-        retry: a :class:`~repro.api.supervisor.RetryPolicy`, a bare
+        retry: a :class:`~repro.supervisor.RetryPolicy`, a bare
             ``int`` (max attempts), or ``None`` for the default policy
             (3 attempts, exponential backoff with deterministic
             jitter).  Applies to worker crashes, supervisor timeouts

@@ -269,10 +269,11 @@ class ParameterizedChecker(TimeBudgeted):
                     return None
             elif is_leaf:
                 encoded = self.encoder.encode(prefix, query)
+                matrix = RowMatrix(encoded.rows)
             if is_leaf:
                 self.leaves += 1
                 # Fast path: round the float vertex and verify exactly.
-                model_values = rounded_integer_model(encoded.problem)
+                model_values = rounded_integer_model(matrix)
                 if model_values is None:
                     result = ilp_feasible(
                         encoded.problem, max_nodes=self.leaf_ilp_nodes

@@ -25,9 +25,11 @@ The store is one directory of ``*.graph`` files, and
 :class:`LocalDirBackend` is the one place that knows its layout:
 canonical snapshots live at ``<key>.graph`` and delta segments at
 ``<key>~<writer>.graph``.  Every segment follows one entry contract: a
-header line with the identity fields and a body sha256 checksum, then
-a pickled int-tuple payload loaded through a class-refusing restricted
-unpickler.
+header line with the identity fields, entry counts and a body sha256
+checksum, then a pickled int-tuple payload loaded through a
+class-refusing restricted unpickler.  One reader, :func:`_read_segment`,
+enforces that contract for every consumer: loads, the flush-time
+"already stored?" check and compaction.
 
 Delta segments
 --------------
@@ -43,9 +45,11 @@ entries; memoised expansions of one configuration are identical in
 every segment, so merge order cannot change results).
 :func:`compact_backend` — surfaced as ``harness cache compact`` —
 squashes a key's segments into one canonical snapshot and drops
-checksum-corrupt segments along the way.
+corrupt segments along the way.  One payload merge,
+:func:`_merge_payloads`, serves compaction and the flush-time check.
 
-Durability contract (mirrors :class:`~repro.api.sweep.ResultCache`):
+Durability contract (shared with :class:`~repro.api.sweep.ResultCache`
+through :func:`publish`):
 
 * writes go to a **unique per-writer temp file**
   (``<name>.<pid>.<token>.tmp``) followed by an atomic
@@ -109,6 +113,7 @@ __all__ = [
     "deactivate_graph_store",
     "program_digest",
     "prune_stale_temp_files",
+    "publish",
     "unique_temp_path",
     "valuation_digest",
 ]
@@ -150,16 +155,35 @@ def unique_temp_path(path: Path) -> Path:
     return path.with_name(f"{path.name}.{os.getpid()}.{token}.tmp")
 
 
-def prune_stale_temp_files(
-    root: Path, stale_seconds: float = STALE_TEMP_SECONDS
-) -> int:
+def publish(path: Path, blob) -> None:
+    """Atomically replace ``path`` with ``blob`` (``bytes`` or ``str``).
+
+    The blob goes to a :func:`unique_temp_path` sibling first and is
+    renamed over ``path``, so readers only ever see complete files.  On
+    failure the temp file is removed and the ``OSError`` propagates.
+    """
+    tmp = unique_temp_path(path)
+    try:
+        if isinstance(blob, str):
+            tmp.write_text(blob)
+        else:
+            tmp.write_bytes(blob)
+        tmp.replace(path)
+    except OSError:
+        try:
+            tmp.unlink()
+        except OSError:
+            pass
+        raise
+
+
+def prune_stale_temp_files(root: Path) -> int:
     """Remove crashed-writer ``*.tmp`` orphans under ``root``.
 
-    Only temp files whose mtime is older than ``stale_seconds`` go (a
-    concurrent writer's live temp file must survive); with
-    ``stale_seconds <= 0`` every temp file goes (explicit prune/clear).
-    Best-effort: unlink races and permission errors are ignored.
-    Returns the number of files removed.
+    Only temp files older than :data:`STALE_TEMP_SECONDS` go (a
+    concurrent writer's live temp file must survive).  Best-effort:
+    unlink races and permission errors are ignored.  Returns the number
+    of files removed.
     """
     removed = 0
     now = time.time()
@@ -169,7 +193,7 @@ def prune_stale_temp_files(
         return 0
     for path in candidates:
         try:
-            if stale_seconds > 0 and now - path.stat().st_mtime < stale_seconds:
+            if now - path.stat().st_mtime < STALE_TEMP_SECONDS:
                 continue
             path.unlink()
             removed += 1
@@ -274,18 +298,14 @@ class _SafeUnpickler(pickle.Unpickler):
     global.  Rejecting ``find_class`` outright therefore costs nothing
     and closes the classic pickle code-execution hole: a hand-crafted
     entry whose payload smuggles a ``GLOBAL``/``STACK_GLOBAL`` opcode
-    raises here, is caught by :meth:`GraphStore.load_into`, and
-    degrades to the documented cold miss.
+    raises here, inside :func:`_read_segment`, and every caller of the
+    reader treats that as a bad segment.
     """
 
     def find_class(self, module, name):
         raise pickle.UnpicklingError(
             f"graph payloads contain no classes (refusing {module}.{name})"
         )
-
-
-def _safe_loads(body: bytes):
-    return _SafeUnpickler(io.BytesIO(body)).load()
 
 
 # ----------------------------------------------------------------------
@@ -296,7 +316,7 @@ class LocalDirBackend:
 
     Stores opaque byte blobs (*segments*) under string keys and never
     interprets them — the header/checksum/unpickler contract lives in
-    :class:`GraphStore`.  Canonical snapshots (compaction output, and
+    :func:`_read_segment` and :func:`encode_entry`.  Canonical snapshots (compaction output, and
     whole-graph entries from before delta segments) live at
     ``<key>.graph``; delta segments at
     ``<key>~<pid>_<sequence>_<token>.graph`` — the ``~`` suffix is
@@ -345,7 +365,7 @@ class LocalDirBackend:
         path = self.root / (
             f"{key}~{os.getpid()}_{next(self._SEQUENCE):06d}_{token}.graph"
         )
-        self._publish(path, blob)
+        publish(path, blob)
 
     def write_canonical(self, key: str, blob: bytes, drop=()) -> None:
         """Publish ``blob`` as the canonical segment for ``key``.
@@ -356,7 +376,7 @@ class LocalDirBackend:
         live writers.
         """
         path = self.canonical_path(key)
-        self._publish(path, blob)
+        publish(path, blob)
         for stale in drop:
             stale = Path(stale)
             if stale == path:
@@ -365,19 +385,6 @@ class LocalDirBackend:
                 stale.unlink()
             except OSError:
                 continue
-
-    @staticmethod
-    def _publish(path: Path, blob: bytes) -> None:
-        tmp = unique_temp_path(path)
-        try:
-            tmp.write_bytes(blob)
-            tmp.replace(path)
-        except OSError:
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
-            raise
 
     def segment_heads(self, key: str) -> List[bytes]:
         """The header-line prefix of each of ``key``'s segments.
@@ -430,14 +437,6 @@ class LocalDirBackend:
                 removed += 1
             except OSError:
                 continue
-        return removed
-
-    def clear(self) -> int:
-        """Drop everything; returns segments removed."""
-        removed = 0
-        for key in self.keys():
-            removed += self.delete_key(key)
-        prune_stale_temp_files(self.root, stale_seconds=0)
         return removed
 
 
@@ -507,10 +506,6 @@ class GraphStore:
             f"{_slug(program.model_name)}-{program_digest(program)}-"
             f"{valuation_digest(system.valuation)}-{_slug(self.version)}"
         )
-
-    def path_for(self, system) -> Path:
-        """The canonical entry path of ``system``'s key."""
-        return self.backend.canonical_path(self.key_for(system))
 
     # ------------------------------------------------------------------
     # Adoption (which systems belong to this store's run)
@@ -593,42 +588,34 @@ class GraphStore:
         """Is this full segment's content already covered by the key?
 
         Fast path: some stored segment carries the identical body
-        checksum (header reads only).  Slow path: the stored segments'
-        *union* covers every entry of our payload — the full+delta
-        shape a previous activation left behind.  Best-effort
-        throughout (any failure means "append anyway"); only consulted
-        for no-baseline full segments, so the reads happen at most
-        once per key per store lifetime.
+        checksum (header reads only).  Slow path: merging the stored
+        segments plus ours adds no config, successor entry or option
+        entry — the full+delta shape a previous activation left behind.
+        Counts suffice because memoised expansions of one config are
+        the same in every segment, which :meth:`load_into`'s merge
+        already assumes.  Best-effort throughout (any failure, a bad
+        stored segment included, means "append anyway"); only consulted
+        for no-baseline full segments, so the reads happen at most once
+        per key per store lifetime.
         """
         try:
             heads = self.backend.segment_heads(key)
-        except OSError:
-            return False
-        if not heads:
-            return False
-        try:
-            header, body = self.parse_entry(blob)
-        except Exception:  # noqa: BLE001 — our own blob; be safe anyway
-            return False
-        body_sha = header.get("body_sha256")
-        for head in heads:
-            described = self.describe_blob(head)
-            if described is not None and \
-                    described.get("body_sha256") == body_sha:
-                return True
-        try:
-            stored = _entry_maps()
-            for _token, raw in self.backend.read_segments(key):
-                seg_header, seg_body = self.parse_entry(raw)
-                if hashlib.sha256(seg_body).hexdigest() != \
-                        seg_header.get("body_sha256"):
-                    raise ValueError("stored segment checksum mismatch")
-                _accumulate_entries(stored, _safe_loads(seg_body))
-            ours = _entry_maps()
-            _accumulate_entries(ours, _safe_loads(body))
+            if not heads:
+                return False
+            body_sha = self.parse_entry(blob)[0]["body_sha256"]
+            for head in heads:
+                described = self.describe_blob(head)
+                if described is not None and \
+                        described.get("body_sha256") == body_sha:
+                    return True
+            stored = [_read_segment(raw)
+                      for _token, raw in self.backend.read_segments(key)]
+            before = _merge_payloads(stored)[1]
+            after = _merge_payloads(stored + [_read_segment(blob)])[1]
         except Exception:  # noqa: BLE001 — unreadable key: append
             return False
-        return _entries_covered(stored, ours)
+        return all(len(before[field]) == len(after[field])
+                   for field in _COUNT_FIELDS)
 
     def _serialize(self, system, start_succ: int = 0,
                    start_options: int = 0) -> bytes:
@@ -691,15 +678,15 @@ class GraphStore:
         """Warm ``system``'s caches from storage; False is a cold miss.
 
         Reads and merges *every* segment of the entry key: each segment
-        is validated (header identity — program digest, valuation, code
-        version, layout geometry — and body checksum) before
-        deserializing through the class-refusing unpickler, and every
-        action is rebuilt from the *current* bound rule list.  One
-        stale, truncated or corrupted segment degrades the whole key to
-        a cold miss (``cache compact`` repairs such keys by dropping
-        the bad segment) instead of crashing or replaying stale
-        semantics (see the module doc for the trusted-storage threat
-        model).
+        is decoded by :func:`_read_segment` (body checksum,
+        class-refusing unpickler, entry counts), its header identity —
+        program digest, valuation, code version, layout geometry — is
+        compared with ``system``, and every action is rebuilt from the
+        *current* bound rule list.  One stale, truncated or corrupted
+        segment degrades the whole key to a cold miss (``cache
+        compact`` repairs such keys by dropping the bad segment)
+        instead of crashing or replaying stale semantics (see the
+        module doc for the trusted-storage threat model).
         """
         key = self.key_for(system)
         try:
@@ -714,10 +701,9 @@ class GraphStore:
             return False
         try:
             for _token, raw in segments:
-                header, body = self.parse_entry(raw)
-                self._check_header(header, system, body)
-                payload = _safe_loads(body)
-                counts = self._rebuild(system, payload, header)
+                header, payload = _read_segment(raw)
+                self._check_header(header, system)
+                counts = self._rebuild(system, payload)
         except Exception as exc:  # noqa: BLE001 — bad entry == cold miss
             # A partially-rebuilt cache would be correct but the entry
             # is untrusted now; drop everything this load touched.
@@ -743,7 +729,7 @@ class GraphStore:
             raise ValueError(f"unknown graph format {magic!r} v{fmt}")
         return json.loads(header_json), body
 
-    def _check_header(self, header: dict, system, body: bytes) -> None:
+    def _check_header(self, header: dict, system) -> None:
         expect = {
             "program": program_digest(system.program),
             "valuation": [list(kv) for kv in sorted(system.valuation.items())],
@@ -756,10 +742,8 @@ class GraphStore:
                     f"graph header mismatch on {key!r}: "
                     f"{header.get(key)!r} != {want!r}"
                 )
-        if hashlib.sha256(body).hexdigest() != header.get("body_sha256"):
-            raise ValueError("graph body checksum mismatch")
 
-    def _rebuild(self, system, payload: dict, header: dict) -> Tuple[int, int]:
+    def _rebuild(self, system, payload: dict) -> Tuple[int, int]:
         program = system.program
         width_kappa, width_g, block = program.n_locs, program.n_vars, program.block
         configs = []
@@ -794,28 +778,11 @@ class GraphStore:
                 Action(rules[rule_id].name, round_no)
                 for rule_id, round_no in pairs
             )
-        if (
-            len(payload["configs"]) != header["configs"]
-            or len(payload["succ"]) != header["succ"]
-            or len(payload["options"]) != header["options"]
-        ):
-            raise ValueError("entry count mismatch")
         return len(succ_cache), len(options_cache)
 
     # ------------------------------------------------------------------
     # Maintenance (the ``harness cache`` CLI)
     # ------------------------------------------------------------------
-    def compact(self) -> Dict[str, int]:
-        """Squash every key's segments into one canonical snapshot."""
-        return compact_backend(self.backend)
-
-    @staticmethod
-    def entries(root) -> List[Path]:
-        try:
-            return sorted(Path(root).glob("*.graph"))
-        except OSError:
-            return []
-
     @classmethod
     def entry_version(cls, path: Path) -> Optional[str]:
         """The code-version component of an entry's file name.
@@ -842,23 +809,18 @@ class GraphStore:
 
     @classmethod
     def describe_blob(cls, raw: bytes) -> Optional[dict]:
-        """Like :meth:`describe` for an in-memory segment."""
+        """Like :meth:`describe` for an in-memory segment or header line."""
         try:
-            head = raw.partition(b"\n")[0]
-            magic, fmt, header_json = head.decode().split(" ", 2)
-            if magic != cls.MAGIC or int(fmt) != cls.FORMAT:
-                return None
-            header = json.loads(header_json)
+            header = cls.parse_entry(raw)[0]
             if not isinstance(header, dict):
                 return None
             header["valuation"] = dict(header.get("valuation") or ())
-            for field in ("configs", "succ", "options"):
-                if not isinstance(header.get(field), int):
-                    return None
-            if not isinstance(header.get("model"), str):
+            if not isinstance(header.get("model"), str) or not all(
+                isinstance(header.get(field), int) for field in _COUNT_FIELDS
+            ):
                 return None
             return header
-        except (ValueError, TypeError, UnicodeDecodeError):
+        except (ValueError, TypeError):
             return None
 
     def _record(self, event: str, key: str, exc: BaseException) -> None:
@@ -874,13 +836,19 @@ class GraphStore:
 # ----------------------------------------------------------------------
 # Entry encoding / compaction (payload-level, no model required)
 # ----------------------------------------------------------------------
+#: Header fields counting a payload's entries, checked on every read.
+_COUNT_FIELDS = ("configs", "succ", "options")
+
+#: Header fields every segment of one key must agree on to be merged.
+_IDENTITY_FIELDS = ("model", "program", "valuation", "code_version", "block")
+
+
 def encode_entry(header_core: dict, payload: dict) -> bytes:
     """Serialize one segment: header line + checksummed pickled payload."""
     body = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
     header = dict(header_core)
-    header["configs"] = len(payload["configs"])
-    header["succ"] = len(payload["succ"])
-    header["options"] = len(payload["options"])
+    for field in _COUNT_FIELDS:
+        header[field] = len(payload[field])
     header["body_sha256"] = hashlib.sha256(body).hexdigest()
     head = (
         f"{GraphStore.MAGIC} {GraphStore.FORMAT} "
@@ -889,58 +857,35 @@ def encode_entry(header_core: dict, payload: dict) -> bytes:
     return head.encode() + body
 
 
-#: Header fields every segment of one key must agree on to be merged.
-_IDENTITY_FIELDS = ("model", "program", "valuation", "code_version", "block")
+def _read_segment(raw: bytes) -> Tuple[dict, dict]:
+    """Decode one segment into ``(header, payload)`` or raise.
+
+    The one reader every consumer goes through: it parses the header
+    line, checks the body sha256, unpickles through
+    :class:`_SafeUnpickler` and checks the header's entry counts.
+    Identity (which system the segment belongs to) is the caller's.
+    """
+    header, body = GraphStore.parse_entry(raw)
+    if hashlib.sha256(body).hexdigest() != header.get("body_sha256"):
+        raise ValueError("graph body checksum mismatch")
+    payload = _SafeUnpickler(io.BytesIO(body)).load()
+    if any(len(payload[field]) != header[field] for field in _COUNT_FIELDS):
+        raise ValueError("entry count mismatch")
+    return header, payload
 
 
-def _entry_maps() -> dict:
-    """Payload entries keyed by config *data* (id-free, comparable)."""
-    return {"succ": {}, "options": {}}
-
-
-def _accumulate_entries(maps: dict, payload: dict) -> None:
-    """Fold one payload into ``maps`` (first occurrence wins)."""
-    configs = payload["configs"]
-    for config_id, groups in payload["succ"]:
-        data = tuple(configs[config_id])
-        if data not in maps["succ"]:
-            maps["succ"][data] = tuple(
-                (rule_id, round_no,
-                 tuple(tuple(configs[sid]) for sid in successor_ids))
-                for rule_id, round_no, successor_ids in groups
-            )
-    for config_id, pairs in payload["options"]:
-        data = tuple(configs[config_id])
-        if data not in maps["options"]:
-            maps["options"][data] = tuple(tuple(pair) for pair in pairs)
-
-
-def _entries_covered(stored: dict, candidate: dict) -> bool:
-    """Is every entry of ``candidate`` present (and equal) in ``stored``?"""
-    for kind in ("succ", "options"):
-        haystack = stored[kind]
-        for data, value in candidate[kind].items():
-            if haystack.get(data) != value:
-                return False
-    return True
-
-
-def _validate_payload(payload: dict, header: dict) -> None:
-    """Structural sanity of one decoded segment (model-free).
+def _validate_payload(payload: dict) -> None:
+    """Id ranges and shapes of one decoded segment (model-free).
 
     Compaction merges payloads without a bound system, so the rule-list
     validation of :meth:`GraphStore._rebuild` is unavailable; this
-    checks everything checkable at the data level — id ranges, shapes,
-    header counts — and leaves semantic validation to the next load.
+    checks what is checkable at the data level and leaves semantic
+    validation to the next load.
     """
     configs = payload["configs"]
     n = len(configs)
     if not all(isinstance(data, tuple) for data in configs):
         raise ValueError("config universe must be flat tuples")
-    if (len(payload["succ"]) != header["succ"]
-            or len(payload["options"]) != header["options"]
-            or n != header["configs"]):
-        raise ValueError("entry count mismatch")
     for config_id, groups in payload["succ"]:
         if not 0 <= config_id < n:
             raise ValueError("successor source id out of range")
@@ -1061,11 +1006,8 @@ def compact_backend(backend: LocalDirBackend) -> Dict[str, int]:
         corrupt = 0
         for _token, raw in segments:
             try:
-                header, body = GraphStore.parse_entry(raw)
-                if hashlib.sha256(body).hexdigest() != header.get("body_sha256"):
-                    raise ValueError("graph body checksum mismatch")
-                payload = _safe_loads(body)
-                _validate_payload(payload, header)
+                header, payload = _read_segment(raw)
+                _validate_payload(payload)
                 entries.append((header, payload))
             except Exception as exc:  # noqa: BLE001 — bad segment: drop it
                 corrupt += 1

@@ -4,7 +4,7 @@ The package splits along the process boundary:
 
 * :mod:`repro.service.server` — the daemon
   (:class:`VerificationService`, :func:`serve`): one persistent
-  :class:`~repro.api.supervisor.SupervisedPool` whose warm state
+  :class:`~repro.supervisor.SupervisedPool` whose warm state
   survives across HTTP requests, streaming NDJSON results as tasks
   complete;
 * :mod:`repro.service.registry` — the daemon's bookkeeping: in-flight

@@ -1,7 +1,7 @@
 """The verification daemon: HTTP requests in, warm pool results out.
 
 :class:`VerificationService` is a long-running process hosting exactly
-one **persistent** :class:`~repro.api.supervisor.SupervisedPool`.
+one **persistent** :class:`~repro.supervisor.SupervisedPool`.
 Clients POST :class:`~repro.api.task.VerificationTask` matrices as
 JSON; the daemon queues them onto the warm fleet — whose compiled
 protocol programs, interned states and graph-store caches survive
@@ -29,7 +29,7 @@ Request handling is thread-per-connection
 (:class:`~http.server.ThreadingHTTPServer`); all pool dispatch happens
 on one *dispatcher* thread that drains the submission queue in batches,
 so the single-consumer discipline of
-:meth:`~repro.api.supervisor.SupervisedPool.run` is preserved while
+:meth:`~repro.supervisor.SupervisedPool.run` is preserved while
 any number of requests stream concurrently.  Responses are
 HTTP/1.0-style close-delimited streams (no ``Content-Length``), which
 keeps the client a stdlib ``http.client`` + ``readline`` loop.
@@ -61,7 +61,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.api.journal import Journal
 from repro.api.report import TaskResult
-from repro.api.supervisor import RetryPolicy, SupervisedPool
 from repro.api.sweep import (
     ResultCache,
     SweepRunner,
@@ -83,6 +82,7 @@ from repro.service.registry import (
     remove_state_file,
     write_state_file,
 )
+from repro.supervisor import RetryPolicy, SupervisedPool
 from repro.version import code_version
 
 __all__ = ["VerificationService", "serve"]
@@ -245,7 +245,6 @@ class VerificationService:
             "tasks_failed": 0,
             "dedup_hits": 0,
             "cache_hits": 0,
-            "worker_restarts": 0,
             "journal_preloaded": 0,
         }
         self._started_at = time.time()
@@ -452,11 +451,9 @@ class VerificationService:
                     SweepRunner._decorate(result, attempts, timed_out),
                 )
 
-            outcome = self._pool.run(
+            self._pool.run(
                 jobs, on_result=on_result, stop=self._stopping.is_set
             )
-            with self._stats_lock:
-                self._stats["worker_restarts"] += outcome.worker_restarts
 
     def _complete(self, key: str, task: VerificationTask,
                   result: TaskResult) -> None:
@@ -481,6 +478,7 @@ class VerificationService:
     def status(self) -> dict:
         with self._stats_lock:
             stats = dict(self._stats)
+        stats["worker_restarts"] = self._pool.worker_restarts
         stats.update(self.registry.stats())
         stats.update({
             "pid": os.getpid(),

@@ -5,7 +5,7 @@ Simulation` instances of a single (protocol, coin, scheduler) cell.
 Runs are pure CPU, so each shard of seeds is one plain loop, one run
 after another; a run that raises becomes that seed's ``error`` record.
 Across cores, the seed list is sharded over the existing
-:class:`~repro.api.supervisor.SupervisedPool` workers, so a fleet
+:class:`~repro.supervisor.SupervisedPool` workers, so a fleet
 inherits the sweep infrastructure's timeouts, bounded retries and
 crash-resilience for free — a worker OOM-killed mid-shard surfaces as
 per-seed ``error`` records, never a crashed experiment.
@@ -364,7 +364,7 @@ def run_fleet(
 
     ``processes <= 1`` runs every seed in this interpreter, one after
     another; larger values shard the seed list across a
-    :class:`~repro.api.supervisor.SupervisedPool` (each worker running
+    :class:`~repro.supervisor.SupervisedPool` (each worker running
     the same loop on its shard).  The report is identical either way —
     records are keyed and re-ordered by seed, and every RNG stream
     derives from the seed alone.
@@ -415,7 +415,7 @@ def _pooled_records(
     processes: int,
     task_timeout: Optional[float],
 ) -> List[RunRecord]:
-    from repro.api.supervisor import SupervisedPool
+    from repro.supervisor import SupervisedPool
 
     # A few shards per worker keeps retry granularity small without
     # paying per-run dispatch overhead.

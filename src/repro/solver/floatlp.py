@@ -35,6 +35,7 @@ from typing import Dict, List, Optional, Sequence, Union
 import numpy as np
 
 from repro.solver.linear import LinearProblem, Row
+from repro.solver.shortcuts import satisfies
 
 try:  # scipy is an optional accelerator; the exact solver always works.
     from scipy.optimize import LinearConstraint, milp
@@ -175,21 +176,26 @@ def float_feasible(problem: Union[LinearProblem, RowMatrix]) -> Optional[bool]:
     return feasible
 
 
-def rounded_integer_model(problem: LinearProblem) -> Optional[dict]:
-    """Try to turn the float vertex into an exact integer model.
+def rounded_integer_model(matrix: RowMatrix) -> Optional[dict]:
+    """Try to turn a leaf's float vertex into an exact integer model.
 
     Counter-system polytopes usually have integral vertices; rounding
-    the HiGHS solution and *exactly* re-checking it against the
-    constraints resolves most SAT leaves without touching the (slow)
-    exact branch & bound.  Returns a verified model or ``None``.
+    the HiGHS solution and *exactly* re-checking it against the rows
+    resolves most SAT leaves without touching the (slow) exact branch &
+    bound.  The vertex :func:`float_feasible` left on ``matrix`` is
+    reused; HiGHS runs here only when there is none (an exact shortcut
+    or the exact simplex decided the leaf).  Returns a verified model or
+    ``None``.
     """
-    feasible, assignment = float_solve(problem)
-    if not feasible or assignment is None:
-        return None
+    assignment = matrix.vertex
+    if assignment is None:
+        _feasible, assignment = float_solve(matrix)
+        if assignment is None:
+            return None
     for rounder in (round, lambda v: int(v) + (v - int(v) > 1e-9)):
         candidate = {
             name: max(0, int(rounder(value))) for name, value in assignment.items()
         }
-        if problem.check(candidate):
+        if satisfies(matrix.rows, candidate):
             return candidate
     return None

@@ -37,7 +37,11 @@ it with a small *supervised* pool built directly on
 The pool is deliberately generic — payloads, results, and the three
 policy callbacks (``fallback``, ``failure``, ``transient``) are the
 caller's — so :mod:`repro.api.sweep` stays the only module that knows
-what a :class:`~repro.api.report.TaskResult` is.
+what a :class:`~repro.api.report.TaskResult` is.  It is also a leaf:
+it imports neither :mod:`repro.api` nor numpy or scipy, so a pooled
+simulation fleet (:func:`repro.sim.fleet.run_fleet`) forks its workers
+from a parent that has loaded only the simulator.  The sweep runner,
+the verification service and the fleet all import it from here.
 
 Two lifecycles share the same run loop:
 
@@ -290,6 +294,11 @@ class SupervisedPool:
         self.fault_plan = fault_plan
         self._context = multiprocessing.get_context()
         self._seq = itertools.count()
+        #: Workers replaced over the pool's lifetime (every ``run``),
+        #: bumped at each respawn — before the replaced worker's items
+        #: are retried, so a caller holding a retried item's result
+        #: already reads the restart here.
+        self.worker_restarts = 0
         #: The persistent worker fleet (``start``/``close``), or None
         #: when the pool runs in one-shot mode.
         self._workers: Optional[List[_Worker]] = None
@@ -474,13 +483,11 @@ class SupervisedPool:
                     if worker.process.is_alive():
                         continue
                     drain(worker)
-                    outcome.worker_restarts += 1
                     job, seq = worker.job, worker.seq
                     if seq is not None:
                         jobs_in_flight.pop(seq, None)
-                    self._reap(worker)
+                    self._replace(workers, position, outcome)
                     exitcode = worker.process.exitcode
-                    workers[position] = self._spawn()
                     if job is None:
                         idle_deaths += 1
                         if idle_deaths >= _MAX_IDLE_DEATHS:
@@ -496,13 +503,11 @@ class SupervisedPool:
                         continue
                     # Hung item: the first unfinished item of the job is
                     # the one on the worker's CPU right now.
-                    outcome.worker_restarts += 1
                     job, seq = worker.job, worker.seq
                     if seq is not None:
                         jobs_in_flight.pop(seq, None)
                     hung = job.items[0][0] if job.items else None
-                    self._reap(worker, kill=True)
-                    workers[position] = self._spawn()
+                    self._replace(workers, position, outcome, kill=True)
                     reschedule(
                         job.items, "SupervisorTimeout",
                         f"task exceeded task_timeout={self.task_timeout}s "
@@ -545,11 +550,9 @@ class SupervisedPool:
                     if (worker.process.is_alive()
                             and time.monotonic() < deadline):
                         continue
-                    outcome.worker_restarts += 1
                     if worker.seq is not None:
                         jobs_in_flight.pop(worker.seq, None)
-                    self._reap(worker, kill=True)
-                    workers[position] = self._spawn()
+                    self._replace(workers, position, outcome, kill=True)
         return outcome
 
     # ------------------------------------------------------------------
@@ -564,6 +567,14 @@ class SupervisedPool:
         process.start()
         theirs.close()
         return _Worker(process, ours)
+
+    def _replace(self, workers: List[_Worker], position: int,
+                 outcome: PoolOutcome, kill: bool = False) -> None:
+        """Reap a dead or wedged worker and fork its replacement."""
+        outcome.worker_restarts += 1
+        self.worker_restarts += 1
+        self._reap(workers[position], kill=kill)
+        workers[position] = self._spawn()
 
     def _assign(self, worker: _Worker, job: _Job, jobs_in_flight,
                 outcome: PoolOutcome) -> None:

@@ -9,7 +9,7 @@ plumbing the sweep-level chaos suite uses, minus the engines.
 import os
 import time
 
-from repro.api.supervisor import PoolOutcome, RetryPolicy, SupervisedPool
+from repro.supervisor import PoolOutcome, RetryPolicy, SupervisedPool
 from repro.testing import FaultPlan
 
 #: Fast backoff so retry tests don't sleep their wall-clock away.
@@ -254,6 +254,23 @@ class TestPersistentPool:
             again = pool.run([[(2, "more")]])
             assert again.results == {2: "moremore"}
             assert again.worker_restarts == 0
+
+    def test_lifetime_restarts_count_before_the_retry_lands(self, tmp_path):
+        # The daemon's status() reads the pool's lifetime count while a
+        # batch may still be settling: a retried item's result must not
+        # land before the restart that forced the retry is counted.
+        plan = FaultPlan(scratch=str(tmp_path)).kill_task("victim", nth=1)
+        seen = {}
+        with SupervisedPool(2, _double, retry=FAST, failure=_failure,
+                            fault_plan=plan) as pool:
+            first = pool.run(
+                [[(0, "victim")], [(1, "other")]],
+                on_result=lambda index, *_: seen.setdefault(
+                    index, pool.worker_restarts),
+            )
+            assert seen[0] >= 1
+            pool.run([[(2, "more")]])
+            assert pool.worker_restarts == first.worker_restarts
 
     def test_stop_returns_early_with_partial_results(self):
         stopped = {"flag": False}

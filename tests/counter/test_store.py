@@ -26,6 +26,7 @@ from repro.counter.store import (
     check_graph_store_dir,
     compact_backend,
     deactivate_graph_store,
+    encode_entry,
     key_version,
     program_digest,
     valuation_digest,
@@ -175,7 +176,8 @@ class TestGraphStoreRoundTrip:
         cold = CounterSystem(model, VAL_A, program=ProtocolProgram(model))
         cold_store = GraphStore(tmp_path, version="v1")
         # Same program structure → same key, despite the private object.
-        assert cold_store.path_for(cold) == store.path_for(warm)
+        assert cold_store.backend.canonical_path(cold_store.key_for(cold)) \
+            == store.backend.canonical_path(store.key_for(warm))
         assert cold_store.load_into(cold)
         assert cold_store.load_hits == 1
         assert len(cold._succ_cache) == len(warm._succ_cache)
@@ -215,7 +217,7 @@ class TestGraphStoreRoundTrip:
         store = GraphStore(tmp_path, version="v1")
         system = CounterSystem(ks16.model(), VAL_A)
         assert not store.flush(system)
-        assert GraphStore.entries(tmp_path) == []
+        assert sorted(tmp_path.glob("*.graph")) == []
 
 
 class TestColdMisses:
@@ -225,7 +227,7 @@ class TestColdMisses:
         system = CounterSystem(model, VAL_A)
         _explore(system)
         store.flush(system)
-        (path,) = GraphStore.entries(tmp_path)
+        (path,) = sorted(tmp_path.glob("*.graph"))
         return model, path
 
     def _fresh(self, model):
@@ -297,7 +299,7 @@ class TestColdMisses:
         assert not store.load_into(system)
         assert not system._succ_cache
         # ... and the stale entry stays for the old version to use.
-        assert len(GraphStore.entries(tmp_path)) == 1
+        assert len(sorted(tmp_path.glob("*.graph"))) == 1
 
     def test_wrong_valuation_never_matches(self, tmp_path):
         model, _path = self._stored(tmp_path)
@@ -370,7 +372,7 @@ class TestResultNeutrality:
                 for target in ("agreement", "validity"):
                     _verdicts(factory(), VAL_A, target)
             flush_shared_graphs()
-            assert GraphStore.entries(tmp_path)
+            assert sorted(tmp_path.glob("*.graph"))
 
             clear_shared_caches()
             store = active_graph_store()
@@ -396,7 +398,7 @@ class TestResultNeutrality:
             current = shared_system(ks16.model(), VAL_A)
             _explore(current)
             flush_shared_graphs()
-            entries = GraphStore.entries(tmp_path)
+            entries = sorted(tmp_path.glob("*.graph"))
             assert len(entries) == 1
             assert entries[0].name.startswith("ks16")
         finally:
@@ -606,7 +608,7 @@ class TestCorruptSegments:
 
     def test_one_corrupt_segment_poisons_the_key(self, tmp_path):
         model, store = self._segmented(tmp_path)
-        paths = GraphStore.entries(tmp_path)
+        paths = sorted(tmp_path.glob("*.graph"))
         assert len(paths) == 2
         raw = bytearray(paths[-1].read_bytes())
         raw[-5] ^= 0xFF
@@ -620,7 +622,7 @@ class TestCorruptSegments:
         import logging
 
         model, store = self._segmented(tmp_path)
-        paths = GraphStore.entries(tmp_path)
+        paths = sorted(tmp_path.glob("*.graph"))
         raw = bytearray(paths[-1].read_bytes())
         raw[-5] ^= 0xFF
         paths[-1].write_bytes(bytes(raw))
@@ -641,7 +643,7 @@ class TestCorruptSegments:
         import logging
 
         self._segmented(tmp_path)
-        before = {p: p.read_bytes() for p in GraphStore.entries(tmp_path)}
+        before = {p: p.read_bytes() for p in sorted(tmp_path.glob("*.graph"))}
         backend = LocalDirBackend(tmp_path)
 
         def full_disk(*_args, **_kwargs):
@@ -661,15 +663,15 @@ class TestCorruptSegments:
         assert record.event == "store.compact.write_error"
         assert record.key == backend.keys()[0]
         assert "No space left" in record.error
-        assert {p: p.read_bytes() for p in GraphStore.entries(tmp_path)} == before
+        assert {p: p.read_bytes() for p in sorted(tmp_path.glob("*.graph"))} == before
 
     def test_compact_deletes_fully_corrupt_keys(self, tmp_path):
         _model, _store = self._segmented(tmp_path)
-        for path in GraphStore.entries(tmp_path):
+        for path in sorted(tmp_path.glob("*.graph")):
             path.write_bytes(b"garbage")
         stats = compact_backend(LocalDirBackend(tmp_path))
         assert stats["corrupt_dropped"] == 2
-        assert GraphStore.entries(tmp_path) == []
+        assert sorted(tmp_path.glob("*.graph")) == []
 
     def test_compact_repairs_a_single_corrupt_segment(self, tmp_path):
         # The single-segment fast path must not skip validation: a key
@@ -679,11 +681,117 @@ class TestCorruptSegments:
         system = CounterSystem(ks16.model(), VAL_A)
         _explore(system, limit=60)
         store.flush(system)
-        (path,) = GraphStore.entries(tmp_path)
+        (path,) = sorted(tmp_path.glob("*.graph"))
         path.write_bytes(b"repro-graph garbage")
         stats = compact_backend(LocalDirBackend(tmp_path))
         assert stats["corrupt_dropped"] == 1
-        assert GraphStore.entries(tmp_path) == []
+        assert sorted(tmp_path.glob("*.graph")) == []
+
+
+def _damage(raw: bytes, kind: str) -> bytes:
+    """One segment spoiled the way ``kind`` names."""
+    import json
+
+    head, _, body = raw.partition(b"\n")
+    if kind == "bad_checksum":
+        return raw[:-5] + bytes([raw[-5] ^ 0xFF]) + raw[-4:]
+    if kind == "truncated_header":
+        return head[: len(head) // 2]
+    magic, fmt, header_json = head.decode().split(" ", 2)
+    header = json.loads(header_json)
+    header["succ"] += 1  # the body (and its checksum) stays intact
+    return f"{magic} {fmt} {json.dumps(header, sort_keys=True)}\n".encode() \
+        + body
+
+
+class TestOneSegmentReader:
+    """Loads, the flush-time coverage check and compaction decode every
+    segment through one reader, so they agree on what a bad one is."""
+
+    KINDS = ("bad_checksum", "truncated_header", "count_mismatch")
+
+    def _flushed(self, tmp_path, limit=200):
+        store = GraphStore(tmp_path, version="v1")
+        system = CounterSystem(ks16.model(), VAL_A)
+        _explore(system, limit=limit)
+        assert store.flush(system)
+        return store, system
+
+    @staticmethod
+    def _spoil(path, kind):
+        path.write_bytes(_damage(path.read_bytes(), kind))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_load_is_a_recorded_miss(self, tmp_path, kind):
+        self._flushed(tmp_path)
+        (path,) = sorted(tmp_path.glob("*.graph"))
+        self._spoil(path, kind)
+        reader = GraphStore(tmp_path, version="v1")
+        cold = _fresh_system(ks16.model())
+        assert not reader.load_into(cold)
+        assert reader.load_misses == 1 and reader.errors == 1
+        assert isinstance(reader.last_error, ValueError)
+        assert not cold._succ_cache and not cold._options_cache
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_covered_flush_over_a_bad_segment_appends(self, tmp_path, kind):
+        self._flushed(tmp_path)
+        (path,) = sorted(tmp_path.glob("*.graph"))
+        # A reborn system's smaller graph is covered by the stored one
+        # (the slow path: no stored body checksum equals its own) ...
+        reborn = _fresh_system(ks16.model())
+        _explore(reborn, limit=40)
+        writer = GraphStore(tmp_path, version="v1")
+        key = writer.key_for(reborn)
+        blob = writer._serialize(reborn)
+        assert writer._already_stored(key, blob)
+        # ... until the stored segment goes bad: then it covers nothing.
+        self._spoil(path, kind)
+        assert not writer._already_stored(key, blob)
+        assert writer.flush(reborn)
+        assert writer.backend.stats()[key][0] == 2
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_compaction_drops_the_bad_segment(self, tmp_path, kind):
+        store, system = self._flushed(tmp_path, limit=40)
+        _explore(system, limit=300)
+        assert store.flush(system)
+        paths = sorted(tmp_path.glob("*.graph"))
+        assert len(paths) == 2
+        self._spoil(paths[-1], kind)
+        stats = compact_backend(LocalDirBackend(tmp_path))
+        assert stats["corrupt_dropped"] == 1 and stats["compacted"] == 1
+        (survivor,) = sorted(tmp_path.glob("*.graph"))
+        assert survivor == store.backend.canonical_path(store.key_for(system))
+        cold = _fresh_system(ks16.model())
+        assert GraphStore(tmp_path, version="v1").load_into(cold)
+
+
+class TestStoredCoverage:
+    """A no-baseline full segment is skipped only when merging it into
+    the stored segments would add nothing."""
+
+    CORE = {"model": "m", "program": "p", "valuation": [["n", 4]],
+            "code_version": "v1", "block": 1, "segment": [0, 0]}
+    STORED = {"configs": ((1,), (2,)),
+              "succ": ((0, ((0, 0, (1,)),)),),
+              "options": ((0, ((0, 0),)),)}
+    GROWN = {
+        "config": dict(STORED, configs=STORED["configs"] + ((3,),)),
+        "succ": dict(STORED, succ=STORED["succ"] + ((1, ((0, 0, (0,)),)),)),
+        "option": dict(STORED, options=STORED["options"] + ((1, ((0, 0),)),)),
+    }
+
+    @pytest.mark.parametrize("extra", sorted(GROWN))
+    def test_any_new_entry_is_not_covered(self, tmp_path, extra):
+        store = GraphStore(tmp_path, version="v1")
+        key = "m-p-v-v1"
+        store.backend.append_segment(key, encode_entry(self.CORE, self.STORED))
+        # Slow path (no stored body checksum matches): a subset is covered.
+        subset = dict(self.STORED, options=())
+        assert store._already_stored(key, encode_entry(self.CORE, subset))
+        grown = encode_entry(self.CORE, self.GROWN[extra])
+        assert not store._already_stored(key, grown)
 
 
 class TestLocalDirBackend:
@@ -746,17 +854,6 @@ class TestLocalDirBackend:
         backend.append_segment("m-p-v-x2", b"c")
         assert backend.delete_key("m-p-v-x") == 2
         assert backend.keys() == ["m-p-v-x2"]
-
-    def test_clear_removes_segments_and_every_temp_file(self, tmp_path):
-        backend = LocalDirBackend(tmp_path)
-        backend.append_segment("k-p-v-x", b"a")
-        backend.append_segment("j-p-v-x", b"b")
-        live = tmp_path / "k-p-v-x.graph.1.aa.tmp"
-        live.write_bytes(b"half")  # fresh mtime: clear takes it anyway
-        notes = tmp_path / "notes.txt"
-        notes.write_text("not a store file")
-        assert backend.clear() == 2
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["notes.txt"]
 
     def test_failed_publish_leaves_neither_temp_nor_target(
         self, tmp_path, monkeypatch
@@ -856,7 +953,7 @@ class TestDirectoryResilience:
         import logging
 
         store, system = self._flushed(tmp_path)
-        (path,) = GraphStore.entries(tmp_path / "graphs")
+        (path,) = sorted((tmp_path / "graphs").glob("*.graph"))
         path.write_bytes(b"repro-graph 1 {}\n")
         with caplog.at_level(logging.WARNING, logger="repro.counter.store"):
             assert not store.load_into(_fresh_system(ks16.model()))
@@ -905,7 +1002,7 @@ class TestKeying:
         system = CounterSystem(ks16.model(), VAL_A)
         _explore(system)
         store.flush(system)
-        (path,) = GraphStore.entries(tmp_path)
+        (path,) = sorted(tmp_path.glob("*.graph"))
         assert GraphStore.entry_version(path) == "cafebabe00000000"
         header = GraphStore.describe(path)
         assert header["code_version"] == "cafebabe00000000"

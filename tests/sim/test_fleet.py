@@ -227,6 +227,28 @@ class TestWilsonInterval:
         assert narrow[1] - narrow[0] < wide[1] - wide[0]
 
 
+class TestImportHygiene:
+    def test_pooled_fleet_loads_neither_api_nor_numpy(self):
+        """The pool is a leaf module: a pooled fleet's parent (which its
+        workers fork from) loads the simulator, not the verifier."""
+        script = (
+            "import sys\n"
+            "from repro.sim.fleet import run_fleet\n"
+            "report = run_fleet('mmr14', runs=8, processes=2)\n"
+            "assert len(report.records) == 8\n"
+            "print(sorted(m for m in ('repro.api', 'numpy', 'scipy')"
+            " if m in sys.modules))\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(REPO_ROOT / "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env=env, cwd=REPO_ROOT, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+
 class TestSimulateCli:
     def _simulate(self, *args):
         env = dict(os.environ)

@@ -58,7 +58,7 @@ class TestAnswers:
 
     def test_rounded_model_checks_exactly(self):
         problem = _box()
-        model = rounded_integer_model(problem)
+        model = rounded_integer_model(RowMatrix(problem.rows()))
         assert model is not None and problem.check(model)
 
 
