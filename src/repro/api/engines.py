@@ -28,11 +28,32 @@ process-wide caches below them.  The checkers bind their models through
 agreement and validity targets share a bound system (termination uses
 the refined model's own), and across tasks a persistent sharded-sweep
 worker reuses the compiled program for every valuation of its shard.
+
+Heap rules of the explicit engine
+---------------------------------
+An explicit task builds graphs of up to about a million objects
+(interned configs, ``(Action, Config)`` pairs, move groups).  Three
+rules keep CPython's cyclic garbage collector out of that work:
+
+* nothing in a graph refers back to its bound system (the batch
+  expander holds it weakly), so a dropped or evicted system is freed
+  by reference counting the moment its last user lets go;
+* every path that builds actions takes them from the program's one
+  ``Action`` table, so edges share labels instead of each owning one;
+* :meth:`ExplicitEngine.run` pauses the collector for the task
+  (:func:`_collector_paused`).  The task leaves no cyclic garbage, and
+  without the pause the collector re-walks the growing graph every
+  time the long-lived heap grows by a quarter.  The pause is global to
+  the process; pool workers run one task at a time and the daemon
+  dispatches from one thread, and two tasks overlapping in threads
+  only lose the pause, never an answer.
 """
 
 from __future__ import annotations
 
+import gc
 import time
+from contextlib import contextmanager
 from typing import Callable, Dict, List, Optional, Protocol, Tuple
 
 from repro.checker.explicit import ExplicitChecker
@@ -80,6 +101,23 @@ def _result(task: VerificationTask, outcomes, started: float) -> TaskResult:
     )
 
 
+@contextmanager
+def _collector_paused():
+    """Disable the cyclic collector for the body, if it is enabled.
+
+    Turns it back on when the body exits, also when it raises; a
+    caller that had already disabled it finds it still disabled.
+    """
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
 class ExplicitEngine:
     """Exhaustive explicit-state verification at one valuation.
 
@@ -100,31 +138,32 @@ class ExplicitEngine:
             self.name = f"explicit-{expansion}"
 
     def run(self, task: VerificationTask) -> TaskResult:
-        started = time.perf_counter()
-        valuation = task.resolved_valuation()
-        limits = task.limits
-        outcomes: List[ObligationOutcome] = []
-        for target in task.targets:
-            # One checker per target; targets on the same model
-            # structure (agreement/validity) share their bound system
-            # and explored graph through shared_system underneath.
-            checker = ExplicitChecker(
-                task.model_for_target(target),
-                valuation,
-                max_states=(
-                    limits.max_states
-                    if limits.max_states is not None
-                    else DEFAULT_MAX_STATES
-                ),
-                max_seconds=limits.max_seconds,
-                expansion=self.expansion,
-            )
-            outcomes.append(
-                checker.check_obligations(obligations_for(checker.model, target))
-            )
-        if task.queries:
-            outcomes.append(self._custom_queries(task, valuation))
-        return _result(task, outcomes, started)
+        with _collector_paused():
+            started = time.perf_counter()
+            valuation = task.resolved_valuation()
+            limits = task.limits
+            outcomes: List[ObligationOutcome] = []
+            for target in task.targets:
+                # One checker per target; targets on the same model
+                # structure (agreement/validity) share their bound
+                # system and explored graph through shared_system.
+                checker = ExplicitChecker(
+                    task.model_for_target(target),
+                    valuation,
+                    max_states=(
+                        limits.max_states
+                        if limits.max_states is not None
+                        else DEFAULT_MAX_STATES
+                    ),
+                    max_seconds=limits.max_seconds,
+                    expansion=self.expansion,
+                )
+                outcomes.append(checker.check_obligations(
+                    obligations_for(checker.model, target)
+                ))
+            if task.queries:
+                outcomes.append(self._custom_queries(task, valuation))
+            return _result(task, outcomes, started)
 
     def _custom_queries(self, task: VerificationTask, valuation) -> ObligationOutcome:
         limits = task.limits

@@ -41,6 +41,16 @@ the scalar engine; the differential suite
 (``tests/checker/test_batch_expansion.py``) pins this on every registry
 protocol and the fuzz corpus.
 
+Heap rules
+----------
+The system caches its expander, so the expander holds the system only
+through a weak reference: no cycle runs through a bound system, and a
+dropped system is freed by reference counting without waiting for the
+cyclic collector.  Successor entries take their :class:`~repro.counter.
+actions.Action` labels from the program's one table
+(:meth:`~repro.counter.program.ProtocolProgram.action`), the same
+objects the scalar path and graph-store loads use.
+
 Selection
 ---------
 The batch path is the default wherever numpy is importable.  Opt out
@@ -54,6 +64,7 @@ required.
 from __future__ import annotations
 
 import os
+import weakref
 from itertools import chain, repeat
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -63,7 +74,6 @@ except ImportError:  # pragma: no cover - exercised via resolve_expansion
     _np = None
 
 from repro.core.guards import Cmp
-from repro.counter.actions import Action
 from repro.counter.config import Config
 from repro.errors import SemanticsError
 
@@ -200,14 +210,14 @@ class BatchExpander:
     """One system's frontier-batched successor expander.
 
     Owns the per-valuation guard threshold vector (bound once from the
-    system's :class:`~repro.counter.program.CompiledRule` tuple) and a
-    small per-``(rule, round, branch)`` :class:`Action` cache — the
-    frozen-dataclass constructions the scalar path pays per successor
-    are paid here once per distinct move label.
+    system's :class:`~repro.counter.program.CompiledRule` tuple).  It
+    holds the system weakly and takes actions from the program's one
+    table; see the module's *Heap rules*.
     """
 
     def __init__(self, system, plan: BatchPlan) -> None:
-        self.system = system
+        self._system = weakref.ref(system)
+        self.program = system.program
         self.plan = plan
         self.block = system.block
         self.rules = tuple(r for r in system._rule_list if not r.stutter)
@@ -219,7 +229,6 @@ class BatchExpander:
             rhs for rule in self.rules for _lhs, _cmp, rhs in rule.guard_flat
         ]
         self.thresholds = _np.array(thresholds, dtype=_np.int64)
-        self._actions: Dict[Tuple[int, int, int], Action] = {}
 
     # ------------------------------------------------------------------
     def ensure(self, config: Config, frontier: Iterable[Config]) -> None:
@@ -231,7 +240,7 @@ class BatchExpander:
         once per pop, so a cache miss amortises the vectorized pass
         over everything currently queued.
         """
-        if config in self.system._succ_cache:
+        if config in self._system()._succ_cache:
             return
         self.expand_frontier(chain((config,), frontier))
 
@@ -244,7 +253,7 @@ class BatchExpander:
         its full successor-group tuple in the system's ``_succ_cache``,
         bit-identical to what the scalar path would memoise.
         """
-        system = self.system
+        system = self._system()
         cache = system._succ_cache
         by_rounds: Dict[int, List[Config]] = {}
         seen = set()
@@ -261,19 +270,20 @@ class BatchExpander:
             group = by_rounds[rounds]
             for start in range(0, len(group), CHUNK_ROWS):
                 chunk = group[start : start + CHUNK_ROWS]
-                self._expand_chunk(rounds, chunk, row_intern)
+                self._expand_chunk(system, rounds, chunk, row_intern)
                 expanded += len(chunk)
         return expanded
 
     # ------------------------------------------------------------------
     def _expand_chunk(
         self,
+        system,
         rounds: int,
         configs: List[Config],
         row_intern: Dict[bytes, Config],
     ) -> None:
         np = _np
-        system = self.system
+        action_of = self.program.action
         plan = self.plan
         block = self.block
         size = len(configs)
@@ -333,24 +343,25 @@ class BatchExpander:
                     # vectorized add produces the successor rows.
                     delta[dst_round * block + rule.branches[0][0]] += 1
                     succs = self._intern_rows(
-                        base + delta, out_rounds, row_intern
+                        system, base + delta, out_rounds, row_intern
                     )
-                    action = self._action(rule_index, round_no, -1)
+                    action = action_of(rule.name, round_no)
                     # zip(zip(...)) builds the (action, succ) pairs and
                     # their singleton groups at C speed; only the row
                     # scatter stays in the interpreter.
                     entries = zip(zip(repeat(action), succs))
                 else:
                     pair_streams = []
-                    for branch_index, (dst, _prob) in enumerate(rule.branches):
+                    for name, (dst, _prob) in zip(
+                        rule.branch_names, rule.branches
+                    ):
                         branch_delta = delta.copy()
                         branch_delta[dst_round * block + dst] += 1
                         succs = self._intern_rows(
-                            base + branch_delta, out_rounds, row_intern
+                            system, base + branch_delta, out_rounds,
+                            row_intern,
                         )
-                        action = self._action(
-                            rule_index, round_no, branch_index
-                        )
+                        action = action_of(rule.name, round_no, name)
                         pair_streams.append(zip(repeat(action), succs))
                     entries = zip(*pair_streams)
                 for row, entry in zip(row_ids, entries):
@@ -362,6 +373,7 @@ class BatchExpander:
 
     def _intern_rows(
         self,
+        system,
         array,
         out_rounds: int,
         row_intern: Dict[bytes, Config],
@@ -376,7 +388,6 @@ class BatchExpander:
         cell-tuple construction and intern again.  Distinct widths
         never collide: the byte length encodes the round horizon.
         """
-        system = self.system
         intern = system.intern
         width_kappa = system.n_locs
         width_g = system.n_vars
@@ -400,21 +411,6 @@ class BatchExpander:
                 row_intern[keys[index]] = config
                 out[index] = config
         return out
-
-    def _action(self, rule_index: int, round_no: int, branch_index: int) -> Action:
-        """Memoised :class:`Action` per (rule, round, branch) label."""
-        key = (rule_index, round_no, branch_index)
-        action = self._actions.get(key)
-        if action is None:
-            rule = self.rules[rule_index]
-            if branch_index < 0:
-                action = Action(rule.name, round_no)
-            else:
-                action = Action(
-                    rule.name, round_no, rule.branch_names[branch_index]
-                )
-            self._actions[key] = action
-        return action
 
 
 def expander_for(system) -> Optional[BatchExpander]:

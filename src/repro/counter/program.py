@@ -41,6 +41,7 @@ from repro.core.expression import ParamExpr
 from repro.core.guards import Cmp
 from repro.core.locations import LocKind, Location
 from repro.core.system import SystemModel
+from repro.counter.actions import Action
 from repro.counter.store import InternTable
 
 __all__ = [
@@ -275,6 +276,11 @@ class ProtocolProgram:
         #: attempted, ``None`` = numpy unavailable.
         self._batch_plan: object = False
 
+        #: The one :class:`Action` per ``(rule, round, branch)`` label,
+        #: shared by every path that builds successor groups or options
+        #: (see :meth:`action`).
+        self._actions: Dict[Tuple[str, int, Optional[str]], Action] = {}
+
         #: Proposition table: ``prop_events[bit]`` is the compiled
         #: predicate of the query proposition holding that program-wide
         #: bit.  It only grows, each growth swapping in a new tuple, so
@@ -393,6 +399,22 @@ class ProtocolProgram:
         bound = ({rule.name: rule for rule in rule_list}, rule_list)
         bounded_insert(self._bound, key, bound, self.BOUND_CACHE_CAP)
         return bound
+
+    def action(
+        self, rule: str, round_no: int, branch: Optional[str] = None
+    ) -> Action:
+        """The shared :class:`Action` for one ``(rule, round, branch)``.
+
+        Actions are valuation-independent labels, so every valuation's
+        scalar and batched expansion, option lists and graph-store
+        loads reuse one object per label instead of building a frozen
+        dataclass per edge.
+        """
+        key = (rule, round_no, branch)
+        action = self._actions.get(key)
+        if action is None:
+            action = self._actions[key] = Action(rule, round_no, branch)
+        return action
 
     def prop_mask(self, props: Sequence) -> int:
         """The program-wide bits of ``props``, registering new ones.

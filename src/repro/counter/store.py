@@ -96,7 +96,6 @@ import weakref
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.counter.actions import Action
 from repro.counter.config import Config
 from repro.errors import ValidationError
 from repro.testing import faults
@@ -177,19 +176,38 @@ def publish(path: Path, blob) -> None:
         raise
 
 
+def _scan_error(op: str, path, exc: OSError) -> None:
+    """Log one swallowed directory error, unless it is a benign race.
+
+    ``FileNotFoundError`` means a concurrent writer, pruner or
+    compaction moved the file first, which is expected and stays
+    silent; anything else (permissions, I/O) logs one ``store.scan_error``
+    warning on this module's logger, quiet unless the application
+    configures logging.
+    """
+    if isinstance(exc, FileNotFoundError):
+        return
+    logger.warning(
+        "graph store scan failure (%s) on %s: %r", op, path, exc,
+        extra={"event": "store.scan_error", "op": op, "path": str(path),
+               "error": repr(exc)},
+    )
+
+
 def prune_stale_temp_files(root: Path) -> int:
     """Remove crashed-writer ``*.tmp`` orphans under ``root``.
 
     Only temp files older than :data:`STALE_TEMP_SECONDS` go (a
     concurrent writer's live temp file must survive).  Best-effort:
-    unlink races and permission errors are ignored.  Returns the number
-    of files removed.
+    errors are logged (:func:`_scan_error`) and skipped.  Returns the
+    number of files removed.
     """
     removed = 0
     now = time.time()
     try:
         candidates = list(root.glob("*.tmp"))
-    except OSError:
+    except OSError as exc:
+        _scan_error("prune", root, exc)
         return 0
     for path in candidates:
         try:
@@ -197,8 +215,8 @@ def prune_stale_temp_files(root: Path) -> int:
                 continue
             path.unlink()
             removed += 1
-        except OSError:
-            continue
+        except OSError as exc:
+            _scan_error("prune", path, exc)
     return removed
 
 
@@ -383,8 +401,8 @@ class LocalDirBackend:
                 continue
             try:
                 stale.unlink()
-            except OSError:
-                continue
+            except OSError as exc:
+                _scan_error("drop", stale, exc)
 
     def segment_heads(self, key: str) -> List[bytes]:
         """The header-line prefix of each of ``key``'s segments.
@@ -397,8 +415,8 @@ class LocalDirBackend:
             try:
                 with open(path, "rb") as handle:
                     heads.append(handle.readline(65536))
-            except OSError:
-                continue
+            except OSError as exc:
+                _scan_error("segment_heads", path, exc)
         return heads
 
     def _key_of(self, path: Path) -> str:
@@ -408,7 +426,8 @@ class LocalDirBackend:
         """All keys with at least one segment, sorted."""
         try:
             return sorted({self._key_of(p) for p in self.root.glob("*.graph")})
-        except OSError:
+        except OSError as exc:
+            _scan_error("keys", self.root, exc)
             return []
 
     def stats(self) -> Dict[str, Tuple[int, int]]:
@@ -416,12 +435,14 @@ class LocalDirBackend:
         out: Dict[str, List[int]] = {}
         try:
             paths = list(self.root.glob("*.graph"))
-        except OSError:
+        except OSError as exc:
+            _scan_error("stats", self.root, exc)
             return {}
         for path in paths:
             try:
                 size = path.stat().st_size
-            except OSError:
+            except OSError as exc:
+                _scan_error("stats", path, exc)
                 continue
             record = out.setdefault(self._key_of(path), [0, 0])
             record[0] += 1
@@ -435,8 +456,8 @@ class LocalDirBackend:
             try:
                 path.unlink()
                 removed += 1
-            except OSError:
-                continue
+            except OSError as exc:
+                _scan_error("delete_key", path, exc)
         return removed
 
 
@@ -754,6 +775,7 @@ class GraphStore:
                 tuple(data), width_kappa, width_g, len(data) // block
             )))
         rules = system._rule_list
+        action = program.action
         succ_cache = system._succ_cache
         for config_id, groups in payload["succ"]:
             rebuilt = []
@@ -762,20 +784,20 @@ class GraphStore:
                 if rule.is_dirac:
                     (successor_id,) = successor_ids
                     rebuilt.append((
-                        (Action(rule.name, round_no), configs[successor_id]),
+                        (action(rule.name, round_no), configs[successor_id]),
                     ))
                 else:
                     if len(successor_ids) != len(rule.branch_names):
                         raise ValueError("branch count mismatch")
                     rebuilt.append(tuple(
-                        (Action(rule.name, round_no, name), configs[sid])
+                        (action(rule.name, round_no, name), configs[sid])
                         for name, sid in zip(rule.branch_names, successor_ids)
                     ))
             succ_cache[configs[config_id]] = tuple(rebuilt)
         options_cache = system._options_cache
         for config_id, pairs in payload["options"]:
             options_cache[configs[config_id]] = tuple(
-                Action(rules[rule_id].name, round_no)
+                action(rules[rule_id].name, round_no)
                 for rule_id, round_no in pairs
             )
         return len(succ_cache), len(options_cache)

@@ -42,6 +42,15 @@ state (automaton counts, intern table, successor/option caches).
   frontier with one numpy pass, producing bit-identical group tuples
   in the same rule-major/round order.
 
+Heap rules: nothing in a system's graph refers back to the system (the
+batch expander holds it weakly), every path that builds actions takes
+them from the program's one table
+(:meth:`~repro.counter.program.ProtocolProgram.action`), and
+:meth:`repro.api.engines.ExplicitEngine.run` pauses the cyclic
+collector for each task.  A dropped or evicted system is therefore
+freed by reference counting at once, and the collector never re-walks
+a growing graph.
+
 :func:`shared_system` additionally shares whole bound systems — and
 therefore their warm successor caches — across checkers in one
 process, keyed by ``(program, valuation)``; this is what lets a
@@ -310,13 +319,14 @@ class CounterSystem:
         provably leave the configuration unchanged (trivial self-loops)
         are omitted — convenient for state-space exploration.
         """
+        action = self.program.action
         actions: List[Action] = []
         for rule, round_no in self._enabled_rule_rounds(config, include_stutters):
             if rule.is_dirac:
-                actions.append(Action(rule.name, round_no))
+                actions.append(action(rule.name, round_no))
             else:
                 for target in rule.branch_names:
-                    actions.append(Action(rule.name, round_no, target))
+                    actions.append(action(rule.name, round_no, target))
         return actions
 
     def _enabled_rule_rounds(
@@ -412,19 +422,20 @@ class CounterSystem:
         cached = self._succ_cache.get(config)
         if cached is not None:
             return cached
+        action = self.program.action
         groups: List[MoveGroup] = []
         for rule, round_no in self._enabled_rule_rounds(config, False):
             if rule.is_dirac:
                 groups.append((
                     (
-                        Action(rule.name, round_no),
+                        action(rule.name, round_no),
                         self.apply_unchecked(config, rule, round_no),
                     ),
                 ))
             else:
                 groups.append(tuple(
                     (
-                        Action(rule.name, round_no, name),
+                        action(rule.name, round_no, name),
                         self.apply_unchecked(config, rule, round_no, dst),
                     )
                     for name, (dst, _prob) in zip(rule.branch_names, rule.branches)
@@ -470,7 +481,8 @@ class CounterSystem:
         trigger the numpy import.  The expander fills the very same
         ``_succ_cache`` the scalar :meth:`successor_groups` reads, with
         bit-identical group tuples — see :mod:`repro.counter.batch` for
-        the order-preservation contract.
+        the order-preservation contract.  The expander refers back to
+        this system weakly, so caching it here closes no cycle.
         """
         expander = self._batch_expander
         if expander is None:
@@ -497,8 +509,9 @@ class CounterSystem:
         cached = self._options_cache.get(config)
         if cached is not None:
             return cached
+        action = self.program.action
         options = tuple(
-            Action(rule.name, round_no)
+            action(rule.name, round_no)
             for rule, round_no in self._enabled_rule_rounds(config, False)
         )
         self._memo_insert(self._options_cache, config, options)

@@ -1,11 +1,14 @@
 """Engine adapters: golden equivalence, limits, and custom queries."""
 
+import gc
 import json
 from pathlib import Path
 
 import pytest
 
 from repro import api
+from repro.api import engines as engines_module
+from repro.counter.system import clear_shared_caches
 from repro.errors import CheckError
 from repro.protocols import cc85, mmr14
 
@@ -96,6 +99,57 @@ class TestExplicitEngine:
     def test_custom_model_needs_valuation(self):
         with pytest.raises(CheckError):
             api.verify(model=cc85.model_a(), target="validity")
+
+
+class TestCollectorPause:
+    """ExplicitEngine.run pauses the cyclic collector and puts it back."""
+
+    def test_collector_is_off_inside_and_back_on_after(self, monkeypatch):
+        seen = []
+        original = engines_module.obligations_for
+
+        def spy(model, target):
+            seen.append(gc.isenabled())
+            return original(model, target)
+
+        monkeypatch.setattr(engines_module, "obligations_for", spy)
+        assert gc.isenabled()
+        api.verify("cc85a", target="validity")
+        assert seen == [False]
+        assert gc.isenabled()
+
+    def test_collector_is_back_on_after_a_raise(self, monkeypatch):
+        def boom(model, target):
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr(engines_module, "obligations_for", boom)
+        with pytest.raises(RuntimeError, match="injected"):
+            api.verify("cc85a", target="validity")
+        assert gc.isenabled()
+
+    def test_a_disabled_collector_stays_disabled(self):
+        gc.disable()
+        try:
+            api.verify("cc85a", target="validity")
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_an_explicit_task_leaves_no_cyclic_garbage(self):
+        api.verify("cc85a")  # warm-up: lazy imports and first calls
+        clear_shared_caches()
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            api.verify("cc85a")
+            # Dropping the task's graphs must not leave garbage either.
+            clear_shared_caches()
+            gc.collect()
+            garbage = [type(obj).__name__ for obj in gc.garbage]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert garbage == []
 
 
 class TestParameterizedEngine:

@@ -19,6 +19,7 @@ import pytest
 from repro.checker.explicit import ExplicitChecker
 from repro.counter.program import ProtocolProgram, shared_program
 from repro.counter.store import (
+    STALE_TEMP_SECONDS,
     GraphStore,
     LocalDirBackend,
     activate_graph_store,
@@ -29,6 +30,7 @@ from repro.counter.store import (
     encode_entry,
     key_version,
     program_digest,
+    prune_stale_temp_files,
     valuation_digest,
 )
 from repro.counter.system import (
@@ -960,6 +962,106 @@ class TestDirectoryResilience:
         [record] = caplog.records
         assert record.event == "store.load_error"
         assert record.key == store.key_for(system)
+
+
+def _raise(exc_type):
+    def fail(*_args, **_kwargs):
+        raise exc_type(13, "injected")
+    return fail
+
+
+class TestScanErrors:
+    """Swallowed directory errors log one ``store.scan_error`` each.
+
+    ``FileNotFoundError`` is the benign race with a concurrent writer
+    or pruner and stays silent.
+    """
+
+    @pytest.fixture
+    def backend(self, tmp_path):
+        backend = LocalDirBackend(tmp_path)
+        backend.append_segment("k-p-v-x", b"head\nbody")
+        return backend
+
+    @staticmethod
+    def _scan_records(caplog):
+        return [r for r in caplog.records
+                if getattr(r, "event", None) == "store.scan_error"]
+
+    def _one_record(self, caplog, op):
+        [record] = self._scan_records(caplog)
+        assert record.op == op
+        assert "PermissionError" in record.error and record.path
+        return record
+
+    @pytest.fixture(autouse=True)
+    def _capture(self, caplog):
+        import logging
+
+        caplog.set_level(logging.WARNING, logger="repro.counter.store")
+
+    def test_keys(self, backend, caplog, monkeypatch):
+        monkeypatch.setattr(Path, "glob", _raise(PermissionError))
+        assert backend.keys() == []
+        self._one_record(caplog, "keys")
+
+    def test_stats_listing(self, backend, caplog, monkeypatch):
+        monkeypatch.setattr(Path, "glob", _raise(PermissionError))
+        assert backend.stats() == {}
+        self._one_record(caplog, "stats")
+
+    def test_stats_entry(self, backend, caplog, monkeypatch):
+        monkeypatch.setattr(Path, "stat", _raise(PermissionError))
+        assert backend.stats() == {}
+        self._one_record(caplog, "stats")
+
+    def test_segment_heads(self, backend, caplog, monkeypatch):
+        import repro.counter.store as store_module
+
+        monkeypatch.setattr(store_module, "open", _raise(PermissionError),
+                            raising=False)
+        assert backend.segment_heads("k-p-v-x") == []
+        self._one_record(caplog, "segment_heads")
+
+    def test_delete_key(self, backend, caplog, monkeypatch):
+        monkeypatch.setattr(Path, "unlink", _raise(PermissionError))
+        assert backend.delete_key("k-p-v-x") == 0
+        self._one_record(caplog, "delete_key")
+
+    def test_write_canonical_drop(self, backend, caplog, monkeypatch):
+        read = [path for path, _blob in backend.read_segments("k-p-v-x")]
+        monkeypatch.setattr(Path, "unlink", _raise(PermissionError))
+        backend.write_canonical("k-p-v-x", b"merged", drop=read)
+        assert backend.canonical_path("k-p-v-x").read_bytes() == b"merged"
+        record = self._one_record(caplog, "drop")
+        assert record.path == str(read[0])
+
+    def test_prune_listing(self, tmp_path, caplog, monkeypatch):
+        monkeypatch.setattr(Path, "glob", _raise(PermissionError))
+        assert prune_stale_temp_files(tmp_path) == 0
+        self._one_record(caplog, "prune")
+
+    def test_prune_unlink(self, tmp_path, caplog, monkeypatch):
+        orphan = tmp_path / "x.graph.1.dead.tmp"
+        orphan.write_bytes(b"")
+        old = time.time() - 2 * STALE_TEMP_SECONDS
+        os.utime(orphan, (old, old))
+        monkeypatch.setattr(Path, "unlink", _raise(PermissionError))
+        assert prune_stale_temp_files(tmp_path) == 0
+        self._one_record(caplog, "prune")
+
+    def test_vanished_files_stay_silent(self, backend, tmp_path, caplog,
+                                        monkeypatch):
+        orphan = tmp_path / "x.graph.1.dead.tmp"
+        orphan.write_bytes(b"")
+        old = time.time() - 2 * STALE_TEMP_SECONDS
+        os.utime(orphan, (old, old))
+        monkeypatch.setattr(Path, "unlink", _raise(FileNotFoundError))
+        assert prune_stale_temp_files(tmp_path) == 0
+        assert backend.delete_key("k-p-v-x") == 0
+        monkeypatch.setattr(Path, "glob", _raise(FileNotFoundError))
+        assert backend.keys() == [] and backend.stats() == {}
+        assert self._scan_records(caplog) == []
 
 
 class TestDescribe:

@@ -1,11 +1,24 @@
 """Unit tests for the explicit counter-system semantics."""
 
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
 
+from repro import api
+from repro.counter import program as program_module
 from repro.counter.actions import Action
-from repro.counter.system import CounterSystem, _compositions
+from repro.counter.batch import batch_available
+from repro.counter.program import ProtocolProgram
+from repro.counter.store import GraphStore
+from repro.counter.system import (
+    _SYSTEM_CACHE,
+    CounterSystem,
+    _compositions,
+    clear_shared_caches,
+    shared_system,
+)
 from repro.errors import SemanticsError
 from repro.protocols import mmr14, naive_voting
 
@@ -198,3 +211,129 @@ class TestSemantics:
         after = mmr_system.apply(after, Action("r3", 1))     # broadcast in round 1
         assert after.variable(0, mmr_system.var_index["b0"]) == 5
         assert after.variable(1, mmr_system.var_index["b0"]) == 1
+
+
+@pytest.fixture
+def collector_off():
+    """The cyclic collector disabled: only reference counting frees."""
+    clear_shared_caches()
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+class TestDroppedSystemsAreFreed:
+    """No reference cycle runs through a bound system or its program.
+
+    With the collector disabled, a system (with its successor cache)
+    and a program (with its intern table) must die the moment the
+    shared caches let go of them.
+    """
+
+    def test_clear_shared_caches_frees_systems_and_programs(
+        self, collector_off
+    ):
+        api.verify("mmr14")
+        systems = list(_SYSTEM_CACHE._systems.values())
+        programs = list(program_module._PROGRAM_CACHE._programs.values())
+        assert systems and programs
+        if batch_available():
+            assert any(s._batch_expander is not None for s in systems)
+        system_refs = [weakref.ref(s) for s in systems]
+        program_refs = [weakref.ref(p) for p in programs]
+        del systems, programs
+        clear_shared_caches()
+        assert [r for r in system_refs if r() is not None] == []
+        assert [r for r in program_refs if r() is not None] == []
+
+    def test_fifo_evicted_system_is_freed(self, collector_off):
+        model = naive_voting.model()
+        refs = {}
+        for n in range(3, 3 + _SYSTEM_CACHE.CAP + 1):
+            system = shared_system(model, {"n": n, "f": 1})
+            expander = system.batch_expander()
+            if expander is not None:
+                expander.expand_frontier(system.initial_configs())
+            else:
+                for config in system.initial_configs():
+                    system.successor_groups(config)
+            refs[n] = weakref.ref(system)
+            del system, expander
+        cached = {id(s) for s in _SYSTEM_CACHE._systems.values()}
+        evicted = [ref for ref in refs.values()
+                   if ref() is None or id(ref()) not in cached]
+        assert evicted, "the 9th valuation must evict a cached system"
+        assert [ref for ref in evicted if ref() is not None] == []
+
+
+def _action_copies(system):
+    """Labels in the system's caches that more than one object carries."""
+    objects = {}
+    for groups in system._succ_cache.values():
+        for group in groups:
+            for action, _successor in group:
+                objects.setdefault(
+                    (action.rule, action.round, action.branch), set()
+                ).add(id(action))
+    for options in system._options_cache.values():
+        for action in options:
+            objects.setdefault(
+                (action.rule, action.round, action.branch), set()
+            ).add(id(action))
+    assert objects, "the caches must hold something"
+    return {label: len(ids) for label, ids in objects.items() if len(ids) > 1}
+
+
+def _fresh_mmr_system():
+    model = mmr14.model()
+    return CounterSystem(model, VAL, program=ProtocolProgram(model))
+
+
+def _scalar_explore(system, limit=400):
+    frontier = list(system.initial_configs())
+    seen = set(frontier)
+    while frontier and len(seen) < limit:
+        config = frontier.pop(0)
+        system.rule_options(config)
+        for group in system.successor_groups(config):
+            for _action, successor in group:
+                if successor not in seen:
+                    seen.add(successor)
+                    frontier.append(successor)
+
+
+class TestOneActionTable:
+    """Every path that builds actions shares one object per label."""
+
+    @pytest.mark.skipif(not batch_available(), reason="needs numpy")
+    def test_cold_batch_expansion(self):
+        system = _fresh_mmr_system()
+        expander = system.batch_expander()
+        level = list(system.initial_configs())
+        while level and len(system._succ_cache) < 400:
+            expander.expand_frontier(level)
+            level = [
+                successor
+                for config in level
+                for group in system._succ_cache[config]
+                for _action, successor in group
+                if successor not in system._succ_cache
+            ]
+        assert _action_copies(system) == {}
+
+    def test_cold_scalar_expansion(self):
+        system = _fresh_mmr_system()
+        _scalar_explore(system)
+        assert _action_copies(system) == {}
+
+    def test_warm_store_load(self, tmp_path):
+        source = _fresh_mmr_system()
+        _scalar_explore(source)
+        assert GraphStore(tmp_path, version="v1").flush(source)
+        warm = _fresh_mmr_system()
+        assert GraphStore(tmp_path, version="v1").load_into(warm)
+        assert len(warm._succ_cache) == len(source._succ_cache)
+        assert _action_copies(warm) == {}
