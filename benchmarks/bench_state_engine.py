@@ -28,8 +28,8 @@ f=1``:
   the speedup a fresh process gets from a previous process's work;
 * ``store_backends`` — an incremental-exploration workload (the same
   keys revisited under growing state budgets) against the directory
-  store (reported as ``dir``): bytes written by delta flushes and the
-  warm-from-storage second-run time;
+  store (reported as ``dir``): bytes written by snapshot flushes and
+  the warm-from-storage second-run time;
 * ``parameterized`` — the paper's own pipeline: schema-DFS nodes/sec of
   the parameterized checker on validity (``inv2[0]``, ``inv2[1]``) for
   fmr05, cc85a and rabin83, with its time split into encode, float
@@ -244,12 +244,13 @@ def bench_store_sweep(quick: bool) -> dict:
 
 
 def bench_store_backends(quick: bool) -> dict:
-    """Delta-flush bytes + warm-from-storage time of the graph store.
+    """Snapshot-flush bytes + warm-from-storage time of the graph store.
 
-    The workload the delta segments were built for: the same
+    The worst case for whole-graph snapshots: the same
     ``(protocol, valuation)`` keys revisited by consecutive tasks under
     *growing* ``max_states`` budgets, so each task extends the stored
-    graph a little and each flush appends only the increment.  The
+    graph a little and each snapshot flush rewrites the whole grown
+    graph.  The
     matrix runs twice (cold, then warm-from-storage with every
     in-process cache dropped) and both runs must agree bit for bit.
     The section keeps its name and its ``dir`` key so the trajectory

@@ -136,7 +136,7 @@ def main(argv=None) -> int:
               f"({store['warm_speedup']:.2f}x second-run speedup)")
     backends = fresh.get("store_backends")
     if backends:
-        print(f"  store_backends (informational)  delta flushes wrote "
+        print(f"  store_backends (informational)  snapshot flushes wrote "
               f"{backends['dir']['cold_bytes_written']:,} bytes; "
               f"cold {backends['dir']['cold_seconds']:.2f}s -> warm "
               f"{backends['dir']['warm_seconds']:.2f}s")

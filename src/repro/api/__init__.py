@@ -255,11 +255,11 @@ def sweep(
     caches shared across the shard's valuations) — same report, less
     recompilation; best for protocol × many-valuation matrices.
     ``graph_store=`` names the directory of the persistent
-    state-graph store, shared by the whole worker pool.  Explored
-    successor graphs are flushed there as delta segments per task and
-    reloaded by later runs (fresh processes included), which speeds
-    the tasks the result cache cannot skip — results stay
-    bit-identical either way.
+    state-graph store, shared by the whole worker pool.  Each
+    explored successor graph is kept there as one snapshot file,
+    rewritten after a task that grew it and reloaded by later runs
+    (fresh processes included), which speeds the tasks the result
+    cache cannot skip — results stay bit-identical either way.
     With a ``cache_dir`` (or explicit ``journal=`` path) every
     completed task is appended to a sweep journal; ``resume=True``
     finishes an interrupted identical sweep by re-running only tasks

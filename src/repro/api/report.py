@@ -182,12 +182,6 @@ class RunReport:
     def verdict(self) -> str:
         return worst_verdict(r.verdict for r in self.results)
 
-    def result_for(self, task_id: str) -> TaskResult:
-        for result in self.results:
-            if result.task_id == task_id:
-                return result
-        raise KeyError(f"no result for task {task_id!r}")
-
     def to_dict(self) -> dict:
         data = {
             "results": [r.to_dict() for r in self.results],

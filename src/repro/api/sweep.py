@@ -53,17 +53,17 @@ still input-ordered and bit-identical.
 Orthogonally, ``graph_store`` enables the persistent *state-graph*
 store (:class:`~repro.counter.store.GraphStore`): workers (and inline
 runs) warm each task's explored successor graph from storage on
-startup and flush delta segments of what they grew after every task,
-so a fresh process replays a previously-expanded sweep on memoised
-successors.  The store is one directory that the whole worker pool
-reads and writes concurrently.  The result cache skips whole tasks;
-the graph store speeds the tasks that still run — notably tasks whose
-result is *not* cacheable (custom models, ``max_seconds`` trips) or
-not yet cached.
+startup and, after every task, replace the graph's one snapshot file
+when it grew, so a fresh process replays a previously-expanded sweep
+on memoised successors.  The store is one directory that the whole
+worker pool reads and writes concurrently.  The result cache skips
+whole tasks; the graph store speeds the tasks that still run — notably
+tasks whose result is *not* cacheable (custom models, ``max_seconds``
+trips) or not yet cached.
 
 For chaos testing, ``fault_plan`` installs a deterministic
 :class:`~repro.testing.faults.FaultPlan` in every pool worker (never
-in the supervisor): injected kills, hangs, I/O errors and segment
+in the supervisor): injected kills, hangs, I/O errors and snapshot
 corruption exercise exactly the recovery paths above — see
 ``tests/api/test_sweep_faults.py``.
 """
@@ -337,11 +337,16 @@ class ResultCache:
         Never raises: an unreadable file, non-JSON, or JSON that is not
         an object (a hand-edited ``[1, 2]``) all answer None, matching
         the cache's own miss-not-crash contract — the maintenance CLI
-        walks arbitrary directories with this.
+        walks arbitrary directories with this.  A read or parse failure
+        logs one ``result_cache.entry_error`` warning, except a file
+        that vanished first (a concurrent prune), which stays silent.
         """
         try:
             blob = json.loads(path.read_text())
-        except (OSError, ValueError):
+        except FileNotFoundError:
+            return None
+        except (OSError, ValueError) as exc:
+            _warn("result_cache.entry_error", str(path), exc)
             return None
         if not isinstance(blob, dict):
             return None
@@ -366,7 +371,7 @@ class SweepRunner:
             (:class:`~repro.counter.store.GraphStore`); ``None``
             disables it.  Workers and inline
             runs warm each task's explored graph from storage and
-            flush delta segments of what they grow, so a sweep re-run
+            rewrite its snapshot when it grew, so a sweep re-run
             in a fresh process replays on memoised successors —
             results-neutral (verdicts and ``states_explored`` stay
             bit-identical to cold runs).

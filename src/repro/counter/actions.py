@@ -21,10 +21,6 @@ class Action:
     round: int = 0
     branch: Optional[str] = None
 
-    def with_round(self, round_no: int) -> "Action":
-        """The same action relabelled to a different round."""
-        return Action(self.rule, round_no, self.branch)
-
     def __str__(self) -> str:
         branch = f"@{self.branch}" if self.branch is not None else ""
         return f"({self.rule}{branch}, {self.round})"

@@ -369,7 +369,7 @@ class BatchExpander:
 
         succ_cache = system._succ_cache
         for index, config in enumerate(configs):
-            system._memo_insert(succ_cache, config, tuple(groups[index]))
+            system._bounded_insert(succ_cache, config, tuple(groups[index]))
 
     def _intern_rows(
         self,

@@ -57,7 +57,7 @@ __all__ = [
 ]
 
 
-def bounded_insert(cache: Dict, key, value, cap: int, on_evict=None) -> None:
+def bounded_insert(cache: Dict, key, value, cap: int) -> None:
     """Insert with FIFO eviction of the oldest quarter at ``cap``.
 
     The one eviction policy shared by every bounded cache in the engine
@@ -67,18 +67,11 @@ def bounded_insert(cache: Dict, key, value, cap: int, on_evict=None) -> None:
     is plain FIFO, not LRU — which keeps the hit path a single dict
     lookup.  At least one entry is always evicted at the cap, so the
     bound holds for any ``cap >= 1``.
-
-    ``on_evict`` (optional) is called with the number of evicted
-    entries whenever eviction happens — the single notification point
-    observers key on (the graph store's cache-epoch bookkeeping), so a
-    future policy change cannot silently strand them.
     """
     if len(cache) >= cap:
         evict = max(1, len(cache) // 4)
         for stale in list(itertools.islice(iter(cache), evict)):
             del cache[stale]
-        if on_evict is not None:
-            on_evict(evict)
     cache[key] = value
 
 #: A bound guard atom: (lhs as (index, coeff) pairs, cmp, rhs int).

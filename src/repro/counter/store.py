@@ -22,31 +22,22 @@ kept warm across checkers.  This module extends that sharing across
 On-disk layout
 --------------
 The store is one directory of ``*.graph`` files, and
-:class:`LocalDirBackend` is the one place that knows its layout:
-canonical snapshots live at ``<key>.graph`` and delta segments at
-``<key>~<writer>.graph``.  Every segment follows one entry contract: a
-header line with the identity fields, entry counts and a body sha256
-checksum, then a pickled int-tuple payload loaded through a
-class-refusing restricted unpickler.  One reader, :func:`_read_segment`,
-enforces that contract for every consumer: loads, the flush-time
-"already stored?" check and compaction.
+:class:`LocalDirBackend` is the one place that knows its layout: each
+key has one snapshot file, ``<key>.graph``, holding that system's whole
+graph.  A snapshot is a header line with the identity fields, entry
+counts and a body sha256 checksum, then a pickled int-tuple payload
+loaded through a class-refusing restricted unpickler.  One reader,
+:func:`_read_segment`, enforces that contract.
 
-Delta segments
---------------
-Flushes append **delta segments** instead of rewriting whole-graph
-snapshots: each flush serializes only the cache entries grown since the
-last flush/load of the same system, keyed off the PR 4
-``(cache epoch, succ entries, option entries)`` triple
-(:meth:`~repro.counter.system.CounterSystem.cache_state`).  A
-destructive cache event (FIFO eviction, intern-table generation reset)
-bumps the epoch and degrades the next flush to a full segment — never
-to a lost delta.  Loads merge every segment for a key (union of
-entries; memoised expansions of one configuration are identical in
-every segment, so merge order cannot change results).
-:func:`compact_backend` — surfaced as ``harness cache compact`` —
-squashes a key's segments into one canonical snapshot and drops
-corrupt segments along the way.  One payload merge,
-:func:`_merge_payloads`, serves compaction and the flush-time check.
+Snapshot rule
+-------------
+A flush replaces the key's snapshot with the system's full graph, and
+only when the system holds more cache entries (successor plus option
+entries) than this store last loaded or wrote for the key.  So an
+unchanged graph writes nothing, and a smaller system never replaces a
+larger snapshot this store knows of.  A failed load forgets the key,
+so the next flush overwrites a corrupt snapshot with a good one.
+Concurrent writers of one key end with one writer's complete graph.
 
 Durability contract (shared with :class:`~repro.api.sweep.ResultCache`
 through :func:`publish`):
@@ -54,7 +45,7 @@ through :func:`publish`):
 * writes go to a **unique per-writer temp file**
   (``<name>.<pid>.<token>.tmp``) followed by an atomic
   :meth:`~pathlib.Path.replace`, so concurrent writers of one key
-  interleave freely and readers only ever see complete segments;
+  interleave freely and readers only ever see complete snapshots;
 * all I/O is **best-effort** — a missing, truncated, hand-edited or
   stale entry (or a full disk) is a cold miss recorded on the store
   and logged as one ``store.*`` warning on this module's logger
@@ -64,7 +55,8 @@ through :func:`publish`):
   unpickler that refuses every class lookup, so a crafted pickle
   cannot execute code;
 * temp-file orphans from crashed writers are pruned when a store
-  opens its directory.
+  opens its directory; snapshots of any other code version are stale
+  and ``harness cache prune`` removes them.
 
 Threat model: the store directory is *trusted input*, like any local
 cache.  The checksum and unpickler close the accident and
@@ -85,7 +77,6 @@ from __future__ import annotations
 
 import hashlib
 import io
-import itertools
 import json
 import logging
 import os
@@ -94,7 +85,7 @@ import time
 import uuid
 import weakref
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.counter.config import Config
 from repro.errors import ValidationError
@@ -108,7 +99,6 @@ __all__ = [
     "activate_graph_store",
     "active_graph_store",
     "check_graph_store_dir",
-    "compact_backend",
     "deactivate_graph_store",
     "program_digest",
     "prune_stale_temp_files",
@@ -179,11 +169,10 @@ def publish(path: Path, blob) -> None:
 def _scan_error(op: str, path, exc: OSError) -> None:
     """Log one swallowed directory error, unless it is a benign race.
 
-    ``FileNotFoundError`` means a concurrent writer, pruner or
-    compaction moved the file first, which is expected and stays
-    silent; anything else (permissions, I/O) logs one ``store.scan_error``
-    warning on this module's logger, quiet unless the application
-    configures logging.
+    ``FileNotFoundError`` means a concurrent writer or pruner moved
+    the file first, which is expected and stays silent; anything else
+    (permissions, I/O) logs one ``store.scan_error`` warning on this
+    module's logger, quiet unless the application configures logging.
     """
     if isinstance(exc, FileNotFoundError):
         return
@@ -256,18 +245,11 @@ class InternTable:
         self._dependents.add(system)
 
     def reset(self) -> None:
-        """Drop the table and every dependent's derived caches together.
-
-        Bumps each dependent's cache epoch: a reset changes cache
-        *contents* without necessarily changing their lengths, and the
-        store's delta/skip flush bookkeeping keys on ``(epoch,
-        lengths)`` to stay sound across it.
-        """
+        """Drop the table and every dependent's derived caches together."""
         self.table.clear()
         for system in self._dependents:
             system._succ_cache.clear()
             system._options_cache.clear()
-            system._cache_epoch += 1
 
     def __len__(self) -> int:
         return len(self.table)
@@ -317,7 +299,7 @@ class _SafeUnpickler(pickle.Unpickler):
     and closes the classic pickle code-execution hole: a hand-crafted
     entry whose payload smuggles a ``GLOBAL``/``STACK_GLOBAL`` opcode
     raises here, inside :func:`_read_segment`, and every caller of the
-    reader treats that as a bad segment.
+    reader treats that as a bad snapshot.
     """
 
     def find_class(self, module, name):
@@ -330,26 +312,15 @@ class _SafeUnpickler(pickle.Unpickler):
 # The directory layout
 # ----------------------------------------------------------------------
 class LocalDirBackend:
-    """Raw segment storage: one directory of ``*.graph`` files.
+    """Raw snapshot storage: one directory of ``<key>.graph`` files.
 
-    Stores opaque byte blobs (*segments*) under string keys and never
-    interprets them — the header/checksum/unpickler contract lives in
-    :func:`_read_segment` and :func:`encode_entry`.  Canonical snapshots (compaction output, and
-    whole-graph entries from before delta segments) live at
-    ``<key>.graph``; delta segments at
-    ``<key>~<pid>_<sequence>_<token>.graph`` — the ``~`` suffix is
-    writer-unique, so any number of processes can append segments for
-    one key without ever racing on a file name.  Writes are a unique
-    temp file plus an atomic rename; stale temp orphans are pruned on
-    init.  Operations may raise ``OSError``; the store layer turns
-    those into recorded cold misses.
+    Stores opaque byte blobs under string keys and never interprets
+    them — the header/checksum/unpickler contract lives in
+    :func:`_read_segment` and :func:`encode_entry`.  Writes are a
+    unique temp file plus an atomic rename; stale temp orphans are
+    pruned on init.  Operations may raise ``OSError``; the store layer
+    turns those into recorded cold misses.
     """
-
-    #: Process-wide segment sequence (shared by every instance): makes
-    #: one process's segments sort in append order whatever store
-    #: object wrote them (cross-process order is irrelevant — merges
-    #: are unions of identical memoised expansions).
-    _SEQUENCE = itertools.count()
 
     def __init__(self, root):
         self.root = Path(root)
@@ -359,106 +330,21 @@ class LocalDirBackend:
     def canonical_path(self, key: str) -> Path:
         return self.root / f"{key}.graph"
 
-    def _segment_paths(self, key: str) -> List[Path]:
-        paths = []
-        canonical = self.canonical_path(key)
-        if canonical.exists():
-            paths.append(canonical)
-        paths.extend(sorted(self.root.glob(f"{key}~*.graph")))
-        return paths
-
     def read_segments(self, key: str) -> List[Tuple[Path, bytes]]:
-        """All segments for ``key``, canonical first, as (path, blob)."""
-        out = []
-        for path in self._segment_paths(key):
-            try:
-                out.append((path, path.read_bytes()))
-            except FileNotFoundError:
-                continue  # lost a race with compaction/prune: data moved
-        return out
-
-    def append_segment(self, key: str, blob: bytes) -> None:
-        """Durably add one segment for ``key`` (never replaces)."""
-        token = uuid.uuid4().hex[:8]
-        path = self.root / (
-            f"{key}~{os.getpid()}_{next(self._SEQUENCE):06d}_{token}.graph"
-        )
-        publish(path, blob)
-
-    def write_canonical(self, key: str, blob: bytes, drop=()) -> None:
-        """Publish ``blob`` as the canonical segment for ``key``.
-
-        ``drop`` names the segment paths this blob supersedes.
-        Segments appended by a concurrent writer *after* the caller
-        read its paths survive — that is what lets compaction run under
-        live writers.
-        """
+        """``key``'s snapshot as ``[(path, blob)]``, or ``[]`` if absent."""
         path = self.canonical_path(key)
-        publish(path, blob)
-        for stale in drop:
-            stale = Path(stale)
-            if stale == path:
-                continue
-            try:
-                stale.unlink()
-            except OSError as exc:
-                _scan_error("drop", stale, exc)
-
-    def segment_heads(self, key: str) -> List[bytes]:
-        """The header-line prefix of each of ``key``'s segments.
-
-        Cheap (no payloads): the store dedups no-baseline full-segment
-        flushes against the body checksums already on storage.
-        """
-        heads = []
-        for path in self._segment_paths(key):
-            try:
-                with open(path, "rb") as handle:
-                    heads.append(handle.readline(65536))
-            except OSError as exc:
-                _scan_error("segment_heads", path, exc)
-        return heads
-
-    def _key_of(self, path: Path) -> str:
-        return path.stem.split("~", 1)[0]
-
-    def keys(self) -> List[str]:
-        """All keys with at least one segment, sorted."""
         try:
-            return sorted({self._key_of(p) for p in self.root.glob("*.graph")})
-        except OSError as exc:
-            _scan_error("keys", self.root, exc)
+            return [(path, path.read_bytes())]
+        except FileNotFoundError:
             return []
 
-    def stats(self) -> Dict[str, Tuple[int, int]]:
-        """Per-key ``(segment count, total bytes)``."""
-        out: Dict[str, List[int]] = {}
-        try:
-            paths = list(self.root.glob("*.graph"))
-        except OSError as exc:
-            _scan_error("stats", self.root, exc)
-            return {}
-        for path in paths:
-            try:
-                size = path.stat().st_size
-            except OSError as exc:
-                _scan_error("stats", path, exc)
-                continue
-            record = out.setdefault(self._key_of(path), [0, 0])
-            record[0] += 1
-            record[1] += size
-        return {key: (count, size) for key, (count, size) in out.items()}
+    def write_canonical(self, key: str, blob: bytes) -> None:
+        """Atomically replace ``key``'s snapshot with ``blob``."""
+        publish(self.canonical_path(key), blob)
 
-    def delete_key(self, key: str) -> int:
-        """Drop every segment of ``key``; returns segments removed."""
-        removed = 0
-        for path in self._segment_paths(key):
-            try:
-                path.unlink()
-                removed += 1
-            except OSError as exc:
-                _scan_error("delete_key", path, exc)
-        return removed
+    #: An alias of :meth:`write_canonical`, kept because
+    #: ``perfbench/tracing.py`` looks it up by name.
+    append_segment = write_canonical
 
 
 # ----------------------------------------------------------------------
@@ -470,7 +356,7 @@ class GraphStore:
 
     Entry keys are ``<slug>-<program>-<valuation>-<version>`` — every
     identity component slugged into the key.
-    Each segment is one header line — ``repro-graph <format> <json>``
+    Each snapshot is one header line — ``repro-graph <format> <json>``
     with the identity fields, entry counts and a body checksum —
     followed by a pickled payload of plain int tuples: the config
     universe (flat cell tuples) and the successor/option caches as
@@ -479,9 +365,9 @@ class GraphStore:
     rule list on load, so a payload can never inject structure that the
     current code version would not itself produce.
 
-    Flushes append deltas (only entries grown since the last flush/load
-    of the same system — the PR 4 epoch triple tracks destructive cache
-    events and degrades the next flush to a full segment).
+    Flushes follow the module's snapshot rule: the full graph replaces
+    the key's snapshot when the system outgrew what this store last
+    loaded or wrote for the key.
 
     All methods are best-effort: any I/O failure (and, on the read
     side, any parse error) is swallowed, counted, logged, and treated
@@ -495,15 +381,9 @@ class GraphStore:
     def __init__(self, root, version: Optional[str] = None):
         self.backend = LocalDirBackend(root)
         self.version = version if version is not None else code_version()
-        #: key -> (system weakref, epoch, succ entries, option entries)
-        #: at the last flush/load.  The weakref scopes the baseline to
-        #: one system instance: a *different* system under the same key
-        #: (cache eviction + rebirth) starts from a full segment, never
-        #: from a baseline measured on someone else's caches.  The
-        #: epoch component keeps the delta sound across FIFO evictions
-        #: and intern-table generation resets, which change cache
-        #: *contents* at coinciding lengths.
-        self._flushed: Dict[str, Tuple] = {}
+        #: key -> cache entries (succ plus option entries) of the
+        #: snapshot this store last loaded or wrote for the key.
+        self._stored: Dict[str, int] = {}
         #: Systems served to this process while this store was active —
         #: the only ones :meth:`flush_adopted` persists.  Tracked
         #: weakly: flushing must never pin an evicted system, and
@@ -543,103 +423,38 @@ class GraphStore:
     # Save
     # ------------------------------------------------------------------
     def flush(self, system) -> bool:
-        """Persist what ``system``'s graph grew since its last flush.
+        """Replace ``system``'s snapshot if its graph outgrew the stored one.
 
-        Returns True when a segment was written.  Never raises: a disk
+        Returns True when a snapshot was written.  Never raises: a disk
         failure marks the store errored and the caller moves on — the
         store is an optimization, not a dependency.
-
-        A delta baseline only applies when it was measured on the same
-        system instance at the same cache epoch; anything else (first
-        flush, reborn system under the same key, FIFO eviction,
-        generation reset) serializes the full graph — duplicated
-        entries across segments merge away on load and at compaction,
-        lost deltas would not.
         """
         key = self.key_for(system)
-        epoch, n_succ, n_options = system.cache_state()
-        if (n_succ, n_options) == (0, 0):
+        entries = len(system._succ_cache) + len(system._options_cache)
+        if entries <= self._stored.get(key, 0):
             return False
-        record = self._flushed.get(key)
-        fresh = (
-            record is not None
-            and record[0]() is system
-            and record[1] == epoch
-        )
-        if fresh and record[2:] == (n_succ, n_options):
-            return False  # unchanged since the last flush/load
-        start_succ, start_options = (
-            record[2:]
-            if fresh and record[2] <= n_succ and record[3] <= n_options
-            else (0, 0)
-        )
         try:
-            blob = self._serialize(system, start_succ, start_options)
+            blob = self._serialize(system)
         except Exception as exc:  # noqa: BLE001 — never kill the caller
             self._record("store.serialize_error", key, exc)
             return False
         # Chaos hook: a "corrupt" rule flips a byte of what lands on
         # storage, so the next load sees a real checksum mismatch.
         blob = faults.transform("graph_store.flush", key, blob)
-        full = (start_succ, start_options) == (0, 0)
-        if full and self._already_stored(key, blob):
-            # A byte-identical body is already on storage — typical
-            # when a warm system meets a freshly activated store over
-            # a corpus its previous activation wrote.  Establish the
-            # baseline (everything serialized here IS persisted) and
-            # write nothing: repeated activations must not grow the
-            # store by one duplicate snapshot each.
-            self._flushed[key] = (
-                weakref.ref(system), epoch, n_succ, n_options)
-            return False
         try:
             # Chaos hook inside the guard: an injected OSError takes the
             # exact recorded-error path a real disk failure would.
             faults.fire("graph_store.flush", key)
-            self.backend.append_segment(key, blob)
+            self.backend.write_canonical(key, blob)
         except OSError as exc:
             self._record("store.flush_error", key, exc)
             return False
-        self._flushed[key] = (weakref.ref(system), epoch, n_succ, n_options)
+        self._stored[key] = entries
         self.saves += 1
         self.bytes_written += len(blob)
         return True
 
-    def _already_stored(self, key: str, blob: bytes) -> bool:
-        """Is this full segment's content already covered by the key?
-
-        Fast path: some stored segment carries the identical body
-        checksum (header reads only).  Slow path: merging the stored
-        segments plus ours adds no config, successor entry or option
-        entry — the full+delta shape a previous activation left behind.
-        Counts suffice because memoised expansions of one config are
-        the same in every segment, which :meth:`load_into`'s merge
-        already assumes.  Best-effort throughout (any failure, a bad
-        stored segment included, means "append anyway"); only consulted
-        for no-baseline full segments, so the reads happen at most once
-        per key per store lifetime.
-        """
-        try:
-            heads = self.backend.segment_heads(key)
-            if not heads:
-                return False
-            body_sha = self.parse_entry(blob)[0]["body_sha256"]
-            for head in heads:
-                described = self.describe_blob(head)
-                if described is not None and \
-                        described.get("body_sha256") == body_sha:
-                    return True
-            stored = [_read_segment(raw)
-                      for _token, raw in self.backend.read_segments(key)]
-            before = _merge_payloads(stored)[1]
-            after = _merge_payloads(stored + [_read_segment(blob)])[1]
-        except Exception:  # noqa: BLE001 — unreadable key: append
-            return False
-        return all(len(before[field]) == len(after[field])
-                   for field in _COUNT_FIELDS)
-
-    def _serialize(self, system, start_succ: int = 0,
-                   start_options: int = 0) -> bytes:
+    def _serialize(self, system) -> bytes:
         program = system.program
         rule_index = {
             rule.name: index for index, rule in enumerate(system._rule_list)
@@ -653,13 +468,8 @@ class GraphStore:
                 config_ids[config] = known
             return known
 
-        # Dict iteration is insertion-ordered, so the entries grown
-        # since the baseline are exactly the tail past it (a cache that
-        # shrank or churned bumped its epoch, which reset the baseline).
         succ: List[tuple] = []
-        for config, groups in itertools.islice(
-            system._succ_cache.items(), start_succ, None
-        ):
+        for config, groups in system._succ_cache.items():
             encoded = []
             for group in groups:
                 action = group[0][0]
@@ -670,9 +480,7 @@ class GraphStore:
                 ))
             succ.append((cid(config), tuple(encoded)))
         options: List[tuple] = []
-        for config, actions in itertools.islice(
-            system._options_cache.items(), start_options, None
-        ):
+        for config, actions in system._options_cache.items():
             options.append((
                 cid(config),
                 tuple((rule_index[a.rule], a.round) for a in actions),
@@ -688,7 +496,8 @@ class GraphStore:
             "valuation": sorted(system.valuation.items()),
             "code_version": self.version,
             "block": program.block,
-            "segment": [start_succ, start_options],
+            # Always [0, 0]; kept so FORMAT 1 files stay byte-stable.
+            "segment": [0, 0],
         }
         return encode_entry(header, payload)
 
@@ -698,16 +507,15 @@ class GraphStore:
     def load_into(self, system) -> bool:
         """Warm ``system``'s caches from storage; False is a cold miss.
 
-        Reads and merges *every* segment of the entry key: each segment
-        is decoded by :func:`_read_segment` (body checksum,
-        class-refusing unpickler, entry counts), its header identity —
-        program digest, valuation, code version, layout geometry — is
-        compared with ``system``, and every action is rebuilt from the
-        *current* bound rule list.  One stale, truncated or corrupted
-        segment degrades the whole key to a cold miss (``cache
-        compact`` repairs such keys by dropping the bad segment)
-        instead of crashing or replaying stale semantics (see the
-        module doc for the trusted-storage threat model).
+        The key's snapshot is decoded by :func:`_read_segment` (body
+        checksum, class-refusing unpickler, entry counts), its header
+        identity — program digest, valuation, code version, layout
+        geometry — is compared with ``system``, and every action is
+        rebuilt from the *current* bound rule list.  A stale, truncated
+        or corrupted snapshot is a cold miss, not a crash or a replay
+        of stale semantics (see the module doc for the trusted-storage
+        threat model); the store forgets the key, so the next flush
+        overwrites the bad snapshot.
         """
         key = self.key_for(system)
         try:
@@ -721,27 +529,26 @@ class GraphStore:
             self.load_misses += 1
             return False
         try:
-            for _token, raw in segments:
-                header, payload = _read_segment(raw)
-                self._check_header(header, system)
-                counts = self._rebuild(system, payload)
+            ((_path, raw),) = segments
+            header, payload = _read_segment(raw)
+            self._check_header(header, system)
+            entries = self._rebuild(system, payload)
         except Exception as exc:  # noqa: BLE001 — bad entry == cold miss
             # A partially-rebuilt cache would be correct but the entry
             # is untrusted now; drop everything this load touched.
             system._succ_cache.clear()
             system._options_cache.clear()
-            self._flushed.pop(key, None)
+            self._stored.pop(key, None)
             self._record("store.load_error", key, exc)
             self.load_misses += 1
             return False
-        self._flushed[key] = (
-            weakref.ref(system), system._cache_epoch) + counts
+        self._stored[key] = entries
         self.load_hits += 1
         return True
 
     @classmethod
     def parse_entry(cls, raw: bytes) -> Tuple[dict, bytes]:
-        """Split one segment into (header dict, body bytes) or raise."""
+        """Split one snapshot into (header dict, body bytes) or raise."""
         head, sep, body = raw.partition(b"\n")
         if not sep:
             raise ValueError("truncated graph entry (no header line)")
@@ -764,7 +571,7 @@ class GraphStore:
                     f"{header.get(key)!r} != {want!r}"
                 )
 
-    def _rebuild(self, system, payload: dict) -> Tuple[int, int]:
+    def _rebuild(self, system, payload: dict) -> int:
         program = system.program
         width_kappa, width_g, block = program.n_locs, program.n_vars, program.block
         configs = []
@@ -800,19 +607,15 @@ class GraphStore:
                 action(rules[rule_id].name, round_no)
                 for rule_id, round_no in pairs
             )
-        return len(succ_cache), len(options_cache)
+        return len(succ_cache) + len(options_cache)
 
     # ------------------------------------------------------------------
     # Maintenance (the ``harness cache`` CLI)
     # ------------------------------------------------------------------
     @classmethod
     def entry_version(cls, path: Path) -> Optional[str]:
-        """The code-version component of an entry's file name.
-
-        Delta segments carry a ``~<writer>`` suffix after the key; it
-        is stripped before the key parse.
-        """
-        return key_version(Path(path).stem.split("~", 1)[0])
+        """The code-version component of an entry's file name."""
+        return key_version(Path(path).stem)
 
     @classmethod
     def describe(cls, path: Path) -> Optional[dict]:
@@ -831,7 +634,7 @@ class GraphStore:
 
     @classmethod
     def describe_blob(cls, raw: bytes) -> Optional[dict]:
-        """Like :meth:`describe` for an in-memory segment or header line."""
+        """Like :meth:`describe` for an in-memory snapshot or header line."""
         try:
             header = cls.parse_entry(raw)[0]
             if not isinstance(header, dict):
@@ -856,17 +659,14 @@ class GraphStore:
 
 
 # ----------------------------------------------------------------------
-# Entry encoding / compaction (payload-level, no model required)
+# Entry encoding (payload-level, no model required)
 # ----------------------------------------------------------------------
 #: Header fields counting a payload's entries, checked on every read.
 _COUNT_FIELDS = ("configs", "succ", "options")
 
-#: Header fields every segment of one key must agree on to be merged.
-_IDENTITY_FIELDS = ("model", "program", "valuation", "code_version", "block")
-
 
 def encode_entry(header_core: dict, payload: dict) -> bytes:
-    """Serialize one segment: header line + checksummed pickled payload."""
+    """Serialize one snapshot: header line + checksummed pickled payload."""
     body = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
     header = dict(header_core)
     for field in _COUNT_FIELDS:
@@ -880,12 +680,11 @@ def encode_entry(header_core: dict, payload: dict) -> bytes:
 
 
 def _read_segment(raw: bytes) -> Tuple[dict, dict]:
-    """Decode one segment into ``(header, payload)`` or raise.
+    """Decode one snapshot into ``(header, payload)`` or raise.
 
-    The one reader every consumer goes through: it parses the header
-    line, checks the body sha256, unpickles through
+    Parses the header line, checks the body sha256, unpickles through
     :class:`_SafeUnpickler` and checks the header's entry counts.
-    Identity (which system the segment belongs to) is the caller's.
+    Identity (which system the snapshot belongs to) is the caller's.
     """
     header, body = GraphStore.parse_entry(raw)
     if hashlib.sha256(body).hexdigest() != header.get("body_sha256"):
@@ -894,175 +693,6 @@ def _read_segment(raw: bytes) -> Tuple[dict, dict]:
     if any(len(payload[field]) != header[field] for field in _COUNT_FIELDS):
         raise ValueError("entry count mismatch")
     return header, payload
-
-
-def _validate_payload(payload: dict) -> None:
-    """Id ranges and shapes of one decoded segment (model-free).
-
-    Compaction merges payloads without a bound system, so the rule-list
-    validation of :meth:`GraphStore._rebuild` is unavailable; this
-    checks what is checkable at the data level and leaves semantic
-    validation to the next load.
-    """
-    configs = payload["configs"]
-    n = len(configs)
-    if not all(isinstance(data, tuple) for data in configs):
-        raise ValueError("config universe must be flat tuples")
-    for config_id, groups in payload["succ"]:
-        if not 0 <= config_id < n:
-            raise ValueError("successor source id out of range")
-        for _rule_id, _round_no, successor_ids in groups:
-            for sid in successor_ids:
-                if not 0 <= sid < n:
-                    raise ValueError("successor id out of range")
-    for config_id, _pairs in payload["options"]:
-        if not 0 <= config_id < n:
-            raise ValueError("option source id out of range")
-
-
-def _merge_payloads(entries: Sequence[Tuple[dict, dict]]) -> Tuple[dict, dict]:
-    """Union the payloads of one key's segments into a single payload.
-
-    Configs dedup on their flat data tuple; successor/option entries
-    keep the first occurrence (every segment memoised the same
-    deterministic expansion, so later duplicates are identical).
-    Returns ``(header_core, payload)`` for :func:`encode_entry`.
-    """
-    first_header = entries[0][0]
-    for header, _payload in entries[1:]:
-        for field in _IDENTITY_FIELDS:
-            if header.get(field) != first_header.get(field):
-                raise ValueError(
-                    f"segments disagree on identity field {field!r}"
-                )
-    config_ids: Dict[tuple, int] = {}
-    configs: List[tuple] = []
-    succ: Dict[int, tuple] = {}
-    options: Dict[int, tuple] = {}
-    for _header, payload in entries:
-        remap: List[int] = []
-        for data in payload["configs"]:
-            data = tuple(data)
-            merged_id = config_ids.get(data)
-            if merged_id is None:
-                merged_id = len(configs)
-                config_ids[data] = merged_id
-                configs.append(data)
-            remap.append(merged_id)
-        for config_id, groups in payload["succ"]:
-            merged_id = remap[config_id]
-            if merged_id not in succ:
-                succ[merged_id] = tuple(
-                    (rule_id, round_no,
-                     tuple(remap[sid] for sid in successor_ids))
-                    for rule_id, round_no, successor_ids in groups
-                )
-        for config_id, pairs in payload["options"]:
-            merged_id = remap[config_id]
-            if merged_id not in options:
-                options[merged_id] = tuple(tuple(pair) for pair in pairs)
-    header_core = {field: first_header.get(field)
-                   for field in _IDENTITY_FIELDS}
-    header_core["segment"] = [0, 0]
-    payload = {
-        "configs": tuple(configs),
-        "succ": tuple(sorted(succ.items())),
-        "options": tuple(sorted(options.items())),
-    }
-    return header_core, payload
-
-
-def _compact_warning(event: str, key: str, exc: BaseException) -> None:
-    """Log one swallowed compaction failure (``GraphStore._record``'s idiom)."""
-    logger.warning(
-        "graph store compaction failure (%s) on %s: %r", event, key, exc,
-        extra={"event": event, "key": key, "error": repr(exc)},
-    )
-
-
-def compact_backend(backend: LocalDirBackend) -> Dict[str, int]:
-    """Squash every key's delta segments into one canonical snapshot.
-
-    Pure data-level merging (checksum-verified payload union), so it
-    needs no protocol models.  Per key:
-    checksum-corrupt or structurally-invalid segments are *dropped*
-    (they would otherwise poison every load of the key); the remaining
-    segments merge into a single canonical segment that replaces
-    exactly the segments read — a concurrent writer's freshly-appended
-    segment survives untouched, so compaction under a live fleet only
-    ever trades duplicates for one extra merge at the next compaction.
-    Best-effort throughout: a key that cannot be compacted is counted
-    in ``errors`` and left as-is.  Every swallowed failure also logs one
-    ``store.compact.*`` warning on this module's logger.
-    """
-    stats = {
-        "keys": 0,
-        "compacted": 0,
-        "segments_before": 0,
-        "segments_after": 0,
-        "bytes_before": 0,
-        "bytes_after": 0,
-        "corrupt_dropped": 0,
-        "errors": 0,
-    }
-    try:
-        keys = backend.keys()
-    except OSError as exc:
-        stats["errors"] += 1
-        _compact_warning("store.compact.keys_error", str(backend.root), exc)
-        return stats
-    for key in keys:
-        stats["keys"] += 1
-        try:
-            segments = backend.read_segments(key)
-        except OSError as exc:
-            stats["errors"] += 1
-            _compact_warning("store.compact.read_error", key, exc)
-            continue
-        if not segments:
-            continue
-        total = sum(len(blob) for _token, blob in segments)
-        stats["segments_before"] += len(segments)
-        stats["bytes_before"] += total
-        entries: List[Tuple[dict, dict]] = []
-        corrupt = 0
-        for _token, raw in segments:
-            try:
-                header, payload = _read_segment(raw)
-                _validate_payload(payload)
-                entries.append((header, payload))
-            except Exception as exc:  # noqa: BLE001 — bad segment: drop it
-                corrupt += 1
-                _compact_warning("store.compact.corrupt_segment", key, exc)
-        stats["corrupt_dropped"] += corrupt
-        if not corrupt and len(segments) == 1 and (
-            segments[0][0] == backend.canonical_path(key)
-        ):
-            # Already one *valid* canonical segment: nothing to do.
-            stats["segments_after"] += 1
-            stats["bytes_after"] += total
-            continue
-        try:
-            if not entries:
-                # Nothing salvageable: removing the corrupt segments
-                # turns a poisoned key back into a clean cold miss.
-                backend.delete_key(key)
-                continue
-            header_core, payload = _merge_payloads(entries)
-            blob = encode_entry(header_core, payload)
-            backend.write_canonical(
-                key, blob, drop=[token for token, _blob in segments]
-            )
-        except Exception as exc:  # noqa: BLE001 — leave the key as it was
-            stats["errors"] += 1
-            _compact_warning("store.compact.write_error", key, exc)
-            stats["segments_after"] += len(segments)
-            stats["bytes_after"] += total
-            continue
-        stats["compacted"] += 1
-        stats["segments_after"] += 1
-        stats["bytes_after"] += len(blob)
-    return stats
 
 
 # ----------------------------------------------------------------------

@@ -70,7 +70,7 @@ from disk — preserves bit-identical verdicts and ``states_explored``.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.core.guards import Cmp
 from repro.core.locations import Location
@@ -159,10 +159,6 @@ class CounterSystem:
         self._intern: Dict[Config, Config] = self._intern_table.table
         self._succ_cache: Dict[Config, Tuple[MoveGroup, ...]] = {}
         self._options_cache: Dict[Config, Tuple[Action, ...]] = {}
-        #: Monotone stamp of destructive cache events (FIFO eviction,
-        #: intern generation reset); the graph store keys its
-        #: delta/skip flush bookkeeping on (epoch, lengths).
-        self._cache_epoch = 0
         #: Lazily-bound frontier batch expander (see :meth:`batch_expander`).
         self._batch_expander = None
         #: Theorem 2 side conditions decided on this system: name ->
@@ -171,23 +167,6 @@ class CounterSystem:
         #: fairness`; only complete walks are recorded.
         self.side_conditions: Dict[str, Tuple[bool, int]] = {}
         self._intern_table.register(self)
-
-    def cache_state(self) -> Tuple[int, int, int]:
-        """``(cache epoch, succ entries, option entries)`` right now.
-
-        The triple the persistent graph store keys its flush
-        bookkeeping on: unchanged lengths at an unchanged epoch mean
-        nothing new to persist, grown lengths at an unchanged epoch
-        delimit exactly the delta to append, and an epoch bump (a
-        destructive cache event — FIFO eviction or intern-table
-        generation reset — may shrink or churn contents without moving
-        the lengths) voids any delta baseline.
-        """
-        return (
-            self._cache_epoch,
-            len(self._succ_cache),
-            len(self._options_cache),
-        )
 
     # ------------------------------------------------------------------
     # Configurations
@@ -441,11 +420,11 @@ class CounterSystem:
                     for name, (dst, _prob) in zip(rule.branch_names, rule.branches)
                 ))
         result = tuple(groups)
-        self._memo_insert(self._succ_cache, config, result)
+        self._bounded_insert(self._succ_cache, config, result)
         return result
 
     @classmethod
-    def _bounded_insert(cls, cache: Dict, key, value, on_evict=None) -> None:
+    def _bounded_insert(cls, cache: Dict, key, value) -> None:
         """Insert with FIFO eviction of the oldest quarter at the cap.
 
         Delegates to :func:`repro.counter.program.bounded_insert` with
@@ -457,21 +436,7 @@ class CounterSystem:
         keeps the hit path a single dict lookup, which is what the hot
         loops care about.
         """
-        bounded_insert(cache, key, value, cls.SUCCESSOR_CACHE_CAP, on_evict)
-
-    def _memo_insert(self, cache: Dict, key, value) -> None:
-        """Bounded insert into a memo cache, stamping the epoch on evict.
-
-        Eviction changes cache *contents* without growing the lengths,
-        so the graph store's skip-if-unchanged flush bookkeeping keys
-        on ``(epoch, lengths)``; routing the bump through
-        ``bounded_insert``'s own eviction notification keeps it correct
-        under any future policy change.
-        """
-        self._bounded_insert(cache, key, value, self._note_eviction)
-
-    def _note_eviction(self, _evicted: int) -> None:
-        self._cache_epoch += 1
+        bounded_insert(cache, key, value, cls.SUCCESSOR_CACHE_CAP)
 
     def batch_expander(self):
         """This system's frontier batch expander, or ``None`` sans numpy.
@@ -514,7 +479,7 @@ class CounterSystem:
             action(rule.name, round_no)
             for rule, round_no in self._enabled_rule_rounds(config, False)
         )
-        self._memo_insert(self._options_cache, config, options)
+        self._bounded_insert(self._options_cache, config, options)
         return options
 
     def prob_transitions(
@@ -539,9 +504,6 @@ class CounterSystem:
 
     def value_of(self, config: Config, variable: str, round_no: int = 0) -> int:
         return config.variable(round_no, self.var_index[variable])
-
-    def locations_named(self, names: Sequence[str]) -> Tuple[int, ...]:
-        return tuple(self.loc_index[name] for name in names)
 
 
 # ----------------------------------------------------------------------

@@ -40,7 +40,6 @@ Usage::
     # on-disk cache maintenance (result cache + state-graph store)
     python -m repro.harness cache info    --dir .repro-cache
     python -m repro.harness cache prune   --dir .repro-cache
-    python -m repro.harness cache compact --dir .repro-cache
     python -m repro.harness cache clear   --dir .repro-cache
 """
 
@@ -59,9 +58,7 @@ from repro import service as service_api
 from repro.counter.store import (
     STALE_TEMP_SECONDS,
     GraphStore,
-    LocalDirBackend,
     check_graph_store_dir,
-    compact_backend,
 )
 from repro.core.coinspec import parse_coin_spec
 from repro.errors import ValidationError
@@ -217,8 +214,8 @@ def _cmd_sweep(argv: List[str]) -> int:
                         metavar="DIR",
                         help="persistent state-graph store directory; "
                         "workers warm explored graphs from it on startup "
-                        "and flush delta segments per task (results stay "
-                        "bit-identical)")
+                        "and rewrite a graph's snapshot after a task that "
+                        "grew it (results stay bit-identical)")
     parser.add_argument("--task-timeout", type=float, default=None,
                         metavar="SECONDS",
                         help="supervisor-enforced wall clock per task: a "
@@ -478,29 +475,6 @@ def _scan_cache(root: Path):
     )
 
 
-def _compact_dirs(root: Path) -> int:
-    """``cache compact`` over a directory tree: one backend per dir.
-
-    Graph entries may live in any subdirectory of the cache root (e.g.
-    ``<root>/graphs``); each directory holding ``*.graph`` files is
-    compacted as its own :class:`LocalDirBackend`.
-    """
-    _results, graphs, _temps, _journals, _service = _scan_cache(root)
-    totals = {"keys": 0, "compacted": 0, "segments_before": 0,
-              "segments_after": 0, "bytes_before": 0, "bytes_after": 0,
-              "corrupt_dropped": 0, "errors": 0}
-    for parent in sorted({path.parent for path in graphs}):
-        for field, value in compact_backend(LocalDirBackend(parent)).items():
-            totals[field] += value
-    print(f"compact: {totals['compacted']} of {totals['keys']} keys "
-          f"squashed, {totals['segments_before']} -> "
-          f"{totals['segments_after']} segments, "
-          f"{totals['bytes_before']:,} -> {totals['bytes_after']:,} bytes, "
-          f"{totals['corrupt_dropped']} corrupt segments dropped, "
-          f"{totals['errors']} errors under {root}")
-    return 0
-
-
 def _cmd_cache(argv: List[str]) -> int:
     """Inspect / maintain the on-disk caches (results + state graphs).
 
@@ -510,26 +484,28 @@ def _cmd_cache(argv: List[str]) -> int:
     source digest*: entries written under any other version (including
     a deliberate custom ``cache_version=``) are dropped.  Caches keyed
     by custom versions should be managed manually or with ``clear``.
-    ``info`` only reads; ``compact`` squashes each graph key's delta
-    segments into one canonical snapshot (dropping corrupt segments).
+    ``info`` only reads.  Each graph key is one ``<key>.graph``
+    snapshot that a flush replaces whole, so the graph store needs no
+    merge step: the next flush of a key rewrites a corrupt snapshot,
+    and ``prune`` removes the files of older store layouts along with
+    every other stale version.
     """
     parser = argparse.ArgumentParser(
         prog="python -m repro.harness cache",
         description="Maintain the on-disk result cache and state-graph "
         "store: info (read-only summary), prune (drop stale temp "
         "orphans and stale-version entries; live writers' temp files "
-        "survive), compact (squash delta segments into canonical "
-        "snapshots), clear (drop everything).",
+        "survive), clear (drop everything).  The graph store keeps one "
+        "<key>.graph snapshot per key, which the next flush of that key "
+        "rewrites if it is corrupt.",
     )
-    parser.add_argument("action", choices=("info", "prune", "compact", "clear"))
+    parser.add_argument("action", choices=("info", "prune", "clear"))
     parser.add_argument("--dir", type=_store_dir, default=".repro-cache",
                         metavar="DIR",
                         help="cache root directory to operate on, scanned "
                         "recursively (default: .repro-cache)")
     args = parser.parse_args(argv)
     root = Path(args.dir)
-    if args.action == "compact":
-        return _compact_dirs(root)
     results, graphs, temps, journals, service_files = _scan_cache(root)
     current = api.code_version()
 
@@ -623,7 +599,7 @@ def _list_experiments() -> int:
     print("  serve              run the verification daemon: one warm "
           "worker fleet serving verify/sweep --server clients")
     print("  cache              on-disk cache maintenance: "
-          "info | prune | compact | clear (--dir DIR)")
+          "info | prune | clear (--dir DIR)")
     print("experiments:")
     for ident in sorted(REGISTRY):
         experiment = REGISTRY[ident]

@@ -6,7 +6,7 @@ behind the chaos suite: a seeded, picklable
 the pool initializer can kill a worker as it picks up a task, hang a
 task past the supervisor timeout, inject ``OSError``/delays into
 :class:`~repro.counter.store.GraphStore` / :class:`~repro.api.sweep.
-ResultCache` I/O, and corrupt a graph segment's checksummed body.
+ResultCache` I/O, and corrupt a graph snapshot's checksummed body.
 
 It lives under ``src`` (not ``tests/``) because the hooks it drives are
 compiled into the production I/O paths — a plan must be importable by

@@ -11,7 +11,7 @@ two hook functions at its I/O boundaries:
 * :func:`fire` — may kill the calling process, sleep (hang/delay), or
   raise ``OSError``;
 * :func:`transform` — may corrupt a byte blob (flip its last byte, so
-  a checksummed graph segment fails verification on load).
+  a checksummed graph snapshot fails verification on load).
 
 With no plan installed both are no-ops guarded by a single module-
 global ``None`` check, so the hooks are free on the happy path.
@@ -167,15 +167,9 @@ class FaultPlan:
         """Raise ``OSError`` from a store/cache hook point."""
         return self._with(FaultRule(point, "oserror", match, nth, times))
 
-    def delay_io(self, point: str, seconds: float, match: str = "",
-                 times: int = 1) -> "FaultPlan":
-        """Sleep inside a store/cache hook point."""
-        return self._with(FaultRule(point, "delay", match, 1, times,
-                                    seconds))
-
     def corrupt_segment(self, match: str = "", nth: int = 1,
                         times: int = 1) -> "FaultPlan":
-        """Flip a byte of a flushed graph segment (checksum breaks)."""
+        """Flip a byte of a flushed graph snapshot (checksum breaks)."""
         return self._with(FaultRule("graph_store.flush", "corrupt",
                                     match, nth, times))
 

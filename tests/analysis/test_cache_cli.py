@@ -167,13 +167,13 @@ class TestServiceFiles:
         assert [p for p in with_service_state.rglob("*") if p.is_file()] == []
 
 
-def _segmented_store(root, segments=3):
-    """A graph key with several delta segments under ``root``."""
+def _snapshot_store(root, flushes=3):
+    """A graph key under ``root`` whose snapshot was replaced ``flushes`` times."""
     store = GraphStore(root, version=api.code_version())
     system = CounterSystem(ks16.model(), {"n": 4, "t": 1, "f": 1})
     frontier = list(system.initial_configs())
     seen = set(frontier)
-    for step in range(segments):
+    for step in range(flushes):
         limit = 40 * (step + 1)
         while frontier and len(seen) < limit:
             config = frontier.pop()
@@ -184,69 +184,44 @@ def _segmented_store(root, segments=3):
                         seen.add(successor)
                         frontier.append(successor)
         assert store.flush(system)
-    return store
-
-
-class TestCompact:
-    def test_compact_squashes_dir_segments(self, tmp_path, capsys):
-        store = _segmented_store(tmp_path / "graphs")
-        key = store.backend.keys()[0]
-        assert store.backend.stats()[key][0] == 3
-        out = _run(capsys, "cache", "compact", "--dir", str(tmp_path))
-        assert "1 of 1 keys squashed" in out
-        assert "3 -> 1 segments" in out
-        assert store.backend.stats()[key][0] == 1
-
-    def test_compact_of_empty_root_is_fine(self, tmp_path, capsys):
-        out = _run(capsys, "cache", "compact", "--dir", str(tmp_path))
-        assert "0 of 0 keys" in out
-
-    def test_compact_drops_a_corrupt_segment(self, tmp_path, capsys):
-        store = _segmented_store(tmp_path / "graphs")
-        last = sorted((tmp_path / "graphs").glob("*.graph"))[-1]
-        raw = bytearray(last.read_bytes())
-        raw[-5] ^= 0xFF
-        last.write_bytes(bytes(raw))
-        out = _run(capsys, "cache", "compact", "--dir", str(tmp_path))
-        assert "1 corrupt segments dropped" in out
-        assert "3 -> 1 segments" in out
-        assert list(store.backend.stats().values())[0][0] == 1
-
-    def test_compact_covers_every_graph_directory(self, tmp_path, capsys):
-        _segmented_store(tmp_path / "a", segments=2)
-        _segmented_store(tmp_path / "b" / "nested", segments=2)
-        out = _run(capsys, "cache", "compact", "--dir", str(tmp_path))
-        assert "2 of 2 keys squashed, 4 -> 2 segments" in out
+    return store, store.key_for(system)
 
 
 class TestGraphMaintenance:
     """The maintenance commands over a directory graph store."""
 
-    def test_info_describes_every_segment(self, tmp_path, capsys):
-        _segmented_store(tmp_path / "graphs")
+    def test_info_describes_the_one_snapshot(self, tmp_path, capsys):
+        _snapshot_store(tmp_path / "graphs")
         out = _run(capsys, "cache", "info", "--dir", str(tmp_path))
-        assert "graph entries       3" in out
+        assert "graph entries       1" in out
         assert "0 stale" in out
-        assert out.count("  graph ") == 3
-        assert out.count(": ks16 {") == 3
+        assert out.count("  graph ") == 1
+        assert out.count(": ks16 {") == 1
+
+    def test_compact_is_not_an_action(self, tmp_path, capsys):
+        # A snapshot store has nothing to merge.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["harness", "cache", "compact", "--dir", str(tmp_path)])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'compact'" in capsys.readouterr().err
 
     def test_maintenance_on_a_missing_store_does_not_create_it(
         self, tmp_path, capsys
     ):
         missing = tmp_path / "nope"
-        for action in ("info", "prune", "compact", "clear"):
+        for action in ("info", "prune", "clear"):
             _run(capsys, "cache", action, "--dir", str(missing))
         assert not missing.exists()
 
     def test_prune_drops_stale_graph_versions_only(self, tmp_path, capsys):
-        fresh = _segmented_store(tmp_path / "graphs", segments=2)
+        fresh, key = _snapshot_store(tmp_path / "graphs", flushes=2)
         stale = GraphStore(tmp_path / "graphs", version="0ld0ld0ld0ld0ld0")
         system = CounterSystem(ks16.model(), {"n": 4, "t": 1, "f": 1})
         system.successor_groups(next(system.initial_configs()))
         assert stale.flush(system)
         out = _run(capsys, "cache", "prune", "--dir", str(tmp_path))
         assert "removed 1 of 1" in out
-        assert list(fresh.backend.stats().values()) and all(
+        assert fresh.backend.read_segments(key) and all(
             GraphStore.entry_version(path) == api.code_version()
             for path in sorted((tmp_path / "graphs").glob("*.graph")))
         cold = CounterSystem(ks16.model(), {"n": 4, "t": 1, "f": 1},
@@ -254,12 +229,22 @@ class TestGraphMaintenance:
         assert GraphStore(tmp_path / "graphs",
                           version=api.code_version()).load_into(cold)
 
-    def test_compact_then_clear_leaves_only_foreign_files(self, tmp_path,
-                                                          capsys):
-        _segmented_store(tmp_path / "graphs")
+    def test_prune_drops_delta_segments_of_older_stores(self, tmp_path,
+                                                        capsys):
+        # Older stores also wrote ``<key>~<writer>.graph`` delta files;
+        # their version component never matches, so prune removes them.
+        fresh, key = _snapshot_store(tmp_path / "graphs", flushes=1)
+        delta = tmp_path / "graphs" / f"{key}~4242_000000_cafe.graph"
+        delta.write_bytes(fresh.backend.canonical_path(key).read_bytes())
+        out = _run(capsys, "cache", "prune", "--dir", str(tmp_path))
+        assert "removed 1 of 1" in out
+        assert sorted((tmp_path / "graphs").iterdir()) == [
+            fresh.backend.canonical_path(key)]
+
+    def test_clear_leaves_only_foreign_files(self, tmp_path, capsys):
+        _snapshot_store(tmp_path / "graphs")
         notes = tmp_path / "graphs" / "README.txt"
         notes.write_text("the store directory also holds notes")
-        _run(capsys, "cache", "compact", "--dir", str(tmp_path))
         assert len(sorted((tmp_path / "graphs").glob("*.graph"))) == 1
         out = _run(capsys, "cache", "clear", "--dir", str(tmp_path))
         assert "removed 1 of 1" in out
@@ -271,7 +256,7 @@ class TestGraphMaintenance:
         # and the file is never deleted or replaced by a directory.
         root = tmp_path / "graphs.db"
         root.write_bytes(b"SQLite format 3\x00")
-        for action in ("info", "prune", "compact", "clear"):
+        for action in ("info", "prune", "clear"):
             _run(capsys, "cache", action, "--dir", str(root))
         assert root.read_bytes() == b"SQLite format 3\x00"
 
@@ -283,7 +268,7 @@ class TestStoreDir:
         # The store is a directory: an old ``sqlite:`` spec must fail
         # loudly, never become a directory named after it.
         monkeypatch.chdir(tmp_path)
-        for action in ("info", "prune", "compact", "clear"):
+        for action in ("info", "prune", "clear"):
             with pytest.raises(SystemExit) as exit_info:
                 main(["harness", "cache", action, "--dir", "sqlite:graphs.db"])
             assert exit_info.value.code == 2

@@ -7,6 +7,7 @@ entry or abort a sweep.
 """
 
 import json
+import logging
 import multiprocessing
 import os
 import time
@@ -156,6 +157,28 @@ class TestVersionStamp:
         path = tmp_path / "junk.json"
         path.write_text("{not json")
         assert ResultCache.entry_version(path) is None
+
+    @pytest.mark.parametrize("make", ["garbage", "directory"])
+    def test_entry_version_failure_logs_one_warning(self, tmp_path, caplog,
+                                                    make):
+        path = tmp_path / "entry.json"
+        if make == "garbage":
+            path.write_text("{not json")
+        else:
+            path.mkdir()  # reading a directory raises IsADirectoryError
+        with caplog.at_level(logging.WARNING, logger="repro.api.sweep"):
+            assert ResultCache.entry_version(path) is None
+        [record] = caplog.records
+        assert record.event == "result_cache.entry_error"
+        assert record.key == str(path)
+        assert record.error.startswith(
+            "JSONDecodeError(" if make == "garbage" else "IsADirectoryError(")
+
+    def test_entry_version_of_a_vanished_file_is_silent(self, tmp_path,
+                                                        caplog):
+        with caplog.at_level(logging.WARNING, logger="repro.api.sweep"):
+            assert ResultCache.entry_version(tmp_path / "gone.json") is None
+        assert caplog.records == []
 
 
 class TestCorruptEntries:

@@ -388,27 +388,24 @@ class TestGoldenSweep:
         cache is dropped (a fresh process as far as the engine can
         tell), and the warm-from-storage re-run must reproduce
         ``seed_verdicts.json`` bit-identically — verdicts *and*
-        ``states_explored`` — before AND after a ``cache compact``.
+        ``states_explored``.  Each graph key is one snapshot file.
         """
-        from repro.counter.store import LocalDirBackend, compact_backend
         from repro.counter.system import clear_shared_caches
 
-        spec = str(tmp_path / "graphs")
+        spec = tmp_path / "graphs"
         clear_shared_caches()
-        cold = api.sweep(processes=4, graph_store=spec)
+        cold = api.sweep(processes=4, graph_store=str(spec))
         _assert_matches_golden(cold)
-        assert LocalDirBackend(spec).keys(), "cold sweep persisted nothing"
+        names = sorted(path.name for path in spec.iterdir())
+        assert names, "cold sweep persisted nothing"
+        assert all(name.endswith(".graph") and "~" not in name
+                   for name in names)
         clear_shared_caches()
-        warm = api.sweep(processes=4, graph_store=spec)
+        warm = api.sweep(processes=4, graph_store=str(spec))
         assert len(warm.results) == 8
         _assert_matches_golden(warm)
         assert stable(cold) == stable(warm)
-        stats = compact_backend(LocalDirBackend(spec))
-        assert stats["errors"] == 0 and stats["corrupt_dropped"] == 0
-        clear_shared_caches()
-        compacted = api.sweep(processes=4, graph_store=spec)
-        _assert_matches_golden(compacted)
-        assert stable(cold) == stable(compacted)
+        assert sorted(path.name for path in spec.iterdir()) == names
 
 
 @pytest.mark.slow_equivalence

@@ -203,6 +203,42 @@ class TestStoreAndCacheFaults:
                            graph_store=spec)
         assert stable(first) == stable(second) == stable(clean_fast)
 
+    def test_next_sweep_rewrites_a_corrupted_snapshot(self, tmp_path,
+                                                      clean_fast,
+                                                      monkeypatch):
+        from repro.counter.store import GraphStore
+
+        spec = tmp_path / "graphs"
+        loads = []
+        load_into = GraphStore.load_into
+
+        def counting_load(store, system):
+            loads.append(load_into(store, system))
+            return loads[-1]
+
+        monkeypatch.setattr(GraphStore, "load_into", counting_load)
+
+        def sweep():
+            clear_shared_caches()  # cold systems, so every key loads
+            loads.clear()
+            report = api.sweep(protocols=FAST, targets=("validity",),
+                               graph_store=str(spec))
+            assert stable(report) == stable(clean_fast)
+            return {path.name: path.read_bytes() for path in spec.iterdir()}
+
+        faults.install(FaultPlan(scratch=str(tmp_path))
+                       .corrupt_segment(times=0))
+        corrupted = sweep()
+        faults.install(None)
+        # The second sweep misses on every corrupted key and rewrites it ...
+        rewritten = sweep()
+        assert loads and not any(loads)
+        assert rewritten.keys() == corrupted.keys()
+        assert all(rewritten[name] != corrupted[name] for name in rewritten)
+        # ... so the third warms every key from disk and writes nothing.
+        assert sweep() == rewritten
+        assert loads and all(loads)
+
 
 class TestResume:
     TASKS = dict(protocols=FAST, targets=("validity",))

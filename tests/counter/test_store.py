@@ -15,6 +15,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.checker.explicit import ExplicitChecker
 from repro.counter.program import ProtocolProgram, shared_program
@@ -25,13 +27,13 @@ from repro.counter.store import (
     activate_graph_store,
     active_graph_store,
     check_graph_store_dir,
-    compact_backend,
     deactivate_graph_store,
     encode_entry,
     key_version,
     program_digest,
     prune_stale_temp_files,
     valuation_digest,
+    _read_segment,
 )
 from repro.counter.system import (
     CounterSystem,
@@ -445,8 +447,8 @@ def _fresh_system(model, valuation=VAL_A):
     return CounterSystem(model, valuation, program=ProtocolProgram(model))
 
 
-class TestBackends:
-    """The store round-trips, appends deltas, and compacts."""
+class TestSnapshots:
+    """One snapshot file per key, replaced whole when the graph grew."""
 
     def test_round_trip(self, backend_spec):
         store = GraphStore(backend_spec, version="v1")
@@ -459,7 +461,7 @@ class TestBackends:
         assert reader.load_into(cold)
         assert _caches_equal(warm, cold)
 
-    def test_delta_flush_appends_only_growth(self, backend_spec):
+    def test_grown_graph_replaces_the_snapshot(self, backend_spec):
         store = GraphStore(backend_spec, version="v1")
         model = ks16.model()
         system = CounterSystem(model, VAL_A)
@@ -468,230 +470,79 @@ class TestBackends:
         first_bytes = store.bytes_written
         _explore(system, limit=400)
         assert store.flush(system)
-        delta_bytes = store.bytes_written - first_bytes
-        # The second segment holds only the growth — far smaller than
-        # re-serializing the whole (now much larger) graph would be.
-        full_blob = store._serialize(system)
-        assert delta_bytes < len(full_blob)
-        key = store.key_for(system)
-        assert store.backend.stats()[key][0] == 2
-        # Merge-on-load equals the union of both segments.
+        # The second flush writes the whole grown graph, not a delta.
+        assert store.bytes_written - first_bytes == \
+            len(store._serialize(system))
+        (path,) = sorted(Path(backend_spec).glob("*.graph"))
+        assert path == store.backend.canonical_path(store.key_for(system))
         cold = _fresh_system(model)
         assert GraphStore(backend_spec, version="v1").load_into(cold)
         assert _caches_equal(system, cold)
 
-    def test_load_then_grow_flushes_delta_only(self, backend_spec):
+    def test_load_then_grow_rewrites_the_whole_graph(self, backend_spec):
         model = ks16.model()
         seed = CounterSystem(model, VAL_A)
         _explore(seed, limit=40)
-        store = GraphStore(backend_spec, version="v1")
-        assert store.flush(seed)
-        # A fresh process loads the graph, explores further, and only
-        # the growth beyond the loaded baseline is appended.
+        assert GraphStore(backend_spec, version="v1").flush(seed)
         warmed = _fresh_system(model)
         reader = GraphStore(backend_spec, version="v1")
         assert reader.load_into(warmed)
         assert not reader.flush(warmed), "just-loaded graph is unchanged"
         _explore(warmed, limit=400)
         assert reader.flush(warmed)
-        header = GraphStore.describe_blob(
-            reader.backend.read_segments(reader.key_for(warmed))[-1][1]
-        )
-        assert header["segment"] != [0, 0], "expected a delta segment"
+        ((_path, raw),) = reader.backend.read_segments(
+            reader.key_for(warmed))
+        assert GraphStore.describe_blob(raw)["segment"] == [0, 0]
         cold = _fresh_system(model)
         assert GraphStore(backend_spec, version="v1").load_into(cold)
         assert _caches_equal(warmed, cold)
 
-    def test_reborn_system_never_inherits_a_foreign_baseline(
+    def test_smaller_system_never_replaces_a_larger_snapshot(
         self, backend_spec
     ):
-        # A new system instance under the same key must never inherit a
-        # baseline measured on someone else's caches (that would drop
-        # entries from the delta).  Its full serialization is either
-        # already covered by storage (skip — nothing to add) or gets
-        # appended whole; in both cases the stored union stays intact.
         model = ks16.model()
         store = GraphStore(backend_spec, version="v1")
         first = CounterSystem(model, VAL_A)
         _explore(first, limit=200)
         assert store.flush(first)
+        path = store.backend.canonical_path(store.key_for(first))
+        stored = path.read_bytes()
+        # A reborn system under the same key with a smaller graph ...
         reborn = _fresh_system(model)
         _explore(reborn, limit=40)
-        # The reborn system's 40-entry prefix is a subset of what the
-        # first system persisted: covered, so nothing is appended...
         assert not store.flush(reborn)
-        key = store.key_for(reborn)
-        assert store.backend.stats()[key][0] == 1
-        # ... but the covered flush established a baseline, so growth
-        # beyond it appends a delta and the union survives.
+        # ... and one that loaded the snapshot through another store.
+        reader = GraphStore(backend_spec, version="v1")
+        assert reader.load_into(_fresh_system(model))
+        assert not reader.flush(reborn)
+        assert path.read_bytes() == stored
+        # Outgrowing the stored graph replaces the snapshot.
         _explore(reborn, limit=500)
+        assert len(reborn._succ_cache) > len(first._succ_cache)
         assert store.flush(reborn)
         cold = _fresh_system(model)
         assert GraphStore(backend_spec, version="v1").load_into(cold)
-        assert set(first._succ_cache) <= set(cold._succ_cache)
-        assert set(reborn._succ_cache) <= set(cold._succ_cache)
+        assert _caches_equal(reborn, cold)
 
-    def test_compact_squashes_segments_and_preserves_graph(self, backend_spec):
-        store = GraphStore(backend_spec, version="v1")
-        model = ks16.model()
-        system = CounterSystem(model, VAL_A)
-        for limit in (30, 120, 400):
-            _explore(system, limit=limit)
-            store.flush(system)
-        key = store.key_for(system)
-        assert store.backend.stats()[key][0] == 3
-        stats = compact_backend(store.backend)
-        assert stats["compacted"] == 1 and stats["errors"] == 0
-        assert store.backend.stats()[key][0] == 1
-        cold = _fresh_system(model)
-        assert GraphStore(backend_spec, version="v1").load_into(cold)
-        assert _caches_equal(system, cold)
-
-    def test_compact_is_idempotent(self, backend_spec):
-        store = GraphStore(backend_spec, version="v1")
-        system = CounterSystem(ks16.model(), VAL_A)
-        _explore(system, limit=60)
-        store.flush(system)
-        _explore(system, limit=200)
-        store.flush(system)
-        first = compact_backend(store.backend)
-        second = compact_backend(store.backend)
-        assert first["compacted"] == 1
-        assert second["compacted"] == 0, "already-canonical keys are skipped"
-        assert second["segments_before"] == second["segments_after"] == 1
-
-    def test_reactivated_store_does_not_duplicate_full_segments(
-        self, backend_spec
-    ):
+    def test_reactivated_store_rewrites_the_same_bytes(self, backend_spec):
         # A warm system meeting a freshly constructed store over a
-        # corpus its previous activation wrote (notebook/driver loop)
-        # must not append one duplicate snapshot per activation.
-        model = ks16.model()
-        system = CounterSystem(model, VAL_A)
+        # corpus its previous activation wrote rewrites its one file
+        # with identical bytes; the store never grows a second file.
+        system = CounterSystem(ks16.model(), VAL_A)
         _explore(system, limit=200)
         first = GraphStore(backend_spec, version="v1")
         assert first.flush(system)
-        key = first.key_for(system)
+        path = first.backend.canonical_path(first.key_for(system))
+        stored = path.read_bytes()
         second = GraphStore(backend_spec, version="v1")
-        assert not second.flush(system), "identical body must dedup"
-        assert second.backend.stats()[key][0] == 1
-        # ... and the deduped flush still established a delta baseline.
-        _explore(system, limit=400)
         assert second.flush(system)
-        header = GraphStore.describe_blob(
-            second.backend.read_segments(key)[-1][1]
-        )
-        assert header["segment"] != [0, 0], "expected a delta segment"
-        cold = _fresh_system(model)
-        assert GraphStore(backend_spec, version="v1").load_into(cold)
-        assert _caches_equal(system, cold)
-        # A key stored as full+delta must dedup too (union coverage,
-        # not just a byte-identical single segment): yet another store
-        # activation over the unchanged warm system appends nothing.
-        segments_now = second.backend.stats()[key][0]
-        third = GraphStore(backend_spec, version="v1")
-        assert not third.flush(system)
-        assert third.backend.stats()[key][0] == segments_now
-        # ... while genuinely new growth still gets appended.
-        _explore(system, limit=700)
-        assert third.flush(system)
-
-
-class TestCorruptSegments:
-    def _segmented(self, tmp_path):
-        store = GraphStore(tmp_path, version="v1")
-        model = ks16.model()
-        system = CounterSystem(model, VAL_A)
-        _explore(system, limit=40)
-        store.flush(system)
-        _explore(system, limit=300)
-        store.flush(system)
-        return model, store
-
-    def test_one_corrupt_segment_poisons_the_key(self, tmp_path):
-        model, store = self._segmented(tmp_path)
-        paths = sorted(tmp_path.glob("*.graph"))
-        assert len(paths) == 2
-        raw = bytearray(paths[-1].read_bytes())
-        raw[-5] ^= 0xFF
-        paths[-1].write_bytes(bytes(raw))
-        cold = _fresh_system(model)
-        reader = GraphStore(tmp_path, version="v1")
-        assert not reader.load_into(cold)
-        assert not cold._succ_cache, "poisoned key must be a full cold miss"
-
-    def test_compact_repairs_a_poisoned_key(self, tmp_path, caplog):
-        import logging
-
-        model, store = self._segmented(tmp_path)
-        paths = sorted(tmp_path.glob("*.graph"))
-        raw = bytearray(paths[-1].read_bytes())
-        raw[-5] ^= 0xFF
-        paths[-1].write_bytes(bytes(raw))
-        with caplog.at_level(logging.WARNING, logger="repro.counter.store"):
-            stats = compact_backend(LocalDirBackend(tmp_path))
-        assert stats["corrupt_dropped"] == 1
-        [record] = caplog.records
-        assert record.event == "store.compact.corrupt_segment"
-        assert record.key == LocalDirBackend(tmp_path).keys()[0]
-        assert "checksum" in record.error
-        cold = _fresh_system(model)
-        assert GraphStore(tmp_path, version="v1").load_into(cold)
-        assert cold._succ_cache, "surviving segment must load after repair"
-
-    def test_compact_write_failure_logs_and_leaves_the_key(
-        self, tmp_path, caplog, monkeypatch
-    ):
-        import logging
-
-        self._segmented(tmp_path)
-        before = {p: p.read_bytes() for p in sorted(tmp_path.glob("*.graph"))}
-        backend = LocalDirBackend(tmp_path)
-
-        def full_disk(*_args, **_kwargs):
-            raise OSError(28, "No space left on device")
-
-        monkeypatch.setattr(backend, "write_canonical", full_disk)
-        with caplog.at_level(logging.WARNING, logger="repro.counter.store"):
-            stats = compact_backend(backend)
-        total = sum(len(blob) for blob in before.values())
-        assert stats == {
-            "keys": 1, "compacted": 0,
-            "segments_before": 2, "segments_after": 2,
-            "bytes_before": total, "bytes_after": total,
-            "corrupt_dropped": 0, "errors": 1,
-        }
-        [record] = caplog.records
-        assert record.event == "store.compact.write_error"
-        assert record.key == backend.keys()[0]
-        assert "No space left" in record.error
-        assert {p: p.read_bytes() for p in sorted(tmp_path.glob("*.graph"))} == before
-
-    def test_compact_deletes_fully_corrupt_keys(self, tmp_path):
-        _model, _store = self._segmented(tmp_path)
-        for path in sorted(tmp_path.glob("*.graph")):
-            path.write_bytes(b"garbage")
-        stats = compact_backend(LocalDirBackend(tmp_path))
-        assert stats["corrupt_dropped"] == 2
-        assert sorted(tmp_path.glob("*.graph")) == []
-
-    def test_compact_repairs_a_single_corrupt_segment(self, tmp_path):
-        # The single-segment fast path must not skip validation: a key
-        # whose ONLY segment is corrupt would otherwise cold-miss
-        # forever while compact reports the store clean.
-        store = GraphStore(tmp_path, version="v1")
-        system = CounterSystem(ks16.model(), VAL_A)
-        _explore(system, limit=60)
-        store.flush(system)
-        (path,) = sorted(tmp_path.glob("*.graph"))
-        path.write_bytes(b"repro-graph garbage")
-        stats = compact_backend(LocalDirBackend(tmp_path))
-        assert stats["corrupt_dropped"] == 1
-        assert sorted(tmp_path.glob("*.graph")) == []
+        assert not second.flush(system)
+        assert sorted(Path(backend_spec).iterdir()) == [path]
+        assert path.read_bytes() == stored
 
 
 def _damage(raw: bytes, kind: str) -> bytes:
-    """One segment spoiled the way ``kind`` names."""
+    """One snapshot spoiled the way ``kind`` names."""
     import json
 
     head, _, body = raw.partition(b"\n")
@@ -706,9 +557,9 @@ def _damage(raw: bytes, kind: str) -> bytes:
         + body
 
 
-class TestOneSegmentReader:
-    """Loads, the flush-time coverage check and compaction decode every
-    segment through one reader, so they agree on what a bad one is."""
+class TestOneSnapshotReader:
+    """Every way a snapshot can go bad is a recorded cold miss that the
+    next flush of the key repairs."""
 
     KINDS = ("bad_checksum", "truncated_header", "count_mismatch")
 
@@ -736,126 +587,88 @@ class TestOneSegmentReader:
         assert not cold._succ_cache and not cold._options_cache
 
     @pytest.mark.parametrize("kind", KINDS)
-    def test_covered_flush_over_a_bad_segment_appends(self, tmp_path, kind):
-        self._flushed(tmp_path)
+    def test_next_flush_repairs_the_key(self, tmp_path, kind):
+        # The store that wrote the key forgets it on the failed load, so
+        # the cold re-expansion overwrites the bad snapshot although it
+        # holds exactly as many entries as the store once wrote.
+        store, system = self._flushed(tmp_path)
         (path,) = sorted(tmp_path.glob("*.graph"))
-        # A reborn system's smaller graph is covered by the stored one
-        # (the slow path: no stored body checksum equals its own) ...
-        reborn = _fresh_system(ks16.model())
-        _explore(reborn, limit=40)
-        writer = GraphStore(tmp_path, version="v1")
-        key = writer.key_for(reborn)
-        blob = writer._serialize(reborn)
-        assert writer._already_stored(key, blob)
-        # ... until the stored segment goes bad: then it covers nothing.
+        good = path.read_bytes()
         self._spoil(path, kind)
-        assert not writer._already_stored(key, blob)
-        assert writer.flush(reborn)
-        assert writer.backend.stats()[key][0] == 2
-
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_compaction_drops_the_bad_segment(self, tmp_path, kind):
-        store, system = self._flushed(tmp_path, limit=40)
-        _explore(system, limit=300)
-        assert store.flush(system)
-        paths = sorted(tmp_path.glob("*.graph"))
-        assert len(paths) == 2
-        self._spoil(paths[-1], kind)
-        stats = compact_backend(LocalDirBackend(tmp_path))
-        assert stats["corrupt_dropped"] == 1 and stats["compacted"] == 1
-        (survivor,) = sorted(tmp_path.glob("*.graph"))
-        assert survivor == store.backend.canonical_path(store.key_for(system))
+        reborn = _fresh_system(ks16.model())
+        assert not store.load_into(reborn)
+        _explore(reborn, limit=200)
+        assert store.flush(reborn)
+        assert path.read_bytes() == good
         cold = _fresh_system(ks16.model())
         assert GraphStore(tmp_path, version="v1").load_into(cold)
+        assert _caches_equal(system, cold)
 
 
-class TestStoredCoverage:
-    """A no-baseline full segment is skipped only when merging it into
-    the stored segments would add nothing."""
+_SUCC_GROUPS = st.lists(
+    st.tuples(st.integers(0, 64), st.integers(0, 8),
+              st.tuples(st.integers(0, 64))),
+    max_size=6,
+).map(tuple)
+
+
+class TestSnapshotCodec:
+    """Property checks on :func:`encode_entry` / :func:`_read_segment`."""
 
     CORE = {"model": "m", "program": "p", "valuation": [["n", 4]],
             "code_version": "v1", "block": 1, "segment": [0, 0]}
-    STORED = {"configs": ((1,), (2,)),
-              "succ": ((0, ((0, 0, (1,)),)),),
-              "options": ((0, ((0, 0),)),)}
-    GROWN = {
-        "config": dict(STORED, configs=STORED["configs"] + ((3,),)),
-        "succ": dict(STORED, succ=STORED["succ"] + ((1, ((0, 0, (0,)),)),)),
-        "option": dict(STORED, options=STORED["options"] + ((1, ((0, 0),)),)),
-    }
 
-    @pytest.mark.parametrize("extra", sorted(GROWN))
-    def test_any_new_entry_is_not_covered(self, tmp_path, extra):
-        store = GraphStore(tmp_path, version="v1")
-        key = "m-p-v-v1"
-        store.backend.append_segment(key, encode_entry(self.CORE, self.STORED))
-        # Slow path (no stored body checksum matches): a subset is covered.
-        subset = dict(self.STORED, options=())
-        assert store._already_stored(key, encode_entry(self.CORE, subset))
-        grown = encode_entry(self.CORE, self.GROWN[extra])
-        assert not store._already_stored(key, grown)
+    PAYLOADS = st.fixed_dictionaries({
+        "configs": st.lists(st.tuples(st.integers(-3, 1 << 40)),
+                            max_size=8).map(tuple),
+        "succ": st.lists(st.tuples(st.integers(0, 64), _SUCC_GROUPS),
+                         max_size=6).map(tuple),
+        "options": st.lists(
+            st.tuples(st.integers(0, 64),
+                      st.lists(st.tuples(st.integers(0, 9),
+                                         st.integers(0, 9)),
+                               max_size=4).map(tuple)),
+            max_size=6).map(tuple),
+    })
+
+    @settings(max_examples=60, deadline=None)
+    @given(payload=PAYLOADS)
+    def test_round_trip(self, payload):
+        header, decoded = _read_segment(encode_entry(self.CORE, payload))
+        assert decoded == payload
+        assert {k: header[k] for k in self.CORE} == self.CORE
+
+    @settings(max_examples=60, deadline=None)
+    @given(payload=PAYLOADS, data=st.data())
+    def test_any_flipped_body_byte_is_refused(self, payload, data):
+        raw = encode_entry(self.CORE, payload)
+        body_start = raw.index(b"\n") + 1
+        at = data.draw(st.integers(body_start, len(raw) - 1), label="at")
+        bit = data.draw(st.integers(0, 7), label="bit")
+        spoiled = bytearray(raw)
+        spoiled[at] ^= 1 << bit
+        with pytest.raises(ValueError, match="checksum"):
+            _read_segment(bytes(spoiled))
 
 
 class TestLocalDirBackend:
-    """The raw directory layout: opaque blobs under string keys."""
+    """The raw directory layout: one opaque blob per key."""
 
     def test_missing_root_is_created_empty(self, tmp_path):
         backend = LocalDirBackend(tmp_path / "a" / "b")
         assert (tmp_path / "a" / "b").is_dir()
-        assert backend.keys() == []
-        assert backend.stats() == {}
         assert backend.read_segments("k-p-v-x") == []
 
-    def test_segments_read_canonical_first_then_in_append_order(self, tmp_path):
-        backend = LocalDirBackend(tmp_path)
-        backend.append_segment("k-p-v-x", b"first")
-        backend.append_segment("k-p-v-x", b"second")
-        backend.write_canonical("k-p-v-x", b"canon")
-        blobs = [blob for _path, blob in backend.read_segments("k-p-v-x")]
-        assert blobs == [b"canon", b"first", b"second"]
-        assert backend.read_segments("k-p-v-x")[0][0] == \
-            backend.canonical_path("k-p-v-x")
-
-    def test_append_never_replaces_a_segment(self, tmp_path):
-        backend = LocalDirBackend(tmp_path)
-        for _ in range(3):
-            backend.append_segment("k-p-v-x", b"same bytes")
-        assert backend.stats() == {"k-p-v-x": (3, 30)}
-
-    def test_write_canonical_drops_only_the_superseded_segments(self, tmp_path):
-        backend = LocalDirBackend(tmp_path)
-        backend.append_segment("k-p-v-x", b"old")
-        read = [path for path, _blob in backend.read_segments("k-p-v-x")]
-        # A concurrent writer appends after the compactor read its list.
-        backend.append_segment("k-p-v-x", b"late")
-        backend.write_canonical("k-p-v-x", b"merged", drop=read)
-        blobs = [blob for _path, blob in backend.read_segments("k-p-v-x")]
-        assert blobs == [b"merged", b"late"]
-
-    def test_rewriting_the_canonical_segment_keeps_it(self, tmp_path):
-        # The canonical path may appear in ``drop`` (compacting a key
-        # that already had one); it is replaced, never unlinked.
+    def test_write_replaces_the_one_snapshot(self, tmp_path):
         backend = LocalDirBackend(tmp_path)
         backend.write_canonical("k-p-v-x", b"v1")
+        backend.write_canonical("k-p-v-x", b"v2")
         canonical = backend.canonical_path("k-p-v-x")
-        backend.write_canonical("k-p-v-x", b"v2", drop=[canonical])
-        assert canonical.read_bytes() == b"v2"
+        assert backend.read_segments("k-p-v-x") == [(canonical, b"v2")]
+        assert list(tmp_path.iterdir()) == [canonical]
 
-    def test_keys_and_stats_group_segments_by_key(self, tmp_path):
-        backend = LocalDirBackend(tmp_path)
-        backend.write_canonical("a-p-v-x", b"12345")
-        backend.append_segment("a-p-v-x", b"678")
-        backend.append_segment("b-p-v-x", b"9")
-        assert backend.keys() == ["a-p-v-x", "b-p-v-x"]
-        assert backend.stats() == {"a-p-v-x": (2, 8), "b-p-v-x": (1, 1)}
-
-    def test_delete_key_spares_keys_sharing_its_prefix(self, tmp_path):
-        backend = LocalDirBackend(tmp_path)
-        backend.write_canonical("m-p-v-x", b"a")
-        backend.append_segment("m-p-v-x", b"b")
-        backend.append_segment("m-p-v-x2", b"c")
-        assert backend.delete_key("m-p-v-x") == 2
-        assert backend.keys() == ["m-p-v-x2"]
+    def test_append_segment_is_the_one_writer(self):
+        assert LocalDirBackend.append_segment is LocalDirBackend.write_canonical
 
     def test_failed_publish_leaves_neither_temp_nor_target(
         self, tmp_path, monkeypatch
@@ -869,29 +682,6 @@ class TestLocalDirBackend:
         with pytest.raises(OSError):
             backend.write_canonical("k-p-v-x", b"blob")
         assert list(tmp_path.iterdir()) == []
-
-    def test_vanished_segment_is_skipped(self, tmp_path, monkeypatch):
-        # A compactor may unlink a segment between the listing and the
-        # read; the reader sees the survivors, never an error.
-        backend = LocalDirBackend(tmp_path)
-        backend.append_segment("k-p-v-x", b"kept")
-        listed = backend._segment_paths("k-p-v-x")
-        gone = tmp_path / "k-p-v-x~0_000000_dead.graph"
-        monkeypatch.setattr(backend, "_segment_paths",
-                            lambda key: [gone] + listed)
-        assert [blob for _p, blob in backend.read_segments("k-p-v-x")] == \
-            [b"kept"]
-
-    def test_segment_heads_are_the_header_lines(self, tmp_path):
-        store = GraphStore(tmp_path, version="v1")
-        system = CounterSystem(ks16.model(), VAL_A)
-        _explore(system, limit=40)
-        store.flush(system)
-        key = store.key_for(system)
-        (head,) = store.backend.segment_heads(key)
-        ((_path, raw),) = store.backend.read_segments(key)
-        assert raw.startswith(head) and head.endswith(b"\n")
-        assert GraphStore.describe_blob(head)["segment"] == [0, 0]
 
 
 class TestStoreDirSpec:
@@ -977,12 +767,6 @@ class TestScanErrors:
     or pruner and stays silent.
     """
 
-    @pytest.fixture
-    def backend(self, tmp_path):
-        backend = LocalDirBackend(tmp_path)
-        backend.append_segment("k-p-v-x", b"head\nbody")
-        return backend
-
     @staticmethod
     def _scan_records(caplog):
         return [r for r in caplog.records
@@ -1000,41 +784,12 @@ class TestScanErrors:
 
         caplog.set_level(logging.WARNING, logger="repro.counter.store")
 
-    def test_keys(self, backend, caplog, monkeypatch):
-        monkeypatch.setattr(Path, "glob", _raise(PermissionError))
-        assert backend.keys() == []
-        self._one_record(caplog, "keys")
-
-    def test_stats_listing(self, backend, caplog, monkeypatch):
-        monkeypatch.setattr(Path, "glob", _raise(PermissionError))
-        assert backend.stats() == {}
-        self._one_record(caplog, "stats")
-
-    def test_stats_entry(self, backend, caplog, monkeypatch):
-        monkeypatch.setattr(Path, "stat", _raise(PermissionError))
-        assert backend.stats() == {}
-        self._one_record(caplog, "stats")
-
-    def test_segment_heads(self, backend, caplog, monkeypatch):
-        import repro.counter.store as store_module
-
-        monkeypatch.setattr(store_module, "open", _raise(PermissionError),
-                            raising=False)
-        assert backend.segment_heads("k-p-v-x") == []
-        self._one_record(caplog, "segment_heads")
-
-    def test_delete_key(self, backend, caplog, monkeypatch):
-        monkeypatch.setattr(Path, "unlink", _raise(PermissionError))
-        assert backend.delete_key("k-p-v-x") == 0
-        self._one_record(caplog, "delete_key")
-
-    def test_write_canonical_drop(self, backend, caplog, monkeypatch):
-        read = [path for path, _blob in backend.read_segments("k-p-v-x")]
-        monkeypatch.setattr(Path, "unlink", _raise(PermissionError))
-        backend.write_canonical("k-p-v-x", b"merged", drop=read)
-        assert backend.canonical_path("k-p-v-x").read_bytes() == b"merged"
-        record = self._one_record(caplog, "drop")
-        assert record.path == str(read[0])
+    @staticmethod
+    def _orphan(tmp_path):
+        orphan = tmp_path / "x.graph.1.dead.tmp"
+        orphan.write_bytes(b"")
+        old = time.time() - 2 * STALE_TEMP_SECONDS
+        os.utime(orphan, (old, old))
 
     def test_prune_listing(self, tmp_path, caplog, monkeypatch):
         monkeypatch.setattr(Path, "glob", _raise(PermissionError))
@@ -1042,25 +797,17 @@ class TestScanErrors:
         self._one_record(caplog, "prune")
 
     def test_prune_unlink(self, tmp_path, caplog, monkeypatch):
-        orphan = tmp_path / "x.graph.1.dead.tmp"
-        orphan.write_bytes(b"")
-        old = time.time() - 2 * STALE_TEMP_SECONDS
-        os.utime(orphan, (old, old))
+        self._orphan(tmp_path)
         monkeypatch.setattr(Path, "unlink", _raise(PermissionError))
         assert prune_stale_temp_files(tmp_path) == 0
         self._one_record(caplog, "prune")
 
-    def test_vanished_files_stay_silent(self, backend, tmp_path, caplog,
-                                        monkeypatch):
-        orphan = tmp_path / "x.graph.1.dead.tmp"
-        orphan.write_bytes(b"")
-        old = time.time() - 2 * STALE_TEMP_SECONDS
-        os.utime(orphan, (old, old))
+    def test_vanished_files_stay_silent(self, tmp_path, caplog, monkeypatch):
+        self._orphan(tmp_path)
         monkeypatch.setattr(Path, "unlink", _raise(FileNotFoundError))
         assert prune_stale_temp_files(tmp_path) == 0
-        assert backend.delete_key("k-p-v-x") == 0
         monkeypatch.setattr(Path, "glob", _raise(FileNotFoundError))
-        assert backend.keys() == [] and backend.stats() == {}
+        assert prune_stale_temp_files(tmp_path) == 0
         assert self._scan_records(caplog) == []
 
 
