@@ -198,6 +198,25 @@ class TestGraphMaintenance:
         assert out.count("  graph ") == 1
         assert out.count(": ks16 {") == 1
 
+    def test_info_counts_the_whole_grown_graph(self, tmp_path, capsys):
+        # The snapshot's header line counts the graph of its last flush.
+        fresh, key = _snapshot_store(tmp_path / "graphs", flushes=3)
+        cold = CounterSystem(ks16.model(), {"n": 4, "t": 1, "f": 1},
+                             program=ProtocolProgram(ks16.model()))
+        assert fresh.load_into(cold)
+        out = _run(capsys, "cache", "info", "--dir", str(tmp_path))
+        assert f"{len(cold._succ_cache)} successor entries)" in out
+
+    def test_info_marks_delta_segments_of_older_stores_stale(self, tmp_path,
+                                                             capsys):
+        fresh, key = _snapshot_store(tmp_path / "graphs", flushes=1)
+        delta = tmp_path / "graphs" / f"{key}~4242_000000_cafe.graph"
+        delta.write_bytes(fresh.backend.canonical_path(key).read_bytes())
+        out = _run(capsys, "cache", "info", "--dir", str(tmp_path))
+        assert "graph entries       2" in out
+        assert "1 stale" in out
+        assert out.count("[stale]") == 1
+
     def test_compact_is_not_an_action(self, tmp_path, capsys):
         # A snapshot store has nothing to merge.
         with pytest.raises(SystemExit) as exit_info:

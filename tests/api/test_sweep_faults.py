@@ -190,6 +190,26 @@ class TestStoreAndCacheFaults:
             assert record.key.startswith(FAST)
             assert record.error.startswith("OSError(")
 
+    def test_next_sweep_writes_what_failed_flushes_lost(self, tmp_path,
+                                                         clean_fast):
+        spec = tmp_path / "graphs"
+        faults.install(FaultPlan(scratch=str(tmp_path))
+                       .break_io("graph_store.flush", times=0))
+        clear_shared_caches()
+        first = api.sweep(protocols=FAST, targets=("validity",),
+                          graph_store=str(spec))
+        faults.install(None)
+        assert list(spec.iterdir()) == []
+        # The warm in-process systems still hold their graphs; the next
+        # sweep's store has no record of them and writes every key.
+        second = api.sweep(protocols=FAST, targets=("validity",),
+                           graph_store=str(spec))
+        assert stable(first) == stable(second) == stable(clean_fast)
+        names = sorted(path.name for path in spec.iterdir())
+        assert len(names) == len(FAST)
+        assert all(name.startswith(FAST) and name.endswith(".graph")
+                   for name in names)
+
     def test_corrupted_segment_is_a_cold_miss(self, tmp_path, clean_fast):
         spec = str(tmp_path / "graphs")
         # First sweep flushes corrupted segments (checksums broken)...

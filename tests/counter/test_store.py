@@ -217,6 +217,19 @@ class TestGraphStoreRoundTrip:
         _explore(system, limit=400)
         assert store.flush(system), "a grown graph must be re-persisted"
 
+    def test_flush_adopted_writes_only_grown_systems(self, tmp_path):
+        store = GraphStore(tmp_path, version="v1")
+        first = CounterSystem(ks16.model(), VAL_A)
+        second = CounterSystem(ks16.model(), VAL_B)
+        for system in (first, second):
+            _explore(system, limit=40)
+            store.adopt(system)
+        assert store.flush_adopted() == 2
+        assert store.flush_adopted() == 0
+        _explore(second, limit=200)
+        assert store.flush_adopted() == 1
+        assert len(sorted(tmp_path.glob("*.graph"))) == 2
+
     def test_empty_system_is_not_persisted(self, tmp_path):
         store = GraphStore(tmp_path, version="v1")
         system = CounterSystem(ks16.model(), VAL_A)
@@ -340,6 +353,26 @@ class TestBestEffortIO:
         assert isinstance(store.last_error, OSError)
         assert list(tmp_path.glob("*.tmp")) == []
 
+    def test_failed_flush_is_retried_by_the_next_flush(self, tmp_path,
+                                                       monkeypatch):
+        # Only a written snapshot counts as stored: after a failed write
+        # the unchanged graph is flushed again next time.
+        store = GraphStore(tmp_path, version="v1")
+        system = CounterSystem(ks16.model(), VAL_A)
+        _explore(system)
+        with monkeypatch.context() as patched:
+            patched.setattr(
+                Path, "replace",
+                lambda self, target: (_ for _ in ()).throw(
+                    OSError(28, "no space")),
+            )
+            assert not store.flush(system)
+        assert store.flush(system)
+        assert (store.saves, store.errors) == (1, 1)
+        cold = _fresh_system(ks16.model())
+        assert GraphStore(tmp_path, version="v1").load_into(cold)
+        assert _caches_equal(system, cold)
+
     def test_stale_temp_orphans_pruned_on_init(self, tmp_path):
         stale = tmp_path / "x.graph.99.dead.tmp"
         stale.write_bytes(b"partial")
@@ -386,6 +419,35 @@ class TestResultNeutrality:
                     warm = _verdicts(factory(), VAL_A, target)
                     assert warm == cold[(factory.__module__, target)]
             assert store.load_hits > hits_before, "store was never hit"
+        finally:
+            deactivate_graph_store(previous)
+            clear_shared_caches()
+
+    def test_warm_pass_writes_nothing(self, tmp_path):
+        # A graph loaded from disk and replayed without growth is never
+        # written back: a warm run leaves every snapshot untouched.
+        clear_shared_caches()
+        previous = activate_graph_store(tmp_path)
+        try:
+            _verdicts(ks16.model(), VAL_A)
+            flush_shared_graphs()
+            assert sorted(tmp_path.glob("*.graph"))
+
+            def files():
+                return {path.name: (path.stat().st_ino,
+                                    path.stat().st_mtime_ns,
+                                    path.read_bytes())
+                        for path in tmp_path.iterdir()}
+
+            cold_files = files()
+            clear_shared_caches()
+            activate_graph_store(tmp_path)
+            store = active_graph_store()
+            _verdicts(ks16.model(), VAL_A)
+            assert store.load_hits >= 1
+            assert flush_shared_graphs() == 0
+            assert store.saves == 0 and store.bytes_written == 0
+            assert files() == cold_files
         finally:
             deactivate_graph_store(previous)
             clear_shared_caches()
@@ -447,7 +509,7 @@ def _fresh_system(model, valuation=VAL_A):
     return CounterSystem(model, valuation, program=ProtocolProgram(model))
 
 
-class TestSnapshots:
+class TestBackends:
     """One snapshot file per key, replaced whole when the graph grew."""
 
     def test_round_trip(self, backend_spec):
@@ -524,7 +586,31 @@ class TestSnapshots:
         assert GraphStore(backend_spec, version="v1").load_into(cold)
         assert _caches_equal(reborn, cold)
 
-    def test_reactivated_store_rewrites_the_same_bytes(self, backend_spec):
+    def test_reborn_system_never_inherits_a_foreign_baseline(
+        self, backend_spec
+    ):
+        # A new system instance under a stored key is judged by the
+        # stored entry count only.  Once it outgrows that count, the
+        # snapshot becomes its own full graph, byte for byte: nothing is
+        # measured on, or kept from, the first system's caches.
+        model = ks16.model()
+        store = GraphStore(backend_spec, version="v1")
+        first = CounterSystem(model, VAL_A)
+        _explore(first, limit=100)
+        assert store.flush(first)
+        reborn = _fresh_system(model)
+        _explore(reborn, limit=400)
+        assert len(reborn._succ_cache) > len(first._succ_cache)
+        assert store.flush(reborn)
+        path = store.backend.canonical_path(store.key_for(reborn))
+        assert path.read_bytes() == store._serialize(reborn)
+        cold = _fresh_system(model)
+        assert GraphStore(backend_spec, version="v1").load_into(cold)
+        assert _caches_equal(reborn, cold)
+
+    def test_reactivated_store_does_not_duplicate_full_segments(
+        self, backend_spec
+    ):
         # A warm system meeting a freshly constructed store over a
         # corpus its previous activation wrote rewrites its one file
         # with identical bytes; the store never grows a second file.
@@ -539,6 +625,32 @@ class TestSnapshots:
         assert not second.flush(system)
         assert sorted(Path(backend_spec).iterdir()) == [path]
         assert path.read_bytes() == stored
+
+
+class TestCorruptSegments:
+    def test_one_corrupt_segment_poisons_the_key(self, tmp_path):
+        # One flipped body byte makes the snapshot a miss for every
+        # store, and the store that wrote it forgets the key on that
+        # miss: even a smaller graph then replaces the bad snapshot.
+        model = ks16.model()
+        store = GraphStore(tmp_path, version="v1")
+        system = CounterSystem(model, VAL_A)
+        _explore(system, limit=300)
+        assert store.flush(system)
+        (path,) = sorted(tmp_path.glob("*.graph"))
+        raw = bytearray(path.read_bytes())
+        raw[-5] ^= 0xFF
+        path.write_bytes(bytes(raw))
+        reader = GraphStore(tmp_path, version="v1")
+        assert not reader.load_into(_fresh_system(model))
+        assert not store.load_into(_fresh_system(model))
+        smaller = _fresh_system(model)
+        _explore(smaller, limit=40)
+        assert len(smaller._succ_cache) < len(system._succ_cache)
+        assert store.flush(smaller)
+        cold = _fresh_system(model)
+        assert GraphStore(tmp_path, version="v1").load_into(cold)
+        assert _caches_equal(smaller, cold)
 
 
 def _damage(raw: bytes, kind: str) -> bytes:
@@ -557,9 +669,10 @@ def _damage(raw: bytes, kind: str) -> bytes:
         + body
 
 
-class TestOneSnapshotReader:
-    """Every way a snapshot can go bad is a recorded cold miss that the
-    next flush of the key repairs."""
+class TestOneSegmentReader:
+    """Every way a snapshot can go bad is refused by the one reader,
+    :func:`_read_segment`, is a recorded cold miss, and is repaired by
+    the next flush of the key."""
 
     KINDS = ("bad_checksum", "truncated_header", "count_mismatch")
 
@@ -573,6 +686,15 @@ class TestOneSnapshotReader:
     @staticmethod
     def _spoil(path, kind):
         path.write_bytes(_damage(path.read_bytes(), kind))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_reader_refuses_it(self, tmp_path, kind):
+        self._flushed(tmp_path)
+        (path,) = sorted(tmp_path.glob("*.graph"))
+        raw = path.read_bytes()
+        _read_segment(raw)
+        with pytest.raises(ValueError):
+            _read_segment(_damage(raw, kind))
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_load_is_a_recorded_miss(self, tmp_path, kind):
@@ -603,6 +725,67 @@ class TestOneSnapshotReader:
         cold = _fresh_system(ks16.model())
         assert GraphStore(tmp_path, version="v1").load_into(cold)
         assert _caches_equal(system, cold)
+
+
+class TestStoredCoverage:
+    """A flush writes only when the system holds more cache entries
+    (successor plus option entries) than the store last loaded or wrote
+    for the key."""
+
+    def _flushed(self, tmp_path):
+        store = GraphStore(tmp_path, version="v1")
+        system = CounterSystem(ks16.model(), VAL_A)
+        _explore(system, limit=40)
+        assert store.flush(system)
+        assert not store.flush(system)
+        return store, system
+
+    @staticmethod
+    def _unexpanded(system):
+        """A reached config with neither a successor nor an option entry."""
+        for groups in system._succ_cache.values():
+            for group in groups:
+                for _action, successor in group:
+                    if (successor not in system._succ_cache
+                            and successor not in system._options_cache):
+                        return successor
+        raise AssertionError("every reached config is expanded")
+
+    @pytest.mark.parametrize("extra", ["option", "succ"])
+    def test_any_new_entry_is_not_covered(self, tmp_path, extra):
+        store, system = self._flushed(tmp_path)
+        config = self._unexpanded(system)
+        if extra == "succ":
+            system.successor_groups(config)
+        else:
+            system.rule_options(config)
+        assert store.flush(system)
+        cold = _fresh_system(ks16.model())
+        assert GraphStore(tmp_path, version="v1").load_into(cold)
+        assert _caches_equal(system, cold)
+
+    def test_an_equal_entry_count_is_covered(self, tmp_path):
+        # The rule compares counts, not contents: a different graph of
+        # the stored size never replaces the stored snapshot.
+        store, system = self._flushed(tmp_path)
+        (path,) = sorted(tmp_path.glob("*.graph"))
+        stored = path.read_bytes()
+        target = len(system._succ_cache) + len(system._options_cache)
+        other = _fresh_system(ks16.model())
+        frontier = list(other.initial_configs())
+        seen = set(frontier)
+        while len(other._succ_cache) < target:
+            for group in other.successor_groups(frontier.pop(0)):
+                for _action, successor in group:
+                    if successor not in seen:
+                        seen.add(successor)
+                        frontier.append(successor)
+        assert not other._options_cache
+        assert not store.flush(other)
+        assert path.read_bytes() == stored
+        other.rule_options(next(iter(other._succ_cache)))
+        assert store.flush(other)
+        assert path.read_bytes() == store._serialize(other)
 
 
 _SUCC_GROUPS = st.lists(
@@ -651,6 +834,37 @@ class TestSnapshotCodec:
             _read_segment(bytes(spoiled))
 
 
+    @settings(max_examples=60, deadline=None)
+    @given(payload=PAYLOADS, data=st.data())
+    def test_any_truncation_is_refused(self, payload, data):
+        raw = encode_entry(self.CORE, payload)
+        cut = data.draw(st.integers(0, len(raw) - 1), label="cut")
+        with pytest.raises(ValueError):
+            _read_segment(raw[:cut])
+
+    @settings(max_examples=60, deadline=None)
+    @given(payload=PAYLOADS, tail=st.binary(min_size=1, max_size=16))
+    def test_trailing_bytes_are_refused(self, payload, tail):
+        with pytest.raises(ValueError, match="checksum"):
+            _read_segment(encode_entry(self.CORE, payload) + tail)
+
+    @settings(max_examples=60, deadline=None)
+    @given(payload=PAYLOADS,
+           field=st.sampled_from(("configs", "succ", "options")),
+           delta=st.integers(-3, 3).filter(bool))
+    def test_a_miscounted_header_is_refused(self, payload, field, delta):
+        import json
+
+        head, _, body = encode_entry(self.CORE, payload).partition(b"\n")
+        magic, fmt, header_json = head.decode().split(" ", 2)
+        header = json.loads(header_json)
+        header[field] += delta  # the body and its checksum stay intact
+        raw = f"{magic} {fmt} {json.dumps(header, sort_keys=True)}\n" \
+            .encode() + body
+        with pytest.raises(ValueError, match="count"):
+            _read_segment(raw)
+
+
 class TestLocalDirBackend:
     """The raw directory layout: one opaque blob per key."""
 
@@ -659,13 +873,26 @@ class TestLocalDirBackend:
         assert (tmp_path / "a" / "b").is_dir()
         assert backend.read_segments("k-p-v-x") == []
 
-    def test_write_replaces_the_one_snapshot(self, tmp_path):
+    def test_rewriting_the_canonical_segment_keeps_it(self, tmp_path):
         backend = LocalDirBackend(tmp_path)
         backend.write_canonical("k-p-v-x", b"v1")
         backend.write_canonical("k-p-v-x", b"v2")
         canonical = backend.canonical_path("k-p-v-x")
         assert backend.read_segments("k-p-v-x") == [(canonical, b"v2")]
         assert list(tmp_path.iterdir()) == [canonical]
+
+    def test_vanished_segment_is_skipped(self, tmp_path, monkeypatch):
+        # A pruner or ``cache clear`` may remove the snapshot while a
+        # load runs; the reader then sees no snapshot and the store a
+        # plain miss, never an error.
+        store = GraphStore(tmp_path, version="v1")
+        system = CounterSystem(ks16.model(), VAL_A)
+        _explore(system, limit=40)
+        assert store.flush(system)
+        monkeypatch.setattr(Path, "read_bytes", _raise(FileNotFoundError))
+        assert store.backend.read_segments(store.key_for(system)) == []
+        assert not store.load_into(_fresh_system(ks16.model()))
+        assert (store.load_misses, store.errors) == (1, 0)
 
     def test_append_segment_is_the_one_writer(self):
         assert LocalDirBackend.append_segment is LocalDirBackend.write_canonical
@@ -802,6 +1029,24 @@ class TestScanErrors:
         assert prune_stale_temp_files(tmp_path) == 0
         self._one_record(caplog, "prune")
 
+    def test_prune_stat(self, tmp_path, caplog, monkeypatch):
+        self._orphan(tmp_path)
+        monkeypatch.setattr(Path, "stat", _raise(PermissionError))
+        assert prune_stale_temp_files(tmp_path) == 0
+        self._one_record(caplog, "prune")
+
+    def test_store_opens_despite_a_prune_failure(self, tmp_path, caplog,
+                                                 monkeypatch):
+        self._orphan(tmp_path)
+        with monkeypatch.context() as patched:
+            patched.setattr(Path, "unlink", _raise(PermissionError))
+            store = GraphStore(tmp_path, version="v1")
+        self._one_record(caplog, "prune")
+        system = CounterSystem(ks16.model(), VAL_A)
+        _explore(system, limit=40)
+        assert store.flush(system)
+        assert store.load_into(_fresh_system(ks16.model()))
+
     def test_vanished_files_stay_silent(self, tmp_path, caplog, monkeypatch):
         self._orphan(tmp_path)
         monkeypatch.setattr(Path, "unlink", _raise(FileNotFoundError))
@@ -822,6 +1067,20 @@ class TestDescribe:
     ])
     def test_malformed_headers_describe_as_none(self, head):
         assert GraphStore.describe_blob(head) is None
+
+    def test_describe_reads_only_the_header_line(self, tmp_path):
+        # ``cache info`` describes a snapshot from its first line alone,
+        # so the body is never read.
+        store = GraphStore(tmp_path, version="v1")
+        system = CounterSystem(ks16.model(), VAL_A)
+        _explore(system, limit=40)
+        assert store.flush(system)
+        (path,) = sorted(tmp_path.glob("*.graph"))
+        raw = path.read_bytes()
+        header = GraphStore.describe(path)
+        assert header == GraphStore.describe_blob(raw)
+        path.write_bytes(raw.partition(b"\n")[0] + b"\n")
+        assert GraphStore.describe(path) == header
 
     def test_describe_of_a_missing_file_is_none(self, tmp_path):
         assert GraphStore.describe(tmp_path / "gone.graph") is None
@@ -845,6 +1104,20 @@ class TestKeying:
     def test_key_version_parses(self):
         assert key_version("m-aaaa-bbbb-v123") == "v123"
         assert key_version("nonsense") is None
+
+    def test_each_code_version_keys_its_own_snapshot(self, tmp_path):
+        # Versions never share a file, so ``cache prune`` can drop the
+        # stale ones by name while the current one stays loadable.
+        system = CounterSystem(ks16.model(), VAL_A)
+        _explore(system, limit=40)
+        for version in ("v1", "v2"):
+            assert GraphStore(tmp_path, version=version).flush(system)
+        paths = sorted(tmp_path.glob("*.graph"))
+        assert [GraphStore.entry_version(p) for p in paths] == ["v1", "v2"]
+        for version in ("v1", "v2"):
+            cold = _fresh_system(ks16.model())
+            assert GraphStore(tmp_path, version=version).load_into(cold)
+            assert _caches_equal(system, cold)
 
     def test_entry_version_parses_from_file_name(self, tmp_path):
         store = GraphStore(tmp_path, version="cafebabe00000000")

@@ -84,3 +84,21 @@ def test_first_and_grown_flush_write_the_frozen_bytes(tmp_path):
     assert (reader.load_hits, reader.load_misses, reader.errors) == (1, 0, 0)
     assert dict(cold._succ_cache) == dict(system._succ_cache)
     assert dict(cold._options_cache) == dict(system._options_cache)
+
+
+def test_a_reloaded_graph_reflushes_the_same_bytes(tmp_path):
+    # Loading rebuilds the caches in stored order, so a store that never
+    # saw the key serializes the loaded graph to the very bytes it read.
+    system = _fresh_system()
+    _explore(system, limit=10)
+    _explore(system, limit=30)
+    assert GraphStore(tmp_path, version="v1").flush(system)
+    stored = (tmp_path / CANONICAL_NAME).read_bytes()
+    assert stored.partition(b"\n")[0] == GROWN_HEADER
+
+    loaded = _fresh_system()
+    assert GraphStore(tmp_path, version="v1").load_into(loaded)
+    copy = tmp_path / "copy"
+    assert GraphStore(copy, version="v1").flush(loaded)
+    assert _snapshots(copy) == [(CANONICAL_NAME, GROWN_HEADER)]
+    assert (copy / CANONICAL_NAME).read_bytes() == stored

@@ -9,11 +9,14 @@ store does on a contended day may publish a torn snapshot or crash:
 * the key ends as exactly one file that parses and passes its body
   checksum;
 * that file holds one writer's complete graph, as that writer flushed
-  it (the last rename wins; graphs of different writers never mix).
+  it (the last rename wins; graphs of different writers never mix);
+* a reader racing a thread that keeps replacing one snapshot reads
+  one whole version of it every time.
 """
 
 import hashlib
 import multiprocessing
+import threading
 import time
 from pathlib import Path
 
@@ -22,6 +25,7 @@ import pytest
 from repro.counter.program import ProtocolProgram
 from repro.counter.store import (
     GraphStore,
+    LocalDirBackend,
     active_graph_store,
     deactivate_graph_store,
 )
@@ -125,3 +129,33 @@ class TestMultiWriterHammer:
         assert store.load_into(loaded)
         flushed = {keys for report in reports for keys in report["written"]}
         assert _graph_keys(loaded) in flushed
+
+
+class TestAtomicReplace:
+    def test_readers_see_one_whole_snapshot_while_it_is_replaced(
+        self, backend_spec
+    ):
+        backend = LocalDirBackend(backend_spec)
+        key = "k-p-v-x"
+        blobs = (b"a" * 65536, b"b" * 65536)
+        backend.write_canonical(key, blobs[0])
+        stop = threading.Event()
+
+        def rewrite():
+            flips = 0
+            while not stop.is_set():
+                backend.write_canonical(key, blobs[flips % 2])
+                flips += 1
+
+        writer = threading.Thread(target=rewrite)
+        writer.start()
+        try:
+            for _ in range(500):
+                ((_path, raw),) = backend.read_segments(key)
+                assert raw in blobs
+        finally:
+            stop.set()
+            writer.join(timeout=30)
+        assert not writer.is_alive()
+        assert sorted(Path(backend_spec).iterdir()) == [
+            backend.canonical_path(key)]
