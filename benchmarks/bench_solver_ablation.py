@@ -28,7 +28,7 @@ from repro.checker.milestones import (
 from repro.checker.schemas import EventItem
 from repro.protocols import mmr14
 from repro.solver.floatlp import RowMatrix, float_feasible, rounded_integer_model
-from repro.solver.ilp import ilp_feasible
+from repro.solver.ilp import SAT, ilp_feasible
 from repro.solver.simplex import lp_feasible
 from repro.spec.properties import PropertyLibrary
 
@@ -98,4 +98,4 @@ def test_vertex_rounding_fast_path(benchmark, workload):
 
 def test_exact_branch_and_bound(benchmark, run_once, workload):
     result = run_once(benchmark, ilp_feasible, workload)
-    assert result.is_sat
+    assert result.status == SAT

@@ -125,12 +125,9 @@ def verify(
         queries: extra explicit :class:`~repro.spec.queries.ReachQuery`
             / ``GameQuery`` objects, reported under target "custom".
         engine: ``"explicit"`` | ``"parameterized"`` (or registered).
-            ``"explicit-batch"`` / ``"explicit-scalar"`` pin the
-            explicit engine's expansion path (frontier-batched numpy
-            vs per-config); plain ``"explicit"`` follows the process
-            default — batched when numpy is importable, unless
-            ``REPRO_ENGINE_BATCH=0``.  Verdicts and
-            ``states_explored`` are bit-identical across the three.
+            The explicit engine expands successors batched when numpy
+            imports, scalar otherwise, with bit-identical verdicts and
+            ``states_explored``.
         limits: uniform resource budget (:class:`Limits`).
         coin: the :class:`~repro.core.coinspec.CoinSpec` (or spec
             string like ``"biased:1/4"``) the registry models are built

@@ -54,7 +54,7 @@ from __future__ import annotations
 import gc
 import time
 from contextlib import contextmanager
-from typing import Callable, Dict, List, Optional, Protocol, Tuple
+from typing import Callable, Dict, List, Protocol, Tuple
 
 from repro.checker.explicit import ExplicitChecker
 from repro.checker.parameterized import ParameterizedChecker, unsupported
@@ -121,21 +121,12 @@ def _collector_paused():
 class ExplicitEngine:
     """Exhaustive explicit-state verification at one valuation.
 
-    ``expansion`` pins the state-expansion path: ``"batch"`` (the
-    frontier-batched vectorized engine), ``"scalar"`` (per-config
-    expansion), or ``None`` for the process default (batch when numpy
-    is importable and ``REPRO_ENGINE_BATCH`` is not ``0``).  Verdicts
-    and ``states_explored`` are bit-identical across all three — the
-    registered ``explicit-batch`` / ``explicit-scalar`` engine names
-    exist so sweeps can pin and differential tests can compare them.
+    Successors are expanded a frontier at a time by numpy when it
+    imports, one config at a time otherwise; verdicts and
+    ``states_explored`` are bit-identical either way.
     """
 
     name = "explicit"
-
-    def __init__(self, expansion: Optional[str] = None):
-        self.expansion = expansion
-        if expansion is not None:
-            self.name = f"explicit-{expansion}"
 
     def run(self, task: VerificationTask) -> TaskResult:
         with _collector_paused():
@@ -156,7 +147,6 @@ class ExplicitEngine:
                         else DEFAULT_MAX_STATES
                     ),
                     max_seconds=limits.max_seconds,
-                    expansion=self.expansion,
                 )
                 outcomes.append(checker.check_obligations(
                     obligations_for(checker.model, target)
@@ -177,7 +167,6 @@ class ExplicitEngine:
                 else DEFAULT_MAX_STATES
             ),
             max_seconds=limits.max_seconds,
-            expansion=self.expansion,
         )
         with checker.shared_deadline():
             results = tuple(checker.check(query) for query in task.queries)
@@ -237,24 +226,10 @@ class ParameterizedEngine:
         )
 
 
-def _explicit_batch() -> ExplicitEngine:
-    return ExplicitEngine(expansion="batch")
-
-
-def _explicit_scalar() -> ExplicitEngine:
-    return ExplicitEngine(expansion="scalar")
-
-
 #: Engine registry; extended at runtime via :func:`register_engine`.
-#: ``explicit`` follows the process default expansion (batched when
-#: numpy is importable, unless ``REPRO_ENGINE_BATCH=0``); the
-#: ``explicit-batch`` / ``explicit-scalar`` names pin one path — same
-#: verdicts and ``states_explored``, different hot loop.
 ENGINES: Dict[str, Callable[[], Engine]] = {
     ExplicitEngine.name: ExplicitEngine,
     ParameterizedEngine.name: ParameterizedEngine,
-    "explicit-batch": _explicit_batch,
-    "explicit-scalar": _explicit_scalar,
 }
 
 #: Engines available in a freshly-imported worker process.  Runtime

@@ -105,9 +105,6 @@ class TaskResult:
     def as_cached(self) -> "TaskResult":
         return replace(self, cached=True)
 
-    def as_deduped(self) -> "TaskResult":
-        return replace(self, deduped=True)
-
     def to_dict(self) -> dict:
         data = {
             "task_id": self.task_id,

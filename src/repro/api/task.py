@@ -243,9 +243,6 @@ class VerificationTask:
             return model
         return model()
 
-    def with_engine(self, engine: str) -> "VerificationTask":
-        return replace(self, engine=engine)
-
     def with_coin(self, coin) -> "VerificationTask":
         """This task under another coin spec (None = perfect)."""
         return replace(self, coin=coin)

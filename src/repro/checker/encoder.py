@@ -123,11 +123,8 @@ class EncodedPrefix:
 class SchemaEncoder:
     """Builds the constraint rows of schema prefixes."""
 
-    def __init__(self, combined: CombinedModel, passes: int = 1):
-        if passes < 1:
-            raise CheckError("encoder needs at least one block pass")
+    def __init__(self, combined: CombinedModel):
         self.combined = combined
-        self.passes = passes
         self.topo_rules = combined.topological_rule_order()
         # Per rule: milestones of its >= atoms and of its < atoms.
         self._ge_milestones: Dict[str, Tuple[Milestone, ...]] = {}
@@ -244,14 +241,12 @@ class SchemaEncoder:
             item = prefix[index]
             segment = index  # segment S_index runs before boundary index+1
             segment_blocks: List[Tuple[str, Rule]] = []
-            for pass_no in range(self.passes):
-                for rule in self.topo_rules:
-                    if not self._available(rule, segment, positions):
-                        continue
-                    suffix = f"_{pass_no}" if self.passes > 1 else ""
-                    xvar = f"x{segment}{suffix}_{rule.name}"
-                    segment_blocks.append((xvar, rule))
-                    rows.append(self._block(kappa, g, rule, xvar))
+            for rule in self.topo_rules:
+                if not self._available(rule, segment, positions):
+                    continue
+                xvar = f"x{segment}_{rule.name}"
+                segment_blocks.append((xvar, rule))
+                rows.append(self._block(kappa, g, rule, xvar))
             blocks.append(segment_blocks)
 
             # Boundary condition for the item itself.

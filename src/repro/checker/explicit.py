@@ -52,15 +52,13 @@ masks live in program-bit space, one-to-one with per-query masks.  The
 side conditions are walked once per bound system: the walks of
 :mod:`repro.counter.fairness` memoise them on it.
 
-Frontier-batched expansion: with ``expansion="batch"`` (the default
-when numpy is importable; ``REPRO_ENGINE_BATCH=0`` or
-``expansion="scalar"`` opts out) the reach BFS and the game-graph
-seeding drain their worklists a frontier at a time through
+Frontier-batched expansion: when numpy imports, the reach BFS and the
+game-graph seeding drain their worklists a frontier at a time through
 :class:`repro.counter.batch.BatchExpander`, which pre-fills the shared
-successor cache with one vectorized numpy pass per frontier.  The
-scalar path remains both the fallback and the consumer — cached groups
-are bit-identical, so verdicts and ``states_explored`` do not depend on
-the expansion engine.
+successor cache with one vectorized numpy pass per frontier.  Without
+numpy the scalar path expands each config itself.  It is the consumer
+either way, and cached groups are bit-identical, so verdicts and
+``states_explored`` do not depend on whether numpy is present.
 
 The explicit checker is the ground truth the parameterized (schema)
 checker is cross-validated against in the test suite.
@@ -75,7 +73,6 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Uni
 from repro.core.locations import LocKind
 from repro.core.system import SystemModel
 from repro.counter.actions import Action
-from repro.counter.batch import resolve_expansion
 from repro.counter.config import Config
 from repro.counter.fairness import all_fair_executions_terminate, is_non_blocking
 from repro.counter.store import active_graph_store
@@ -90,7 +87,7 @@ from repro.checker.result import (
 )
 from repro.checker.timebox import TimeBudgeted
 from repro.errors import CheckError, DeadlineExceeded, StateBudgetExceeded
-from repro.spec.obligations import ObligationSet, obligations_for
+from repro.spec.obligations import ObligationSet
 from repro.spec.queries import GameQuery, ReachQuery
 
 State = Tuple[Config, int]
@@ -113,7 +110,6 @@ class ExplicitChecker(TimeBudgeted):
         valuation: Mapping[str, int],
         max_states: int = 400_000,
         max_seconds: Optional[float] = None,
-        expansion: Optional[str] = None,
     ):
         self.original_model = model
         self.model = model.single_round() if _needs_single_round(model) else model
@@ -124,22 +120,10 @@ class ExplicitChecker(TimeBudgeted):
         # its warm successor caches — results-neutral, see its doc.
         self.system = shared_system(self.model, valuation)
         self.max_states = max_states
-        # expansion: "batch" drains BFS/game frontiers through the
-        # vectorized expander of repro.counter.batch (the default when
-        # numpy is importable and REPRO_ENGINE_BATCH != 0), "scalar"
-        # keeps the per-config path.  Results are bit-identical either
-        # way — the batch engine only pre-fills the successor cache.
-        self.expansion = resolve_expansion(expansion)
         # max_seconds: wall-clock budget per query — or per obligation
         # *bundle* when the queries run under check_obligations, which
         # pins a shared deadline across them (TimeBudgeted mixin).
         self._init_time_budget(max_seconds)
-
-    def _expander(self):
-        """The frontier batch expander, or ``None`` on the scalar path."""
-        if self.expansion != "batch":
-            return None
-        return self.system.batch_expander()
 
     # ------------------------------------------------------------------
     # Helpers
@@ -191,7 +175,7 @@ class ExplicitChecker(TimeBudgeted):
                     return self._reach_violation(query, state, parents, start)
                 queue.append(state)
         successor_groups = self.system.successor_groups
-        expander = self._expander()
+        expander = self.system.batch_expander()
         deadline = self.query_deadline(start)
         pops = 0
         while queue:
@@ -293,7 +277,7 @@ class ExplicitChecker(TimeBudgeted):
                 stack.append(state)
 
         successor_groups = self.system.successor_groups
-        expander = self._expander()
+        expander = self.system.batch_expander()
         deadline = self.query_deadline(start)
         pops = 0
         while stack:
@@ -509,10 +493,6 @@ class ExplicitChecker(TimeBudgeted):
             time_seconds=time.perf_counter() - start,
             skipped_side_conditions=skipped,
         )
-
-    def check_target(self, target: str) -> ObligationOutcome:
-        """Check agreement / validity / termination end-to-end."""
-        return self.check_obligations(obligations_for(self.model, target))
 
 
 def _labels(program, config: Config) -> int:

@@ -66,6 +66,9 @@ from repro.spec.queries import ReachQuery
 
 logger = logging.getLogger(__name__)
 
+#: Branch-and-bound node budget of the exact ILP at one leaf.
+LEAF_ILP_NODES = 4_000
+
 
 class _Budget(Exception):
     """Internal: a resource limit tripped (carries the limit name)."""
@@ -82,8 +85,6 @@ class ParameterizedChecker(TimeBudgeted):
         self,
         model: SystemModel,
         node_budget: int = 100_000,
-        leaf_ilp_nodes: int = 4_000,
-        passes: int = 1,
         max_seconds: Optional[float] = None,
     ):
         needs_cut = bool(model.process.locations_of(LocKind.BORDER)) and not bool(
@@ -91,11 +92,10 @@ class ParameterizedChecker(TimeBudgeted):
         )
         self.model = model.single_round() if needs_cut else model
         self.combined = CombinedModel(self.model)
-        self.encoder = SchemaEncoder(self.combined, passes=passes)
+        self.encoder = SchemaEncoder(self.combined)
         self.milestones: List[Milestone] = extract_milestones(self.combined)
         self.predecessors = precedence_order(self.milestones, self.model)
         self.node_budget = node_budget
-        self.leaf_ilp_nodes = leaf_ilp_nodes
         # max_seconds: wall-clock budget per query — or per obligation
         # bundle under check_obligations (TimeBudgeted mixin, same
         # semantics as the explicit checker).
@@ -126,9 +126,6 @@ class ParameterizedChecker(TimeBudgeted):
                 self.milestones, self.predecessors, n_events
             )
         return self._nschemas[n_events]
-
-    def milestone_count(self) -> int:
-        return len(self.milestones)
 
     # ------------------------------------------------------------------
     def _feasible(
@@ -276,7 +273,7 @@ class ParameterizedChecker(TimeBudgeted):
                 model_values = rounded_integer_model(matrix)
                 if model_values is None:
                     result = ilp_feasible(
-                        encoded.problem, max_nodes=self.leaf_ilp_nodes
+                        encoded.problem, max_nodes=LEAF_ILP_NODES
                     )
                     if result.status == SAT:
                         model_values = result.model

@@ -88,7 +88,102 @@ def strongly_connected_components(
     return component
 
 
-class ThresholdAutomaton:
+class AutomatonBase:
+    """Name-indexed accessors shared by both kinds of automaton.
+
+    Stores the common fields, rejects duplicate location and rule
+    names, and indexes both by name.  ``_rules_from`` starts empty per
+    location; the subclass's ``_validate`` fills it once it has checked
+    that every rule endpoint names a location.
+    :class:`ThresholdAutomaton` and :class:`repro.core.coin.
+    CoinAutomaton` stay distinct classes: their rules, edges and
+    canonicity differ.
+    """
+
+    def __init__(
+        self,
+        name: str,
+        locations: Sequence[Location],
+        shared_vars: Sequence[str],
+        coin_vars: Sequence[str],
+        rules: Sequence,
+    ):
+        self.name = name
+        self.locations: Tuple[Location, ...] = tuple(locations)
+        self.shared_vars: Tuple[str, ...] = tuple(shared_vars)
+        self.coin_vars: Tuple[str, ...] = tuple(coin_vars)
+        self.rules = tuple(rules)
+        names = [loc.name for loc in self.locations]
+        if len(set(names)) != len(names):
+            raise ValidationError(f"{self.name}: duplicate location names")
+        rule_names = [rule.name for rule in self.rules]
+        if len(set(rule_names)) != len(rule_names):
+            raise ValidationError(f"{self.name}: duplicate rule names")
+        self._loc_by_name = {loc.name: loc for loc in self.locations}
+        self._rule_by_name = {rule.name: rule for rule in self.rules}
+        self._rules_from: Dict[str, list] = {
+            loc.name: [] for loc in self.locations
+        }
+        self._validate()
+
+    def location(self, name: str) -> Location:
+        """The location named ``name`` (raises ``KeyError`` if absent)."""
+        return self._loc_by_name[name]
+
+    def has_location(self, name: str) -> bool:
+        return name in self._loc_by_name
+
+    def rule(self, name: str):
+        """The rule named ``name`` (raises ``KeyError`` if absent)."""
+        return self._rule_by_name[name]
+
+    def rules_from(self, location: str) -> tuple:
+        return tuple(self._rules_from[location])
+
+    def locations_of(
+        self,
+        kind: Optional[LocKind] = None,
+        value: Optional[int] = None,
+        decision: Optional[bool] = None,
+    ) -> Tuple[Location, ...]:
+        """Locations filtered by kind, value and/or decision flag."""
+        result = []
+        for loc in self.locations:
+            if kind is not None and loc.kind is not kind:
+                continue
+            if value is not None and loc.value != value:
+                continue
+            if decision is not None and loc.decision != decision:
+                continue
+            result.append(loc)
+        return tuple(result)
+
+    @property
+    def border_locations(self) -> Tuple[Location, ...]:
+        return self.locations_of(kind=LocKind.BORDER)
+
+    @property
+    def initial_locations(self) -> Tuple[Location, ...]:
+        return self.locations_of(kind=LocKind.INITIAL)
+
+    @property
+    def final_locations(self) -> Tuple[Location, ...]:
+        return self.locations_of(kind=LocKind.FINAL)
+
+    def guard_atoms(self) -> Tuple[Guard, ...]:
+        """Distinct atomic guards across all rules, in first-seen order."""
+        seen: Dict[Guard, None] = {}
+        for rule in self.rules:
+            for atom in rule.guard:
+                seen.setdefault(atom, None)
+        return tuple(seen)
+
+    def size(self) -> Tuple[int, int]:
+        """``(|L|, |R|)`` — the size columns of the paper's Table II."""
+        return len(self.locations), len(self.rules)
+
+
+class ThresholdAutomaton(AutomatonBase):
     """A non-probabilistic threshold automaton.
 
     ``role`` distinguishes the constraints the paper places on the two
@@ -113,36 +208,16 @@ class ThresholdAutomaton:
         if role not in ("process", "coin"):
             raise ValidationError(f"unknown automaton role {role!r}")
         self.role = role
-        self.name = name
-        self.locations: Tuple[Location, ...] = tuple(locations)
-        self.shared_vars: Tuple[str, ...] = tuple(shared_vars)
-        self.coin_vars: Tuple[str, ...] = tuple(coin_vars)
-        self.rules: Tuple[Rule, ...] = tuple(rules)
-
-        self._loc_by_name: Dict[str, Location] = {}
-        self._rule_by_name: Dict[str, Rule] = {}
-        self._rules_from: Dict[str, List[Rule]] = {}
-        self._rules_to: Dict[str, List[Rule]] = {}
-        self._validate_basic()
-        self._index()
+        super().__init__(name, locations, shared_vars, coin_vars, rules)
 
     # ------------------------------------------------------------------
     # Construction-time validation and indexing
     # ------------------------------------------------------------------
-    def _validate_basic(self) -> None:
-        names = [loc.name for loc in self.locations]
-        if len(set(names)) != len(names):
-            raise ValidationError(f"{self.name}: duplicate location names")
+    def _validate(self) -> None:
         var_names = list(self.shared_vars) + list(self.coin_vars)
         if len(set(var_names)) != len(var_names):
             raise ValidationError(f"{self.name}: duplicate variable names")
-        self._loc_by_name = {loc.name: loc for loc in self.locations}
         shared, coin = set(self.shared_vars), set(self.coin_vars)
-
-        rule_names = [rule.name for rule in self.rules]
-        if len(set(rule_names)) != len(rule_names):
-            raise ValidationError(f"{self.name}: duplicate rule names")
-
         for rule in self.rules:
             for endpoint in (rule.source, rule.target):
                 if endpoint not in self._loc_by_name:
@@ -190,10 +265,6 @@ class ThresholdAutomaton:
                         f"{self.name}: coin rule {rule.name!r} must not update "
                         f"shared variables"
                     )
-
-    def _index(self) -> None:
-        self._rule_by_name = {rule.name: rule for rule in self.rules}
-        self._rules_from = {loc.name: [] for loc in self.locations}
         self._rules_to = {loc.name: [] for loc in self.locations}
         for rule in self.rules:
             self._rules_from[rule.source].append(rule)
@@ -202,60 +273,12 @@ class ThresholdAutomaton:
     # ------------------------------------------------------------------
     # Basic queries
     # ------------------------------------------------------------------
-    def location(self, name: str) -> Location:
-        """The location named ``name`` (raises ``KeyError`` if absent)."""
-        return self._loc_by_name[name]
-
-    def has_location(self, name: str) -> bool:
-        return name in self._loc_by_name
-
-    def rule(self, name: str) -> Rule:
-        """The rule named ``name`` (raises ``KeyError`` if absent)."""
-        return self._rule_by_name[name]
-
-    def rules_from(self, location: str) -> Tuple[Rule, ...]:
-        return tuple(self._rules_from[location])
-
     def rules_to(self, location: str) -> Tuple[Rule, ...]:
         return tuple(self._rules_to[location])
-
-    def locations_of(
-        self,
-        kind: Optional[LocKind] = None,
-        value: Optional[int] = None,
-        decision: Optional[bool] = None,
-    ) -> Tuple[Location, ...]:
-        """Locations filtered by kind, value and/or decision flag."""
-        result = []
-        for loc in self.locations:
-            if kind is not None and loc.kind is not kind:
-                continue
-            if value is not None and loc.value != value:
-                continue
-            if decision is not None and loc.decision != decision:
-                continue
-            result.append(loc)
-        return tuple(result)
-
-    @property
-    def border_locations(self) -> Tuple[Location, ...]:
-        return self.locations_of(kind=LocKind.BORDER)
-
-    @property
-    def initial_locations(self) -> Tuple[Location, ...]:
-        return self.locations_of(kind=LocKind.INITIAL)
-
-    @property
-    def final_locations(self) -> Tuple[Location, ...]:
-        return self.locations_of(kind=LocKind.FINAL)
 
     @property
     def border_copy_locations(self) -> Tuple[Location, ...]:
         return self.locations_of(kind=LocKind.BORDER_COPY)
-
-    def decision_locations(self, value: Optional[int] = None) -> Tuple[Location, ...]:
-        """The accepting locations ``D`` (optionally ``D_v``)."""
-        return self.locations_of(kind=LocKind.FINAL, value=value, decision=True)
 
     @property
     def round_switch_rules(self) -> Tuple[Rule, ...]:
@@ -276,23 +299,6 @@ class ThresholdAutomaton:
             if self.location(rule.source).kind is LocKind.BORDER
             and self.location(rule.target).kind is LocKind.INITIAL
         )
-
-    def coin_based_rules(self) -> Tuple[Rule, ...]:
-        """Rules whose (non-empty) guard reads coin variables."""
-        coins = set(self.coin_vars)
-        return tuple(
-            rule
-            for rule in self.rules
-            if rule.guard and rule.guard_variables() <= coins
-        )
-
-    def guard_atoms(self) -> Tuple[Guard, ...]:
-        """Distinct atomic guards across all rules, in first-seen order."""
-        seen: Dict[Guard, None] = {}
-        for rule in self.rules:
-            for atom in rule.guard:
-                seen.setdefault(atom, None)
-        return tuple(seen)
 
     def edges(self) -> Tuple[Tuple[str, str, Rule], ...]:
         """All ``(source, target, rule)`` edges."""
@@ -435,10 +441,6 @@ class ThresholdAutomaton:
         self.check_canonical()
 
     # ------------------------------------------------------------------
-    def size(self) -> Tuple[int, int]:
-        """``(|L|, |R|)`` — the size columns of the paper's Table II."""
-        return len(self.locations), len(self.rules)
-
     def __repr__(self) -> str:
         return (
             f"ThresholdAutomaton({self.name!r}, |L|={len(self.locations)}, "

@@ -19,48 +19,25 @@ The typical instance (Fig. 4(b) of the paper) is produced by
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
-from repro.core.automaton import strongly_connected_components
+from repro.core.automaton import AutomatonBase, strongly_connected_components
 from repro.core.coinspec import CoinSpec, resolve_coin_spec
 from repro.core.guards import Guard
-from repro.core.locations import LocKind, Location, border, final, initial, intermediate
-from repro.core.rules import ProbRule, coin_toss, dirac, fair_coin, make_update
+from repro.core.locations import LocKind, border, final, initial, intermediate
+from repro.core.rules import ProbRule, coin_toss, dirac, make_update
 from repro.errors import ValidationError
 
 
-class CoinAutomaton:
-    """A probabilistic threshold automaton modelling the common coin."""
+class CoinAutomaton(AutomatonBase):
+    """A probabilistic threshold automaton modelling the common coin.
 
-    def __init__(
-        self,
-        name: str,
-        locations: Sequence[Location],
-        shared_vars: Sequence[str],
-        coin_vars: Sequence[str],
-        rules: Sequence[ProbRule],
-    ):
-        self.name = name
-        self.locations: Tuple[Location, ...] = tuple(locations)
-        self.shared_vars: Tuple[str, ...] = tuple(shared_vars)
-        self.coin_vars: Tuple[str, ...] = tuple(coin_vars)
-        self.rules: Tuple[ProbRule, ...] = tuple(rules)
-        self._loc_by_name: Dict[str, Location] = {}
-        self._rule_by_name: Dict[str, ProbRule] = {}
-        self._rules_from: Dict[str, List[ProbRule]] = {}
-        self._validate()
+    Constructed like :class:`~repro.core.automaton.ThresholdAutomaton`
+    (``name, locations, shared_vars, coin_vars, rules``) but with
+    :class:`~repro.core.rules.ProbRule` rules.
+    """
 
     def _validate(self) -> None:
-        names = [loc.name for loc in self.locations]
-        if len(set(names)) != len(names):
-            raise ValidationError(f"{self.name}: duplicate location names")
-        self._loc_by_name = {loc.name: loc for loc in self.locations}
-        rule_names = [rule.name for rule in self.rules]
-        if len(set(rule_names)) != len(rule_names):
-            raise ValidationError(f"{self.name}: duplicate rule names")
-        self._rule_by_name = {rule.name: rule for rule in self.rules}
-        self._rules_from = {loc.name: [] for loc in self.locations}
-
         shared, coin = set(self.shared_vars), set(self.coin_vars)
         for rule in self.rules:
             if rule.source not in self._loc_by_name:
@@ -102,53 +79,6 @@ class CoinAutomaton:
             self._rules_from[rule.source].append(rule)
 
     # ------------------------------------------------------------------
-    def location(self, name: str) -> Location:
-        return self._loc_by_name[name]
-
-    def has_location(self, name: str) -> bool:
-        return name in self._loc_by_name
-
-    def rule(self, name: str) -> ProbRule:
-        return self._rule_by_name[name]
-
-    def rules_from(self, location: str) -> Tuple[ProbRule, ...]:
-        return tuple(self._rules_from[location])
-
-    def locations_of(
-        self, kind: Optional[LocKind] = None, value: Optional[int] = None
-    ) -> Tuple[Location, ...]:
-        result = []
-        for loc in self.locations:
-            if kind is not None and loc.kind is not kind:
-                continue
-            if value is not None and loc.value != value:
-                continue
-            result.append(loc)
-        return tuple(result)
-
-    @property
-    def border_locations(self) -> Tuple[Location, ...]:
-        return self.locations_of(kind=LocKind.BORDER)
-
-    @property
-    def initial_locations(self) -> Tuple[Location, ...]:
-        return self.locations_of(kind=LocKind.INITIAL)
-
-    @property
-    def final_locations(self) -> Tuple[Location, ...]:
-        return self.locations_of(kind=LocKind.FINAL)
-
-    def non_dirac_rules(self) -> Tuple[ProbRule, ...]:
-        """Rules with a genuinely probabilistic destination distribution."""
-        return tuple(rule for rule in self.rules if not rule.is_dirac)
-
-    def guard_atoms(self) -> Tuple[Guard, ...]:
-        seen: Dict[Guard, None] = {}
-        for rule in self.rules:
-            for atom in rule.guard:
-                seen.setdefault(atom, None)
-        return tuple(seen)
-
     def edges(self) -> Tuple[Tuple[str, str, ProbRule], ...]:
         result = []
         for rule in self.rules:
@@ -184,10 +114,6 @@ class CoinAutomaton:
                 if rule.source == target or component[rule.source] == component[target]:
                     return False
         return True
-
-    def size(self) -> Tuple[int, int]:
-        """``(|L|, |R|)``."""
-        return len(self.locations), len(self.rules)
 
     def __repr__(self) -> str:
         return (

@@ -11,9 +11,8 @@ processes are modelled explicitly, plus one common-coin automaton.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterator, Mapping, Sequence, Tuple
+from typing import Mapping, Sequence, Tuple
 
 from repro.core.expression import ParamExpr, ParamExprLike
 from repro.errors import ModelError, SemanticsError
@@ -156,18 +155,6 @@ class Environment:
                 f"valuation {dict(valuation)!r} yields {count} modelled processes"
             )
         return count, self.num_coins
-
-    def iter_admissible(self, max_value: int) -> Iterator[Dict[str, int]]:
-        """Enumerate admissible valuations with every parameter <= max_value.
-
-        Useful for exhaustively cross-checking parameterized verdicts on
-        small instances.
-        """
-        names = self.parameters
-        for combo in itertools.product(range(max_value + 1), repeat=len(names)):
-            valuation = dict(zip(names, combo))
-            if self.admits(valuation):
-                yield valuation
 
     def describe(self) -> str:
         """One-line human-readable description."""

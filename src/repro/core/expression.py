@@ -81,11 +81,6 @@ class ParamExpr:
                 return coeff
         return 0
 
-    @property
-    def is_constant(self) -> bool:
-        """True when the expression mentions no parameter."""
-        return not self.coeffs
-
     def evaluate(self, valuation: Mapping[str, int]) -> int:
         """Evaluate under a full parameter valuation.
 

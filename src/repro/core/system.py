@@ -169,12 +169,6 @@ class SystemModel:
             description=self.description,
         )
 
-    def validate_multi_round(self) -> None:
-        """Run the full §III-B structural validation on both automata."""
-        self.process.check_multi_round_form()
-        if self.coin is not None and not self.coin.is_canonical():
-            raise ValidationError(f"{self.name}: coin automaton is not canonical")
-
     def __repr__(self) -> str:
         locs, rules = self.size()
         return f"SystemModel({self.name!r}, |L|={locs}, |R|={rules}, category={self.category!r})"

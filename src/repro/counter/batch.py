@@ -53,24 +53,22 @@ objects the scalar path and graph-store loads use.
 
 Selection
 ---------
-The batch path is the default wherever numpy is importable.  Opt out
-per checker (``ExplicitChecker(..., expansion="scalar")``), per task
-(the registered ``explicit-scalar`` engine), or process-wide with the
-``REPRO_ENGINE_BATCH=0`` environment escape hatch.  Without numpy every
-knob quietly resolves to the scalar engine — the import is gated, never
-required.
+There is no knob: the batch path runs wherever numpy imports, and the
+scalar path runs where it does not (:func:`build_plan` answers ``None``
+and no expander is bound).  The import is gated, never required.  Tests
+reach the scalar path by hiding numpy: ``_np = None`` here, or
+``sys.modules["numpy"] = None`` in a fresh interpreter.
 """
 
 from __future__ import annotations
 
-import os
 import weakref
 from itertools import chain, repeat
 from typing import Dict, Iterable, List, Optional, Tuple
 
 try:  # gated: the engine must keep working on numpy-less interpreters
     import numpy as _np
-except ImportError:  # pragma: no cover - exercised via resolve_expansion
+except ImportError:  # pragma: no cover - exercised by hiding numpy
     _np = None
 
 from repro.core.guards import Cmp
@@ -81,18 +79,10 @@ __all__ = [
     "BatchExpander",
     "BatchPlan",
     "CHUNK_ROWS",
-    "ENV_FLAG",
     "batch_available",
     "build_plan",
-    "default_expansion",
     "expander_for",
-    "resolve_expansion",
 ]
-
-#: Environment escape hatch: ``REPRO_ENGINE_BATCH=0`` forces the scalar
-#: expansion path process-wide (read at checker construction, so tests
-#: can flip it per case).
-ENV_FLAG = "REPRO_ENGINE_BATCH"
 
 #: Frontier rows packed per numpy block — bounds peak array memory
 #: (``CHUNK_ROWS * rounds * block * 8`` bytes per chunk, a few tens of
@@ -105,32 +95,6 @@ CHUNK_ROWS = 16384
 def batch_available() -> bool:
     """Is the vectorized path importable in this interpreter?"""
     return _np is not None
-
-
-def default_expansion() -> str:
-    """The process default: ``"batch"`` unless numpy is missing or the
-    ``REPRO_ENGINE_BATCH=0`` escape hatch is set."""
-    if _np is None or os.environ.get(ENV_FLAG, "1") == "0":
-        return "scalar"
-    return "batch"
-
-
-def resolve_expansion(expansion: Optional[str]) -> str:
-    """Normalise an expansion knob to ``"batch"`` or ``"scalar"``.
-
-    ``None`` resolves to :func:`default_expansion`; an explicit
-    ``"batch"`` on a numpy-less interpreter degrades to ``"scalar"``
-    (results are identical by contract, so the fallback is silent).
-    """
-    if expansion is None:
-        return default_expansion()
-    if expansion not in ("batch", "scalar"):
-        raise SemanticsError(
-            f"unknown expansion {expansion!r}; expected 'batch' or 'scalar'"
-        )
-    if expansion == "batch" and _np is None:
-        return "scalar"
-    return expansion
 
 
 class BatchPlan:
@@ -167,8 +131,6 @@ class BatchPlan:
     )
 
     def __init__(self, program) -> None:
-        if _np is None:  # pragma: no cover - guarded by build_plan
-            raise SemanticsError("numpy is required to build a BatchPlan")
         rules = [rule for rule in program.rules if not rule.stutter]
         block = program.block
         self.rule_names: Tuple[str, ...] = tuple(rule.name for rule in rules)

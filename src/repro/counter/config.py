@@ -48,7 +48,7 @@ geometry (and is caught by ``tests/checker/test_batch_expansion.py``).
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, Tuple
 
 from repro.errors import SemanticsError
 
@@ -58,9 +58,9 @@ Row = Tuple[int, ...]
 class Config:
     """An immutable flat counter-system configuration.
 
-    Construct either from the legacy nested-tuple rows (``Config(kappa,
-    g)``) or, on hot paths, via :meth:`from_flat` which skips all
-    conversion work.  Treat instances as frozen: the engine relies on
+    Construct through :meth:`from_flat` (a bound system's
+    :meth:`~repro.counter.system.CounterSystem.make_config` builds one
+    from a placement).  Treat instances as frozen: the engine relies on
     the cached hash never going stale.
 
     The one mutable cache is the label pair the explicit checker
@@ -74,29 +74,6 @@ class Config:
 
     __slots__ = ("data", "width_kappa", "width_g", "rounds", "_hash",
                  "intern_id", "label_events", "labels")
-
-    def __init__(
-        self,
-        kappa: Sequence[Sequence[int]] = (),
-        g: Sequence[Sequence[int]] = (),
-    ):
-        width_kappa = len(kappa[0]) if kappa else 0
-        width_g = len(g[0]) if g else 0
-        rounds = max(len(kappa), len(g))
-        zero_kappa = (0,) * width_kappa
-        zero_g = (0,) * width_g
-        cells: list = []
-        for k in range(rounds):
-            cells.extend(kappa[k] if k < len(kappa) else zero_kappa)
-            cells.extend(g[k] if k < len(g) else zero_g)
-        self.data = tuple(cells)
-        self.width_kappa = width_kappa
-        self.width_g = width_g
-        self.rounds = rounds
-        self._hash = hash((width_kappa, self.data))
-        self.intern_id = -1
-        self.label_events = None
-        self.labels = 0
 
     @classmethod
     def from_flat(
@@ -212,46 +189,6 @@ class Config:
         return Config.from_flat(
             tuple(cells), base.width_kappa, base.width_g, base.rounds
         )
-
-    def bump(
-        self,
-        round_no: int,
-        src_index: int,
-        dst_index: int,
-        dst_round: int,
-        updates: Tuple[Tuple[int, int], ...],
-    ) -> "Config":
-        """Apply a move: ``src`` down in ``round_no``, ``dst`` up in
-        ``dst_round``, variable increments (by *var index*) in
-        ``round_no``.
-
-        Raises:
-            SemanticsError: when the source counter is already 0.
-        """
-        rounds_needed = max(round_no, dst_round) + 1
-        base = self if self.rounds >= rounds_needed else self.ensure_rounds(rounds_needed)
-        block = base.width_kappa + base.width_g
-        src_offset = round_no * block + src_index
-        if base.data[src_offset] < 1:
-            raise SemanticsError(
-                f"cannot move from empty location index {src_index} "
-                f"in round {round_no}"
-            )
-        g_base = round_no * block + base.width_kappa
-        return base.apply_move(
-            rounds_needed,
-            src_offset,
-            dst_round * block + dst_index,
-            [(g_base + var_index, incr) for var_index, incr in updates],
-        )
-
-    def round_population(self, round_no: int) -> int:
-        """Total number of automata currently placed in ``round_no``."""
-        if round_no >= self.rounds:
-            return 0
-        block = self.width_kappa + self.width_g
-        start = round_no * block
-        return sum(self.data[start : start + self.width_kappa])
 
     def __str__(self) -> str:
         kappa, g = self.kappa, self.g

@@ -9,12 +9,11 @@ the visited configurations with the executed actions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Tuple
 
 from repro.counter.actions import Action
 from repro.counter.config import Config
 from repro.counter.system import CounterSystem
-from repro.errors import SemanticsError
 
 
 @dataclass(frozen=True)
@@ -35,20 +34,6 @@ class Schedule:
     def rounds_used(self) -> Tuple[int, ...]:
         """Sorted distinct round labels appearing in the schedule."""
         return tuple(sorted({action.round for action in self.actions}))
-
-    def restricted_to_round(self, round_no: int) -> "Schedule":
-        """The sub-schedule of actions labelled with ``round_no``."""
-        return Schedule(
-            tuple(action for action in self.actions if action.round == round_no)
-        )
-
-    def is_round_rigid(self) -> bool:
-        """True iff round labels are non-decreasing (s0 · s1 · s2 ...)."""
-        rounds = [action.round for action in self.actions]
-        return all(a <= b for a, b in zip(rounds, rounds[1:]))
-
-    def concat(self, other: "Schedule") -> "Schedule":
-        return Schedule(self.actions + other.actions)
 
     def __str__(self) -> str:
         return " ".join(str(action) for action in self.actions)

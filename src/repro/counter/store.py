@@ -33,10 +33,12 @@ Snapshot rule
 -------------
 A flush replaces the key's snapshot with the system's full graph, and
 only when the system holds more cache entries (successor plus option
-entries) than this store last loaded or wrote for the key.  So an
-unchanged graph writes nothing, and a smaller system never replaces a
-larger snapshot this store knows of.  A failed load forgets the key,
-so the next flush overwrites a corrupt snapshot with a good one.
+entries) than the snapshot: the one this store last loaded or wrote
+for the key, else the entry counts on the header line of the file
+already there (another store's).  So an unchanged graph writes
+nothing, and a smaller system never replaces a larger snapshot.  A
+failed load counts the key's snapshot as empty, so the next flush
+overwrites a corrupt snapshot with a good one.
 Concurrent writers of one key end with one writer's complete graph.
 
 Durability contract (shared with :class:`~repro.api.sweep.ResultCache`
@@ -366,8 +368,7 @@ class GraphStore:
     current code version would not itself produce.
 
     Flushes follow the module's snapshot rule: the full graph replaces
-    the key's snapshot when the system outgrew what this store last
-    loaded or wrote for the key.
+    the key's snapshot when the system outgrew it.
 
     All methods are best-effort: any I/O failure (and, on the read
     side, any parse error) is swallowed, counted, logged, and treated
@@ -382,7 +383,9 @@ class GraphStore:
         self.backend = LocalDirBackend(root)
         self.version = version if version is not None else code_version()
         #: key -> cache entries (succ plus option entries) of the
-        #: snapshot this store last loaded or wrote for the key.
+        #: key's snapshot: last loaded or written by this store, read
+        #: from the file's header line on a first flush, or 0 after a
+        #: failed load.
         self._stored: Dict[str, int] = {}
         #: Systems served to this process while this store was active —
         #: the only ones :meth:`flush_adopted` persists.  Tracked
@@ -431,7 +434,12 @@ class GraphStore:
         """
         key = self.key_for(system)
         entries = len(system._succ_cache) + len(system._options_cache)
-        if entries <= self._stored.get(key, 0):
+        if key not in self._stored:
+            header = self.describe(self.backend.canonical_path(key))
+            self._stored[key] = (
+                header["succ"] + header["options"] if header else 0
+            )
+        if entries <= self._stored[key]:
             return False
         try:
             blob = self._serialize(system)
@@ -514,8 +522,8 @@ class GraphStore:
         rebuilt from the *current* bound rule list.  A stale, truncated
         or corrupted snapshot is a cold miss, not a crash or a replay
         of stale semantics (see the module doc for the trusted-storage
-        threat model); the store forgets the key, so the next flush
-        overwrites the bad snapshot.
+        threat model); the store counts the snapshot as empty, so the
+        next flush overwrites it.
         """
         key = self.key_for(system)
         try:
@@ -538,7 +546,7 @@ class GraphStore:
             # is untrusted now; drop everything this load touched.
             system._succ_cache.clear()
             system._options_cache.clear()
-            self._stored.pop(key, None)
+            self._stored[key] = 0
             self._record("store.load_error", key, exc)
             self.load_misses += 1
             return False

@@ -442,8 +442,8 @@ class CounterSystem:
         """This system's frontier batch expander, or ``None`` sans numpy.
 
         Bound lazily once per system (the plan itself is shared on the
-        program); callers that resolved the scalar expansion path never
-        trigger the numpy import.  The expander fills the very same
+        program), so a system that never expands a frontier never
+        imports numpy.  The expander fills the very same
         ``_succ_cache`` the scalar :meth:`successor_groups` reads, with
         bit-identical group tuples — see :mod:`repro.counter.batch` for
         the order-preservation contract.  The expander refers back to
@@ -499,9 +499,6 @@ class CounterSystem:
     # ------------------------------------------------------------------
     # Convenience for spec evaluation
     # ------------------------------------------------------------------
-    def counter_of(self, config: Config, location: str, round_no: int = 0) -> int:
-        return config.counter(round_no, self.loc_index[location])
-
     def value_of(self, config: Config, variable: str, round_no: int = 0) -> int:
         return config.variable(round_no, self.var_index[variable])
 

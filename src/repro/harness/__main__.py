@@ -58,6 +58,7 @@ from repro import service as service_api
 from repro.counter.store import (
     STALE_TEMP_SECONDS,
     GraphStore,
+    _scan_error,
     check_graph_store_dir,
 )
 from repro.core.coinspec import parse_coin_spec
@@ -523,8 +524,8 @@ def _cmd_cache(argv: List[str]) -> int:
             for path in paths:
                 try:
                     total += path.stat().st_size
-                except OSError:
-                    pass
+                except OSError as exc:
+                    _scan_error("cache_size", path, exc)
             return total
 
         print(f"cache root     {root}  (code version {current})")
@@ -569,8 +570,8 @@ def _cmd_cache(argv: List[str]) -> int:
             try:
                 if now - path.stat().st_mtime >= STALE_TEMP_SECONDS:
                     doomed.append(path)
-            except OSError:
-                continue
+            except OSError as exc:
+                _scan_error("cache_stat", path, exc)
         doomed += stale_results + stale_graphs
     else:  # clear: a full wipe is explicitly destructive — take it all
         doomed = list(temps) + results + graphs + journals + service_files
@@ -579,8 +580,8 @@ def _cmd_cache(argv: List[str]) -> int:
         try:
             path.unlink()
             removed += 1
-        except OSError:
-            pass
+        except OSError as exc:
+            _scan_error("cache_unlink", path, exc)
     print(f"{args.action}: removed {removed} of {len(doomed)} files "
           f"under {root}")
     return 0

@@ -6,8 +6,8 @@ voting family (Rabin83, CC85a/b, FMR05, KS16) — over a reliable
 point-to-point network with adversary-controlled delivery, Byzantine
 equivocation and an ε-Good common-coin oracle, including the §II
 adaptive attack that starves MMR14 forever.  :mod:`repro.sim.fleet`
-executes thousands of instances concurrently and
-:mod:`repro.sim.crossval` cross-validates the empirical statistics
+executes thousands of instances concurrently; the test oracle
+``tests/sim/crossval.py`` cross-validates the empirical statistics
 against the checker's exact MDP.
 """
 

@@ -32,17 +32,16 @@ from __future__ import annotations
 import logging
 from typing import Dict, List, Optional, Sequence, Union
 
-import numpy as np
-
 from repro.solver.linear import LinearProblem, Row
 from repro.solver.shortcuts import satisfies
 
-try:  # scipy is an optional accelerator; the exact solver always works.
+try:  # numpy and scipy are optional; the exact solver always works.
+    import numpy as np
     from scipy.optimize import LinearConstraint, milp
     from scipy.sparse import csr_array
 
     _HAVE_SCIPY = True
-except Exception:  # pragma: no cover - environment without scipy
+except Exception:  # pragma: no cover - environment without numpy or scipy
     _HAVE_SCIPY = False
 
 logger = logging.getLogger(__name__)
@@ -105,7 +104,7 @@ class RowMatrix:
                 indptr.append(len(indices))
                 # coeffs.x + const >= 0  <=>  coeffs.x >= -const (== if is_eq)
                 lower.append(-const)
-                upper.append(-const if is_eq else np.inf)
+                upper.append(-const if is_eq else float("inf"))
             self._csr = (columns, indptr, indices, data, lower, upper)
         return self._csr
 

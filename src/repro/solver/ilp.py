@@ -36,10 +36,6 @@ class IlpResult:
     nodes: int = 0
     pivots: int = 0
 
-    @property
-    def is_sat(self) -> bool:
-        return self.status == SAT
-
 
 def _fractional_variable(assignment: Dict[str, Fraction]) -> Optional[str]:
     for name in sorted(assignment):

@@ -21,12 +21,12 @@ Formulas are rendered in the exact shorthand of Table III, e.g.::
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.core.locations import LocKind
 from repro.core.system import SystemModel
 from repro.errors import CheckError
-from repro.spec.propositions import Prop, some_at
+from repro.spec.propositions import some_at
 from repro.spec.queries import GameQuery, ReachQuery
 
 
@@ -61,18 +61,6 @@ class PropertyLibrary:
     # ------------------------------------------------------------------
     # Location sets
     # ------------------------------------------------------------------
-    def initial_locs(self, value: int) -> Tuple[str, ...]:
-        """``I_v``."""
-        return self._initial[value]
-
-    def final_locs(self, value: int) -> Tuple[str, ...]:
-        """``F_v``."""
-        return self._final[value]
-
-    def decision_locs(self, value: int) -> Tuple[str, ...]:
-        """``D_v``."""
-        return self._decision[value]
-
     def estimate_locs(self, value: int) -> Tuple[str, ...]:
         """``E_v = F_v \\ D_v`` — finals that did not decide."""
         decisions = set(self._decision[value])

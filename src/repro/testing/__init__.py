@@ -4,7 +4,7 @@
 behind the chaos suite: a seeded, picklable
 :class:`~repro.testing.faults.FaultPlan` installed in sweep workers via
 the pool initializer can kill a worker as it picks up a task, hang a
-task past the supervisor timeout, inject ``OSError``/delays into
+task past the supervisor timeout, inject ``OSError`` into
 :class:`~repro.counter.store.GraphStore` / :class:`~repro.api.sweep.
 ResultCache` I/O, and corrupt a graph snapshot's checksummed body.
 

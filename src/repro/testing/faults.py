@@ -8,7 +8,7 @@ in pool workers via its initializer, never in the supervisor process,
 which must survive to observe the failure).  Production code calls the
 two hook functions at its I/O boundaries:
 
-* :func:`fire` — may kill the calling process, sleep (hang/delay), or
+* :func:`fire` — may kill the calling process, sleep (hang), or
   raise ``OSError``;
 * :func:`transform` — may corrupt a byte blob (flip its last byte, so
   a checksummed graph snapshot fails verification on load).
@@ -50,7 +50,7 @@ from __future__ import annotations
 import os
 import signal
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Optional, Tuple
 
@@ -64,7 +64,7 @@ __all__ = [
 ]
 
 #: Actions :func:`fire` understands (``corrupt`` goes via :func:`transform`).
-ACTIONS = ("kill", "hang", "delay", "oserror", "corrupt")
+ACTIONS = ("kill", "hang", "oserror", "corrupt")
 
 
 @dataclass(frozen=True)
@@ -73,15 +73,15 @@ class FaultRule:
 
     Attributes:
         point: hook name this rule listens on (see the module doc).
-        action: ``"kill"`` (SIGKILL the calling process), ``"hang"`` /
-            ``"delay"`` (sleep ``seconds`` — hang long enough for the
-            supervisor timeout, delay briefly), ``"oserror"`` (raise
-            ``OSError``), or ``"corrupt"`` (flip the blob's last byte;
-            only consulted by :func:`transform`).
+        action: ``"kill"`` (SIGKILL the calling process), ``"hang"``
+            (sleep ``seconds``, long enough for the supervisor
+            timeout), ``"oserror"`` (raise ``OSError``), or
+            ``"corrupt"`` (flip the blob's last byte; only consulted
+            by :func:`transform`).
         match: substring the hook's ``detail`` must contain ("" = any).
         nth: fire on the nth *matching* hit (1-based).
         times: how many consecutive hits fire (0 = every hit >= nth).
-        seconds: sleep duration for ``hang`` / ``delay``.
+        seconds: sleep duration for ``hang``.
         scope: ``"global"`` (hits counted across all processes via the
             plan's scratch markers) or ``"worker"`` (each process
             counts privately).
@@ -258,7 +258,7 @@ def fire(point: str, detail: str = "") -> None:
     No-op without an installed plan.  ``kill`` never returns;
     ``oserror`` raises (callers place the hook inside their existing
     best-effort handling, so injection exercises the same path a real
-    failure would); ``hang`` / ``delay`` sleep and return.
+    failure would); ``hang`` sleeps and returns.
     """
     plan = _ACTIVE
     if plan is None:
@@ -270,7 +270,7 @@ def fire(point: str, detail: str = "") -> None:
             continue
         if rule.action == "kill":
             os.kill(os.getpid(), signal.SIGKILL)
-        elif rule.action in ("hang", "delay"):
+        elif rule.action == "hang":
             time.sleep(rule.seconds)
         elif rule.action == "oserror":
             raise OSError(

@@ -1,8 +1,10 @@
 """The ``python -m repro.harness cache {info,prune,clear}`` subcommand."""
 
 import json
+import logging
 import os
 import time
+from pathlib import Path
 
 import pytest
 
@@ -293,3 +295,60 @@ class TestStoreDir:
             assert exit_info.value.code == 2
             assert "pass a directory path" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+
+class TestSwallowedErrorsLog:
+    """The maintenance commands swallow per-file ``OSError``s and log
+    each as one ``store.scan_error`` warning; ``FileNotFoundError`` (a
+    concurrent writer or pruner got there first) stays silent."""
+
+    ORPHAN = "leftover.json.1.aa.tmp"
+
+    @pytest.fixture
+    def root(self, tmp_path, caplog):
+        caplog.set_level(logging.WARNING, logger="repro.counter.store")
+        orphan = tmp_path / self.ORPHAN
+        orphan.write_bytes(b"{")
+        _age(orphan)
+        return tmp_path
+
+    def _fail(self, monkeypatch, method, exc_type):
+        real = getattr(Path, method)
+
+        def failing(path, *args, **kwargs):
+            if path.name == self.ORPHAN:
+                raise exc_type(13, "injected")
+            return real(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, method, failing)
+
+    @staticmethod
+    def _records(caplog):
+        return [r for r in caplog.records
+                if getattr(r, "event", None) == "store.scan_error"]
+
+    @pytest.mark.parametrize("action, method, op", [
+        ("info", "stat", "cache_size"),
+        ("prune", "stat", "cache_stat"),
+        ("prune", "unlink", "cache_unlink"),
+    ])
+    def test_each_handler_logs_once(self, root, caplog, capsys, monkeypatch,
+                                    action, method, op):
+        self._fail(monkeypatch, method, PermissionError)
+        out = _run(capsys, "cache", action, "--dir", str(root))
+        [record] = self._records(caplog)
+        assert record.op == op
+        assert record.path.endswith(self.ORPHAN)
+        assert "PermissionError" in record.error
+        assert self.ORPHAN in os.listdir(root)
+        if action == "prune":
+            assert "removed 0 of" in out
+
+    @pytest.mark.parametrize("action, method", [
+        ("info", "stat"), ("prune", "stat"), ("prune", "unlink"),
+    ])
+    def test_vanished_files_stay_silent(self, root, caplog, capsys,
+                                        monkeypatch, action, method):
+        self._fail(monkeypatch, method, FileNotFoundError)
+        _run(capsys, "cache", action, "--dir", str(root))
+        assert self._records(caplog) == []

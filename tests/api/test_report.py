@@ -1,6 +1,7 @@
 """JSON round-trips and verdict aggregation for the report hierarchy."""
 
 import json
+from dataclasses import replace
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -234,7 +235,7 @@ class TestServiceMetadata:
     blob written before the service existed) keep their exact bytes."""
 
     def test_task_result_roundtrip_with_deduped(self):
-        result = make_task_result().as_deduped()
+        result = replace(make_task_result(), deduped=True)
         assert result.deduped is True
         restored = roundtrip(result, TaskResult)
         assert restored.deduped is True
@@ -257,14 +258,14 @@ class TestServiceMetadata:
         assert restored.request_id == "r000042"
         assert restored.deduped == 3
 
-    def test_as_deduped_does_not_disturb_the_verdict_payload(self):
+    def test_deduped_flag_does_not_disturb_the_verdict_payload(self):
         result = make_task_result()
-        plain, marked = result.to_dict(), result.as_deduped().to_dict()
+        plain, marked = result.to_dict(), replace(result, deduped=True).to_dict()
         marked.pop("deduped")
         assert plain == marked  # identical bytes apart from the flag
 
     def test_summary_mentions_service_events(self):
-        report = RunReport(results=(make_task_result().as_deduped(),),
+        report = RunReport(results=(replace(make_task_result(), deduped=True),),
                            processes=2, request_id="r000007", deduped=1)
         text = report.summary()
         assert "deduped" in text

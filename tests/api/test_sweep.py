@@ -158,7 +158,10 @@ class TestCache:
         base = api.VerificationTask(protocol="cc85a", targets=("validity",))
         keys = {
             runner.cache.key_for(base),
-            runner.cache.key_for(base.with_engine("parameterized")),
+            runner.cache.key_for(
+                api.VerificationTask(protocol="cc85a", targets=("validity",),
+                                     engine="parameterized")
+            ),
             runner.cache.key_for(
                 api.VerificationTask(protocol="cc85a", targets=("validity",),
                                      limits=api.Limits(max_states=7))

@@ -13,6 +13,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro import api
 from repro.core.coinspec import BiasedCoin, DeltaFailingCoin, PerfectCoin
@@ -170,3 +172,53 @@ class TestRegistryErrors:
             refined = entry.verification_model(coin="biased:1/4")
             assert model.name
             assert refined.name
+
+
+# ----------------------------------------------------------------------
+# Property round trips of the task wire format
+# ----------------------------------------------------------------------
+_COINS = st.one_of(
+    st.none(),
+    st.sampled_from(("perfect", "biased", "failing", "disagreeing")).flatmap(
+        lambda kind: st.just(kind) if kind == "perfect" else
+        st.integers(2, 64).flatmap(
+            lambda den: st.integers(1, den - 1).map(
+                lambda num: f"{kind}:{num}/{den}"
+            )
+        )
+    ),
+)
+_LIMITS = st.builds(
+    api.Limits,
+    max_states=st.none() | st.integers(1, 10**7),
+    max_nodes=st.none() | st.integers(1, 10**6),
+    max_seconds=st.none() | st.floats(0, 1e4, allow_nan=False),
+)
+_TASKS = st.builds(
+    api.VerificationTask,
+    protocol=st.sampled_from(names()),
+    valuation=st.none() | st.fixed_dictionaries(
+        {"n": st.integers(1, 20), "t": st.integers(0, 5),
+         "f": st.integers(0, 5)}
+    ),
+    targets=st.lists(
+        st.sampled_from(("agreement", "validity", "termination")),
+        min_size=1, max_size=3, unique=True,
+    ).map(tuple),
+    engine=st.sampled_from(("explicit", "parameterized")),
+    limits=_LIMITS,
+    coin=_COINS,
+)
+
+
+class TestWireFormatProperties:
+    @given(_TASKS)
+    def test_from_dict_inverts_to_dict(self, task):
+        assert api.VerificationTask.from_dict(task.to_dict()) == task
+
+    @given(_TASKS)
+    def test_json_bytes_are_stable(self, task):
+        blob = json.dumps(task.to_dict())
+        again = api.VerificationTask.from_dict(json.loads(blob))
+        assert again == task
+        assert json.dumps(again.to_dict()) == blob

@@ -10,8 +10,9 @@ This module pins that contract from two sides:
   a batch-expanded system's pre-filled ``_succ_cache`` must hold the
   same group tuples over several BFS levels, and flattening them must
   reproduce ``enabled_actions(..., include_stutters=False)``;
-* **end to end** — ``api.verify`` under the pinned ``explicit-batch``
-  and ``explicit-scalar`` engines (cold caches each) must return
+* **end to end** — ``api.verify`` with numpy present and with numpy
+  hidden from the batch module (``batch._np = None``, which is what a
+  numpy-less interpreter sees; cold caches each) must return
   stable-identical reports on all 8 registry protocols and the 30 fuzz
   models, plus a deliberately tight ``max_states`` budget where the
   early exit must trip at the very same state count.
@@ -20,9 +21,9 @@ This module pins that contract from two sides:
 import pytest
 
 from repro import api
-from repro.counter.batch import batch_available, resolve_expansion
+from repro.counter import batch
+from repro.counter.batch import batch_available
 from repro.counter.system import CounterSystem, clear_shared_caches
-from repro.errors import SemanticsError
 from repro.protocols.registry import benchmark
 
 from tests.checker.test_differential import (
@@ -91,13 +92,15 @@ def _group_differential(model, valuation, levels=3, fanout_cap=60):
         scalar_frontier = [scalar.intern(c) for c in frontier]
 
 
-def _verify_both(limits, **kwargs):
-    """Cold batch run vs cold scalar run of the same task."""
+def _verify_both(monkeypatch, limits, **kwargs):
+    """Cold batch run vs cold scalar run (numpy hidden) of one task."""
     clear_shared_caches()
-    batched = api.verify(engine="explicit-batch", limits=limits, **kwargs)
+    batched = api.verify(limits=limits, **kwargs)
     clear_shared_caches()
-    scalar = api.verify(engine="explicit-scalar", limits=limits, **kwargs)
-    clear_shared_caches()
+    with monkeypatch.context() as patch:
+        patch.setattr(batch, "_np", None)
+        scalar = api.verify(limits=limits, **kwargs)
+        clear_shared_caches()
     return batched, scalar
 
 
@@ -114,18 +117,26 @@ class TestGroupDifferential:
 
 
 class TestEndToEndDifferential:
+    def test_hidden_numpy_binds_no_expander(self, monkeypatch):
+        entry = next(e for e in benchmark() if e.name == "mmr14")
+        monkeypatch.setattr(batch, "_np", None)
+        clear_shared_caches()
+        system = CounterSystem(entry.model(), dict(entry.small_valuation))
+        assert system.batch_expander() is None
+        clear_shared_caches()
+
     @pytest.mark.parametrize("name", REGISTRY)
-    def test_registry_protocol_reports(self, name):
+    def test_registry_protocol_reports(self, monkeypatch, name):
         batched, scalar = _verify_both(
-            REGISTRY_LIMITS, protocol=name, targets=TARGETS
+            monkeypatch, REGISTRY_LIMITS, protocol=name, targets=TARGETS
         )
-        assert batched.engine == "explicit-batch"
-        assert scalar.engine == "explicit-scalar"
+        assert batched.engine == scalar.engine == "explicit"
         assert _stable(batched) == _stable(scalar)
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_fuzz_model_reports(self, seed):
+    def test_fuzz_model_reports(self, monkeypatch, seed):
         batched, scalar = _verify_both(
+            monkeypatch,
             LIMITS,
             model=random_model(seed),
             valuation=small_valuation(random_model(seed)),
@@ -133,10 +144,11 @@ class TestEndToEndDifferential:
         )
         assert _stable(batched) == _stable(scalar)
 
-    def test_max_states_early_exit_is_bit_identical(self):
-        # A budget far below mmr14's reach space: both engines must
+    def test_max_states_early_exit_is_bit_identical(self, monkeypatch):
+        # A budget far below mmr14's reach space: both paths must
         # trip the limit after exploring the very same prefix.
         batched, scalar = _verify_both(
+            monkeypatch,
             api.Limits(max_states=500),
             protocol="mmr14",
             targets=("agreement",),
@@ -150,22 +162,6 @@ class TestEndToEndDifferential:
             if query[3] == "max_states"
         ]
         assert tripped, "budget of 500 states unexpectedly sufficed"
-
-
-class TestSelectionKnobs:
-    def test_unknown_expansion_rejected(self):
-        with pytest.raises(SemanticsError):
-            resolve_expansion("simd")
-
-    def test_env_escape_hatch(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE_BATCH", "0")
-        assert resolve_expansion(None) == "scalar"
-        monkeypatch.delenv("REPRO_ENGINE_BATCH")
-        assert resolve_expansion(None) == "batch"
-        # Explicit pins beat the process default.
-        monkeypatch.setenv("REPRO_ENGINE_BATCH", "0")
-        assert resolve_expansion("batch") == "batch"
-        assert resolve_expansion("scalar") == "scalar"
 
 
 # ----------------------------------------------------------------------
@@ -201,18 +197,18 @@ class TestCoinLotteryDifferential:
 
     @pytest.mark.parametrize("name", COIN_PROTOCOLS)
     @pytest.mark.parametrize("seed", COIN_SEEDS)
-    def test_reports_identical_under_random_coins(self, name, seed):
+    def test_reports_identical_under_random_coins(self, monkeypatch, name, seed):
         batched, scalar = _verify_both(
-            COIN_LIMITS, protocol=name, targets=COIN_TARGETS,
+            monkeypatch, COIN_LIMITS, protocol=name, targets=COIN_TARGETS,
             coin=random_coin_spec(seed),
         )
         assert _stable(batched) == _stable(scalar)
 
-    def test_three_branch_lottery_early_exit_identical(self):
+    def test_three_branch_lottery_early_exit_identical(self, monkeypatch):
         # The failing coin's three-branch toss under a tight budget:
         # both paths must trip max_states on the very same prefix.
         batched, scalar = _verify_both(
-            api.Limits(max_states=400),
+            monkeypatch, api.Limits(max_states=400),
             protocol="cc85a", targets=("agreement",), coin="failing:1/8",
         )
         stable = _stable(batched)

@@ -28,6 +28,7 @@ reports are bit-identical — the store must stay results-neutral on
 models it has never seen in any registry.
 """
 
+import itertools
 import random
 
 import pytest
@@ -120,7 +121,12 @@ def random_model(seed: int) -> SystemModel:
 def small_valuation(model: SystemModel) -> dict:
     """The smallest admissible valuation with >= 2 processes, faults first."""
     fallback = None
-    for valuation in model.environment.iter_admissible(6):
+    env = model.environment
+    grid = itertools.product(range(7), repeat=len(env.parameters))
+    for combo in grid:
+        valuation = dict(zip(env.parameters, combo))
+        if not env.admits(valuation):
+            continue
         if valuation["n"] - valuation["f"] < 2:
             continue
         if valuation["f"] >= 1:

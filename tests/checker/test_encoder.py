@@ -8,7 +8,7 @@ from repro.checker.parameterized import ParameterizedChecker
 from repro.checker.schemas import EventItem
 from repro.protocols import fmr05, mmr14, naive_voting
 from repro.solver.floatlp import float_feasible
-from repro.solver.ilp import ilp_feasible
+from repro.solver.ilp import SAT, ilp_feasible
 from repro.solver.linear import LinearProblem
 from repro.spec.properties import PropertyLibrary
 
@@ -28,7 +28,7 @@ class TestEmptyPrefix:
         _model, encoder, _ms, lib = naive_setup
         encoded = encoder.encode([], lib.inv1(0))
         result = ilp_feasible(encoded.problem)
-        assert result.is_sat
+        assert result.status == SAT
         # The model must respect the resilience condition n > 2f.
         assert result.model["n"] > 2 * result.model.get("f", 0)
 
@@ -54,7 +54,7 @@ class TestEventEncoding:
         m0 = milestones["[2*v0 reaches -2*f + n + 1]"]
         encoded = encoder.encode([m0, EventItem(0)], lib.inv1(0))
         result = ilp_feasible(encoded.problem)
-        assert result.is_sat
+        assert result.status == SAT
 
     def test_init_filter_pins_start(self, naive_setup):
         _model, encoder, milestones, lib = naive_setup
@@ -74,7 +74,7 @@ class TestScheduleExtraction:
         prefix = [m0, m1, EventItem(0), EventItem(1)]
         encoded = encoder.encode(prefix, query)
         result = ilp_feasible(encoded.problem)
-        assert result.is_sat
+        assert result.status == SAT
         valuation, placement, schedule = encoder.extract(encoded, result.model)
         from repro.counter.schedule import Schedule, is_applicable
         from repro.counter.system import CounterSystem

@@ -23,6 +23,11 @@ from tests.counter.test_fairness import pingpong_model, stuck_model
 VAL = {"n": 4, "t": 1, "f": 1}
 
 
+def check_target(checker, target):
+    """Check one obligation target's bundle end to end."""
+    return checker.check_obligations(obligations_for(checker.model, target))
+
+
 @pytest.fixture(scope="module")
 def mmr_checker():
     return ExplicitChecker(mmr14.model(), VAL)
@@ -36,21 +41,21 @@ def refined_checker():
 class TestNaiveVoting:
     def test_agreement_violated_with_byzantine(self):
         checker = ExplicitChecker(naive_voting.model(), {"n": 3, "f": 1})
-        report = checker.check_target("agreement")
+        report = check_target(checker, "agreement")
         assert report.verdict == VIOLATED
         assert report.counterexample is not None
 
     def test_agreement_holds_without_byzantine(self):
         checker = ExplicitChecker(naive_voting.model(), {"n": 3, "f": 0})
-        assert checker.check_target("agreement").verdict == HOLDS
+        assert check_target(checker, "agreement").verdict == HOLDS
 
     def test_validity_holds(self):
         checker = ExplicitChecker(naive_voting.model(), {"n": 3, "f": 1})
-        assert checker.check_target("validity").verdict == HOLDS
+        assert check_target(checker, "validity").verdict == HOLDS
 
     def test_counterexample_replays(self):
         checker = ExplicitChecker(naive_voting.model(), {"n": 3, "f": 1})
-        report = checker.check_target("agreement")
+        report = check_target(checker, "agreement")
         ce = report.counterexample
         system = CounterSystem(naive_voting.model(), ce.valuation)
         config = system.make_config(ce.initial_placement)
@@ -59,7 +64,7 @@ class TestNaiveVoting:
 
 class TestMMR14Safety:
     def test_validity_holds(self, mmr_checker):
-        report = mmr_checker.check_target("validity")
+        report = check_target(mmr_checker, "validity")
         assert report.verdict == HOLDS
         assert report.side_conditions == {
             "non_blocking": True,
@@ -101,7 +106,7 @@ class TestMMR14Binding:
         assert ce.initial_placement.get("J1", 0) >= 1
 
     def test_termination_bundle_reports_violation(self, refined_checker):
-        report = refined_checker.check_target("termination")
+        report = check_target(refined_checker, "termination")
         assert report.verdict == VIOLATED
         violated = {r.query for r in report.queries if r.verdict == VIOLATED}
         assert "cb2" in violated
@@ -207,7 +212,7 @@ class TestSideConditionMemo:
 
         monkeypatch.setattr(fairness, "_non_blocking_walk", walked)
         monkeypatch.setattr(fairness, "_progress_cycle_walk", walked)
-        report = ExplicitChecker(factory(), valuation).check_target("validity")
+        report = check_target(ExplicitChecker(factory(), valuation), "validity")
         assert report.side_conditions == dict.fromkeys(SIDE_NAMES, True)
 
     def test_unknown_side_condition_still_rejected(self):

@@ -77,7 +77,7 @@ class TestMMR14Binding:
         assert all(witnessed)
 
     def test_milestone_count(self, mmr_checker):
-        assert mmr_checker.milestone_count() == 11
+        assert len(mmr_checker.milestones) == 11
 
 
 class TestAgreementWithExplicit:

@@ -89,8 +89,10 @@ class TestQueries:
         assert {l.name for l in ta.border_locations} == {"J0", "J1"}
         assert {l.name for l in ta.initial_locations} == {"I0", "I1"}
         assert {l.name for l in ta.final_locations} == {"E0", "E1", "D0", "D1"}
-        assert {l.name for l in ta.decision_locations()} == {"D0", "D1"}
-        assert {l.name for l in ta.decision_locations(value=0)} == {"D0"}
+        decisions = ta.locations_of(kind=LocKind.FINAL, decision=True)
+        assert {l.name for l in decisions} == {"D0", "D1"}
+        decide0 = ta.locations_of(kind=LocKind.FINAL, value=0, decision=True)
+        assert {l.name for l in decide0} == {"D0"}
 
     def test_mmr14_round_switches(self):
         ta = mmr14.automaton()
@@ -104,7 +106,11 @@ class TestQueries:
 
     def test_mmr14_coin_based_rules(self):
         ta = mmr14.automaton()
-        coin_rules = {r.name for r in ta.coin_based_rules()}
+        coins = set(ta.coin_vars)
+        coin_rules = {
+            r.name for r in ta.rules
+            if r.guard and r.guard_variables() <= coins
+        }
         assert coin_rules == {"r22", "r23", "r24", "r25", "r26", "r27"}
 
     def test_mmr14_guard_atoms_deduplicated(self):

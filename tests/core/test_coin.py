@@ -24,7 +24,7 @@ class TestStandardCoin:
 
     def test_single_non_dirac_rule(self):
         coin = standard_coin_automaton(SHARED, COINS)
-        (toss,) = coin.non_dirac_rules()
+        (toss,) = [rule for rule in coin.rules if not rule.is_dirac]
         assert toss.name == "rb"
         assert toss.probability("T0") == Fraction(1, 2)
 

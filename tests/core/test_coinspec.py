@@ -16,6 +16,8 @@ The contract every other layer leans on:
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.coin import standard_coin_automaton
 from repro.core.coinspec import (
@@ -190,3 +192,38 @@ class TestAbstractBase:
                        spec.toss_probabilities):
             with pytest.raises(NotImplementedError):
                 method()
+
+
+# ----------------------------------------------------------------------
+# Property round trips over generated probabilities
+# ----------------------------------------------------------------------
+#: Probabilities strictly inside (0, 1).
+_OPEN_UNIT = st.integers(2, 10_000).flatmap(
+    lambda den: st.integers(1, den - 1).map(lambda num: Fraction(num, den))
+)
+_PARAMETERIZED = (BiasedCoin, DeltaFailingCoin, DisagreeingCoin)
+_SPECS = st.one_of(
+    st.just(PerfectCoin()),
+    st.builds(lambda cls, p: cls(p), st.sampled_from(_PARAMETERIZED),
+              _OPEN_UNIT),
+)
+
+
+class TestRoundTripProperties:
+    @given(_SPECS)
+    def test_spec_grammar_round_trips(self, spec):
+        assert parse_coin_spec(spec.spec_str()) == spec
+
+    @given(_SPECS)
+    def test_json_form_round_trips(self, spec):
+        assert coin_spec_from_dict(spec.to_dict()) == spec
+
+    @given(st.sampled_from(_PARAMETERIZED), st.integers(1, 6), st.data())
+    def test_decimal_and_fraction_spellings_agree(self, cls, digits, data):
+        scale = 10 ** digits
+        numerator = data.draw(st.integers(1, scale - 1))
+        value = Fraction(numerator, scale)
+        decimal = "0." + str(numerator).zfill(digits)
+        fraction = f"{value.numerator}/{value.denominator}"
+        assert parse_coin_spec(f"{cls.kind}:{decimal}") == \
+            parse_coin_spec(f"{cls.kind}:{fraction}") == cls(value)

@@ -72,13 +72,6 @@ class TestEnvironment:
         with pytest.raises(SemanticsError):
             env.system_size({"n": 3, "t": 1, "f": 1})
 
-    def test_iter_admissible(self):
-        env = mmr_env()
-        found = list(env.iter_admissible(4))
-        assert {"n": 4, "t": 1, "f": 0} in found
-        assert {"n": 4, "t": 1, "f": 1} in found
-        assert all(env.admits(v) for v in found)
-
     def test_undeclared_parameter_in_rc_rejected(self):
         cc, = params("cc")
         with pytest.raises(ModelError):

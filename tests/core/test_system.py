@@ -11,7 +11,8 @@ from repro.protocols import mmr14, naive_voting
 class TestValidation:
     def test_mmr14_model_valid(self):
         model = mmr14.model()
-        model.validate_multi_round()
+        model.process.check_multi_round_form()
+        assert model.coin.is_canonical()
 
     def test_variable_space_mismatch_rejected(self):
         bad_coin = standard_coin_automaton(("other",), mmr14.COIN_VARS)

@@ -12,10 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.counter.config import Config
 from repro.counter.system import CounterSystem
 from repro.errors import SemanticsError
 from repro.protocols import mmr14, naive_voting
+from tests.counter.test_config import bump, config
 
 Row = Tuple[int, ...]
 
@@ -90,12 +90,12 @@ moves = st.tuples(
     sequence=st.lists(moves, max_size=8),
 )
 def test_flat_matches_seed_on_random_moves(counts, values, sequence):
-    flat = Config((tuple(counts),), (tuple(values),))
+    flat = config([counts], [values])
     seed = _SeedConfig((tuple(counts),), (tuple(values),))
     for round_no, src, dst, dst_round, updates in sequence:
         flat_err = seed_err = None
         try:
-            next_flat = flat.bump(round_no, src, dst, dst_round, updates)
+            next_flat = bump(flat, round_no, src, dst, dst_round, updates)
         except (SemanticsError, IndexError) as exc:
             flat_err = type(exc)
         try:
@@ -122,7 +122,7 @@ def test_flat_matches_seed_on_random_moves(counts, values, sequence):
     rounds=st.integers(1, 5),
 )
 def test_ensure_rounds_matches_seed(counts, rounds):
-    flat = Config((tuple(counts),), ((0, 0),))
+    flat = config([counts], [(0, 0)])
     seed = _SeedConfig((tuple(counts),), ((0, 0),))
     extended_flat = flat.ensure_rounds(rounds)
     extended_seed = seed.ensure_rounds(rounds)
@@ -139,8 +139,8 @@ def test_ensure_rounds_matches_seed(counts, rounds):
     b_counts=st.lists(st.integers(0, 3), min_size=2, max_size=2),
 )
 def test_equality_and_hash_follow_values(a_counts, b_counts):
-    a = Config((tuple(a_counts),), ((0,),))
-    b = Config((tuple(b_counts),), ((0,),))
+    a = config([a_counts], [(0,)])
+    b = config([b_counts], [(0,)])
     assert (a == b) == (a_counts == b_counts)
     if a == b:
         assert hash(a) == hash(b)
@@ -148,7 +148,7 @@ def test_equality_and_hash_follow_values(a_counts, b_counts):
 
 def test_different_round_horizons_stay_distinct():
     # The seed dataclass distinguished (k,) from (k, zero-row); so must we.
-    base = Config(((1, 0),), ((0,),))
+    base = config([(1, 0)], [(0,)])
     extended = base.ensure_rounds(2)
     assert base != extended
     assert extended.counter(1, 0) == 0
@@ -156,8 +156,8 @@ def test_different_round_horizons_stay_distinct():
 
 def test_layout_widths_distinguish_configs():
     # Same flat cells, different kappa/g split -> different configs.
-    a = Config(((1, 2),), ((3,),))       # wk=2, wg=1
-    b = Config(((1,),), ((2, 3),))       # wk=1, wg=2
+    a = config([(1, 2)], [(3,)])       # wk=2, wg=1
+    b = config([(1,)], [(2, 3)])       # wk=1, wg=2
     assert a.data == b.data
     assert a != b
 

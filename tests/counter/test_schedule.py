@@ -68,7 +68,7 @@ class TestOrderings:
     def test_final_config_decides_everyone(self, system):
         config = initial(system, START)
         final = apply_schedule(system, config, ROUND_ROBIN)
-        assert system.counter_of(final, "D0") == 2
+        assert final.counter(0, system.loc_index["D0"]) == 2
         assert system.value_of(final, "v0") == 2
 
     def test_intermediate_configs_differ_between_orderings(self, system):
@@ -97,8 +97,8 @@ class TestOrderings:
             Action("r3", 0), Action("r4", 0),
         ))
         final = apply_schedule(system, config, split)
-        assert system.counter_of(final, "D0") == 1
-        assert system.counter_of(final, "D1") == 1
+        assert final.counter(0, system.loc_index["D0"]) == 1
+        assert final.counter(0, system.loc_index["D1"]) == 1
 
 
 class TestPathHelpers:
@@ -117,10 +117,9 @@ class TestPathHelpers:
         assert list(schedule) == [Action("a", 0), Action("b", 1)]
         assert len(schedule) == 2
 
-    def test_restriction_and_rounds_used(self):
+    def test_rounds_used(self):
         schedule = Schedule((Action("a", 0), Action("b", 2), Action("c", 0)))
         assert schedule.rounds_used() == (0, 2)
-        assert schedule.restricted_to_round(2).actions == (Action("b", 2),)
 
     def test_empty_schedule_applies_to_anything(self, system):
         config = initial(system, START)

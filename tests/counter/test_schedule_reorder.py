@@ -31,22 +31,13 @@ def start_config(system):
     return next(iter(system.initial_configs({"J1": 1})))
 
 
+def is_round_rigid(schedule):
+    """True iff round labels are non-decreasing (s0 · s1 · s2 ...)."""
+    rounds = [action.round for action in schedule]
+    return all(a <= b for a, b in zip(rounds, rounds[1:]))
+
+
 class TestSchedule:
-    def test_round_rigidity_detection(self):
-        rigid = Schedule((Action("a", 0), Action("b", 0), Action("c", 1)))
-        loose = Schedule((Action("a", 1), Action("b", 0)))
-        assert rigid.is_round_rigid()
-        assert not loose.is_round_rigid()
-
-    def test_restriction(self):
-        s = Schedule((Action("a", 0), Action("b", 1), Action("c", 0)))
-        assert s.restricted_to_round(0).actions == (Action("a", 0), Action("c", 0))
-        assert s.rounds_used() == (0, 1)
-
-    def test_concat(self):
-        s = Schedule((Action("a", 0),)).concat(Schedule((Action("b", 1),)))
-        assert len(s) == 2
-
     def test_applicability_and_path(self, system):
         config = start_config(system)
         schedule = Schedule((Action("r1", 0), Action("r3", 0)))
@@ -82,7 +73,7 @@ class TestReorderTheorem:
             Action("a", 1),
             Action("c", 1),
         )
-        assert reordered.is_round_rigid()
+        assert is_round_rigid(reordered)
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10_000), steps=st.integers(1, 60))
@@ -93,7 +84,7 @@ class TestReorderTheorem:
         rng = random.Random(seed)
         schedule = random_schedule(system, config, rng, max_steps=steps)
         reordered, final = check_reorder_theorem(system, config, schedule)
-        assert reordered.is_round_rigid()
+        assert is_round_rigid(reordered)
         assert final == apply_schedule(system, config, schedule)
 
     def test_multiround_instance(self, system):

@@ -612,8 +612,9 @@ class TestBackends:
         self, backend_spec
     ):
         # A warm system meeting a freshly constructed store over a
-        # corpus its previous activation wrote rewrites its one file
-        # with identical bytes; the store never grows a second file.
+        # corpus its previous activation wrote finds its graph's entry
+        # counts on the snapshot's header line and writes nothing; the
+        # store never grows a second file.
         system = CounterSystem(ks16.model(), VAL_A)
         _explore(system, limit=200)
         first = GraphStore(backend_spec, version="v1")
@@ -621,17 +622,38 @@ class TestBackends:
         path = first.backend.canonical_path(first.key_for(system))
         stored = path.read_bytes()
         second = GraphStore(backend_spec, version="v1")
-        assert second.flush(system)
         assert not second.flush(system)
         assert sorted(Path(backend_spec).iterdir()) == [path]
         assert path.read_bytes() == stored
 
 
+    def test_fresh_store_never_shrinks_another_stores_snapshot(
+        self, backend_spec
+    ):
+        # A store that never loaded or wrote the key reads the stored
+        # entry counts from the snapshot's header line: a smaller graph
+        # flushed through it leaves the larger snapshot alone.
+        model = ks16.model()
+        writer = GraphStore(backend_spec, version="v1")
+        large = CounterSystem(model, VAL_A)
+        _explore(large, limit=400)
+        assert writer.flush(large)
+        path = writer.backend.canonical_path(writer.key_for(large))
+        stored = path.read_bytes()
+        small = _fresh_system(model)
+        _explore(small, limit=40)
+        assert len(small._succ_cache) < len(large._succ_cache)
+        other = GraphStore(backend_spec, version="v1")
+        assert not other.flush(small)
+        assert path.read_bytes() == stored
+        assert GraphStore.describe(path)["succ"] == len(large._succ_cache)
+
+
 class TestCorruptSegments:
     def test_one_corrupt_segment_poisons_the_key(self, tmp_path):
         # One flipped body byte makes the snapshot a miss for every
-        # store, and the store that wrote it forgets the key on that
-        # miss: even a smaller graph then replaces the bad snapshot.
+        # store, and a store that failed to load it counts it as empty:
+        # even a smaller graph then replaces the bad snapshot.
         model = ks16.model()
         store = GraphStore(tmp_path, version="v1")
         system = CounterSystem(model, VAL_A)
@@ -710,9 +732,9 @@ class TestOneSegmentReader:
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_next_flush_repairs_the_key(self, tmp_path, kind):
-        # The store that wrote the key forgets it on the failed load, so
-        # the cold re-expansion overwrites the bad snapshot although it
-        # holds exactly as many entries as the store once wrote.
+        # The store counts the snapshot as empty after the failed load,
+        # so the cold re-expansion overwrites the bad snapshot although
+        # it holds exactly as many entries as the store once wrote.
         store, system = self._flushed(tmp_path)
         (path,) = sorted(tmp_path.glob("*.graph"))
         good = path.read_bytes()
@@ -729,8 +751,7 @@ class TestOneSegmentReader:
 
 class TestStoredCoverage:
     """A flush writes only when the system holds more cache entries
-    (successor plus option entries) than the store last loaded or wrote
-    for the key."""
+    (successor plus option entries) than the key's snapshot."""
 
     def _flushed(self, tmp_path):
         store = GraphStore(tmp_path, version="v1")

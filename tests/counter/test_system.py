@@ -131,8 +131,8 @@ class TestInitialConfigs:
         configs = list(mmr_system.initial_configs({"J1": 0}))
         assert len(configs) == 1
         only = configs[0]
-        assert mmr_system.counter_of(only, "J0") == 3
-        assert mmr_system.counter_of(only, "J2") == 1
+        assert only.counter(0, mmr_system.loc_index["J0"]) == 3
+        assert only.counter(0, mmr_system.loc_index["J2"]) == 1
 
     def test_all_variables_zero(self, mmr_system):
         for config in mmr_system.initial_configs():
@@ -143,8 +143,8 @@ class TestSemantics:
     def test_apply_moves_and_updates(self, voting_system):
         config = voting_system.make_config({"I0": 2, "I1": 0})
         after = voting_system.apply(config, Action("r1", 0))
-        assert voting_system.counter_of(after, "I0") == 1
-        assert voting_system.counter_of(after, "S") == 1
+        assert after.counter(0, voting_system.loc_index["I0"]) == 1
+        assert after.counter(0, voting_system.loc_index["S"]) == 1
         assert voting_system.value_of(after, "v0") == 1
 
     def test_guard_blocks(self, voting_system):
@@ -194,7 +194,7 @@ class TestSemantics:
         assert len(moves) == 2
         assert all(p == Fraction(1, 2) for p, _ in moves)
         targets = {
-            mmr_system.counter_of(c, "T0") + 2 * mmr_system.counter_of(c, "T1")
+            c.counter(0, mmr_system.loc_index["T0"]) + 2 * c.counter(0, mmr_system.loc_index["T1"])
             for _, c in moves
         }
         assert targets == {1, 2}

@@ -39,7 +39,9 @@ class TestRegistry:
 @pytest.mark.parametrize("entry", BENCHMARK, ids=lambda e: e.name)
 class TestEveryModel:
     def test_multi_round_form_valid(self, entry):
-        entry.model().validate_multi_round()
+        model = entry.model()
+        model.process.check_multi_round_form()
+        assert model.coin.is_canonical()
 
     def test_small_valuation_admissible(self, entry):
         model = entry.model()
@@ -67,12 +69,12 @@ class TestEveryModel:
 
     def test_coin_automaton_is_strong(self, entry):
         coin = entry.model().coin
-        (toss,) = coin.non_dirac_rules()
+        (toss,) = [rule for rule in coin.rules if not rule.is_dirac]
         assert all(p == pytest.approx(0.5) for _t, p in toss.branches)
 
     def test_decision_locations_match_category(self, entry):
         process = entry.model().process
-        decisions = process.decision_locations()
+        decisions = process.locations_of(kind=LocKind.FINAL, decision=True)
         if entry.category == "A":
             assert not decisions  # category A: no decide action
         else:

@@ -5,7 +5,7 @@ granularities: the counter-system MDP (§III-E semantics, sampled by
 :func:`repro.counter.mdp.sample_path` under a random adversary) and the
 message-level simulator (:mod:`repro.sim.fleet` under a random
 scheduler).  ``TestRegistryWideCrossValidation`` runs the standing
-:func:`repro.sim.crossval.check_cell` gate over all 8 protocols × the
+:func:`tests.sim.crossval.check_cell` gate over all 8 protocols × the
 perfect / biased / failing coin columns; the MMR14-specific classes
 below are the original PR-5 derivation of the statistics (silent
 Byzantine, plain geometric fit) kept as an independently-wired pin.
@@ -47,7 +47,7 @@ from repro.protocols import mmr14
 from repro.protocols.registry import names
 from repro.sim import MMR14Process
 from repro.sim.adversary import RandomScheduler
-from repro.sim.crossval import check_cell
+from tests.sim.crossval import check_cell
 from repro.sim.runner import Simulation, run
 
 pytestmark = pytest.mark.slow_equivalence

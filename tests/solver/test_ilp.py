@@ -14,7 +14,7 @@ class TestBasics:
     def test_integral_solution_found(self):
         p = LinearProblem().ge({"x": 1}, -3)  # x >= 3
         result = ilp_feasible(p)
-        assert result.is_sat
+        assert result.status == SAT
         assert result.model["x"] >= 3
 
     def test_fractional_only_is_unsat(self):
@@ -28,7 +28,7 @@ class TestBasics:
         p.le({"y": 1}, -5)
         p.ge({"y": 1}, -3)
         result = ilp_feasible(p)
-        assert result.is_sat
+        assert result.status == SAT
         assert result.model == {"x": 2, "y": 4}
 
     def test_model_verified(self):
@@ -36,7 +36,7 @@ class TestBasics:
         p.ge({"a": 3, "b": -2}, -1)
         p.eq({"a": 1, "b": 1}, -7)
         result = ilp_feasible(p)
-        assert result.is_sat
+        assert result.status == SAT
         assert p.check(result.model)
 
     def test_node_budget_reports_unknown(self):
@@ -53,7 +53,7 @@ class TestBasics:
         p.ge({"t": 1, "f": -1}, 0)
         p.ge({"f": 1}, -1)
         result = ilp_feasible(p)
-        assert result.is_sat
+        assert result.status == SAT
         n, t, f = result.model["n"], result.model["t"], result.model["f"]
         assert n > 3 * t and t >= f >= 1
 
@@ -90,6 +90,6 @@ def test_agrees_with_brute_force_in_a_box(data):
         problem.le({f"x{j}": 1}, -box)
     ours = ilp_feasible(problem, max_nodes=20_000)
     assert ours.status in (SAT, UNSAT)
-    assert ours.is_sat == _brute_force(problem, box)
-    if ours.is_sat:
+    assert (ours.status == SAT) == _brute_force(problem, box)
+    if ours.status == SAT:
         assert problem.check(ours.model)

@@ -25,9 +25,9 @@ def refined_lib():
 
 class TestLocationSets:
     def test_partitions(self, lib):
-        assert lib.initial_locs(0) == ("I0",)
-        assert set(lib.final_locs(1)) == {"E1", "D1"}
-        assert lib.decision_locs(0) == ("D0",)
+        assert lib._initial[0] == ("I0",)
+        assert set(lib._final[1]) == {"E1", "D1"}
+        assert lib._decision[0] == ("D0",)
         assert lib.estimate_locs(0) == ("E0",)
 
     def test_undecided_finals(self, lib):
