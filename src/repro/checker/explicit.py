@@ -70,7 +70,6 @@ import time
 from collections import deque
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.core.locations import LocKind
 from repro.core.system import SystemModel
 from repro.counter.actions import Action
 from repro.counter.config import Config
@@ -94,13 +93,6 @@ State = Tuple[Config, int]
 Event = Callable[[Config], bool]
 
 
-def _needs_single_round(model: SystemModel) -> bool:
-    """Multi-round models (with border locations) must be cut to one round."""
-    return bool(model.process.locations_of(LocKind.BORDER)) and not bool(
-        model.process.locations_of(LocKind.BORDER_COPY)
-    )
-
-
 class ExplicitChecker(TimeBudgeted):
     """Explicit-state verifier for one model and one parameter valuation."""
 
@@ -112,7 +104,7 @@ class ExplicitChecker(TimeBudgeted):
         max_seconds: Optional[float] = None,
     ):
         self.original_model = model
-        self.model = model.single_round() if _needs_single_round(model) else model
+        self.model = model.as_single_round()
         self.valuation = dict(valuation)
         # shared_system: checkers for the same protocol structure and
         # valuation (successive obligation targets, successive sweep

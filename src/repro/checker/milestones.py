@@ -27,9 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from repro.core.automaton import ThresholdAutomaton
 from repro.core.expression import ParamExpr
-from repro.core.guards import Cmp, Guard
+from repro.core.guards import Guard
 from repro.core.locations import LocKind, Location
 from repro.core.rules import Rule
 from repro.core.system import SystemModel

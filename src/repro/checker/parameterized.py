@@ -52,7 +52,6 @@ from repro.checker.result import (
 )
 from repro.checker.schemas import EventItem, count_schemas, iter_extensions
 from repro.checker.timebox import TimeBudgeted
-from repro.core.locations import LocKind
 from repro.core.system import SystemModel
 from repro.counter.actions import Action
 from repro.counter.system import CounterSystem
@@ -87,10 +86,7 @@ class ParameterizedChecker(TimeBudgeted):
         node_budget: int = 100_000,
         max_seconds: Optional[float] = None,
     ):
-        needs_cut = bool(model.process.locations_of(LocKind.BORDER)) and not bool(
-            model.process.locations_of(LocKind.BORDER_COPY)
-        )
-        self.model = model.single_round() if needs_cut else model
+        self.model = model.as_single_round()
         self.combined = CombinedModel(self.model)
         self.encoder = SchemaEncoder(self.combined)
         self.milestones: List[Milestone] = extract_milestones(self.combined)

@@ -15,11 +15,11 @@ typical distribution is ``{heads: 1/2, tails: 1/2}``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import FrozenSet, Mapping, Tuple
 
-from repro.core.guards import Guard, GuardConjunction
+from repro.core.guards import GuardConjunction
 from repro.errors import ValidationError
 
 #: Canonical update vector representation: sorted, zero-free increments.

@@ -169,6 +169,17 @@ class SystemModel:
             description=self.description,
         )
 
+    def as_single_round(self) -> "SystemModel":
+        """The model both checkers explore.
+
+        A multi-round model (border locations, no border copies yet) is
+        cut to :meth:`single_round`; any other model is itself.
+        """
+        process = self.process
+        if process.border_locations and not process.border_copy_locations:
+            return self.single_round()
+        return self
+
     def __repr__(self) -> str:
         locs, rules = self.size()
         return f"SystemModel({self.name!r}, |L|={locs}, |R|={rules}, category={self.category!r})"

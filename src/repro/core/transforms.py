@@ -126,7 +126,7 @@ def single_round_coin(
     probabilistic.  Round-switch rules of the coin are its rules from
     final locations to border locations.
     """
-    from repro.core.rules import ProbRule, dirac
+    from repro.core.rules import dirac
 
     copies, loop_rules = _single_round_parts(coin.locations, coin.location)
     rules = []

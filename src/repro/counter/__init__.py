@@ -15,11 +15,7 @@ from repro.counter.adversary import (
     ScriptedAdversary,
 )
 from repro.counter.config import Config
-from repro.counter.fairness import (
-    all_fair_executions_terminate,
-    find_progress_cycle,
-    is_non_blocking,
-)
+from repro.counter.fairness import all_fair_executions_terminate, is_non_blocking
 from repro.counter.mdp import SampledPath, sample_path
 from repro.counter.reorder import check_reorder_theorem, round_rigid_reorder
 from repro.counter.schedule import (
@@ -59,7 +55,6 @@ __all__ = [
     "check_reorder_theorem",
     "clear_program_cache",
     "clear_shared_caches",
-    "find_progress_cycle",
     "is_applicable",
     "is_non_blocking",
     "path",

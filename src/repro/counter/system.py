@@ -163,8 +163,9 @@ class CounterSystem:
         self._batch_expander = None
         #: Theorem 2 side conditions decided on this system: name ->
         #: (verdict, smallest ``max_states`` under which the walk
-        #: finishes).  Filled by the walks of :mod:`repro.counter.
-        #: fairness`; only complete walks are recorded.
+        #: settles it).  Filled by the one walk of :mod:`repro.counter.
+        #: fairness`, which records both conditions at once; a walk that
+        #: hit its deadline records nothing.
         self.side_conditions: Dict[str, Tuple[bool, int]] = {}
         self._intern_table.register(self)
 

@@ -8,7 +8,7 @@ index mirrors DESIGN.md §4.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence
+from typing import Callable, Dict
 
 from repro.analysis.render import ascii_summary, to_dot
 from repro.errors import CheckError

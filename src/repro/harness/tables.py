@@ -17,15 +17,14 @@ pipeline:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 from repro.api import Limits, verify
 from repro.checker.milestones import CombinedModel, extract_milestones, precedence_order
 from repro.checker.result import VIOLATED
 from repro.analysis.milestone_table import MilestoneRow, table_iv_rows
-from repro.analysis.render import ascii_summary
-from repro.harness.paper_data import TABLE_II, TABLE_IV, paper_row
+from repro.harness.paper_data import TABLE_IV, paper_row
 from repro.protocols import benchmark, mmr14
 from repro.protocols.registry import ProtocolEntry
 from repro.spec.obligations import obligations_for

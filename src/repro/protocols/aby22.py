@@ -25,15 +25,11 @@ decreasing milestone counts obtained by merging threshold expressions
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
-
 from repro.core.builder import AutomatonBuilder
 from repro.core.coin import standard_coin_automaton
 from repro.core.coinspec import CoinLike, resolve_coin_spec
 from repro.core.environment import ge, gt, standard_environment
 from repro.core.expression import params
-from repro.core.guards import Guard
-from repro.core.rules import Rule
 from repro.core.system import SystemModel
 from repro.core.transforms import refine_bca
 from repro.errors import ModelError

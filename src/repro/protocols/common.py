@@ -43,7 +43,7 @@ from repro.core.builder import AutomatonBuilder
 from repro.core.coin import standard_coin_automaton
 from repro.core.coinspec import CoinLike, resolve_coin_spec
 from repro.core.environment import Environment
-from repro.core.expression import ParamExpr, params
+from repro.core.expression import params
 from repro.core.guards import Guard, Var
 from repro.core.system import SystemModel
 

@@ -82,7 +82,7 @@ from repro.service.registry import (
     remove_state_file,
     write_state_file,
 )
-from repro.supervisor import RetryPolicy, SupervisedPool
+from repro.supervisor import SupervisedPool
 from repro.version import code_version
 
 __all__ = ["VerificationService", "serve"]

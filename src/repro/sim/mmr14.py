@@ -20,7 +20,7 @@ termination bookkeeping), matching the threshold-automata model.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict
 
 from repro.sim.bv import EST, BVBroadcastMixin
 from repro.sim.network import Message

@@ -10,8 +10,8 @@ MMR14-family protocols (§II of the paper).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Type
+from dataclasses import dataclass
+from typing import Callable, Dict, Optional, Sequence, Type
 
 from repro.sim.adversary import EquivocatingByzantine, RandomScheduler, Scheduler
 from repro.sim.coin import CommonCoin

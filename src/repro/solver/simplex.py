@@ -18,10 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.errors import SolverError
-from repro.solver.linear import EQ, GE, LinearProblem
+from repro.solver.linear import GE, LinearProblem
 
 ZERO = Fraction(0)
 ONE = Fraction(1)

@@ -20,8 +20,8 @@ single-round system: non-blocking and fair termination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 from repro.core.system import SystemModel
 from repro.errors import CheckError

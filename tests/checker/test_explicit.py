@@ -200,20 +200,37 @@ class TestSideConditionMemo:
             checker.side_condition(name)
         assert name not in checker.system.side_conditions
 
-    def test_each_condition_walks_once_per_system(self, monkeypatch):
+    @pytest.mark.parametrize("first, then", [SIDE_NAMES, SIDE_NAMES[::-1]])
+    @pytest.mark.parametrize("model", sorted(SIDE_MODELS))
+    def test_other_condition_after_a_full_walk_matches_a_fresh_one(
+        self, model, first, then
+    ):
+        factory, valuation = SIDE_MODELS[model]
+        expected = _fresh_side(factory, valuation, then, 10)
+        clear_shared_caches()
+        _side(factory, valuation, first, FULL)
+        assert _side(factory, valuation, then, 10) == expected
+
+    def test_both_conditions_walk_once_per_system(self, monkeypatch):
         import repro.counter.fairness as fairness
 
+        walked = []
+        walk = fairness._side_walk
+
+        def spy(system, *args):
+            walked.append(system)
+            return walk(system, *args)
+
+        monkeypatch.setattr(fairness, "_side_walk", spy)
         factory, valuation = SIDE_MODELS["cc85a-validity"]
-        for name in SIDE_NAMES:
-            _side(factory, valuation, name, FULL)
-
-        def walked(*_args, **_kwargs):
-            raise AssertionError("side condition walked twice")
-
-        monkeypatch.setattr(fairness, "_non_blocking_walk", walked)
-        monkeypatch.setattr(fairness, "_progress_cycle_walk", walked)
+        checker = ExplicitChecker(factory(), valuation)
+        report = check_target(checker, "validity")
+        assert report.side_conditions == dict.fromkeys(SIDE_NAMES, True)
+        assert walked == [checker.system]
+        # A second checker binds the same system: both are memo hits.
         report = check_target(ExplicitChecker(factory(), valuation), "validity")
         assert report.side_conditions == dict.fromkeys(SIDE_NAMES, True)
+        assert walked == [checker.system]
 
     def test_unknown_side_condition_still_rejected(self):
         factory, valuation = SIDE_MODELS["stuck"]

@@ -82,6 +82,14 @@ class TestTransformedViews:
         assert rd.coin is not None
         assert rd.category == "C"
 
+    def test_as_single_round_cuts_only_multi_round_models(self):
+        rd = mmr14.model().as_single_round()
+        assert rd.name == "mmr14-rd"
+        rd.process.check_single_round_form()
+        assert rd.as_single_round() is rd
+        model = naive_voting.model()
+        assert model.as_single_round() is model
+
     def test_has_coin(self):
         assert mmr14.model().has_coin
         assert not naive_voting.model().has_coin
