@@ -13,14 +13,17 @@ searching the schema tree:
    first of: one exact bound-propagation pass over the rows the parent
    prefix lacks, from the parent's bounds (proves infeasible); the
    parent's integer witness, checked exactly on those rows (proves
-   feasible); the float HiGHS LP; the exact simplex when HiGHS is
-   undecided.  The shortcuts (:mod:`repro.solver.shortcuts`) are exact
-   proofs, so they answer as HiGHS does and the DFS prunes the same
-   prefixes with or without them; they only save solver calls.
+   feasible); the float HiGHS LP, whose "infeasible" counts only with
+   an integer Farkas certificate checked exactly; the exact simplex
+   when HiGHS is undecided.  So every prune rests on an exact proof.
+   The shortcuts (:mod:`repro.solver.shortcuts`) answer as HiGHS does,
+   and the DFS prunes the same prefixes with or without them; they only
+   save solver calls.
 4. A complete schema (all events placed) is decided exactly by the
-   Fraction-based branch & bound; a SAT model is decoded into a concrete
-   schedule and **replayed on the explicit counter-system semantics**
-   before being reported as a counterexample.
+   Fraction-based branch & bound (which polls the query deadline); a
+   SAT model is decoded into a concrete schedule and **replayed on the
+   explicit counter-system semantics** before being reported as a
+   counterexample.
 
 Verdicts: ``violated`` (with a replayed counterexample), ``holds``
 (schema tree exhausted, all leaves refuted), or ``unknown`` (budget
@@ -108,10 +111,12 @@ class ParameterizedChecker(TimeBudgeted):
         self.unknown_leaves = 0
         #: feasibility questions of the latest check, by who answered:
         #: HiGHS, bound propagation (infeasible), a parent's witness
-        #: (feasible)
+        #: (feasible); ``certified`` counts the HiGHS answers that were
+        #: infeasible with a checked Farkas certificate
         self.lp_calls = 0
         self.bound_prunes = 0
         self.witness_hits = 0
+        self.certified = 0
 
     # ------------------------------------------------------------------
     def nschemas(self, query: ReachQuery) -> int:
@@ -133,10 +138,13 @@ class ParameterizedChecker(TimeBudgeted):
         One propagation pass over the rows ``matrix.base`` lacks, from
         the base's bounds, may prove the rows infeasible; the base's
         integer witness may satisfy those rows, proving them feasible.
-        Otherwise HiGHS answers, and the rounded vertex of a feasible
-        answer becomes this matrix's witness if it checks exactly.  When
-        HiGHS is undecided the exact simplex decides on ``exact()``, so
-        the Fraction problem is built only then.
+        Otherwise HiGHS answers: the rounded vertex of a feasible
+        answer becomes this matrix's witness if it checks exactly, and
+        an infeasible answer always carries an integer Farkas
+        certificate that has been checked exactly.  When HiGHS is
+        undecided, which includes an infeasible answer whose ray does
+        not round to a certificate, the exact simplex decides on
+        ``exact()``, so the Fraction problem is built only then.
         """
         base = matrix.base
         rows = matrix.new_rows()
@@ -156,6 +164,8 @@ class ParameterizedChecker(TimeBudgeted):
             return lp_feasible(exact()).feasible
         if answer:
             matrix.witness = integer_witness(matrix.rows, matrix.vertex)
+        else:
+            self.certified += 1
         return answer
 
     def _set_feasible(self, flipped: frozenset) -> bool:
@@ -229,6 +239,7 @@ class ParameterizedChecker(TimeBudgeted):
         self.lp_calls = 0
         self.bound_prunes = 0
         self.witness_hits = 0
+        self.certified = 0
         counterexample: Optional[CounterexampleData] = None
         deadline = self.query_deadline(start)
 
@@ -269,11 +280,17 @@ class ParameterizedChecker(TimeBudgeted):
                 model_values = rounded_integer_model(matrix)
                 if model_values is None:
                     result = ilp_feasible(
-                        encoded.problem, max_nodes=LEAF_ILP_NODES
+                        encoded.problem,
+                        max_nodes=LEAF_ILP_NODES,
+                        deadline=deadline,
                     )
                     if result.status == SAT:
                         model_values = result.model
                     elif result.status != UNSAT:
+                        if deadline is not None and (
+                            time.perf_counter() > deadline
+                        ):
+                            raise _Budget("max_seconds")
                         self.unknown_leaves += 1
                         return None
                 if model_values is not None:

@@ -7,6 +7,8 @@ floor side first (counter systems usually have small witnesses).  The
 search is complete for bounded problems; since parameters are unbounded
 above, a node budget caps the search and reports ``UNKNOWN`` — callers
 (the parameterized checker) treat that as "no verdict at this schema".
+An optional wall-clock deadline, polled once per node, stops it the
+same way.
 
 The returned model is verified against the original constraints before
 being handed back, so a SAT answer is always trustworthy.
@@ -14,6 +16,7 @@ being handed back, so a SAT answer is always trustworthy.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional
@@ -47,15 +50,22 @@ def _fractional_variable(assignment: Dict[str, Fraction]) -> Optional[str]:
 def ilp_feasible(
     problem: LinearProblem,
     max_nodes: int = 5_000,
+    deadline: Optional[float] = None,
 ) -> IlpResult:
-    """Decide integer feasibility of ``problem`` (non-negative integers)."""
+    """Decide integer feasibility of ``problem`` (non-negative integers).
+
+    ``deadline`` is a :func:`time.perf_counter` instant; once it has
+    passed, the next node returns ``UNKNOWN`` instead of solving.
+    """
     stack: List[LinearProblem] = [problem]
     nodes = 0
     pivots = 0
     exhausted = True
     while stack:
         nodes += 1
-        if nodes > max_nodes:
+        if nodes > max_nodes or (
+            deadline is not None and time.perf_counter() > deadline
+        ):
             exhausted = False
             break
         node = stack.pop()

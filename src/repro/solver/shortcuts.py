@@ -16,8 +16,13 @@ Two exact tests settle many of these questions before HiGHS is asked:
   (:func:`satisfies`).  A child whose new rows hold at its parent's
   witness is feasible, with the same witness.
 
-Both compute in Python ``int``; a bound becomes a ``Fraction`` only
-when a division is not exact.  Neither rounds to integers on the way
+:func:`refutes` is the exact check behind HiGHS's *infeasible*: it
+accepts integer Farkas multipliers only if they prove that the rows
+have no solution (:mod:`repro.solver.floatlp` rounds them from the
+solver's dual ray).
+
+All compute in Python ``int``; a bound becomes a ``Fraction`` only
+when a division is not exact.  None rounds to integers on the way
 (the question is the same real relaxation HiGHS solves), so each answer
 is a proof, never a guess.
 """
@@ -117,6 +122,29 @@ def satisfies(rows: Sequence[Row], point: Mapping[str, Number]) -> bool:
         if value < 0 or (is_eq and value):
             return False
     return True
+
+
+def refutes(rows: Sequence[Row], multipliers: Mapping[int, Number]) -> bool:
+    """Do ``multipliers`` (``{row index: weight}``) prove that ``rows``
+    have no solution with ``x >= 0``?
+
+    Farkas: the weighted sum of the rows, ``sum_i w_i * (a_i . x + c_i)``,
+    is ``>= 0`` at every solution when ``w_i >= 0`` on each ``>=`` row
+    (an equality's weight may have either sign).  If every variable's
+    combined coefficient ``sum_i w_i * a_i`` is ``<= 0`` and the combined
+    constant ``sum_i w_i * c_i`` is ``< 0``, the sum is negative at every
+    ``x >= 0``, so no solution exists.
+    """
+    combined: Dict[str, Number] = {}
+    constant = 0
+    for index, weight in multipliers.items():
+        coeffs, const, is_eq = rows[index]
+        if weight < 0 and not is_eq:
+            return False
+        constant += weight * const
+        for name, coeff in coeffs:
+            combined[name] = combined.get(name, 0) + weight * coeff
+    return constant < 0 and all(value <= 0 for value in combined.values())
 
 
 def integer_witness(

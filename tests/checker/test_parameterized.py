@@ -5,6 +5,9 @@ parameterized verdicts must agree, and every parameterized
 counterexample must replay concretely.
 """
 
+import collections
+from fractions import Fraction
+
 import pytest
 
 from repro.checker.parameterized import ParameterizedChecker
@@ -102,6 +105,31 @@ class TestAgreementWithExplicit:
         assert result.verdict == "unknown"
 
 
+class TestLeafBudget:
+    # About 11 s: the whole budget is spent.
+    @pytest.mark.slow_equivalence
+    def test_leaf_branch_and_bound_obeys_max_seconds(self):
+        """aby22's termination bundle reaches leaves whose exact branch
+        and bound ran far past the budget before it polled the deadline.
+        Now the bundle ends within the budget plus one LP call."""
+        import time
+
+        from repro import api
+        from repro.api import Limits
+
+        start = time.perf_counter()
+        report = api.verify(
+            "aby22", target="termination", engine="parameterized",
+            limits=Limits(max_seconds=10),
+        )
+        elapsed = time.perf_counter() - start
+        # 10 s of budget, the setup before the clock starts, and one
+        # exact LP of a leaf (about a second on a slow host)
+        assert elapsed < 15.0
+        [outcome] = report.obligations
+        assert outcome.queries[0].limit_tripped == "max_seconds"
+
+
 class TestObligations:
     def test_bundle_over_reach_queries(self, naive_checker):
         from repro.spec.obligations import validity_obligations
@@ -154,6 +182,72 @@ class TestFloatPrunesAreExact:
         assert refuted
         for exact in refuted:
             assert not lp_feasible(exact()).feasible
+
+
+def _refutes_in_fractions(rows, certificate):
+    """An independent re-check of an integer Farkas certificate."""
+    combined = collections.defaultdict(Fraction)
+    constant = Fraction(0)
+    for index, weight in certificate.items():
+        assert type(weight) is int
+        coeffs, const, is_eq = rows[index]
+        assert is_eq or weight > 0
+        constant += weight * Fraction(const)
+        for name, coeff in coeffs:
+            combined[name] += weight * Fraction(coeff)
+    return constant < 0 and all(value <= 0 for value in combined.values())
+
+
+class TestEveryPruneIsProved:
+    """No prefix is pruned on a bare float "infeasible": bound
+    propagation, a checked integer Farkas certificate or the exact
+    simplex proves each infeasible answer."""
+
+    @pytest.mark.parametrize("case", sorted(VERDICT_CASES))
+    def test_every_infeasible_answer_has_a_proof(self, case, monkeypatch):
+        pytest.importorskip("scipy.optimize._highspy._core")
+        import repro.checker.parameterized as parameterized
+
+        exact_answers = []
+        real_exact = parameterized.lp_feasible
+
+        def exact_spy(problem):
+            result = real_exact(problem)
+            exact_answers.append(result.feasible)
+            return result
+
+        proofs = collections.Counter()
+        original = ParameterizedChecker._feasible
+
+        def spy(self, matrix, exact):
+            before = (self.bound_prunes, len(exact_answers), self.certified)
+            answer = original(self, matrix, exact)
+            if answer:
+                return answer
+            if self.bound_prunes != before[0]:
+                proofs["bounds"] += 1
+            elif len(exact_answers) != before[1]:
+                assert exact_answers[-1] is False
+                proofs["simplex"] += 1
+            else:
+                assert matrix.certificate is not None
+                assert _refutes_in_fractions(matrix.rows, matrix.certificate)
+                assert self.certified == before[2] + 1
+                proofs["certificate"] += 1
+            return answer
+
+        monkeypatch.setattr(parameterized, "lp_feasible", exact_spy)
+        monkeypatch.setattr(ParameterizedChecker, "_feasible", spy)
+        factory, queries = VERDICT_CASES[case]
+        model = factory()
+        checker = ParameterizedChecker(model)
+        lib = PropertyLibrary(model)
+        certified = 0
+        for builder, argument in queries:
+            checker.check_reach(getattr(lib, builder)(argument))
+            certified += checker.certified
+        assert proofs["certificate"] == certified > 0
+        assert proofs["bounds"] > 0
 
 
 class TestShortcutsMatchHiGHS:

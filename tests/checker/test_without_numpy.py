@@ -5,7 +5,10 @@ them the explicit engine expands successors one config at a time and
 the schema DFS decides every LP on the exact simplex.  A fresh
 interpreter with ``sys.modules["numpy"] = None`` sees exactly what a
 numpy-less installation sees; its verdicts must match the golden
-fixtures the accelerated paths are pinned by.
+fixtures the accelerated paths are pinned by.  The float LP path also
+depends on a private scipy module, ``scipy.optimize._highspy``; hiding
+only that one must likewise leave the schema DFS on the exact simplex
+with the golden verdicts.
 """
 
 import json
@@ -46,15 +49,49 @@ print(json.dumps({
 """
 
 
-def test_verdicts_without_numpy_match_the_golden_files():
+HIGHS_SCRIPT = """
+import json
+import sys
+
+sys.modules["scipy.optimize._highspy"] = None
+
+from repro.counter.batch import batch_available
+from repro.solver import floatlp
+from tests.checker.test_param_verdicts import observe
+
+print(json.dumps({
+    "parameterized": {case: observe(case) for case in %r},
+    "accelerated": [batch_available(), floatlp._HAVE_SCIPY],
+}))
+"""
+
+#: golden cases the exact simplex decides in well under a second
+#: (fmr05 takes about 45 s without HiGHS, mmr14-refined minutes)
+EXACT_CASES = ("naive_voting",)
+
+
+def _run(script: str) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([str(REPO_ROOT / "src"), str(REPO_ROOT)])
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT], capture_output=True, text=True,
+        [sys.executable, "-c", script], capture_output=True, text=True,
         env=env, cwd=REPO_ROOT, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    observed = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_verdicts_without_highs_match_the_golden_files():
+    observed = _run(HIGHS_SCRIPT % (EXACT_CASES,))
+    assert observed["accelerated"] == [True, False]
+    golden = json.loads(GOLDEN_PATH.read_text())
+    assert observed["parameterized"] == {
+        case: golden[case] for case in EXACT_CASES
+    }
+
+
+def test_verdicts_without_numpy_match_the_golden_files():
+    observed = _run(SCRIPT)
     assert observed["accelerated"] == [False, False]
     assert observed["explicit"] == json.loads(SEED_VERDICTS.read_text())["cc85a"]
     golden = json.loads(GOLDEN_PATH.read_text())

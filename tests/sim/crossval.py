@@ -56,6 +56,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.coinspec import CoinLike, resolve_coin_spec
 from repro.counter.adversary import RandomAdversary
 from repro.counter.mdp import sample_path
+from repro.counter.store import InternTable
 from repro.counter.system import CounterSystem
 from repro.protocols.registry import by_name
 from repro.sim.fleet import FleetReport, run_fleet
@@ -162,8 +163,14 @@ def mdp_layer(
     inert for them.
     """
     entry = by_name(protocol)
+    # A private intern table, as the parameterized checker's replay
+    # uses, so sampled configs never pile up in the program's
+    # process-lifetime table; it is emptied after each path, so the
+    # cell holds one path's configs at a time, not all of them.
+    intern_table = InternTable()
     system = CounterSystem(entry.build_model(coin=coin),
-                           entry.small_valuation)
+                           entry.small_valuation,
+                           intern_table=intern_table)
     proto = sim_by_name(protocol)
     inputs = proto.mixed_inputs()
     placement = {
@@ -189,6 +196,7 @@ def mdp_layer(
             outcomes.append(outcome)
         elif parked_probe(path.last):
             parked += 1
+        intern_table.reset()
     return LayerSample(outcomes=outcomes, runs=runs, parked=parked)
 
 

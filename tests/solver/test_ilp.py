@@ -1,6 +1,7 @@
 """Tests for branch & bound integer feasibility, vs brute force."""
 
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -45,6 +46,18 @@ class TestBasics:
         p = LinearProblem().eq({"x": 2, "y": -2}, -1)
         result = ilp_feasible(p, max_nodes=3)
         assert result.status in (UNSAT, UNKNOWN)
+
+    def test_past_deadline_reports_unknown_after_one_node(self):
+        # feasible, so without the deadline it would answer SAT
+        p = LinearProblem().ge({"x": 1}, -3)
+        result = ilp_feasible(p, deadline=time.perf_counter() - 1.0)
+        assert result.status == UNKNOWN
+        assert result.nodes <= 1 and result.pivots == 0
+
+    def test_future_deadline_changes_nothing(self):
+        p = LinearProblem().eq({"x": 2}, -1)
+        far = time.perf_counter() + 3600.0
+        assert ilp_feasible(p, deadline=far) == ilp_feasible(p)
 
     def test_resilience_condition_instance(self):
         # n > 3t, t >= f >= 1: the smallest witness is (4, 1, 1).
