@@ -46,7 +46,6 @@ from repro.api.engines import (
     ParameterizedEngine,
     engine_for,
     engine_names,
-    register_engine,
 )
 from repro.api.report import (
     CounterexampleData,
@@ -86,7 +85,6 @@ __all__ = [
     "code_version",
     "engine_for",
     "engine_names",
-    "register_engine",
     "run_task",
     "sweep",
     "task_matrix",

@@ -17,9 +17,8 @@ existing checkers:
   alone and the side conditions are discharged on the explicit engine.
 
 Both honour the same :class:`~repro.api.task.Limits` and record which
-limit tripped per query.  New engines (remote backends, sharded
-explicit search, …) plug in through :func:`register_engine` without
-touching any caller.
+limit tripped per query.  :data:`ENGINES` is the fixed table of the
+two; a task names its engine by key.
 
 Engines are deliberately stateless: all cross-run warmth lives in the
 process-wide caches below them.  The checkers bind their models through
@@ -72,7 +71,6 @@ __all__ = [
     "ENGINES",
     "engine_for",
     "engine_names",
-    "register_engine",
 ]
 
 #: Default budgets applied when a task's Limits leave a field None.
@@ -226,21 +224,11 @@ class ParameterizedEngine:
         )
 
 
-#: Engine registry; extended at runtime via :func:`register_engine`.
+#: The engines, by the name a task gives in ``engine=``.
 ENGINES: Dict[str, Callable[[], Engine]] = {
     ExplicitEngine.name: ExplicitEngine,
     ParameterizedEngine.name: ParameterizedEngine,
 }
-
-#: Engines available in a freshly-imported worker process.  Runtime
-#: registrations only exist in the registering process, so the sweep
-#: runner keeps tasks on non-builtin engines inline.
-BUILTIN_ENGINES = frozenset(ENGINES)
-
-
-def register_engine(name: str, factory: Callable[[], Engine]) -> None:
-    """Add (or override) an engine under ``name``."""
-    ENGINES[name] = factory
 
 
 def engine_names() -> Tuple[str, ...]:

@@ -1,48 +1,38 @@
-"""Append-only JSON-lines journals: resume work where a process died.
+"""The sweep journal: resume an interrupted sweep where it died.
 
-Two callers keep one of these files:
+The sweep supervisor appends one :class:`JournalRecord` per
+*completed* task (the full :class:`~repro.api.report.TaskResult`
+payload plus its attempt count), and a ``resume=True`` run serves
+journaled results verbatim, re-executing only tasks with no (or only
+*error*) records.  The :class:`~repro.api.sweep.ResultCache` already
+persists *cacheable* results; the journal also covers what the cache
+refuses to hold (error results, ``max_seconds`` trips, custom-model
+tasks).  Records are keyed by input index against an identical task
+list, so a resumed report stays input-ordered and bit-identical to an
+uninterrupted run.
 
-* the **sweep journal** — the sweep supervisor appends one
-  :class:`JournalRecord` per *completed* task (the full
-  :class:`~repro.api.report.TaskResult` payload plus its attempt
-  count), and a ``resume=True`` run serves journaled results verbatim,
-  re-executing only tasks with no (or only *error*) records.  The
-  :class:`~repro.api.sweep.ResultCache` already persists *cacheable*
-  results; the journal also covers what the cache refuses to hold
-  (error results, ``max_seconds`` trips, custom-model tasks).  Records
-  are keyed by input index against an identical task list, so a
-  resumed report stays input-ordered and bit-identical to an
-  uninterrupted run;
-* the **service journal** — the verification daemon appends one
-  ``{"key", "task", "result"}`` line per finished task, keyed by
-  :attr:`~repro.api.task.VerificationTask.dedup_key`, and a restarted
-  daemon preloads it (see :mod:`repro.service.server`).
-
-:class:`Journal` owns the file mechanics both share.  Line 1 is the
-header ``{"magic", "format", ...}``: the journal kind's magic string,
-the file format, and the caller's identity fields (the sweep's
-``digest`` and ``version``, the daemon's ``version``).  A file whose
-header is not *exactly* this one (a different sweep, code version or
-journal kind) is truncated to a fresh header on load — a stale journal
-must never leak results into other work.  Each following line is one
-JSON object.  A torn final line (the writer died mid-append) or a
-garbage line is skipped.  Which record
-wins for a key, and which records replay at all, is the caller's call:
-both callers take the last record per key and drop error results —
-resume exists to finish work, not to pin its failures.
+:class:`Journal` owns the file mechanics.  Line 1 is the header
+``{"digest", "format", "magic", "version"}``: the sweep's
+:func:`sweep_digest`, the file format, :data:`SWEEP_JOURNAL_MAGIC` and
+the code version.  A file whose header is not *exactly* this one (a
+different sweep, code version or file kind) is truncated to a fresh
+header on load — a stale journal must never leak results into other
+work.  Each following line is one JSON object.  A torn final line (the
+writer died mid-append) or a garbage line is skipped.
+:func:`replayable_records` takes the last record per index and drops
+error results — resume exists to finish work, not to pin its
+failures.
 
 Journaling is best-effort, like the caches: an unreadable or
-unwritable file costs resumability, never the sweep or the daemon.
-Each swallowed ``OSError`` is logged as one ``journal.*`` warning on
-this module's logger (quiet unless the application configures
-logging).
+unwritable file costs resumability, never the sweep.  Each swallowed
+``OSError`` is logged as one ``journal.*`` warning on this module's
+logger (quiet unless the application configures logging).
 """
 
 from __future__ import annotations
 
 import json
 import logging
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence
@@ -59,9 +49,9 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-#: ``format`` of every journal header.
+#: ``format`` of the journal header.
 _FORMAT = 1
-#: ``magic`` of the sweep journal's header.
+#: ``magic`` of the journal header.
 SWEEP_JOURNAL_MAGIC = "repro-sweep-journal"
 
 
@@ -134,18 +124,17 @@ def replayable_records(lines: Iterable[dict]) -> Dict[int, JournalRecord]:
 class Journal:
     """One journal file (see the module doc).
 
-    Usage: construct with the path, the journal kind's magic string and
-    the identity fields the header must carry, call :meth:`load` once
-    (``resume=False`` truncates; otherwise it returns the records of a
-    matching file, oldest first), then :meth:`append` each completion
-    and :meth:`close` at the end.  Appends and close share a lock: the
-    daemon's dispatcher appends while its shutdown path may close.
+    Usage: construct with the path, the sweep's digest and the code
+    version, call :meth:`load` once (``resume=False`` truncates;
+    otherwise it returns the records of a matching file, oldest
+    first), then :meth:`append` each completion and :meth:`close` at
+    the end.
     """
 
-    def __init__(self, path, magic: str, **identity):
+    def __init__(self, path, digest: str, version: str):
         self.path = Path(path)
-        self.header = {"magic": magic, "format": _FORMAT, **identity}
-        self._lock = threading.Lock()
+        self.header = {"digest": digest, "format": _FORMAT,
+                       "magic": SWEEP_JOURNAL_MAGIC, "version": version}
         self._handle = None
 
     # -- reading -------------------------------------------------------
@@ -190,26 +179,23 @@ class Journal:
         would tax every task for machine-crash durability the journal
         doesn't promise (a torn tail is tolerated on load).
         """
-        with self._lock:
-            if self._handle is None:
-                return
-            try:
-                self._handle.write(_line(record))
-                self._handle.flush()
-            except (OSError, ValueError) as exc:
-                self._warn("journal.append_error", "journal append "
-                           "failed; record lost", exc)
+        if self._handle is None:
+            return
+        try:
+            self._handle.write(_line(record))
+            self._handle.flush()
+        except (OSError, ValueError) as exc:
+            self._warn("journal.append_error", "journal append "
+                       "failed; record lost", exc)
 
     def close(self) -> None:
-        with self._lock:
-            if self._handle is None:
-                return
-            try:
-                self._handle.close()
-            except OSError as exc:
-                self._warn("journal.close_error", "journal close failed",
-                           exc)
-            self._handle = None
+        if self._handle is None:
+            return
+        try:
+            self._handle.close()
+        except OSError as exc:
+            self._warn("journal.close_error", "journal close failed", exc)
+        self._handle = None
 
     def _warn(self, event: str, message: str, exc: BaseException) -> None:
         logger.warning(
@@ -217,7 +203,6 @@ class Journal:
             extra={
                 "event": event,
                 "journal": str(self.path),
-                "magic": self.header.get("magic"),
                 "error": repr(exc),
             },
         )

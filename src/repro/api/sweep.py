@@ -48,7 +48,11 @@ the **sweep journal** (:class:`~repro.api.journal.Journal`,
 trips the cache refuses to hold — so ``resume=True`` /
 ``harness sweep --resume`` finishes an interrupted sweep by re-running
 only what has no (or only an error) record, with the final report
-still input-ordered and bit-identical.
+still input-ordered and bit-identical.  The verification daemon
+(:mod:`repro.service.server`) keeps no journal: every wire task has
+a cache key, so the same :class:`ResultCache` is its restart log.  It
+also builds its persistent pool with :func:`task_pool`, the recipe the
+sweep's one-shot pool uses.
 
 Orthogonally, ``graph_store`` enables the persistent *state-graph*
 store (:class:`~repro.counter.store.GraphStore`): workers (and inline
@@ -81,9 +85,8 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.api.engines import BUILTIN_ENGINES, engine_for
+from repro.api.engines import engine_for
 from repro.api.journal import (
-    SWEEP_JOURNAL_MAGIC,
     Journal,
     JournalRecord,
     replayable_records,
@@ -107,6 +110,7 @@ from repro.version import code_version, seed_code_version, stable_digest
 __all__ = [
     "SweepRunner",
     "run_task",
+    "task_pool",
     "code_version",
     "ResultCache",
     "RetryPolicy",
@@ -255,6 +259,37 @@ def _transient_result(result: TaskResult) -> bool:
     return any(
         "max_seconds" in outcome.limits_tripped
         for outcome in result.obligations
+    )
+
+
+def task_pool(
+    processes: int,
+    graph_store: Optional[str] = None,
+    task_timeout: Optional[float] = None,
+    retry=None,
+    fault_plan=None,
+) -> SupervisedPool:
+    """A :class:`~repro.supervisor.SupervisedPool` that runs tasks.
+
+    The one recipe the sweep's one-shot pool and the daemon's
+    persistent pool share: workers run :func:`run_task`, start from
+    this process's code version and ``graph_store``, flush their grown
+    state graphs after every job, and turn crashes, timeouts and
+    exhausted retries into error :class:`TaskResult`\\ s.  Transient
+    results are retried under ``retry``.
+    """
+    return SupervisedPool(
+        processes,
+        run_task,
+        initializer=_init_worker,
+        initargs=(code_version(), graph_store),
+        task_timeout=task_timeout,
+        retry=retry,
+        fallback=_fallback_result,
+        failure=_failure_result,
+        transient=_transient_result,
+        finalizer=flush_shared_graphs,
+        fault_plan=fault_plan,
     )
 
 
@@ -485,10 +520,8 @@ class SweepRunner:
         journal: Optional[Journal] = None
         replayable: Dict[int, JournalRecord] = {}
         if self.journal_path is not None:
-            journal = Journal(
-                self.journal_path, SWEEP_JOURNAL_MAGIC,
-                digest=sweep_digest(tasks, version), version=version,
-            )
+            journal = Journal(self.journal_path,
+                              sweep_digest(tasks, version), version)
             replayable = replayable_records(journal.load(resume=self.resume))
 
         def complete(index: int, result: TaskResult,
@@ -615,21 +648,13 @@ class SweepRunner:
             for index in pending:
                 on_result(index, self._run_inline(tasks[index]))
             return 0
-        # Two classes of task can't go to the pool and run inline
-        # instead (one bad task must never kill the sweep): custom-model
-        # tasks built from closures may not pickle, and runtime-
-        # registered engines only exist in this process (workers under
-        # spawn/forkserver re-import the registry with just the
-        # builtins).
+        # Custom-model tasks built from closures may not pickle; they
+        # run inline instead (one bad task must never kill the sweep).
         poolable: List[int] = []
         inline: List[int] = []
         for index in pending:
-            task = tasks[index]
-            if task.engine not in BUILTIN_ENGINES:
-                inline.append(index)
-                continue
             try:
-                pickle.dumps(task)
+                pickle.dumps(tasks[index])
             except Exception:  # noqa: BLE001 — anything unpicklable
                 inline.append(index)
             else:
@@ -665,17 +690,11 @@ class SweepRunner:
             ]
         else:
             jobs = [[(index, tasks[index])] for index in poolable]
-        pool = SupervisedPool(
+        pool = task_pool(
             min(self.processes, len(jobs)),
-            run_task,
-            initializer=_init_worker,
-            initargs=(code_version(), self.graph_store),
+            graph_store=self.graph_store,
             task_timeout=self.task_timeout,
             retry=self.retry,
-            fallback=_fallback_result,
-            failure=_failure_result,
-            transient=_transient_result,
-            finalizer=flush_shared_graphs,
             fault_plan=self.fault_plan,
         )
         outcome = pool.run(

@@ -194,8 +194,9 @@ class VerificationTask:
         valuation, targets, engine *and* resource budget — share one
         computation, while any difference in what would be computed
         keeps them apart.  Code version is deliberately absent: the
-        key only ever lives inside one daemon process (and its
-        version-guarded service journal).
+        key only ever lives inside one daemon process.  What survives
+        a restart is the result cache, keyed by :meth:`cache_payload`
+        plus the code version.
         """
         return stable_digest(self.journal_key, 32)
 

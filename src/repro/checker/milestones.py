@@ -29,7 +29,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.core.expression import ParamExpr
 from repro.core.guards import Guard
-from repro.core.locations import LocKind, Location
+from repro.core.locations import LocKind, Location, start_locations
 from repro.core.rules import Rule
 from repro.core.system import SystemModel
 from repro.core.transforms import derandomize
@@ -99,9 +99,9 @@ class CombinedModel:
         ]
         self.loc_by_name = {loc.name: loc for loc in self.locations}
         self.variables = list(model.shared_vars) + list(model.coin_vars)
-        self.process_start = _start_locations(model.process.locations)
+        self.process_start = start_locations(model.process.locations)
         self.coin_start = (
-            _start_locations(model.coin.locations) if model.coin is not None else ()
+            start_locations(model.coin.locations) if model.coin is not None else ()
         )
 
     # ------------------------------------------------------------------
@@ -141,13 +141,6 @@ class CombinedModel:
         indexed = list(enumerate(self.rules))
         indexed.sort(key=lambda pair: (depth.get(pair[1].source, 0), pair[0]))
         return [rule for _i, rule in indexed]
-
-
-def _start_locations(locations: Sequence[Location]) -> Tuple[Location, ...]:
-    borders = tuple(l for l in locations if l.kind is LocKind.BORDER)
-    if borders:
-        return borders
-    return tuple(l for l in locations if l.kind is LocKind.INITIAL)
 
 
 # ----------------------------------------------------------------------

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.core.guards import Guard
 from repro.core.locations import LocKind, Location
 from repro.core.rules import Rule
 from repro.errors import ValidationError
@@ -169,14 +168,6 @@ class AutomatonBase:
     @property
     def final_locations(self) -> Tuple[Location, ...]:
         return self.locations_of(kind=LocKind.FINAL)
-
-    def guard_atoms(self) -> Tuple[Guard, ...]:
-        """Distinct atomic guards across all rules, in first-seen order."""
-        seen: Dict[Guard, None] = {}
-        for rule in self.rules:
-            for atom in rule.guard:
-                seen.setdefault(atom, None)
-        return tuple(seen)
 
     def size(self) -> Tuple[int, int]:
         """``(|L|, |R|)`` — the size columns of the paper's Table II."""

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence, Tuple
 
 
 class LocKind(enum.Enum):
@@ -76,3 +76,11 @@ def intermediate(name: str, value: Optional[int] = None) -> Location:
 def final(name: str, value: Optional[int] = None, decision: bool = False) -> Location:
     """A final location; ``decision=True`` marks it accepting (in ``D_v``)."""
     return Location(name, LocKind.FINAL, value, decision)
+
+
+def start_locations(locations: Sequence[Location]) -> Tuple[Location, ...]:
+    """Where a round starts: the border locations, else the initial ones."""
+    borders = tuple(l for l in locations if l.kind is LocKind.BORDER)
+    if borders:
+        return borders
+    return tuple(l for l in locations if l.kind is LocKind.INITIAL)

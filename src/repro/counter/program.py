@@ -39,7 +39,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.expression import ParamExpr
 from repro.core.guards import Cmp
-from repro.core.locations import LocKind, Location
+from repro.core.locations import LocKind, Location, start_locations
 from repro.core.system import SystemModel
 from repro.counter.actions import Action
 from repro.counter.store import InternTable
@@ -241,9 +241,9 @@ class ProtocolProgram:
                 rules.append(self._compile_prob(prob_rule, model.coin))
         self.rules: Tuple[ProgramRule, ...] = tuple(rules)
 
-        self.process_start = _start_locations(model.process.locations)
+        self.process_start = start_locations(model.process.locations)
         self.coin_start = (
-            _start_locations(model.coin.locations) if model.coin else ()
+            start_locations(model.coin.locations) if model.coin else ()
         )
         #: Locations where an automaton may rest forever without
         #: violating fairness (border copies and final locations) —
@@ -465,13 +465,6 @@ def _lottery(branches: Sequence[Tuple[int, Fraction]]) -> Lottery:
         cumulative += prob.numerator * (denominator // prob.denominator)
         thresholds.append(cumulative)
     return denominator, tuple(thresholds)
-
-
-def _start_locations(locations: Sequence[Location]) -> Tuple[Location, ...]:
-    borders = tuple(l for l in locations if l.kind is LocKind.BORDER)
-    if borders:
-        return borders
-    return tuple(l for l in locations if l.kind is LocKind.INITIAL)
 
 
 class ProgramCache:

@@ -7,8 +7,10 @@ or lazily-unbounded) transition system of §III-C/D:
 * the *non-probabilistic* view (Definition 1 applied on the fly):
   :meth:`enabled_actions` expands every branch of a non-Dirac coin rule
   into its own action, and :meth:`apply` executes one action;
-* the *MDP* view: :meth:`prob_transitions` returns the distribution
-  ``Delta(c, alpha)`` of a (possibly probabilistic) rule.
+* the *MDP* view: the distribution ``Delta(c, alpha)`` of a (possibly
+  probabilistic) rule is its compiled ``branches`` with their
+  probabilities, which :func:`~repro.counter.mdp.sample_path` draws
+  from.
 
 Both the multi-round system ``Sys^infty`` and single-round systems
 ``Sys_rd`` are served by the same class — a single-round model simply
@@ -69,7 +71,6 @@ from disk — preserves bit-identical verdicts and ``states_explored``.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.core.guards import Cmp
@@ -482,20 +483,6 @@ class CounterSystem:
         )
         self._bounded_insert(self._options_cache, config, options)
         return options
-
-    def prob_transitions(
-        self, config: Config, rule_name: str, round_no: int
-    ) -> List[Tuple[Fraction, Config]]:
-        """The MDP distribution ``Delta(c, (r, k))`` (§III-C)."""
-        rule = self.rules[rule_name]
-        if config.counter(round_no, rule.source) < 1 or not self.guard_holds(
-            config, rule, round_no
-        ):
-            raise SemanticsError(f"rule {rule_name!r} not applicable in round {round_no}")
-        return [
-            (prob, self.apply_unchecked(config, rule, round_no, dst))
-            for dst, prob in rule.branches
-        ]
 
     # ------------------------------------------------------------------
     # Convenience for spec evaluation

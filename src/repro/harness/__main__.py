@@ -398,8 +398,8 @@ def _cmd_serve(argv: List[str]) -> int:
                         help="persistent worker pool size")
     parser.add_argument("--cache-dir", default=None, metavar="DIR",
                         help="state directory: on-disk result cache + "
-                        "service journal + state file; omitting it runs "
-                        "in-memory (no resume across restarts)")
+                        "state file; omitting it runs in-memory (no "
+                        "resume across restarts)")
     parser.add_argument("--graph-store", type=_store_dir, default=None,
                         metavar="DIR",
                         help="persistent state-graph store directory for "
@@ -451,7 +451,7 @@ _RESULT_ENTRY = re.compile(r"[0-9a-f]{32}\.json")
 
 def _scan_cache(root: Path):
     """All cache artifacts under ``root``: results, graphs, temps,
-    journals, service state.
+    sweep journals, daemon state files.
 
     Only *key-shaped* ``.json`` files count as result entries — a cache
     root may also hold saved reports or other JSON the maintenance
@@ -459,9 +459,9 @@ def _scan_cache(root: Path):
     cache blobs.  Sweep journals (``sweep-journal.jsonl``) are listed
     separately: ``clear`` removes them, but ``prune`` leaves them alone
     (an interrupted sweep's resume data must survive maintenance).  The
-    verification daemon's files (``service-journal.jsonl`` + the
-    ``service-state.json`` breadcrumb) get the same treatment — a
-    stopped daemon's journal is exactly what its restart resumes from.
+    verification daemon's ``service-state.json`` breadcrumb gets the
+    same treatment.  A daemon resumes from its result entries, which
+    ``prune`` drops only when their code version is stale.
     """
     if not root.exists():
         return [], [], [], [], []
@@ -471,8 +471,7 @@ def _scan_cache(root: Path):
         sorted(root.rglob("*.graph")),
         sorted(root.rglob("*.tmp")),
         sorted(root.rglob(api.SweepRunner.JOURNAL_NAME)),
-        sorted(root.rglob(service_api.SERVICE_JOURNAL_NAME))
-        + sorted(root.rglob(service_api.SERVICE_STATE_NAME)),
+        sorted(root.rglob(service_api.SERVICE_STATE_NAME)),
     )
 
 
@@ -507,7 +506,7 @@ def _cmd_cache(argv: List[str]) -> int:
                         "recursively (default: .repro-cache)")
     args = parser.parse_args(argv)
     root = Path(args.dir)
-    results, graphs, temps, journals, service_files = _scan_cache(root)
+    results, graphs, temps, journals, states = _scan_cache(root)
     current = api.code_version()
 
     def fresh(path: Path, version: Optional[str]) -> bool:
@@ -537,12 +536,10 @@ def _cmd_cache(argv: List[str]) -> int:
         if journals:
             print(f"sweep journals {len(journals):6d}  "
                   f"({_bytes(journals):,} bytes)")
-        if service_files:
-            print(f"service files  {len(service_files):6d}  "
-                  f"({_bytes(service_files):,} bytes)")
-            for path in service_files:
-                if path.name != service_api.SERVICE_STATE_NAME:
-                    continue
+        if states:
+            print(f"service files  {len(states):6d}  "
+                  f"({_bytes(states):,} bytes)")
+            for path in states:
                 state = service_api.read_state_file(path.parent)
                 if state:
                     print(f"  daemon pid {state.get('pid', '?')} on "
@@ -574,7 +571,7 @@ def _cmd_cache(argv: List[str]) -> int:
                 _scan_error("cache_stat", path, exc)
         doomed += stale_results + stale_graphs
     else:  # clear: a full wipe is explicitly destructive — take it all
-        doomed = list(temps) + results + graphs + journals + service_files
+        doomed = list(temps) + results + graphs + journals + states
     removed = 0
     for path in doomed:
         try:

@@ -8,9 +8,8 @@ The package splits along the process boundary:
   survives across HTTP requests, streaming NDJSON results as tasks
   complete;
 * :mod:`repro.service.registry` — the daemon's bookkeeping: in-flight
-  dedup (:class:`TaskRegistry`), the name and header of the durable
-  completion log a restarted daemon resumes from, and the state-file
-  breadcrumb ``harness cache info`` reports;
+  dedup (:class:`TaskRegistry`) and the state-file breadcrumb
+  ``harness cache info`` reports;
 * :mod:`repro.service.client` — the stdlib-only thin client
   (:class:`ServiceClient`) that rebuilds local-identical
   :class:`~repro.api.report.RunReport` objects from the stream
@@ -19,7 +18,6 @@ The package splits along the process boundary:
 
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.registry import (
-    SERVICE_JOURNAL_NAME,
     SERVICE_STATE_NAME,
     TaskRegistry,
     read_state_file,
@@ -27,7 +25,6 @@ from repro.service.registry import (
 from repro.service.server import VerificationService, serve
 
 __all__ = [
-    "SERVICE_JOURNAL_NAME",
     "SERVICE_STATE_NAME",
     "ServiceClient",
     "ServiceError",

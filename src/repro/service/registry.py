@@ -1,4 +1,4 @@
-"""Daemon-side task registry: in-flight dedup + the daemon's state files.
+"""Daemon-side task registry: in-flight dedup + the daemon's state file.
 
 The verification daemon serves many clients from one warm substrate;
 this module is the bookkeeping that makes that safe and cheap:
@@ -11,27 +11,11 @@ this module is the bookkeeping that makes that safe and cheap:
   joins as a waiter and is notified when the owner's result lands.
   Completed non-error results are retained for the daemon's lifetime
   (the in-memory warm layer above the on-disk
-  :class:`~repro.api.sweep.ResultCache`); error results notify their
-  waiters but are *not* retained, so a later request retries instead
-  of replaying a failure forever — the same rule the sweep journal
+  :class:`~repro.api.sweep.ResultCache`, which is also what a
+  restarted daemon resumes from); error results notify their waiters
+  but are *not* retained, so a later request retries instead of
+  replaying a failure forever — the same rule the sweep journal
   applies on load.
-
-* the **service journal** (``service-journal.jsonl``) — the daemon's
-  durable completion log, a :class:`~repro.api.journal.Journal` with a
-  ``{"magic", "format", "version"}`` header and one ``{"key", "task",
-  "result"}`` line per finished task: the ``dedup_key``, the
-  human-readable :attr:`~repro.api.task.VerificationTask.journal_key`
-  (a double-check and debugging aid) and the full TaskResult payload.
-  Unlike the sweep journal (which fingerprints one fixed task list), it
-  spans arbitrary requests, so records are keyed by task identity
-  rather than input index.  A restarted daemon preloads it into the
-  registry and serves previously completed work in milliseconds
-  instead of recomputing — the restart-and-resume half of the daemon's
-  SIGTERM contract (the other half is that completions are appended
-  and flushed as they happen, so an interrupted daemon's journal
-  already holds everything that finished).  The header pins the code
-  version: a journal written by different sources is discarded
-  wholesale, never replayed.
 
 * the **state file** (``service-state.json``) — a breadcrumb the
   daemon drops in its state directory while running (pid, endpoint,
@@ -39,9 +23,8 @@ this module is the bookkeeping that makes that safe and cheap:
   can report what daemon owns a cache directory and whether it exited
   cleanly.
 
-Everything here is I/O-best-effort in the house style: a torn journal
-tail, an unreadable state file, or a full disk costs warmth or a
-breadcrumb, never the daemon.
+The state file is I/O-best-effort in the house style: an unreadable
+file or a full disk costs a breadcrumb, never the daemon.
 """
 
 from __future__ import annotations
@@ -53,8 +36,6 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
 __all__ = [
-    "SERVICE_JOURNAL_MAGIC",
-    "SERVICE_JOURNAL_NAME",
     "SERVICE_STATE_NAME",
     "TaskRegistry",
     "read_state_file",
@@ -62,14 +43,10 @@ __all__ = [
     "write_state_file",
 ]
 
-#: File names a daemon leaves under its state directory; the cache
-#: maintenance CLI knows both (``info`` lists them, ``clear`` removes
-#: them, ``prune`` leaves them alone — resume data survives upkeep).
-SERVICE_JOURNAL_NAME = "service-journal.jsonl"
+#: The breadcrumb a running daemon leaves under its state directory;
+#: the cache maintenance CLI knows it (``info`` lists it, ``clear``
+#: removes it, ``prune`` leaves it alone).
 SERVICE_STATE_NAME = "service-state.json"
-
-#: ``magic`` of the service journal's header.
-SERVICE_JOURNAL_MAGIC = "repro-service-journal"
 
 #: ``waiter(key, payload)`` — ``payload`` is a TaskResult ``to_dict``
 #: dict, or None when the daemon is shutting down before completion.
@@ -138,12 +115,6 @@ class TaskRegistry:
         with self._lock:
             if key not in self._done and key not in self._inflight:
                 self._done[key] = payload
-
-    def preload(self, payloads: Dict[str, dict]) -> None:
-        """Bulk-adopt journal payloads at daemon startup."""
-        with self._lock:
-            for key, payload in payloads.items():
-                self._done.setdefault(key, payload)
 
     # -- completing ----------------------------------------------------
     def complete(self, key: str, payload: dict, retain: bool) -> None:

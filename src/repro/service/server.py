@@ -34,16 +34,17 @@ any number of requests stream concurrently.  Responses are
 HTTP/1.0-style close-delimited streams (no ``Content-Length``), which
 keeps the client a stdlib ``http.client`` + ``readline`` loop.
 
-Shutdown (SIGTERM/SIGINT via :func:`serve`, or :meth:`~
-VerificationService.stop`) is drain-and-journal, not drop: the
-dispatcher's in-flight batch is interrupted through the pool's
-``stop`` hook, everything workers already completed is appended to the
-service :class:`~repro.api.journal.Journal` (flushed per record,
-so it is durable the moment it lands), pending streams are woken with
-an error event, workers are reaped, and the state-file breadcrumb is
-removed.  A daemon restarted on the same ``--cache-dir`` preloads the
-journal and serves every previously-completed task without recompute —
-the restart-and-resume contract CI's smoke job drills.
+The result cache is also the daemon's restart log.  Every cacheable
+completion is written to it before any waiter hears of the result, so
+it is durable the moment a client sees it.  Shutdown (SIGTERM/SIGINT
+via :func:`serve`, or :meth:`~VerificationService.stop`) drains rather
+than drops: the dispatcher's in-flight batch is interrupted through
+the pool's ``stop`` hook, everything workers already completed lands
+in the cache, pending streams are woken with an error event, workers
+are reaped, and the state-file breadcrumb is removed.  A daemon
+restarted on the same ``--cache-dir`` serves every previously
+completed task as a cache hit, without recompute — the
+restart-and-resume contract CI's smoke job drills.
 """
 
 from __future__ import annotations
@@ -59,30 +60,17 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.api.journal import Journal
 from repro.api.report import TaskResult
-from repro.api.sweep import (
-    ResultCache,
-    SweepRunner,
-    _fallback_result,
-    _failure_result,
-    _init_worker,
-    _transient_result,
-    run_task,
-)
+from repro.api.sweep import ResultCache, SweepRunner, task_pool
 from repro.api.task import VerificationTask
 from repro.core.coinspec import resolve_coin_spec
 from repro.counter.store import check_graph_store_dir
-from repro.counter.system import flush_shared_graphs
 from repro.errors import CheckError
 from repro.service.registry import (
-    SERVICE_JOURNAL_MAGIC,
-    SERVICE_JOURNAL_NAME,
     TaskRegistry,
     remove_state_file,
     write_state_file,
 )
-from repro.supervisor import SupervisedPool
 from repro.version import code_version
 
 __all__ = ["VerificationService", "serve"]
@@ -176,9 +164,8 @@ class VerificationService:
             (read the bound one from :attr:`port` after :meth:`start`).
         processes: persistent pool size.
         state_dir: directory holding the daemon's durable state — the
-            on-disk result cache, the service journal and the state
-            file; ``None`` runs fully in-memory (no resume, no
-            cross-run cache).
+            on-disk result cache and the state file; ``None`` runs
+            fully in-memory (no resume, no cross-run cache).
         graph_store: directory of the workers' persistent
             state-graph store (as ``sweep --graph-store``).
         task_timeout / retry: supervision knobs, passed through to the
@@ -218,18 +205,11 @@ class VerificationService:
         self.default_coin = None if spec.is_default else spec
         self.registry = TaskRegistry()
         self.cache: Optional[ResultCache] = None
-        self.journal: Optional[Journal] = None
-        self._pool = SupervisedPool(
+        self._pool = task_pool(
             self.processes,
-            run_task,
-            initializer=_init_worker,
-            initargs=(self.version, self.graph_store),
+            graph_store=self.graph_store,
             task_timeout=task_timeout,
             retry=retry,
-            fallback=_fallback_result,
-            failure=_failure_result,
-            transient=_transient_result,
-            finalizer=flush_shared_graphs,
             fault_plan=fault_plan,
         )
         self._queue: "queue.SimpleQueue" = queue.SimpleQueue()
@@ -245,7 +225,6 @@ class VerificationService:
             "tasks_failed": 0,
             "dedup_hits": 0,
             "cache_hits": 0,
-            "journal_preloaded": 0,
         }
         self._started_at = time.time()
 
@@ -261,15 +240,7 @@ class VerificationService:
     def start(self) -> None:
         """Warm up and begin serving (returns once the port is bound)."""
         if self.state_dir is not None:
-            self.state_dir.mkdir(parents=True, exist_ok=True)
             self.cache = ResultCache(self.state_dir)
-            self.journal = Journal(
-                self.state_dir / SERVICE_JOURNAL_NAME, SERVICE_JOURNAL_MAGIC,
-                version=self.version,
-            )
-            preloaded = self._preloadable(self.journal.load())
-            self.registry.preload(preloaded)
-            self._stats["journal_preloaded"] = len(preloaded)
         # Fork the worker fleet before any server thread exists: forking
         # a multi-threaded process risks inheriting held locks.
         self._pool.start()
@@ -307,35 +278,8 @@ class VerificationService:
                 "started": self._started_at,
             })
 
-    @staticmethod
-    def _preloadable(records: List[dict]) -> Dict[str, dict]:
-        """Journal records safe to serve warm forever, by dedup key.
-
-        The last clean record per key wins; error records are a
-        diagnostic trail and never replay.  Of the winners, this also
-        drops ``max_seconds`` trips by reusing the result cache's
-        admission rule — a load-dependent ``unknown`` must recompute,
-        not be pinned for the daemon's lifetime.
-        """
-        payloads: Dict[str, dict] = {}
-        for record in records:
-            try:
-                key, payload = str(record["key"]), dict(record["result"])
-            except (KeyError, TypeError, ValueError):
-                continue  # a malformed line — tolerated by design
-            if not payload.get("error"):
-                payloads[key] = payload
-        replayable: Dict[str, dict] = {}
-        for key, payload in payloads.items():
-            try:
-                if SweepRunner._cacheable(TaskResult.from_dict(payload)):
-                    replayable[key] = payload
-            except (KeyError, TypeError, ValueError):
-                continue
-        return replayable
-
     def stop(self) -> None:
-        """Drain, journal, reap, unbind (idempotent)."""
+        """Drain, reap, unbind (idempotent)."""
         if self._stopping.is_set():
             return
         self._stopping.set()
@@ -346,13 +290,11 @@ class VerificationService:
         self._pool.close()
         # Wake every stream still waiting on an abandoned task *after*
         # the pool is down, so completions that raced shutdown were
-        # already journaled and notified by the dispatcher.
+        # already cached and notified by the dispatcher.
         self.registry.fail_pending()
         if self._httpd is not None:
             self._httpd.shutdown()
             self._httpd.server_close()
-        if self.journal is not None:
-            self.journal.close()
         if self.state_dir is not None:
             remove_state_file(self.state_dir)
 
@@ -378,7 +320,7 @@ class VerificationService:
             if (self.default_coin is not None and task.coin is None
                     and task.protocol is not None):
                 # The daemon's default coin fills the gap *before*
-                # dedup/cache/journal keying, so a defaulted task and
+                # dedup and cache keying, so a defaulted task and
                 # an explicitly-coined identical one are one identity.
                 task = task.with_coin(self.default_coin)
             key = task.dedup_key
@@ -457,12 +399,8 @@ class VerificationService:
 
     def _complete(self, key: str, task: VerificationTask,
                   result: TaskResult) -> None:
-        """Land one computed result: journal, cache, notify, count."""
+        """Land one computed result: cache, count, then notify."""
         payload = result.to_dict()
-        if self.journal is not None:
-            self.journal.append(
-                {"key": key, "task": task.journal_key, "result": payload}
-            )
         retain = SweepRunner._cacheable(result)
         if retain and self.cache is not None:
             cache_key = self.cache.key_for(task)
@@ -561,7 +499,7 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_event({"event": "error", "message": str(exc)})
         except (BrokenPipeError, ConnectionResetError):
             # The client hung up mid-stream.  Computation continues —
-            # results land in registry/journal/cache for the retry.
+            # results land in the registry and cache for the retry.
             pass
 
     def _handle_verify(self) -> None:
@@ -612,7 +550,7 @@ def serve(
 ) -> int:
     """Run a daemon until SIGTERM/SIGINT (the ``harness serve`` body).
 
-    Both signals trigger the same drain-and-journal shutdown
+    Both signals trigger the same draining shutdown
     :meth:`VerificationService.stop` implements; the readiness line
     (``serving on http://…``) is printed only after the port is bound
     and the worker fleet is warm, so wrappers can poll stdout.

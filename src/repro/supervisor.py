@@ -99,6 +99,16 @@ _MAX_IDLE_DEATHS = 5
 _SETTLE_SECONDS = 60.0
 
 
+#: Backoff before retry ``attempt`` is ``BASE_DELAY * BACKOFF**(attempt-1)``
+#: seconds, capped at ``MAX_DELAY`` and spread by ``±JITTER`` (a
+#: fraction of the delay) with a generator seeded by ``JITTER_SEED``.
+BASE_DELAY = 0.05
+BACKOFF = 2.0
+MAX_DELAY = 2.0
+JITTER = 0.5
+JITTER_SEED = 0
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     """Bounded retries with exponential backoff and deterministic jitter.
@@ -110,21 +120,15 @@ class RetryPolicy:
     and cache ``OSError``\\ s — exactly the classes the result cache
     already refuses to cache).
 
-    ``delay`` is ``base_delay * backoff**(attempt-1)`` capped at
-    ``max_delay``, then spread by ``±jitter`` (a fraction of the
-    delay).  The jitter is *seeded* — by the policy seed, the retry
-    key (normally the task id) and the attempt number — so reruns of a
-    chaos test back off identically, while different tasks of one
-    fleet still decorrelate (the point of jitter: synchronized writers
-    retrying in lockstep re-collide forever).
+    Only the attempt count is settable; the backoff is the module
+    constants above.  The jitter is *seeded* — by :data:`JITTER_SEED`,
+    the retry key (normally the task id) and the attempt number — so
+    reruns of a chaos test back off identically, while different tasks
+    of one fleet still decorrelate (the point of jitter: synchronized
+    writers retrying in lockstep re-collide forever).
     """
 
     max_attempts: int = 3
-    base_delay: float = 0.05
-    backoff: float = 2.0
-    max_delay: float = 2.0
-    jitter: float = 0.5
-    seed: int = 0
 
     @classmethod
     def of(cls, value: Union[None, int, "RetryPolicy"]) -> "RetryPolicy":
@@ -135,16 +139,14 @@ class RetryPolicy:
             return value
         return cls(max_attempts=max(1, int(value)))
 
-    def delay(self, attempt: int, key: str = "") -> float:
+    @staticmethod
+    def delay(attempt: int, key: str = "") -> float:
         """Seconds to back off before retry ``attempt`` (1-based)."""
-        raw = min(self.max_delay,
-                  self.base_delay * self.backoff ** max(0, attempt - 1))
-        if self.jitter <= 0 or raw <= 0:
-            return raw
+        raw = min(MAX_DELAY, BASE_DELAY * BACKOFF ** max(0, attempt - 1))
         # random.Random(str) seeds via SHA-512 of the text: stable
         # across processes and PYTHONHASHSEED values.
-        rng = random.Random(f"{self.seed}:{key}:{attempt}")
-        spread = raw * min(1.0, self.jitter)
+        rng = random.Random(f"{JITTER_SEED}:{key}:{attempt}")
+        spread = raw * JITTER
         return raw - spread + rng.random() * 2.0 * spread
 
 

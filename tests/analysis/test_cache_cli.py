@@ -130,22 +130,12 @@ class TestClear:
 
 
 class TestServiceFiles:
-    """The daemon's journal + state breadcrumb under maintenance."""
+    """The daemon's state breadcrumb under maintenance."""
 
     @pytest.fixture
     def with_service_state(self, tmp_path):
-        from repro.api.journal import Journal
-        from repro.service.registry import (
-            SERVICE_JOURNAL_MAGIC, SERVICE_JOURNAL_NAME, write_state_file,
-        )
+        from repro.service.registry import write_state_file
 
-        journal = Journal(tmp_path / SERVICE_JOURNAL_NAME,
-                          SERVICE_JOURNAL_MAGIC, version=api.code_version())
-        journal.load()
-        journal.append({"key": "k", "task": "task",
-                        "result": {"task_id": "t", "verdict": "holds",
-                                   "error": ""}})
-        journal.close()
         write_state_file(tmp_path, {"pid": 4242, "host": "127.0.0.1",
                                     "port": 8123, "processes": 2})
         return tmp_path
@@ -153,19 +143,19 @@ class TestServiceFiles:
     def test_info_reports_service_files_and_daemon(self, with_service_state,
                                                    capsys):
         out = _run(capsys, "cache", "info", "--dir", str(with_service_state))
-        assert "service files       2" in out
+        assert "service files       1" in out
         assert ("daemon pid 4242 on 127.0.0.1:8123 (2 workers) — "
                 "running or unclean shutdown") in out
 
     def test_prune_spares_service_files(self, with_service_state, capsys):
-        # A running (or resumable) daemon's files are never prune fodder.
+        # A running daemon's breadcrumb is never prune fodder.
         _run(capsys, "cache", "prune", "--dir", str(with_service_state))
         leftovers = {p.name for p in with_service_state.iterdir()}
-        assert leftovers == {"service-journal.jsonl", "service-state.json"}
+        assert leftovers == {"service-state.json"}
 
     def test_clear_removes_service_files(self, with_service_state, capsys):
         out = _run(capsys, "cache", "clear", "--dir", str(with_service_state))
-        assert "removed 2 of 2" in out
+        assert "removed 1 of 1" in out
         assert [p for p in with_service_state.rglob("*") if p.is_file()] == []
 
 

@@ -1,11 +1,10 @@
-"""Journal: the crash-tolerant file under sweep resume and daemon restart.
+"""Journal: the crash-tolerant file under sweep resume.
 
-One contract, checked against both header kinds and each caller's own
-replay rule (the sweep's :func:`replayable_records`, the daemon's
-:meth:`VerificationService._preloadable`): appended records load back,
-torn tails and garbage lines are skipped, the last clean record per key
-wins, error records are appended but never replayed, and a header
-mismatch truncates the file to the new header.
+One contract, checked through the sweep's replay rule
+(:func:`replayable_records`): appended records load back, torn tails
+and garbage lines are skipped, the last clean record per index wins,
+error records are appended but never replayed, and a header mismatch
+truncates the file to the new header.
 """
 
 import json
@@ -26,8 +25,6 @@ from repro.api.journal import (
     sweep_digest,
 )
 from repro.api.report import TaskResult
-from repro.service.registry import SERVICE_JOURNAL_MAGIC
-from repro.service.server import VerificationService
 
 
 def _payload(tag, error=""):
@@ -35,55 +32,24 @@ def _payload(tag, error=""):
                       engine="explicit", error=error).to_dict()
 
 
-class SweepKind:
-    """Records keyed by input index; replayed by the sweep runner."""
-
-    magic = SWEEP_JOURNAL_MAGIC
-    identity = {"digest": "d1", "version": "v1"}
-
-    @staticmethod
-    def record(key, tag, error=""):
-        return JournalRecord(index=key, key=f"task-{key}",
-                             result=_payload(tag, error),
-                             attempts=tag + 1).to_dict()
-
-    @staticmethod
-    def expect(record):
-        return record["index"], record
-
-    @staticmethod
-    def replay(lines):
-        return {index: record.to_dict()
-                for index, record in replayable_records(lines).items()}
+IDENTITY = {"digest": "d1", "version": "v1"}
 
 
-class ServiceKind:
-    """Records keyed by dedup key; preloaded by a restarted daemon."""
-
-    magic = SERVICE_JOURNAL_MAGIC
-    identity = {"version": "v1"}
-
-    @staticmethod
-    def record(key, tag, error=""):
-        return {"key": f"k{key}", "task": f"task-{key}",
-                "result": _payload(tag, error)}
-
-    @staticmethod
-    def expect(record):
-        return record["key"], record["result"]
-
-    @staticmethod
-    def replay(lines):
-        return VerificationService._preloadable(lines)
+def _record(index, tag, error=""):
+    return JournalRecord(index=index, key=f"task-{index}",
+                         result=_payload(tag, error),
+                         attempts=tag + 1).to_dict()
 
 
-def _journal(kind, path, **override):
-    return Journal(path, override.pop("magic", kind.magic),
-                   **{**kind.identity, **override})
+def _replay(lines):
+    return {index: record.to_dict()
+            for index, record in replayable_records(lines).items()}
 
 
-KINDS = pytest.mark.parametrize("kind", [SweepKind, ServiceKind],
-                                ids=["sweep", "service"])
+def _journal(path, **override):
+    identity = {**IDENTITY, **override}
+    return Journal(path, identity["digest"], identity["version"])
+
 
 #: Lines a crash or a stray editor can leave behind; none is a record.
 GARBAGE = st.sampled_from([
@@ -92,12 +58,12 @@ GARBAGE = st.sampled_from([
     "42",
     "{}",
     '{"index": "x", "key": "k", "result": {}}',
-    '{"key": "k9", "task": "t", "result": "not a dict"}',
+    '{"index": 9, "key": "t", "result": "not a dict"}',
 ])
 
 
-def _append_all(kind, path, records):
-    journal = _journal(kind, path)
+def _append_all(path, records):
+    journal = _journal(path)
     assert journal.load() == []
     for record in records:
         journal.append(record)
@@ -105,29 +71,28 @@ def _append_all(kind, path, records):
 
 
 class TestContract:
-    @KINDS
     @settings(max_examples=40, deadline=None)
     @given(
         ops=st.lists(st.tuples(st.integers(0, 3), st.booleans()),
                      max_size=10),
         garbage=st.lists(GARBAGE, max_size=3),
         torn=st.booleans(),
-        mismatch=st.sampled_from(["magic", "digest", "version"]),
+        mismatch=st.sampled_from(["digest", "version"]),
     )
-    def test_journal_contract(self, kind, ops, garbage, torn, mismatch):
+    def test_journal_contract(self, ops, garbage, torn, mismatch):
         with tempfile.TemporaryDirectory() as workdir:
             path = Path(workdir) / "journal.jsonl"
             records = [
-                kind.record(key, tag, "OSError: disk" if failed else "")
-                for tag, (key, failed) in enumerate(ops)
+                _record(index, tag, "OSError: disk" if failed else "")
+                for tag, (index, failed) in enumerate(ops)
             ]
-            _append_all(kind, path, records)
+            _append_all(path, records)
 
             # Every record is on disk, error records included (the
             # diagnostic trail), after the header line.
             lines = path.read_text().splitlines()
             assert json.loads(lines[0]) == {
-                "magic": kind.magic, "format": 1, **kind.identity}
+                "magic": SWEEP_JOURNAL_MAGIC, "format": 1, **IDENTITY}
             assert [json.loads(line) for line in lines[1:]] == records
 
             with open(path, "a", encoding="utf-8") as handle:
@@ -136,51 +101,53 @@ class TestContract:
                 if torn and records:
                     handle.write(json.dumps(records[0])[:-7])  # died here
 
-            # Round trip: the last clean record per key, nothing else.
-            expected = dict(kind.expect(record) for record in records
-                            if not record["result"]["error"])
-            journal = _journal(kind, path)
-            assert kind.replay(journal.load()) == expected
+            # Round trip: the last clean record per index, nothing else.
+            expected = {record["index"]: record for record in records
+                        if not record["result"]["error"]}
+            journal = _journal(path)
+            assert _replay(journal.load()) == expected
             journal.close()
 
-            # Any other header (another sweep, code version or journal
-            # kind, or one extra field) truncates the file to it.
-            stale = _journal(kind, path, **{mismatch: "other"})
+            # Any other header (another sweep or code version) truncates
+            # the file to it.
+            stale = _journal(path, **{mismatch: "other"})
             assert stale.load() == []
             stale.close()
             assert path.read_text() == \
                 json.dumps(stale.header, sort_keys=True) + "\n"
 
-    @KINDS
-    def test_appends_after_resume_extend_the_file(self, kind, tmp_path):
+    def test_appends_after_resume_extend_the_file(self, tmp_path):
         path = tmp_path / "journal.jsonl"
-        _append_all(kind, path, [kind.record(0, 0)])
-        journal = _journal(kind, path)
+        _append_all(path, [_record(0, 0)])
+        journal = _journal(path)
         assert len(journal.load()) == 1
-        journal.append(kind.record(1, 1))
+        journal.append(_record(1, 1))
         # Flushed per record: a process killed now loses nothing.
         assert len(path.read_text().splitlines()) == 3
         journal.close()
-        replayed = kind.replay(_journal(kind, path).load())
+        replayed = _replay(_journal(path).load())
         assert len(replayed) == 2
 
-    @KINDS
-    @pytest.mark.parametrize("foreign", ["garbage", "next-format"])
-    def test_foreign_file_is_rewritten_fresh(self, kind, tmp_path, foreign):
+    @pytest.mark.parametrize("foreign",
+                             ["garbage", "next-format", "other-magic"])
+    def test_foreign_file_is_rewritten_fresh(self, tmp_path, foreign):
         path = tmp_path / "journal.jsonl"
-        journal = _journal(kind, path)
-        first = ("not a journal at all" if foreign == "garbage"
-                 else json.dumps({**journal.header, "format": 2}))
+        journal = _journal(path)
+        first = {
+            "garbage": "not a journal at all",
+            "next-format": json.dumps({**journal.header, "format": 2}),
+            "other-magic": json.dumps({**journal.header, "magic": "other"}),
+        }[foreign]
         path.write_text(first + "\n")
         assert journal.load() == []
-        journal.append(kind.record(0, 0))
+        journal.append(_record(0, 0))
         journal.close()
-        assert len(kind.replay(_journal(kind, path).load())) == 1
+        assert len(_replay(_journal(path).load())) == 1
 
     def test_load_without_resume_truncates(self, tmp_path):
         path = tmp_path / "j.jsonl"
-        _append_all(SweepKind, path, [SweepKind.record(0, 0)])
-        journal = _journal(SweepKind, path)
+        _append_all(path, [_record(0, 0)])
+        journal = _journal(path)
         assert journal.load(resume=False) == []
         journal.close()
         lines = path.read_text().splitlines()
@@ -197,10 +164,10 @@ class TestFailuresAreLogged:
     @pytest.mark.parametrize("resume", [False, True])
     def test_unwritable_path_degrades_to_noop(self, tmp_path, caplog,
                                               resume):
-        journal = _journal(SweepKind, tmp_path)  # a dir!
+        journal = _journal(tmp_path)  # a dir!
         with caplog.at_level(logging.WARNING, logger="repro.api.journal"):
             assert journal.load(resume=resume) == []
-            journal.append(SweepKind.record(0, 0))  # must not raise
+            journal.append(_record(0, 0))  # must not raise
             journal.close()
         expected = ["journal.open_error"]
         if resume:
@@ -210,7 +177,6 @@ class TestFailuresAreLogged:
             assert record.levelno == logging.WARNING
             assert record.name == "repro.api.journal"
             assert record.journal == str(tmp_path)
-            assert record.magic == SWEEP_JOURNAL_MAGIC
             assert "IsADirectoryError" in record.error
 
     def test_append_and_close_failures_warn(self, tmp_path, caplog):
@@ -223,18 +189,18 @@ class TestFailuresAreLogged:
             def close(self):
                 raise OSError(5, "Input/output error")
 
-        journal = _journal(ServiceKind, tmp_path / "j.jsonl")
+        journal = _journal(tmp_path / "j.jsonl")
         journal.load()
         journal._handle.close()
         journal._handle = FullDisk()
         with caplog.at_level(logging.WARNING, logger="repro.api.journal"):
-            journal.append(ServiceKind.record(0, 0))
+            journal.append(_record(0, 0))
             journal.close()
             journal.close()  # idempotent: nothing left to close
         assert self._events(caplog) == ["journal.append_error",
                                         "journal.close_error"]
         assert "No space left" in caplog.records[0].error
-        assert caplog.records[1].magic == SERVICE_JOURNAL_MAGIC
+        assert caplog.records[1].journal == str(tmp_path / "j.jsonl")
 
 
 class TestSweepDigest:

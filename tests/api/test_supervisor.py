@@ -9,11 +9,12 @@ plumbing the sweep-level chaos suite uses, minus the engines.
 import os
 import time
 
+from repro import supervisor
 from repro.supervisor import PoolOutcome, RetryPolicy, SupervisedPool
 from repro.testing import FaultPlan
 
-#: Fast backoff so retry tests don't sleep their wall-clock away.
-FAST = RetryPolicy(max_attempts=3, base_delay=0.01, max_delay=0.05)
+#: Three attempts under the module's backoff constants.
+THREE_TRIES = RetryPolicy(max_attempts=3)
 
 
 # -- module-level pool targets (must be importable in workers) ---------
@@ -78,18 +79,19 @@ class TestRetryPolicy:
         policy = RetryPolicy(max_attempts=7)
         assert RetryPolicy.of(policy) is policy
 
-    def test_delay_is_deterministic_per_seed_key_attempt(self):
+    def test_delay_is_deterministic_per_key_and_attempt(self):
         policy = RetryPolicy()
         assert policy.delay(2, "mmr14") == policy.delay(2, "mmr14")
-        # Different keys / attempts / seeds decorrelate the jitter.
+        assert policy.delay(2, "mmr14") == RetryPolicy(5).delay(2, "mmr14")
+        # Different keys / attempts decorrelate the jitter.
         assert policy.delay(2, "mmr14") != policy.delay(2, "rabin83")
         assert policy.delay(1, "mmr14") != policy.delay(2, "mmr14")
-        assert policy.delay(2, "mmr14") != \
-            RetryPolicy(seed=1).delay(2, "mmr14")
 
     def test_delay_stays_within_jitter_band(self):
-        policy = RetryPolicy(base_delay=0.05, backoff=2.0, max_delay=2.0,
-                             jitter=0.5)
+        policy = RetryPolicy()
+        assert (supervisor.BASE_DELAY, supervisor.BACKOFF,
+                supervisor.MAX_DELAY, supervisor.JITTER) == \
+            (0.05, 2.0, 2.0, 0.5)
         for attempt in range(1, 12):
             raw = min(2.0, 0.05 * 2.0 ** (attempt - 1))
             delay = policy.delay(attempt, "key")
@@ -97,11 +99,11 @@ class TestRetryPolicy:
         # The cap bounds even huge attempt numbers.
         assert policy.delay(50, "key") <= 2.0 * 1.5
 
-    def test_zero_jitter_is_exact_exponential(self):
-        policy = RetryPolicy(base_delay=0.1, backoff=2.0, max_delay=1.0,
-                             jitter=0.0)
-        assert [policy.delay(a) for a in (1, 2, 3, 4, 5)] == \
-            [0.1, 0.2, 0.4, 0.8, 1.0]
+    def test_zero_jitter_is_exact_exponential(self, monkeypatch):
+        monkeypatch.setattr(supervisor, "JITTER", 0.0)
+        policy = RetryPolicy()
+        assert [policy.delay(a) for a in range(1, 8)] == \
+            [0.05, 0.1, 0.2, 0.4, 0.8, 1.6, 2.0]
 
 
 class TestSupervisedPool:
@@ -143,7 +145,7 @@ class TestSupervisedPool:
 
     def test_killed_worker_is_respawned_and_item_retried(self, tmp_path):
         plan = FaultPlan(scratch=str(tmp_path)).kill_task("victim", nth=1)
-        pool = SupervisedPool(2, _double, retry=FAST, failure=_failure,
+        pool = SupervisedPool(2, _double, retry=THREE_TRIES, failure=_failure,
                               fault_plan=plan)
         outcome = pool.run([[(0, "victim")], [(1, "other")]])
         assert outcome.results == {0: "victimvictim", 1: "otherother"}
@@ -154,7 +156,7 @@ class TestSupervisedPool:
         # The worker dies picking up the shard's second item; the first
         # item's already-reported result must not be recomputed.
         plan = FaultPlan(scratch=str(tmp_path)).kill_task("second", nth=1)
-        pool = SupervisedPool(1, _double, retry=FAST, failure=_failure,
+        pool = SupervisedPool(1, _double, retry=THREE_TRIES, failure=_failure,
                               fault_plan=plan)
         outcome = pool.run([[(0, "first"), (1, "second"), (2, "third")]])
         assert outcome.results == {0: "firstfirst", 1: "secondsecond",
@@ -166,7 +168,7 @@ class TestSupervisedPool:
     def test_hung_item_is_killed_by_supervisor_timeout(self, tmp_path):
         plan = FaultPlan(scratch=str(tmp_path)).hang_task(
             "victim", seconds=60.0, times=1)
-        pool = SupervisedPool(2, _double, task_timeout=0.5, retry=FAST,
+        pool = SupervisedPool(2, _double, task_timeout=0.5, retry=THREE_TRIES,
                               failure=_failure, fault_plan=plan)
         start = time.monotonic()
         outcome = pool.run([[(0, "victim")], [(1, "other")]])
@@ -179,7 +181,7 @@ class TestSupervisedPool:
     def test_exhausted_attempts_record_failure_result(self, tmp_path):
         plan = FaultPlan(scratch=str(tmp_path)).kill_task("victim", times=0)
         pool = SupervisedPool(
-            2, _double, retry=RetryPolicy(max_attempts=2, base_delay=0.01),
+            2, _double, retry=RetryPolicy(max_attempts=2),
             failure=_failure, fault_plan=plan)
         outcome = pool.run([[(0, "victim")], [(1, "other")]])
         assert outcome.results == {0: "failed:WorkerCrash",
@@ -188,7 +190,7 @@ class TestSupervisedPool:
 
     def test_transient_result_is_retried_until_success(self, tmp_path):
         marker = str(tmp_path / "first-attempt")
-        pool = SupervisedPool(1, _flaky, retry=FAST,
+        pool = SupervisedPool(1, _flaky, retry=THREE_TRIES,
                               transient=_is_transient)
         outcome = pool.run([[(0, ("t", marker))]])
         assert outcome.results == {0: "ok-t"}
@@ -197,17 +199,17 @@ class TestSupervisedPool:
         assert outcome.worker_restarts == 0  # retry, not respawn
 
     def test_transient_result_sticks_when_attempts_run_out(self):
-        pool = SupervisedPool(1, _always_transient, retry=FAST,
+        pool = SupervisedPool(1, _always_transient, retry=THREE_TRIES,
                               transient=_is_transient)
         outcome = pool.run([[(0, "x")]])
         # Attempts exhausted: the transient result itself is recorded.
         assert outcome.results == {0: "transient"}
-        assert outcome.attempts[0] == FAST.max_attempts
+        assert outcome.attempts[0] == THREE_TRIES.max_attempts
 
     def test_broken_initializer_fails_items_instead_of_hanging(self):
         pool = SupervisedPool(
             2, _double, initializer=_broken_init,
-            retry=RetryPolicy(max_attempts=2, base_delay=0.01),
+            retry=RetryPolicy(max_attempts=2),
             failure=_failure)
         start = time.monotonic()
         outcome = pool.run([[(0, "a")], [(1, "b")]])
@@ -245,7 +247,7 @@ class TestPersistentPool:
 
     def test_crash_mid_batch_respawns_within_the_fleet(self, tmp_path):
         plan = FaultPlan(scratch=str(tmp_path)).kill_task("victim", nth=1)
-        with SupervisedPool(2, _double, retry=FAST, failure=_failure,
+        with SupervisedPool(2, _double, retry=THREE_TRIES, failure=_failure,
                             fault_plan=plan) as pool:
             outcome = pool.run([[(0, "victim")], [(1, "other")]])
             assert outcome.results == {0: "victimvictim", 1: "otherother"}
@@ -261,7 +263,7 @@ class TestPersistentPool:
         # land before the restart that forced the retry is counted.
         plan = FaultPlan(scratch=str(tmp_path)).kill_task("victim", nth=1)
         seen = {}
-        with SupervisedPool(2, _double, retry=FAST, failure=_failure,
+        with SupervisedPool(2, _double, retry=THREE_TRIES, failure=_failure,
                             fault_plan=plan) as pool:
             first = pool.run(
                 [[(0, "victim")], [(1, "other")]],

@@ -115,7 +115,7 @@ class TestQueries:
 
     def test_mmr14_guard_atoms_deduplicated(self):
         ta = mmr14.automaton()
-        atoms = ta.guard_atoms()
+        atoms = {atom for rule in ta.rules for atom in rule.guard}
         # relay0, relay1, bin0, bin1, aux0, aux1, aux_any, coin0, coin1
         assert len(atoms) == 9
 

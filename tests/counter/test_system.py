@@ -188,21 +188,29 @@ class TestSemantics:
         with pytest.raises(SemanticsError):
             mmr_system.apply(config, Action("rb", 0, "C0"))
 
-    def test_prob_transitions(self, mmr_system):
+    def test_coin_rule_distribution(self, mmr_system):
+        # Delta(c, (rb, 0)): the rule's branch probabilities over the
+        # successors of its one adversary move.
         config = mmr_system.make_config({"I2": 1})
-        moves = mmr_system.prob_transitions(config, "rb", 0)
-        assert len(moves) == 2
-        assert all(p == Fraction(1, 2) for p, _ in moves)
+        rule = mmr_system.rules["rb"]
+        assert [prob for _dst, prob in rule.branches] == [Fraction(1, 2)] * 2
+        (group,) = [
+            group for group in mmr_system.successor_groups(config)
+            if group[0][0].rule == "rb" and group[0][0].round == 0
+        ]
+        assert len(group) == 2
         targets = {
             c.counter(0, mmr_system.loc_index["T0"]) + 2 * c.counter(0, mmr_system.loc_index["T1"])
-            for _, c in moves
+            for _, c in group
         }
         assert targets == {1, 2}
 
-    def test_prob_transitions_rejects_blocked(self, mmr_system):
+    def test_coin_rule_rejects_blocked(self, mmr_system):
         config = mmr_system.make_config({"J2": 1})
+        action = Action("rb", 0, mmr_system.rules["rb"].branch_names[0])
+        assert not mmr_system.is_applicable(config, action)
         with pytest.raises(SemanticsError):
-            mmr_system.prob_transitions(config, "rb", 0)
+            mmr_system.apply(config, action)
 
     def test_per_round_variables_are_separate(self, mmr_system):
         config = mmr_system.make_config({"E0": 1, "I0": 1}, {"b0": 5})

@@ -3,9 +3,9 @@
 Covers the task wire format (:meth:`VerificationTask.to_dict` /
 ``from_dict`` and the ``dedup_key`` identity), the
 :class:`TaskRegistry` dedup state machine and the state-file
-breadcrumb — all without starting a daemon.  The service journal's
-durability contract is checked with the sweep journal's in
-``tests/api/test_journal.py``.
+breadcrumb — all without starting a daemon.  What a restarted daemon
+serves from its result cache is checked in
+``tests/service/test_service.py::TestRestartResume``.
 """
 
 import json
@@ -135,7 +135,8 @@ class TestTaskRegistry:
 
     def test_stats_counts_both_sides(self):
         registry = TaskRegistry()
-        registry.preload({"a": make_payload(), "b": make_payload()})
+        registry.adopt("a", make_payload())
+        registry.adopt("b", make_payload())
         registry.claim("c", object(), lambda k, p: None)
         assert registry.stats() == {"retained": 2, "in_flight": 1}
 

@@ -6,11 +6,12 @@ ephemeral port — and talks to it through the stdlib
 :class:`ServiceClient`, exactly as the ``--server`` CLI does.  The
 invariants under test are the service's reason to exist: answers
 bit-identical to local runs, identical in-flight tasks computed once,
-warm restarts that serve yesterday's work from the journal, and a
+warm restarts that serve yesterday's work from the result cache, and a
 daemon that keeps answering while its workers are being killed.
 """
 
 import json
+import re
 import threading
 import time
 import urllib.error
@@ -27,10 +28,23 @@ from tests.api.test_sweep import ALL_PROTOCOLS, GOLDEN, stable
 #: Sub-second validity bundles — the daemon tests' bread and butter.
 FAST = ("cc85a", "ks16")
 
+#: A result-cache entry: the 32-hex-char task key + ``.json``.
+RESULT_ENTRY = re.compile(r"[0-9a-f]{32}\.json")
+
 
 def make_tasks(protocols=FAST, targets=("validity",)):
     return [api.VerificationTask(protocol=name, targets=targets)
             for name in protocols]
+
+
+def landed(task, **fields):
+    """A finished result for ``task`` without running an engine."""
+    if "error" not in fields:
+        fields["obligations"] = (api.ObligationOutcome(target="validity"),)
+    return api.TaskResult(
+        task_id=task.task_id, protocol=task.protocol, engine=task.engine,
+        valuation=task.resolved_valuation(strict=False), **fields,
+    )
 
 
 def settle(*results):
@@ -161,26 +175,69 @@ class TestChaosUnderDaemon:
 
 class TestRestartResume:
     def test_restarted_daemon_serves_yesterdays_work_warm(self, tmp_path):
-        state_dir = str(tmp_path / "state")
-        first = VerificationService(processes=2, state_dir=state_dir)
+        state = tmp_path / "state"
+        first = VerificationService(processes=2, state_dir=str(state))
         first.start()
         try:
             cold = ServiceClient(first.url).submit(make_tasks())
-            assert read_state_file(tmp_path / "state")["pid"]
+            assert read_state_file(state)["pid"]
         finally:
             first.stop()
-        assert read_state_file(tmp_path / "state") is None
-        second = VerificationService(processes=2, state_dir=state_dir)
+        assert read_state_file(state) is None
+        # The result cache is the daemon's only durable store: one
+        # key-shaped entry per completed task and nothing else.
+        entries = [path.name for path in state.iterdir()]
+        assert len(entries) == len(cold.results)
+        assert all(RESULT_ENTRY.fullmatch(name) for name in entries)
+        second = VerificationService(processes=2, state_dir=str(state))
         second.start()
         try:
-            status = second.status()
-            assert status["journal_preloaded"] == len(cold.results)
             warm = ServiceClient(second.url).submit(make_tasks())
             assert stable(warm) == stable(cold)
             assert all(r.cached for r in warm.results)
-            assert second.status()["tasks_computed"] == 0
+            status = second.status()
+            assert status["tasks_computed"] == 0
+            assert status["cache_hits"] == len(cold.results)
         finally:
             second.stop()
+
+    def test_error_results_recompute_after_restart(self, tmp_path):
+        state = str(tmp_path / "state")
+        clean, failing = make_tasks()
+        first = VerificationService(processes=1, state_dir=state)
+        first.start()
+        try:
+            first._complete(clean.dedup_key, clean, landed(clean))
+            first._complete(failing.dedup_key, failing,
+                            landed(failing, error="OSError: disk full"))
+        finally:
+            first.stop()
+        second = VerificationService(processes=1, state_dir=state)
+        second.start()
+        try:
+            report = ServiceClient(second.url).submit([clean, failing])
+            assert [r.cached for r in report.results] == [True, False]
+            assert [r.verdict for r in report.results] == ["holds", "holds"]
+            assert second.status()["tasks_computed"] == 1
+        finally:
+            second.stop()
+
+    def test_cache_entry_lands_before_waiters_hear(self, tmp_path):
+        svc = VerificationService(processes=1,
+                                  state_dir=str(tmp_path / "state"))
+        svc.start()
+        try:
+            (task,) = make_tasks(("cc85a",))
+            heard = []
+            svc.registry.claim(
+                task.dedup_key, task,
+                lambda _key, _payload: heard.append(
+                    svc.cache.get(svc.cache.key_for(task)) is not None),
+            )
+            svc._complete(task.dedup_key, task, landed(task))
+            assert heard == [True]
+        finally:
+            svc.stop()
 
 
 class TestHttpSurface:

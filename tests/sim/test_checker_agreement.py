@@ -42,6 +42,7 @@ import pytest
 
 from repro.counter.adversary import RandomAdversary
 from repro.counter.mdp import sample_path
+from repro.counter.store import InternTable
 from repro.counter.system import CounterSystem
 from repro.protocols import mmr14
 from repro.protocols.registry import names
@@ -93,7 +94,12 @@ CHI2_CRIT = {1: 6.63, 3: 11.34, 7: 18.48}
 
 def _mdp_decision_rounds():
     """Sampled all-decided rounds of the counter-system MDP."""
-    system = CounterSystem(mmr14.model(), VALUATION)
+    # A private intern table, emptied after each path, as
+    # tests.sim.crossval.mdp_layer keeps: one path's configs at a time,
+    # never the process-lifetime table's pile.
+    intern_table = InternTable()
+    system = CounterSystem(mmr14.model(), VALUATION,
+                           intern_table=intern_table)
     d0, d1 = system.loc_index["D0"], system.loc_index["D1"]
     block, processes = system.block, system.n_processes
     # Mixed inputs (one 0, two 1) and the coin at its round-entry
@@ -121,6 +127,7 @@ def _mdp_decision_rounds():
             undecided += 1
         else:
             rounds.append(round_no)
+        intern_table.reset()
     return rounds, undecided
 
 
