@@ -6,6 +6,7 @@ deterministic failures through :mod:`repro.testing.faults` — the same
 plumbing the sweep-level chaos suite uses, minus the engines.
 """
 
+import dataclasses
 import os
 import time
 
@@ -79,13 +80,21 @@ class TestRetryPolicy:
         policy = RetryPolicy(max_attempts=7)
         assert RetryPolicy.of(policy) is policy
 
-    def test_delay_is_deterministic_per_key_and_attempt(self):
+    def test_attempt_count_is_the_only_setting(self):
+        assert [f.name for f in dataclasses.fields(RetryPolicy)] == \
+            ["max_attempts"]
+        assert RetryPolicy().max_attempts == 3
+
+    def test_delay_is_deterministic_per_seed_key_attempt(self, monkeypatch):
         policy = RetryPolicy()
         assert policy.delay(2, "mmr14") == policy.delay(2, "mmr14")
         assert policy.delay(2, "mmr14") == RetryPolicy(5).delay(2, "mmr14")
-        # Different keys / attempts decorrelate the jitter.
+        # Different keys / attempts / seeds decorrelate the jitter.
         assert policy.delay(2, "mmr14") != policy.delay(2, "rabin83")
         assert policy.delay(1, "mmr14") != policy.delay(2, "mmr14")
+        before = policy.delay(2, "mmr14")
+        monkeypatch.setattr(supervisor, "JITTER_SEED", 1)
+        assert policy.delay(2, "mmr14") != before
 
     def test_delay_stays_within_jitter_band(self):
         policy = RetryPolicy()

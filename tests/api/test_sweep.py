@@ -1,7 +1,10 @@
 """SweepRunner: determinism across pool sizes, caching, golden sweep."""
 
+import ast
+import importlib
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -256,6 +259,68 @@ class TestCache:
         assert report.cache_hits == 0
         assert all(not r.cached for r in report.results)
 
+
+
+class TestTaskPool:
+    """``task_pool``: the one pool recipe the sweep and the daemon share."""
+
+    def test_workers_answer_like_the_inline_run_and_crashes_become_errors(
+            self, tmp_path):
+        from repro.api.sweep import task_pool
+        from repro.testing import FaultPlan
+
+        tasks = [api.VerificationTask(protocol="ks16", targets=("validity",)),
+                 api.VerificationTask(protocol="cc85a", targets=("validity",))]
+        plan = FaultPlan(scratch=str(tmp_path)).kill_task("cc85a", times=0)
+        outcome = task_pool(2, retry=2, fault_plan=plan).run(
+            [[(0, tasks[0])], [(1, tasks[1])]])
+        inline = api.SweepRunner().run(tasks[:1])
+        assert stable(SimpleNamespace(results=[outcome.results[0]])) == \
+            stable(inline)
+        crashed = outcome.results[1]
+        assert crashed.verdict == "error"
+        assert crashed.error.startswith("WorkerCrash")
+        assert outcome.attempts[1] == 2
+
+    def test_sweep_and_daemon_both_build_their_pool_with_it(self,
+                                                           monkeypatch):
+        from repro.service import server
+
+        # ``repro.api.sweep`` the name is the sweep() function; fetch the
+        # module itself.
+        sweep_module = importlib.import_module("repro.api.sweep")
+        calls = []
+        real = sweep_module.task_pool
+
+        def spy(*args, **kwargs):
+            calls.append((args, kwargs))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sweep_module, "task_pool", spy)
+        monkeypatch.setattr(server, "task_pool", spy)
+        server.VerificationService(processes=3, task_timeout=30.0, retry=2)
+        api.SweepRunner(processes=2, task_timeout=30.0, retry=2).run(
+            [api.VerificationTask(protocol=name, targets=("validity",))
+             for name in ("ks16", "cc85a")])
+        knobs = dict(graph_store=None, task_timeout=30.0, fault_plan=None)
+        assert calls == [
+            ((3,), dict(knobs, retry=2)),
+            ((2,), dict(knobs, retry=api.RetryPolicy(max_attempts=2))),
+        ]
+
+    def test_daemon_imports_no_private_sweep_helper(self):
+        from repro.service import server
+
+        tree = ast.parse(Path(server.__file__).read_text())
+        names = {
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and node.module == "repro.api.sweep"
+            for alias in node.names
+        }
+        assert "task_pool" in names
+        assert not [name for name in names if name.startswith("_")]
 
 class TestGraphStore:
     """The persistent state-graph store behind the sweep runner."""

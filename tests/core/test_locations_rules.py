@@ -12,6 +12,7 @@ from repro.core.locations import (
     final,
     initial,
     intermediate,
+    start_locations,
 )
 from repro.core.rules import ProbRule, Rule, dirac, fair_coin, make_update
 from repro.errors import ValidationError
@@ -39,6 +40,18 @@ class TestLocations:
     def test_decision_final_ok(self):
         loc = final("D0", value=0, decision=True)
         assert loc.decision
+
+
+class TestStartLocations:
+    def test_border_locations_start_a_round(self):
+        locs = (initial("I0", value=0), border("J0", value=0),
+                intermediate("S"), border("J1", value=1))
+        assert start_locations(locs) == (locs[1], locs[3])
+
+    def test_initial_locations_start_when_there_is_no_border(self):
+        locs = (initial("I0", value=0), intermediate("S"),
+                initial("I1", value=1), final("E0", value=0))
+        assert start_locations(locs) == (locs[0], locs[2])
 
 
 class TestUpdates:
