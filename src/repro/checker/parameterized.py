@@ -27,15 +27,22 @@ searching the schema tree:
 
 Verdicts: ``violated`` (with a replayed counterexample), ``holds``
 (schema tree exhausted, all leaves refuted), or ``unknown`` (budget
-exceeded or an ILP gave up).  ``nschemas`` reports the analytic schema
-count of :func:`repro.checker.schemas.count_schemas` — the quantity the
-paper's Tables II/IV track.
+exceeded or an ILP gave up).  ``nschemas`` reports the unreduced analytic
+schema count of :func:`repro.checker.schemas.count_schemas`, not the
+paper's Table II count: the DFS visits far fewer nodes.
+
+:meth:`ParameterizedChecker.check_obligations` decides each mirrored
+query pair (``inv2[0]``/``inv2[1]``, ``cb0``/``cb1``, ...) with one DFS,
+through a 0<->1 value swap checked once per model (:func:`value_swap`).
 """
 
 from __future__ import annotations
 
 import logging
+import re
 import time
+from collections import Counter
+from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.checker.encoder import SchemaEncoder
@@ -55,6 +62,7 @@ from repro.checker.result import (
 )
 from repro.checker.schemas import EventItem, count_schemas, iter_extensions
 from repro.checker.timebox import TimeBudgeted
+from repro.core.guards import Guard
 from repro.core.system import SystemModel
 from repro.counter.actions import Action
 from repro.counter.system import CounterSystem
@@ -70,6 +78,99 @@ logger = logging.getLogger(__name__)
 
 #: Branch-and-bound node budget of the exact ILP at one leaf.
 LEAF_ILP_NODES = 4_000
+
+#: The last digit of a name, when it is a value digit (``J0__end``).
+_VALUE_DIGIT = re.compile(r"[01](?=\D*$)")
+
+#: A name map; names it does not mention map to themselves.
+Swap = Dict[str, str]
+
+
+def _flip_digit(name: str) -> str:
+    match = _VALUE_DIGIT.search(name)
+    if match is None:
+        return name
+    return f"{name[:match.start()]}{1 - int(match.group())}{name[match.end():]}"
+
+
+def _renamed(terms, swap: Swap) -> tuple:
+    return tuple(sorted((swap.get(name, name), c) for name, c in terms))
+
+
+def _rule_image(rule, swap: Swap) -> tuple:
+    guard = frozenset(
+        Guard(_renamed(atom.lhs, swap), atom.cmp, atom.rhs) for atom in rule.guard
+    )
+    return (swap.get(rule.source, rule.source), swap.get(rule.target, rule.target),
+            guard, _renamed(rule.update, swap))
+
+
+def _swap_mismatch(combined: CombinedModel, swap: Swap) -> str:
+    """The first part of ``combined`` that ``swap`` does not map onto
+    itself, or ``""`` when it is an automorphism of all the schema DFS
+    reads (the coin is derandomized, so no probability enters)."""
+    locations = set(combined.locations)
+    for loc in combined.locations:
+        value = None if loc.value is None else 1 - loc.value
+        image = replace(loc, name=swap.get(loc.name, loc.name), value=value)
+        if image not in locations:
+            return f"location {loc.name} has no mirror {image.name}"
+    for start in (combined.process_start, combined.coin_start):
+        names = {loc.name for loc in start}
+        if {swap.get(name, name) for name in names} != names:
+            return f"start locations {sorted(names)}"
+    rules = Counter(_rule_image(rule, {}) for rule in combined.rules)
+    for rule in combined.rules:
+        if rules[_rule_image(rule, swap)] != rules[_rule_image(rule, {})]:
+            return f"rule {rule}"
+    forms = {
+        (form.coeffs, form.const)
+        for item in combined.model.environment.resilience
+        for form in item.ge_zero_forms()
+    }
+    if {(_renamed(coeffs, swap), const) for coeffs, const in forms} != forms:
+        return "resilience condition"
+    return ""
+
+
+def value_swap(combined: CombinedModel) -> Optional[Swap]:
+    """The 0<->1 swap of ``combined``, checked, or None if it has none.
+
+    Value-tagged locations map to the location of the other value whose
+    name flips the last value digit (``J0__end`` <-> ``J1__end``);
+    variables whose flipped name is a variable map to it (``cc0`` <->
+    ``cc1``).  Everything else maps to itself.
+    """
+    names = set(combined.variables)
+    tagged = [loc.name for loc in combined.locations if loc.value is not None]
+    swap = {v: _flip_digit(v) for v in names if _flip_digit(v) in names - {v}}
+    swap.update((name, _flip_digit(name)) for name in tagged)
+    mismatch = _swap_mismatch(combined, swap)
+    if not mismatch:
+        return swap
+    if tagged:
+        logger.debug(
+            "no 0/1 value swap",
+            extra={
+                "event": "parameterized.no_value_swap",
+                "model": combined.model.name,
+                "mismatch": mismatch,
+            },
+        )
+    return None
+
+
+def query_image(query: ReachQuery, swap: Swap) -> tuple:
+    """``query``'s events (location sets, in event order) and init
+    filter, renamed by ``swap``: equal images mean equal A-queries."""
+    events = tuple(
+        (e.kind, frozenset(swap.get(n, n) for n in e.locations), e.bound)
+        for e in query.events
+    )
+    pins = query.init_filter
+    if pins is not None:
+        pins = frozenset((swap.get(n, n), c) for n, c in pins.items())
+    return events, pins
 
 
 class _Budget(Exception):
@@ -117,10 +218,14 @@ class ParameterizedChecker(TimeBudgeted):
         self.bound_prunes = 0
         self.witness_hits = 0
         self.certified = 0
+        #: the checked 0<->1 swap (None: no symmetry), and how many
+        #: outcomes the latest bundle reused through it
+        self.swap = value_swap(self.combined)
+        self.mirrored = 0
 
     # ------------------------------------------------------------------
     def nschemas(self, query: ReachQuery) -> int:
-        """Analytic schema count for the query (Tables II/IV metric)."""
+        """Unreduced analytic schema count for the query."""
         n_events = len(query.events)
         if n_events not in self._nschemas:
             self._nschemas[n_events] = count_schemas(
@@ -385,10 +490,44 @@ class ParameterizedChecker(TimeBudgeted):
         The ``max_seconds`` budget covers the whole bundle, matching the
         explicit checker.  The Theorem 2 side conditions are omitted:
         they are discharged on the explicit engine.
+
+        A query whose image under the value swap is an earlier query
+        that ``holds`` reuses that outcome under its own name.  Only
+        ``holds`` is reused: that DFS exhausted the tree, and every
+        prune is a feasibility answer, so its counts do not depend on
+        the visit order and the swap preserves them.  A ``violated``
+        search stops at an order-dependent first witness.
         """
         start = time.perf_counter()
+        self.mirrored = 0
+        results: List[QueryOutcome] = []
+        held: Dict[tuple, QueryOutcome] = {}
         with self.shared_deadline():
-            results = [self.check_reach(q) for q in obligations.reach_queries]
+            for query in obligations.reach_queries:
+                began = time.perf_counter()
+                mate = None
+                if self.swap is not None:
+                    mate = held.get(query_image(query, self.swap))
+                if mate is None:
+                    outcome = self.check_reach(query)
+                    if outcome.verdict == HOLDS:
+                        held[query_image(query, {})] = outcome
+                else:
+                    self.mirrored += 1
+                    logger.debug(
+                        "reused the mirrored outcome",
+                        extra={
+                            "event": "parameterized.mirror_reused",
+                            "query": query.name,
+                            "mate": mate.query,
+                        },
+                    )
+                    outcome = replace(
+                        mate,
+                        query=query.name,
+                        time_seconds=time.perf_counter() - began,
+                    )
+                results.append(outcome)
         results.extend(unsupported(q.name) for q in obligations.game_queries)
         return ObligationOutcome(
             target=obligations.target,

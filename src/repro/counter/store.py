@@ -164,7 +164,7 @@ def publish(path: Path, blob) -> None:
         try:
             tmp.unlink()
         except OSError:
-            pass
+            pass  # silent by contract: the write's own OSError is re-raised
         raise
 
 
@@ -638,7 +638,7 @@ class GraphStore:
                 head = handle.readline()
             return cls.describe_blob(head)
         except (OSError, ValueError, TypeError, UnicodeDecodeError):
-            return None
+            return None  # silent by contract: None is the "unreadable" answer
 
     @classmethod
     def describe_blob(cls, raw: bytes) -> Optional[dict]:
@@ -654,7 +654,7 @@ class GraphStore:
                 return None
             return header
         except (ValueError, TypeError):
-            return None
+            return None  # silent by contract: None is the "corrupt" answer
 
     def _record(self, event: str, key: str, exc: BaseException) -> None:
         """Count, keep and log one swallowed failure (a cold miss)."""

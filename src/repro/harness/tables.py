@@ -12,10 +12,16 @@ pipeline:
 * **A.S. Termination** — the per-category bundle of §V-B: C2/CB*
   A-queries plus the Lemma-2 games (checked on the explicit state
   space); MMR14 reproduces the binding counterexample.
+
+A parameterized cell that comes back ``unknown`` (schema budget) is
+re-run on the explicit engine, which logs ``tables.explicit_fallback``.
+``Table2Cell.engine`` records which engine decided each cell, and the
+formatted table marks every verdict decided at one valuation.
 """
 
 from __future__ import annotations
 
+import logging
 import time
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -29,6 +35,8 @@ from repro.protocols import benchmark, mmr14
 from repro.protocols.registry import ProtocolEntry
 from repro.spec.obligations import obligations_for
 from repro.spec.properties import PropertyLibrary
+
+logger = logging.getLogger(__name__)
 
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
@@ -66,6 +74,9 @@ class Table2Cell:
     nschemas: int
     time_seconds: float
     states: int = 0
+    #: the engine that decided the verdict: ``"parameterized"`` (all
+    #: parameters) or ``"explicit"`` (the registry's small valuation)
+    engine: str = "explicit"
 
 
 @dataclass
@@ -115,6 +126,7 @@ def _check_target(entry: ProtocolEntry, target: str,
         return obligations
 
     outcome = None
+    engine = "explicit"
     if parameterized and not _spec().game_queries:
         outcome = verify(
             entry.name,
@@ -123,7 +135,21 @@ def _check_target(entry: ProtocolEntry, target: str,
             limits=Limits(max_nodes=node_budget),
         ).outcome(target)
         if outcome.verdict == "unknown":
-            outcome = None  # schema budget hit: defer to the explicit engine
+            # Schema budget hit: defer to the explicit engine, which
+            # decides the cell at one valuation only.
+            logger.info(
+                "%s %s: parameterized unknown, decided on the explicit engine",
+                entry.name, target,
+                extra={
+                    "event": "tables.explicit_fallback",
+                    "protocol": entry.name,
+                    "target": target,
+                    "valuation": dict(entry.small_valuation),
+                },
+            )
+            outcome = None
+        else:
+            engine = "parameterized"
     if outcome is None:
         outcome = verify(
             entry.name,
@@ -146,6 +172,7 @@ def _check_target(entry: ProtocolEntry, target: str,
             nschemas=nschemas,
             time_seconds=elapsed,
             states=outcome.states_explored,
+            engine=engine,
         ),
         ce_text,
     )
@@ -188,6 +215,11 @@ def table2(parameterized_small: bool = True,
     return rows, formatted
 
 
+def _scoped(cell: Table2Cell) -> str:
+    """The verdict, starred when it holds at one valuation only."""
+    return cell.verdict + ("*" if cell.engine == "explicit" else "")
+
+
 def _format_table2(rows: List[Table2Row]) -> str:
     body = []
     for row in rows:
@@ -202,16 +234,16 @@ def _format_table2(rows: List[Table2Row]) -> str:
                 row.category,
                 row.locations,
                 row.rules,
-                row.agreement.verdict,
+                _scoped(row.agreement),
                 row.agreement.nschemas,
                 f"{row.agreement.time_seconds:.2f}s",
-                row.validity.verdict,
+                _scoped(row.validity),
                 f"{row.validity.time_seconds:.2f}s",
-                row.termination.verdict,
+                _scoped(row.termination),
                 term,
             )
         )
-    return format_table(
+    table = format_table(
         (
             "name", "cat", "|L|", "|R|",
             "agreement", "nschemas", "time",
@@ -219,6 +251,11 @@ def _format_table2(rows: List[Table2Row]) -> str:
             "termination", "time/CE",
         ),
         body,
+    )
+    return (
+        f"{table}\n* decided at n,t,f on the explicit engine (the "
+        "registry's small valuation), not for all parameters\n"
+        "nschemas: the unreduced analytic schema count, not the paper's"
     )
 
 

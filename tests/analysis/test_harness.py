@@ -1,5 +1,7 @@
 """Tests for the table/experiment harness."""
 
+import logging
+
 import pytest
 
 from repro.errors import CheckError
@@ -12,6 +14,8 @@ from repro.harness import (
     table3,
 )
 from repro.harness.paper_data import TABLE_II
+from repro.harness.tables import Table2Cell, Table2Row, _check_target, _format_table2
+from repro.protocols.registry import by_name
 
 
 class TestFormatting:
@@ -111,3 +115,42 @@ class TestCoinCli:
             main(["harness", "verify", "--help"])
         flat = " ".join(capsys.readouterr().out.split())
         assert "registry name: " + ", ".join(names()) in flat
+
+
+class TestTable2Scope:
+    """A Table II cell says which engine decided it."""
+
+    def test_parameterized_cell_keeps_its_engine(self):
+        cell, _ = _check_target(by_name("fmr05"), "validity", True)
+        assert (cell.verdict, cell.engine) == ("holds", "parameterized")
+
+    def test_unknown_cell_falls_back_with_an_event(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="repro.harness.tables"):
+            cell, _ = _check_target(
+                by_name("fmr05"), "validity", True, node_budget=1
+            )
+        assert (cell.verdict, cell.engine) == ("holds", "explicit")
+        events = [
+            r for r in caplog.records
+            if getattr(r, "event", "") == "tables.explicit_fallback"
+        ]
+        assert len(events) == 1 and events[0].levelno == logging.INFO
+        assert (events[0].protocol, events[0].target) == ("fmr05", "validity")
+        assert events[0].valuation == {"n": 6, "t": 1, "f": 1}
+
+    def test_explicit_cells_are_marked_in_the_table(self):
+        def cell(engine):
+            return Table2Cell("holds", 10, 0.5, engine=engine)
+
+        row = Table2Row(
+            name="fmr05", category="B", locations=10, rules=16,
+            agreement=cell("parameterized"), validity=cell("explicit"),
+            termination=cell("explicit"),
+        )
+        text = _format_table2([row])
+        body = text.splitlines()[2].split()
+        assert body[4] == "holds" and body[7] == "holds*"
+        assert body[9] == "holds*"
+        assert text.splitlines()[-2].startswith(
+            "* decided at n,t,f on the explicit engine"
+        )
