@@ -55,7 +55,6 @@ from repro.api.report import (
     TaskResult,
     worst_verdict,
 )
-from repro.api.journal import Journal
 from repro.api.sweep import ResultCache, SweepRunner, code_version, run_task
 from repro.api.task import TARGETS, Limits, VerificationTask
 from repro.counter.store import GraphStore
@@ -69,7 +68,6 @@ __all__ = [
     "ExplicitEngine",
     "FaultPlan",
     "GraphStore",
-    "Journal",
     "Limits",
     "ObligationOutcome",
     "ParameterizedEngine",
@@ -229,8 +227,6 @@ def sweep(
     graph_store: Optional[str] = None,
     task_timeout: Optional[float] = None,
     retry=None,
-    journal: Optional[str] = None,
-    resume: bool = False,
     fault_plan=None,
 ) -> RunReport:
     """Run a sweep and return its :class:`RunReport`.
@@ -255,10 +251,11 @@ def sweep(
     rewritten after a task that grew it and reloaded by later runs
     (fresh processes included), which speeds the tasks the result
     cache cannot skip — results stay bit-identical either way.
-    With a ``cache_dir`` (or explicit ``journal=`` path) every
-    completed task is appended to a sweep journal; ``resume=True``
-    finishes an interrupted identical sweep by re-running only tasks
-    without a journaled result.  ``fault_plan=`` installs a
+    With a ``cache_dir`` every finished registry task is cached as it
+    lands, so running an interrupted sweep again with the same
+    ``cache_dir`` re-executes only what is not cached: unfinished
+    tasks, ``max_seconds`` trips, error results and custom-model
+    tasks.  ``fault_plan=`` installs a
     :class:`~repro.testing.faults.FaultPlan` in pool workers (chaos
     testing).
     """
@@ -278,7 +275,5 @@ def sweep(
         graph_store=graph_store,
         task_timeout=task_timeout,
         retry=retry,
-        journal=journal,
-        resume=resume,
         fault_plan=fault_plan,
     ).run(tasks)

@@ -167,8 +167,6 @@ class RunReport:
     cache_hits: int = 0
     #: pool workers respawned after a crash or supervisor timeout
     worker_restarts: int = 0
-    #: tasks served verbatim from the sweep journal (``--resume``)
-    resumed: int = 0
     #: the serving daemon's id for this request ("" = a local run)
     request_id: str = ""
     #: tasks served by collapsing onto another request's in-flight
@@ -191,8 +189,6 @@ class RunReport:
         # serialize exactly as they did before supervised dispatch.
         if self.worker_restarts:
             data["worker_restarts"] = self.worker_restarts
-        if self.resumed:
-            data["resumed"] = self.resumed
         if self.request_id:
             data["request_id"] = self.request_id
         if self.deduped:
@@ -201,6 +197,8 @@ class RunReport:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunReport":
+        # Unknown keys are dropped: reports from releases with a sweep
+        # journal may carry ``resumed``.
         return cls(
             results=tuple(TaskResult.from_dict(r) for r in data["results"]),
             processes=int(data.get("processes", 1)),
@@ -208,7 +206,6 @@ class RunReport:
             time_seconds=float(data.get("time_seconds", 0.0)),
             cache_hits=int(data.get("cache_hits", 0)),
             worker_restarts=int(data.get("worker_restarts", 0)),
-            resumed=int(data.get("resumed", 0)),
             request_id=data.get("request_id", ""),
             deduped=int(data.get("deduped", 0)),
         )
@@ -239,8 +236,6 @@ class RunReport:
             f"{self.cache_hits} cache hits, {self.processes} processes, "
             f"{self.time_seconds:.2f}s wall clock"
         )
-        if self.resumed:
-            tail += f", {self.resumed} resumed"
         if self.worker_restarts:
             tail += f", {self.worker_restarts} worker restarts"
         if self.deduped:

@@ -1,4 +1,4 @@
-"""Parallel sweep execution: supervised, deterministic, cached, resumable.
+"""Parallel sweep execution: supervised, deterministic, cached.
 
 :class:`SweepRunner` fans a task list out across a *supervised* worker
 pool (:class:`~repro.supervisor.SupervisedPool`) and returns one
@@ -41,18 +41,15 @@ An optional on-disk cache keyed by ``(protocol, valuation, targets,
 engine, limits, code-version)`` lets repeated sweeps (cross-validation
 over many valuations, CI re-runs) skip work that cannot have changed:
 the code-version component is a digest of every ``repro`` source file,
-so any engine change invalidates the whole cache.  Alongside it lives
-the **sweep journal** (:class:`~repro.api.journal.Journal`,
-``sweep-journal.jsonl`` under the cache dir): one appended record per
-*completed* task — including the error results and ``max_seconds``
-trips the cache refuses to hold — so ``resume=True`` /
-``harness sweep --resume`` finishes an interrupted sweep by re-running
-only what has no (or only an error) record, with the final report
-still input-ordered and bit-identical.  The verification daemon
-(:mod:`repro.service.server`) keeps no journal: every wire task has
-a cache key, so the same :class:`ResultCache` is its restart log.  It
-also builds its persistent pool with :func:`task_pool`, the recipe the
-sweep's one-shot pool uses.
+so any engine change invalidates the whole cache.  The cache is also
+the sweep's restart log: every cacheable result is published the
+moment its task finishes, so an interrupted sweep is finished by
+running it again with the same ``cache_dir``.  Finished registry tasks
+come back as cache hits; ``max_seconds`` trips, error results and
+custom-model or ad-hoc-query tasks (which have no cache key) run
+again.  The verification daemon (:mod:`repro.service.server`)
+restarts the same way, and builds its persistent pool with
+:func:`task_pool`, the recipe the sweep's one-shot pool uses.
 
 Orthogonally, ``graph_store`` enables the persistent *state-graph*
 store (:class:`~repro.counter.store.GraphStore`): workers (and inline
@@ -86,12 +83,6 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.api.engines import engine_for
-from repro.api.journal import (
-    Journal,
-    JournalRecord,
-    replayable_records,
-    sweep_digest,
-)
 from repro.api.report import RunReport, TaskResult
 from repro.api.task import VerificationTask
 from repro.counter.store import (
@@ -141,15 +132,15 @@ TRANSIENT_ERROR_PREFIXES = (
 def _graceful_termination():
     """Turn SIGTERM into a raised ``SystemExit`` for the sweep's scope.
 
-    SIGTERM's default action kills the process on the spot: the sweep
-    journal's file handle never closes, and pool workers — daemonic
-    children whose cleanup runs from an ``atexit`` hook that a hard
-    signal death skips — are orphaned mid-task.  Raising instead lets
-    the ordinary unwind do its job: :meth:`SweepRunner._run`'s
-    ``finally`` closes the journal (every *completed* task was already
-    appended and flushed, so ``--resume`` picks up exactly there) and
-    the pool's ``finally`` reaps every worker.  Exit status follows the
-    shell convention (128 + signum = 143).
+    SIGTERM's default action kills the process on the spot: pool
+    workers — daemonic children whose cleanup runs from an ``atexit``
+    hook that a hard signal death skips — are orphaned mid-task, and
+    the graph store never flushes.  Raising instead lets the ordinary
+    unwind do its job: the pool's ``finally`` reaps every worker and
+    :meth:`SweepRunner.run`'s ``finally`` flushes the grown graphs.
+    Every finished task is already in the result cache, so a re-run
+    with the same ``cache_dir`` picks up exactly there.  Exit status
+    follows the shell convention (128 + signum = 143).
 
     Only the main thread may set signal handlers; anywhere else (a
     sweep run from a daemon's dispatcher thread, say) this is a no-op
@@ -400,8 +391,8 @@ class SweepRunner:
         cache_dir: directory for the on-disk result cache; ``None``
             disables caching.  Only registry tasks with named targets
             are cacheable (custom models / ad-hoc queries have no
-            stable identity) — others always run.  Also the default
-            home of the sweep journal (see ``resume``).
+            stable identity) — others always run.  Re-running an
+            interrupted sweep with the same ``cache_dir`` finishes it.
         graph_store: directory of the persistent state-graph store
             (:class:`~repro.counter.store.GraphStore`); ``None``
             disables it.  Workers and inline
@@ -427,24 +418,12 @@ class SweepRunner:
             and transient completed results (see
             :func:`_transient_result`).  ``RetryPolicy(max_attempts=1)``
             disables retrying.
-        journal: path for the sweep journal; defaults to
-            ``<cache_dir>/sweep-journal.jsonl`` when a cache dir is
-            set.  ``None`` with no cache dir disables journaling.
-        resume: serve completed (non-error) records from the journal of
-            a previous identical sweep instead of re-running their
-            tasks.  Requires a journal (explicit or via ``cache_dir``);
-            a journal written by a *different* sweep or code version is
-            ignored.  Resumed reports remain input-ordered and
-            bit-identical to an uninterrupted run.
         fault_plan: a :class:`~repro.testing.faults.FaultPlan` to
             install in pool workers (chaos testing; never installed in
             this process).
     """
 
     SCHEDULING_MODES = ("flat", "sharded")
-
-    #: Journal file name under ``cache_dir`` when no explicit path given.
-    JOURNAL_NAME = "sweep-journal.jsonl"
 
     def __init__(
         self,
@@ -455,8 +434,6 @@ class SweepRunner:
         graph_store: Optional[str] = None,
         task_timeout: Optional[float] = None,
         retry=None,
-        journal: Optional[str] = None,
-        resume: bool = False,
         fault_plan=None,
     ):
         self.processes = max(1, int(processes))
@@ -476,17 +453,6 @@ class SweepRunner:
         )
         self.task_timeout = float(task_timeout) if task_timeout else None
         self.retry = RetryPolicy.of(retry)
-        if journal:
-            self.journal_path: Optional[Path] = Path(journal)
-        elif cache_dir:
-            self.journal_path = Path(cache_dir) / self.JOURNAL_NAME
-        else:
-            self.journal_path = None
-        if resume and self.journal_path is None:
-            raise CheckError(
-                "resume=True needs a journal: set cache_dir= or journal="
-            )
-        self.resume = bool(resume)
         self.fault_plan = fault_plan
 
     def run(self, tasks: Sequence[VerificationTask]) -> RunReport:
@@ -515,62 +481,27 @@ class SweepRunner:
         results: List[Optional[TaskResult]] = [None] * len(tasks)
         keys: Dict[int, str] = {}
         cache_hits = 0
-        resumed = 0
 
-        journal: Optional[Journal] = None
-        replayable: Dict[int, JournalRecord] = {}
-        if self.journal_path is not None:
-            journal = Journal(self.journal_path,
-                              sweep_digest(tasks, version), version)
-            replayable = replayable_records(journal.load(resume=self.resume))
-
-        def complete(index: int, result: TaskResult,
-                     journaled: bool = False) -> None:
-            """Land one task's final result (cache + journal it)."""
+        def complete(index: int, result: TaskResult) -> None:
+            """Land one computed result, caching it as it lands."""
             results[index] = result
-            if (self.cache and index in keys and not result.cached
-                    and self._cacheable(result)):
+            if index in keys and self._cacheable(result):
                 self.cache.put(keys[index], result)
-            if journal is not None and not journaled:
-                journal.append(JournalRecord(
-                    index=index,
-                    key=tasks[index].journal_key,
-                    result=result.to_dict(),
-                    attempts=result.attempts,
-                    timed_out=result.timed_out,
-                ).to_dict())
 
-        try:
-            pending: List[int] = []
-            for index, task in enumerate(tasks):
-                if self.cache:
-                    key = self.cache.key_for(task)
-                    if key is not None:
-                        keys[index] = key
-                record = replayable.get(index)
-                if record is not None and record.key == task.journal_key:
-                    # Replay the journaled result verbatim: same bytes
-                    # the uninterrupted run would have reported.
-                    complete(index, TaskResult.from_dict(record.result),
-                             journaled=True)
-                    resumed += 1
+        pending: List[int] = []
+        for index, task in enumerate(tasks):
+            key = self.cache.key_for(task) if self.cache else None
+            if key is not None:
+                keys[index] = key
+                results[index] = self.cache.get(key)
+                if results[index] is not None:
+                    cache_hits += 1
                     continue
-                if index in keys:
-                    cached = self.cache.get(keys[index])
-                    if cached is not None:
-                        complete(index, cached)
-                        cache_hits += 1
-                        continue
-                pending.append(index)
+            pending.append(index)
 
-            worker_restarts = 0
-            if pending:
-                worker_restarts = self._execute(
-                    tasks, pending, lambda index, result: complete(index, result)
-                )
-        finally:
-            if journal is not None:
-                journal.close()
+        worker_restarts = 0
+        if pending:
+            worker_restarts = self._execute(tasks, pending, complete)
 
         return RunReport(
             results=tuple(results),
@@ -579,7 +510,6 @@ class SweepRunner:
             time_seconds=time.perf_counter() - started,
             cache_hits=cache_hits,
             worker_restarts=worker_restarts,
-            resumed=resumed,
         )
 
     @staticmethod

@@ -82,9 +82,9 @@ class VerificationTask:
     registry models are built under (a spec, a spec string like
     ``"biased:1/4"``, or None).  The default perfect coin normalizes to
     None so that an explicit ``coin="perfect"`` and the historical
-    coin-free task are one identity -- ``task_id``, ``journal_key``,
-    ``dedup_key``, the JSON wire format and the cache payload of
-    coin-free tasks all stay byte-identical to pre-CoinSpec blobs.
+    coin-free task are one identity -- ``task_id``, ``dedup_key``, the
+    JSON wire format and the cache payload of coin-free tasks all stay
+    byte-identical to pre-CoinSpec blobs.
     Custom-model tasks bake the coin into the model itself and must
     leave ``coin`` unset.
     """
@@ -169,27 +169,10 @@ class VerificationTask:
         return f"{self.protocol_name}[{params}]/{'+'.join(parts)}@{self.engine}"
 
     @property
-    def journal_key(self) -> str:
-        """Identity the sweep journal matches records against.
-
-        ``task_id`` plus the resource limits: two sweeps whose tasks
-        differ only in ``limits`` must not resume from each other's
-        journals (a record produced under a tighter budget is not the
-        result the looser sweep would compute).  Unlike the *cache*
-        key this works for custom models and ad-hoc queries too — the
-        journal only ever replays records into the identical task
-        list, so a human-readable id is sufficient identity.
-        """
-        limits = ",".join(
-            f"{k}={v}" for k, v in sorted(self.limits.to_dict().items())
-        )
-        return f"{self.task_id}|{limits}"
-
-    @property
     def dedup_key(self) -> str:
         """The identity concurrent service requests collapse on.
 
-        A digest of :attr:`journal_key` (task id + limits), so two
+        A digest of the task id and the resource limits, so two
         clients submitting the same registry task — same protocol,
         valuation, targets, engine *and* resource budget — share one
         computation, while any difference in what would be computed
@@ -198,7 +181,10 @@ class VerificationTask:
         a restart is the result cache, keyed by :meth:`cache_payload`
         plus the code version.
         """
-        return stable_digest(self.journal_key, 32)
+        limits = ",".join(
+            f"{k}={v}" for k, v in sorted(self.limits.to_dict().items())
+        )
+        return stable_digest(f"{self.task_id}|{limits}", 32)
 
     # ------------------------------------------------------------------
     def resolved_valuation(self, strict: bool = True) -> Dict[str, int]:

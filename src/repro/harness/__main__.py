@@ -16,12 +16,11 @@ Usage::
     python -m repro.harness sweep --processes 4 --targets validity \
         --cache-dir .repro-cache --graph-store .repro-cache/graphs --json
 
-    # crash-resilient fleets: supervised timeouts, bounded retries,
-    # and resuming an interrupted sweep from its journal
+    # crash-resilient fleets: supervised timeouts and bounded retries;
+    # an interrupted sweep is finished by running it again with the
+    # same --cache-dir (finished tasks come back as cache hits)
     python -m repro.harness sweep --processes 4 --task-timeout 300 \
         --retries 3 --cache-dir .repro-cache
-    python -m repro.harness sweep --processes 4 --cache-dir .repro-cache \
-        --resume
 
     # concurrent Monte Carlo fleets on the executable substrate
     python -m repro.harness simulate mmr14 --runs 2000 --json
@@ -117,6 +116,25 @@ def _add_limit_flags(parser: argparse.ArgumentParser) -> None:
                         help="wall-clock budget per obligation bundle")
 
 
+def _add_pool_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--graph-store", type=_store_dir, default=None,
+                        metavar="DIR",
+                        help="persistent state-graph store directory; "
+                        "workers warm explored graphs from it on startup "
+                        "and rewrite a graph's snapshot after a task that "
+                        "grew it (results stay bit-identical)")
+    parser.add_argument("--task-timeout", type=float, default=None,
+                        metavar="SECONDS",
+                        help="supervisor-enforced wall clock per task: a "
+                        "hung task gets its worker killed and is retried "
+                        "or recorded as an error")
+    parser.add_argument("--retries", type=int, default=None,
+                        metavar="ATTEMPTS",
+                        help="max attempts per task for transient failures "
+                        "(worker crash, timeout, max_seconds trip, I/O "
+                        "error); default 3, 1 disables retrying")
+
+
 def _cmd_verify(argv: List[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.harness verify",
@@ -210,38 +228,16 @@ def _cmd_sweep(argv: List[str]) -> int:
                         "tasks by protocol on persistent warm workers "
                         "(identical results, less recompilation)")
     parser.add_argument("--cache-dir", default=None,
-                        help="on-disk result cache directory")
-    parser.add_argument("--graph-store", type=_store_dir, default=None,
-                        metavar="DIR",
-                        help="persistent state-graph store directory; "
-                        "workers warm explored graphs from it on startup "
-                        "and rewrite a graph's snapshot after a task that "
-                        "grew it (results stay bit-identical)")
-    parser.add_argument("--task-timeout", type=float, default=None,
-                        metavar="SECONDS",
-                        help="supervisor-enforced wall clock per task: a "
-                        "hung task gets its worker killed and is retried "
-                        "or recorded as an error (the sweep continues)")
-    parser.add_argument("--retries", type=int, default=None,
-                        metavar="ATTEMPTS",
-                        help="max attempts per task for transient failures "
-                        "(worker crash, timeout, max_seconds trip, I/O "
-                        "error); default 3, 1 disables retrying")
-    parser.add_argument("--journal", default=None, metavar="PATH",
-                        help="sweep journal file (default: "
-                        "<cache-dir>/sweep-journal.jsonl when --cache-dir "
-                        "is set); records every completed task")
-    parser.add_argument("--resume", action="store_true",
-                        help="serve completed tasks from the journal of a "
-                        "previous identical sweep; only unfinished tasks "
-                        "re-run (requires --cache-dir or --journal)")
+                        help="on-disk result cache directory; running an "
+                        "interrupted sweep again with the same directory "
+                        "re-executes only what is not cached")
+    _add_pool_flags(parser)
     parser.add_argument("--server", default=None, metavar="URL",
                         help="run the matrix on a verification daemon "
                         "instead of locally (see 'serve'); execution "
                         "flags (--processes, --cache-dir, --graph-store, "
-                        "--task-timeout, --retries, --journal, --resume, "
-                        "--scheduling) then belong to the daemon and are "
-                        "ignored here")
+                        "--task-timeout, --retries, --scheduling) then "
+                        "belong to the daemon and are ignored here")
     parser.add_argument("--json", action="store_true",
                         help="emit the RunReport as JSON")
     _add_limit_flags(parser)
@@ -255,8 +251,6 @@ def _cmd_sweep(argv: List[str]) -> int:
                 ("--graph-store", args.graph_store is not None),
                 ("--task-timeout", args.task_timeout is not None),
                 ("--retries", args.retries is not None),
-                ("--journal", args.journal is not None),
-                ("--resume", args.resume),
                 ("--scheduling", args.scheduling != "flat"),
             ) if value
         ]
@@ -296,8 +290,6 @@ def _cmd_sweep(argv: List[str]) -> int:
         graph_store=args.graph_store,
         task_timeout=args.task_timeout,
         retry=args.retries,
-        journal=args.journal,
-        resume=args.resume,
     )
     if args.json:
         print(json.dumps(report.to_dict(), indent=2))
@@ -388,7 +380,8 @@ def _cmd_serve(argv: List[str]) -> int:
         "daemon over one persistent warm worker pool.  Clients submit "
         "task matrices (verify/sweep --server URL) and stream results "
         "as they complete; identical concurrent tasks are computed "
-        "once, completed tasks are journaled for restart-and-resume.",
+        "once, and a restarted daemon serves completed tasks from its "
+        "result cache.",
     )
     parser.add_argument("--host", default="127.0.0.1",
                         help="bind address (default: loopback only)")
@@ -398,19 +391,9 @@ def _cmd_serve(argv: List[str]) -> int:
                         help="persistent worker pool size")
     parser.add_argument("--cache-dir", default=None, metavar="DIR",
                         help="state directory: on-disk result cache + "
-                        "state file; omitting it runs in-memory (no "
-                        "resume across restarts)")
-    parser.add_argument("--graph-store", type=_store_dir, default=None,
-                        metavar="DIR",
-                        help="persistent state-graph store directory for "
-                        "the workers")
-    parser.add_argument("--task-timeout", type=float, default=None,
-                        metavar="SECONDS",
-                        help="supervisor-enforced wall clock per task")
-    parser.add_argument("--retries", type=int, default=None,
-                        metavar="ATTEMPTS",
-                        help="max attempts per task for transient "
-                        "failures (default 3)")
+                        "state file; omitting it runs in-memory "
+                        "(nothing survives a restart)")
+    _add_pool_flags(parser)
     parser.add_argument("--coin", type=_parse_coin, default=None,
                         metavar="SPEC",
                         help="default coin model applied to submitted "
@@ -448,20 +431,24 @@ def _cmd_serve(argv: List[str]) -> int:
 #: A ResultCache entry file name: the 32-hex-char task key + ``.json``.
 _RESULT_ENTRY = re.compile(r"[0-9a-f]{32}\.json")
 
+#: The journal older releases wrote beside a sweep's result cache; no
+#: code reads it, so ``prune`` and ``clear`` delete it.
+OLD_SWEEP_JOURNAL = "sweep-journal.jsonl"
+
 
 def _scan_cache(root: Path):
     """All cache artifacts under ``root``: results, graphs, temps,
-    sweep journals, daemon state files.
+    old sweep journals, daemon state files.
 
     Only *key-shaped* ``.json`` files count as result entries — a cache
     root may also hold saved reports or other JSON the maintenance
     commands must never classify (and ``prune`` must never delete) as
-    cache blobs.  Sweep journals (``sweep-journal.jsonl``) are listed
-    separately: ``clear`` removes them, but ``prune`` leaves them alone
-    (an interrupted sweep's resume data must survive maintenance).  The
-    verification daemon's ``service-state.json`` breadcrumb gets the
-    same treatment.  A daemon resumes from its result entries, which
-    ``prune`` drops only when their code version is stale.
+    cache blobs.  Sweeps and the daemon restart from their result
+    entries, which ``prune`` drops only when their code version is
+    stale.  Sweep journals left by older releases (``OLD_SWEEP_JOURNAL``)
+    are dead weight: ``prune`` and ``clear`` both remove them.  The
+    verification daemon's ``service-state.json`` breadcrumb is listed
+    separately: ``clear`` removes it, but ``prune`` leaves it alone.
     """
     if not root.exists():
         return [], [], [], [], []
@@ -470,7 +457,7 @@ def _scan_cache(root: Path):
                if _RESULT_ENTRY.fullmatch(p.name)),
         sorted(root.rglob("*.graph")),
         sorted(root.rglob("*.tmp")),
-        sorted(root.rglob(api.SweepRunner.JOURNAL_NAME)),
+        sorted(root.rglob(OLD_SWEEP_JOURNAL)),
         sorted(root.rglob(service_api.SERVICE_STATE_NAME)),
     )
 
@@ -494,10 +481,10 @@ def _cmd_cache(argv: List[str]) -> int:
         prog="python -m repro.harness cache",
         description="Maintain the on-disk result cache and state-graph "
         "store: info (read-only summary), prune (drop stale temp "
-        "orphans and stale-version entries; live writers' temp files "
-        "survive), clear (drop everything).  The graph store keeps one "
-        "<key>.graph snapshot per key, which the next flush of that key "
-        "rewrites if it is corrupt.",
+        "orphans, stale-version entries and old sweep journals; live "
+        "writers' temp files survive), clear (drop everything).  The "
+        "graph store keeps one <key>.graph snapshot per key, which the "
+        "next flush of that key rewrites if it is corrupt.",
     )
     parser.add_argument("action", choices=("info", "prune", "clear"))
     parser.add_argument("--dir", type=_store_dir, default=".repro-cache",
@@ -534,7 +521,7 @@ def _cmd_cache(argv: List[str]) -> int:
               f"({_bytes(graphs):,} bytes, {len(stale_graphs)} stale)")
         print(f"temp orphans   {len(temps):6d}  ({_bytes(temps):,} bytes)")
         if journals:
-            print(f"sweep journals {len(journals):6d}  "
+            print(f"old sweep journals {len(journals):2d}  "
                   f"({_bytes(journals):,} bytes)")
         if states:
             print(f"service files  {len(states):6d}  "
@@ -569,7 +556,7 @@ def _cmd_cache(argv: List[str]) -> int:
                     doomed.append(path)
             except OSError as exc:
                 _scan_error("cache_stat", path, exc)
-        doomed += stale_results + stale_graphs
+        doomed += stale_results + stale_graphs + journals
     else:  # clear: a full wipe is explicitly destructive — take it all
         doomed = list(temps) + results + graphs + journals + states
     removed = 0

@@ -12,10 +12,10 @@ this module is the bookkeeping that makes that safe and cheap:
   Completed non-error results are retained for the daemon's lifetime
   (the in-memory warm layer above the on-disk
   :class:`~repro.api.sweep.ResultCache`, which is also what a
-  restarted daemon resumes from); error results notify their waiters
+  restarted daemon serves from); error results notify their waiters
   but are *not* retained, so a later request retries instead of
-  replaying a failure forever — the same rule the sweep journal
-  applies on load.
+  replaying a failure forever — the same rule the result cache
+  applies, which never stores an error.
 
 * the **state file** (``service-state.json``) — a breadcrumb the
   daemon drops in its state directory while running (pid, endpoint,
@@ -24,16 +24,20 @@ this module is the bookkeeping that makes that safe and cheap:
   cleanly.
 
 The state file is I/O-best-effort in the house style: an unreadable
-file or a full disk costs a breadcrumb, never the daemon.
+file or a full disk costs a breadcrumb, never the daemon.  A failed
+write or removal logs one ``service.state_file_error`` warning on this
+module's logger, quiet unless the application configures logging.
 """
 
 from __future__ import annotations
 
 import json
-import os
+import logging
 import threading
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
+
+from repro.counter.store import publish
 
 __all__ = [
     "SERVICE_STATE_NAME",
@@ -42,6 +46,8 @@ __all__ = [
     "remove_state_file",
     "write_state_file",
 ]
+
+logger = logging.getLogger(__name__)
 
 #: The breadcrumb a running daemon leaves under its state directory;
 #: the cache maintenance CLI knows it (``info`` lists it, ``clear``
@@ -153,16 +159,22 @@ class TaskRegistry:
 # ----------------------------------------------------------------------
 # The daemon's state-file breadcrumb
 # ----------------------------------------------------------------------
+def _state_file_error(path: Path, exc: OSError) -> None:
+    logger.warning(
+        "service state file failure on %s: %r", path, exc,
+        extra={"event": "service.state_file_error", "path": str(path),
+               "error": repr(exc)},
+    )
+
+
 def write_state_file(root, info: dict) -> None:
     """Drop ``service-state.json`` under ``root`` (best-effort)."""
     path = Path(root) / SERVICE_STATE_NAME
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-        tmp.write_text(json.dumps(info, indent=1, sort_keys=True) + "\n")
-        tmp.replace(path)
-    except OSError:
-        pass
+        publish(path, json.dumps(info, indent=1, sort_keys=True) + "\n")
+    except OSError as exc:
+        _state_file_error(path, exc)
 
 
 def read_state_file(root) -> Optional[dict]:
@@ -170,12 +182,19 @@ def read_state_file(root) -> Optional[dict]:
     try:
         blob = json.loads((Path(root) / SERVICE_STATE_NAME).read_text())
     except (OSError, ValueError):
+        # No daemon ran here, or the file is unreadable or not JSON:
+        # either way there is no breadcrumb to report, and None says so.
         return None
     return blob if isinstance(blob, dict) else None
 
 
 def remove_state_file(root) -> None:
+    path = Path(root) / SERVICE_STATE_NAME
     try:
-        (Path(root) / SERVICE_STATE_NAME).unlink()
-    except OSError:
+        path.unlink()
+    except FileNotFoundError:
+        # Already gone (never written, or removed by ``cache clear``):
+        # there is nothing left to remove.
         pass
+    except OSError as exc:
+        _state_file_error(path, exc)

@@ -534,6 +534,8 @@ class _Handler(BaseHTTPRequestHandler):
             self.end_headers()
             self.wfile.write(blob)
         except (BrokenPipeError, ConnectionResetError):
+            # The client hung up before the reply: nobody is left to
+            # tell, and the daemon's state does not depend on it.
             pass
 
 

@@ -344,7 +344,7 @@ class SupervisedPool:
         """Execute every item of every job; never raises for item failures.
 
         ``on_result(index, result, attempts, timed_out)`` streams each
-        item's *final* outcome as it lands (the journaling hook);
+        item's *final* outcome as it lands (the result-cache hook);
         :class:`PoolOutcome` aggregates the same data at the end.
 
         ``stop`` (persistent mode's shutdown hook) is polled between
@@ -464,7 +464,7 @@ class SupervisedPool:
                 if stop is not None and stop():
                     # Shutdown drain: collect everything the workers
                     # already reported, abandon the rest.  The caller
-                    # (the service daemon) journals what landed and
+                    # (the service daemon) caches what landed and
                     # closes the pool.
                     for worker in workers:
                         drain(worker)

@@ -114,6 +114,18 @@ class TestPrune:
         _run(capsys, "cache", "clear", "--dir", str(tmp_path))
         assert report.exists()
 
+    def test_prune_removes_a_leftover_journal(self, populated, capsys):
+        # Older releases kept a sweep journal beside the result cache;
+        # nothing reads it any more, so it is prune fodder.
+        journal = populated / "sweep-journal.jsonl"
+        journal.write_text('{"magic": "repro-sweep-journal"}\n')
+        out = _run(capsys, "cache", "info", "--dir", str(populated))
+        assert "old sweep journals  1" in out
+        out = _run(capsys, "cache", "prune", "--dir", str(populated))
+        assert "removed 3 of 3" in out  # two temp orphans + the journal
+        assert not journal.exists()
+        assert len(list(populated.glob("*.json"))) == 1
+
     def test_prune_spares_a_live_writers_temp_file(self, tmp_path, capsys):
         live = tmp_path / "entry.json.77.cc.tmp"
         live.write_text("{")  # fresh mtime: a writer mid-flush
@@ -127,6 +139,12 @@ class TestClear:
         _run(capsys, "cache", "clear", "--dir", str(populated))
         leftovers = [p for p in populated.rglob("*") if p.is_file()]
         assert leftovers == []
+
+    def test_clear_removes_a_leftover_journal(self, tmp_path, capsys):
+        (tmp_path / "sweep-journal.jsonl").write_text("{}\n")
+        out = _run(capsys, "cache", "clear", "--dir", str(tmp_path))
+        assert "removed 1 of 1" in out
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestServiceFiles:

@@ -117,6 +117,67 @@ class TestCoinCli:
         assert "registry name: " + ", ".join(names()) in flat
 
 
+class TestPoolFlagsCli:
+    """sweep and serve build --graph-store/--task-timeout/--retries from
+    one helper, and a sweep is re-run from its --cache-dir."""
+
+    @staticmethod
+    def _help(capsys, command):
+        from repro.harness.__main__ import main
+
+        with pytest.raises(SystemExit):
+            main(["harness", command, "--help"])
+        # Compared without whitespace: argparse wraps at hyphens too.
+        return "".join(capsys.readouterr().out.split())
+
+    def test_sweep_and_serve_share_one_help_text_per_flag(self, capsys):
+        import argparse
+
+        from repro.harness.__main__ import _add_pool_flags
+
+        shared = argparse.ArgumentParser()
+        _add_pool_flags(shared)
+        helps = {action.option_strings[0]: action.help
+                 for action in shared._actions if action.option_strings
+                 and action.option_strings[0] != "-h"}
+        assert sorted(helps) == ["--graph-store", "--retries",
+                                 "--task-timeout"]
+        for command in ("sweep", "serve"):
+            usage = self._help(capsys, command)
+            for flag, text in helps.items():
+                assert flag in usage
+                assert "".join(text.split()) in usage, (command, flag)
+
+    @pytest.mark.parametrize("flag", ["--resume", "--journal=j.jsonl"])
+    def test_journal_flags_are_gone(self, capsys, flag):
+        from repro.harness.__main__ import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["harness", "sweep", flag])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_rerun_with_the_same_cache_dir_is_served_from_it(self, tmp_path,
+                                                             capsys):
+        import json as _json
+
+        from repro.harness.__main__ import main
+
+        argv = ["harness", "sweep", "--protocols", "ks16,cc85a",
+                "--targets", "validity", "--cache-dir", str(tmp_path),
+                "--json"]
+        assert main(argv) == 0
+        first = _json.loads(capsys.readouterr().out)
+        assert main(argv) == 0
+        second = _json.loads(capsys.readouterr().out)
+        assert [r["cached"] for r in first["results"]] == [False, False]
+        assert [r["cached"] for r in second["results"]] == [True, True]
+        assert second["cache_hits"] == 2
+        assert [r["verdict"] for r in second["results"]] == [
+            r["verdict"] for r in first["results"]]
+        assert not (tmp_path / "sweep-journal.jsonl").exists()
+
+
 class TestTable2Scope:
     """A Table II cell says which engine decided it."""
 

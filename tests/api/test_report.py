@@ -179,7 +179,7 @@ class TestRunReport:
 
 
 class TestSupervisionMetadata:
-    """attempts / timed_out / worker_restarts / resumed survive JSON —
+    """attempts / timed_out / worker_restarts survive JSON —
     and stay *out* of the payload at their defaults, so undisturbed
     reports remain byte-identical to pre-supervision ones."""
 
@@ -203,30 +203,33 @@ class TestSupervisionMetadata:
 
     def test_run_report_roundtrip_with_supervision_fields(self):
         report = RunReport(results=(make_task_result(),), processes=4,
-                           worker_restarts=2, resumed=3)
+                           worker_restarts=2)
         restored = roundtrip(report, RunReport)
         assert restored.worker_restarts == 2
-        assert restored.resumed == 3
 
     def test_default_supervision_fields_are_not_emitted(self):
         payload = RunReport(results=(), processes=1).to_dict()
         assert "worker_restarts" not in payload
-        assert "resumed" not in payload
         restored = RunReport.from_dict(payload)
         assert restored.worker_restarts == 0
-        assert restored.resumed == 0
+
+    def test_old_payload_carrying_resumed_still_loads(self):
+        # Releases with a sweep journal emitted ``resumed`` when nonzero.
+        payload = RunReport(results=(make_task_result(),)).to_dict()
+        restored = RunReport.from_dict({**payload, "resumed": 3})
+        assert restored == RunReport.from_dict(payload)
+        assert "resumed" not in restored.to_dict()
 
     def test_summary_mentions_supervision_events(self):
         from dataclasses import replace
 
         flaky = replace(make_task_result(), attempts=2, timed_out=True)
         report = RunReport(results=(flaky,), processes=2,
-                           worker_restarts=1, resumed=1)
+                           worker_restarts=1)
         text = report.summary()
         assert "attempts:2" in text
         assert "timed-out" in text
         assert "1 worker restart" in text
-        assert "1 resumed" in text
 
 
 class TestServiceMetadata:

@@ -1,15 +1,16 @@
-"""SIGTERM mid-sweep: journal flushed, workers reaped, run resumable.
+"""SIGTERM mid-sweep: workers reaped, finished tasks cached, re-run served.
 
-Satellite of the service PR: ``SweepRunner.run`` installs a SIGTERM
-handler that converts the signal into ``SystemExit(143)`` so the
-``finally`` blocks run — the journal closes with every completed task
-on disk and the pool reaps its workers instead of orphaning them.
-These tests drive the real CLI in a subprocess and send the real
-signal.
+``SweepRunner.run`` installs a SIGTERM handler that converts the
+signal into ``SystemExit(143)`` so the ``finally`` blocks run — the
+pool reaps its workers instead of orphaning them.  Every finished task
+is already a result-cache entry, so running the sweep again with the
+same ``--cache-dir`` serves those as cache hits.  These tests drive
+the real CLI in a subprocess and send the real signal.
 """
 
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -18,20 +19,20 @@ from pathlib import Path
 
 import pytest
 
-#: cc85a and ks16 finish (and journal) in well under a second;
+#: cc85a and ks16 finish (and are cached) in well under a second;
 #: rabin83/agreement then holds a worker for seconds — the window in
 #: which the test delivers SIGTERM.
 MATRIX = "cc85a,ks16,rabin83"
 
 
-def launch_sweep(journal, extra=()):
+def launch_sweep(cache_dir, extra=()):
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[2] / "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.Popen(
         [sys.executable, "-m", "repro.harness", "sweep",
          "--protocols", MATRIX, "--targets", "agreement",
-         "--processes", "2", "--journal", str(journal), *extra],
+         "--processes", "2", "--cache-dir", str(cache_dir), *extra],
         env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
     )
 
@@ -52,27 +53,30 @@ def children_of(pid):
     return found
 
 
-def journal_records(path):
-    if not path.exists():
+#: A result-cache entry: the 32-hex-char task key + ``.json``.
+RESULT_ENTRY = re.compile(r"[0-9a-f]{32}\.json")
+
+
+def cache_entries(cache_dir):
+    if not cache_dir.exists():
         return []
-    lines = path.read_text().splitlines()
-    return [json.loads(line) for line in lines[1:] if line.strip()]
+    return [p for p in cache_dir.iterdir() if RESULT_ENTRY.fullmatch(p.name)]
 
 
 @pytest.mark.skipif(sys.platform == "win32", reason="POSIX signals")
 class TestSigtermMidSweep:
-    def test_sigterm_flushes_journal_reaps_workers_and_resumes(
+    def test_sigterm_reaps_workers_and_rerun_serves_finished_tasks(
         self, tmp_path
     ):
-        journal = tmp_path / "sweep-journal.jsonl"
-        proc = launch_sweep(journal)
+        cache_dir = tmp_path / "cache"
+        proc = launch_sweep(cache_dir)
         try:
-            # Wait for the fast tasks to land in the journal — at that
-            # point rabin83 is mid-flight on a warm worker.
+            # Wait for the fast tasks to land in the result cache — at
+            # that point rabin83 is mid-flight on a warm worker.
             deadline = time.monotonic() + 120.0
-            while len(journal_records(journal)) < 2:
+            while len(cache_entries(cache_dir)) < 2:
                 assert proc.poll() is None, proc.stderr.read().decode()
-                assert time.monotonic() < deadline, "journal never filled"
+                assert time.monotonic() < deadline, "cache never filled"
                 time.sleep(0.05)
             workers = children_of(proc.pid)
             assert workers, "pool never forked workers"
@@ -94,17 +98,15 @@ class TestSigtermMidSweep:
                 break
             time.sleep(0.1)
         assert not alive, f"orphaned workers survive: {alive}"
-        # The journal survived the signal with the fast tasks intact.
-        completed = {record["key"] for record in journal_records(journal)}
-        assert any("cc85a" in task for task in completed)
-        assert any("ks16" in task for task in completed)
-
-        # ... and a --resume run replays them instead of recomputing.
-        resumed = launch_sweep(journal, extra=("--resume", "--json"))
-        out, err = resumed.communicate(timeout=600.0)
-        assert resumed.returncode == 0, err.decode()
+        # ... and a re-run on the same cache dir serves the finished
+        # tasks instead of recomputing them.
+        rerun = launch_sweep(cache_dir, extra=("--json",))
+        out, err = rerun.communicate(timeout=600.0)
+        assert rerun.returncode == 0, err.decode()
         report = json.loads(out)
-        assert report.get("resumed", 0) >= 2
+        cached = [r["protocol"] for r in report["results"] if r["cached"]]
+        assert len(cached) >= 2
+        assert {"cc85a", "ks16"} <= set(cached)
         verdicts = {r["protocol"]: r["verdict"] for r in report["results"]}
         assert verdicts == {"cc85a": "holds", "ks16": "holds",
                             "rabin83": "holds"}

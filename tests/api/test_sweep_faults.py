@@ -9,7 +9,6 @@ pool's initializer; store/cache faults for inline runs are installed
 in-process via :func:`repro.testing.faults.install`.
 """
 
-import json
 import logging
 import sys
 
@@ -17,6 +16,9 @@ import pytest
 
 from repro import api
 from repro.counter.system import clear_shared_caches
+from repro.protocols import naive_voting
+from repro.protocols.registry import by_name
+from repro.spec.properties import PropertyLibrary
 from repro.testing import FaultPlan, faults
 from tests.api.test_sweep import ALL_PROTOCOLS, GOLDEN, stable
 
@@ -260,7 +262,11 @@ class TestStoreAndCacheFaults:
         assert loads and all(loads)
 
 
-class TestResume:
+class TestRerunFromCache:
+    """An interrupted sweep is finished by running it again with the same
+    ``cache_dir``: finished registry tasks come back as cache hits, and
+    everything the cache refuses to hold runs again."""
+
     TASKS = dict(protocols=FAST, targets=("validity",))
 
     def _counting_run_task(self, monkeypatch):
@@ -274,75 +280,132 @@ class TestResume:
         monkeypatch.setattr(sweep_module, "run_task", wrapper)
         return calls
 
-    def test_resume_reruns_only_unjournaled_tasks(self, tmp_path,
-                                                  monkeypatch, clean_fast):
+    def test_rerun_executes_only_the_uncached_task(self, tmp_path,
+                                                   monkeypatch, clean_fast):
         cache_dir = tmp_path / "cache"
         first = api.sweep(**self.TASKS, cache_dir=str(cache_dir))
-        journal = cache_dir / api.SweepRunner.JOURNAL_NAME
-        # Simulate dying before the last task: drop its journal record,
-        # and clear the result cache so only the journal can resume.
-        lines = journal.read_text().splitlines()
-        dropped = json.loads(lines[-1])
-        journal.write_text("\n".join(lines[:-1]) + "\n")
-        for entry in cache_dir.glob("*.json"):
-            entry.unlink()
+        # Simulate dying before the last task finished: drop its entry.
+        last = api.task_matrix(**self.TASKS)[-1]
+        key = api.ResultCache(cache_dir).key_for(last)
+        (cache_dir / f"{key}.json").unlink()
         calls = self._counting_run_task(monkeypatch)
-        resumed = api.sweep(**self.TASKS, cache_dir=str(cache_dir),
-                            resume=True)
-        assert resumed.resumed == len(FAST) - 1
-        assert calls == [dropped["result"]["protocol"]]
-        assert stable(resumed) == stable(first) == stable(clean_fast)
+        rerun = api.sweep(**self.TASKS, cache_dir=str(cache_dir))
+        assert calls == [last.protocol_name]
+        assert rerun.cache_hits == len(FAST) - 1
+        assert [r.cached for r in rerun.results] == [True, True, False]
+        assert stable(rerun) == stable(first) == stable(clean_fast)
 
-    def test_resume_without_flag_reruns_everything(self, tmp_path,
-                                                   monkeypatch):
+    def test_interrupted_sweep_leaves_finished_tasks_cached(self, tmp_path,
+                                                            monkeypatch,
+                                                            clean_fast):
+        # Each result is cached the moment it lands, not when the sweep
+        # returns: an interrupt mid-sweep keeps what already finished.
+        cache_dir = tmp_path / "cache"
+        original = sweep_module.run_task
+
+        def dies_on_the_second_task(task):
+            if task.protocol_name == FAST[1]:
+                raise KeyboardInterrupt
+            return original(task)
+
+        monkeypatch.setattr(sweep_module, "run_task", dies_on_the_second_task)
+        with pytest.raises(KeyboardInterrupt):
+            api.sweep(**self.TASKS, cache_dir=str(cache_dir))
+        monkeypatch.setattr(sweep_module, "run_task", original)
+        calls = self._counting_run_task(monkeypatch)
+        rerun = api.sweep(**self.TASKS, cache_dir=str(cache_dir))
+        assert calls == list(FAST[1:])
+        assert [r.cached for r in rerun.results] == [True, False, False]
+        assert stable(rerun) == stable(clean_fast)
+
+    def test_pooled_rerun_executes_only_uncached_tasks(self, tmp_path,
+                                                       clean_fast):
+        cache_dir = tmp_path / "cache"
+        api.sweep(**self.TASKS, cache_dir=str(cache_dir), processes=2,
+                  task_timeout=TIMEOUT)
+        cache = api.ResultCache(cache_dir)
+        for task in api.task_matrix(**self.TASKS)[1:]:
+            (cache_dir / f"{cache.key_for(task)}.json").unlink()
+        rerun = api.sweep(**self.TASKS, cache_dir=str(cache_dir),
+                          processes=2, task_timeout=TIMEOUT)
+        assert rerun.cache_hits == 1
+        assert [r.cached for r in rerun.results] == [True, False, False]
+        assert stable(rerun) == stable(clean_fast)
+
+    def test_rerun_with_a_changed_task_list_reuses_every_finished_task(
+        self, tmp_path, monkeypatch
+    ):
+        # The cache is keyed per task, not per task list: dropping and
+        # reordering tasks still serves each finished one.
         cache_dir = tmp_path / "cache"
         api.sweep(**self.TASKS, cache_dir=str(cache_dir))
-        for entry in cache_dir.glob("*.json"):
-            entry.unlink()
         calls = self._counting_run_task(monkeypatch)
-        report = api.sweep(**self.TASKS, cache_dir=str(cache_dir))
-        assert report.resumed == 0
-        assert sorted(calls) == sorted(FAST)
+        report = api.sweep(protocols=("fmr05", "ks16"), targets=("validity",),
+                           cache_dir=str(cache_dir))
+        assert calls == []
+        assert report.cache_hits == 2
+        assert [r.protocol for r in report.results] == ["fmr05", "ks16"]
 
-    def test_resume_ignores_a_different_sweeps_journal(self, tmp_path,
-                                                       monkeypatch):
-        cache_dir = tmp_path / "cache"
-        api.sweep(**self.TASKS, cache_dir=str(cache_dir))
-        for entry in cache_dir.glob("*.json"):
-            entry.unlink()
+    def test_max_seconds_trip_reruns(self, tmp_path, monkeypatch):
+        # A wall-clock trip depends on load, so the cache refuses it and
+        # a re-run tries again instead of pinning its unknown.
+        tasks = [api.VerificationTask(protocol="cc85b", targets=("agreement",),
+                                      limits=api.Limits(max_seconds=0.0))]
+        runner = api.SweepRunner(cache_dir=str(tmp_path), retry=1)
+        first = runner.run(tasks)
+        assert first.results[0].limit_tripped == "max_seconds"
         calls = self._counting_run_task(monkeypatch)
-        # Different task list -> different sweep digest -> no replay.
-        report = api.sweep(protocols=("ks16", "cc85a"),
-                           targets=("validity",),
-                           cache_dir=str(cache_dir), resume=True)
-        assert report.resumed == 0
-        assert sorted(calls) == ["cc85a", "ks16"]
+        second = runner.run(tasks)
+        assert calls == ["cc85b"]
+        assert second.cache_hits == 0
+        assert second.results[0].limit_tripped == "max_seconds"
 
-    def test_error_records_rerun_on_resume(self, tmp_path, monkeypatch):
+    @staticmethod
+    def _uncacheable(kind):
+        if kind == "custom-model":
+            return api.VerificationTask(model=naive_voting.model,
+                                        valuation={"n": 3, "f": 1},
+                                        targets=("agreement",))
+        model = by_name("cc85a").model()
+        return api.VerificationTask(protocol="cc85a",
+                                    queries=(PropertyLibrary(model).inv1(0),))
+
+    @pytest.mark.parametrize("kind", ["custom-model", "ad-hoc-query"])
+    def test_task_without_a_cache_key_reruns(self, tmp_path, monkeypatch,
+                                             kind):
+        # Custom models and ad-hoc queries have no cache key, so nothing
+        # of them is stored and a re-run computes them again.
+        tasks = [self._uncacheable(kind)]
+        first = api.SweepRunner(cache_dir=str(tmp_path)).run(tasks)
+        assert first.results[0].verdict in ("holds", "violated")
+        assert list(tmp_path.glob("*.json")) == []
+        calls = self._counting_run_task(monkeypatch)
+        second = api.SweepRunner(cache_dir=str(tmp_path)).run(tasks)
+        assert calls == [tasks[0].protocol_name]
+        assert second.cache_hits == 0
+        assert stable(second) == stable(first)
+
+    def test_error_result_reruns(self, tmp_path, monkeypatch):
         tasks = [
             api.VerificationTask(protocol="ks16", targets=("validity",)),
             api.VerificationTask(protocol="nope", targets=("validity",)),
         ]
-        cache_dir = tmp_path / "cache"
-        first = api.SweepRunner(cache_dir=str(cache_dir)).run(tasks)
+        first = api.SweepRunner(cache_dir=str(tmp_path)).run(tasks)
         assert first.results[1].verdict == "error"
-        for entry in cache_dir.glob("*.json"):
-            entry.unlink()
         calls = self._counting_run_task(monkeypatch)
-        second = api.SweepRunner(cache_dir=str(cache_dir),
-                                 resume=True).run(tasks)
-        # The good task replays from the journal; the error record is
-        # not replayable — resume exists to finish sweeps, not to pin
-        # their failures.
-        assert second.resumed == 1
+        second = api.SweepRunner(cache_dir=str(tmp_path)).run(tasks)
+        # The good task is a cache hit; the error was never cached — a
+        # re-run exists to finish sweeps, not to pin their failures.
         assert calls == ["nope"]
+        assert second.cache_hits == 1
         assert second.results[1].verdict == "error"
 
-    def test_resume_needs_a_journal(self):
-        from repro.errors import CheckError
-
-        with pytest.raises(CheckError, match="journal"):
-            api.SweepRunner(resume=True)
+    def test_journal_keywords_are_gone(self):
+        assert not hasattr(api, "Journal")
+        assert not hasattr(api.SweepRunner, "JOURNAL_NAME")
+        for keyword in ("journal", "resume"):
+            with pytest.raises(TypeError):
+                api.SweepRunner(**{keyword: None})
 
 
 class TestFullBenchmarkChaos:

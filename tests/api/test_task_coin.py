@@ -2,11 +2,11 @@
 
 The load-bearing rule: **the perfect coin is not an identity axis**.
 A coin-free task, a ``coin=None`` task and a ``coin="perfect"`` task
-are one and the same — same ``task_id``, same ``journal_key`` /
-``dedup_key``, and byte-identical JSON wire format and cache payload
-as before CoinSpecs existed (pinned here against frozen blobs), so
-every historical journal, result cache and golden recording stays
-valid.  A non-default coin joins the identity everywhere at once.
+are one and the same — same ``task_id``, same ``dedup_key``, and
+byte-identical JSON wire format and cache payload as before CoinSpecs
+existed (pinned here against frozen blobs), so every historical result
+cache and golden recording stays valid.  A non-default coin joins the
+identity everywhere at once.
 """
 
 import json
@@ -24,12 +24,17 @@ from repro.protocols.registry import by_name, names
 
 
 #: The pre-CoinSpec wire format of the default mmr14 task, frozen as
-#: bytes: if this pin breaks, deployed journals and caches break too.
+#: bytes: if this pin breaks, deployed caches break too.
 COIN_FREE_BLOB = (
     '{"protocol": "mmr14", "targets": ["agreement", "validity", '
     '"termination"], "engine": "explicit", "limits": {"max_states": null, '
     '"max_nodes": null, "max_seconds": null}}'
 )
+
+
+#: ``dedup_key`` of the default mmr14 task: the digest of its task id
+#: and limits, which a daemon's in-flight dedup collapses requests on.
+DEFAULT_DEDUP_KEY = "12acf9b6c404bf4daed9d532441777ae"
 
 
 def _default_task(**overrides):
@@ -48,6 +53,11 @@ class TestCoinFreeByteIdentity:
         assert task.task_id == (
             "mmr14[f=1,n=4,t=1]/agreement+validity+termination@explicit"
         )
+
+    def test_dedup_key_is_pinned(self):
+        assert _default_task().dedup_key == DEFAULT_DEDUP_KEY
+        assert api.VerificationTask(protocol="mmr14").dedup_key == (
+            DEFAULT_DEDUP_KEY)
 
     def test_explicit_perfect_coin_is_the_same_identity(self):
         plain = _default_task()
@@ -70,7 +80,6 @@ class TestCoinedIdentity:
             "/agreement+validity+termination@explicit"
         )
         assert coined.dedup_key != plain.dedup_key
-        assert coined.journal_key != plain.journal_key
         assert coined.to_dict()["coin"] == "biased:1/4"
         assert coined.cache_payload()["coin"] == "biased:1/4"
 

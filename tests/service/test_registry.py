@@ -9,6 +9,7 @@ serves from its result cache is checked in
 """
 
 import json
+import logging
 
 import pytest
 
@@ -45,7 +46,6 @@ class TestTaskWireFormat:
         )
         assert restored == task
         assert restored.dedup_key == task.dedup_key
-        assert restored.journal_key == task.journal_key
 
     def test_default_valuation_survives_as_default(self):
         # "use the registry's smallest valuation" must not be frozen
@@ -155,3 +155,37 @@ class TestStateFile:
         assert read_state_file(tmp_path) is None
         (tmp_path / SERVICE_STATE_NAME).write_text("[1, 2]")
         assert read_state_file(tmp_path) is None
+
+
+class TestStateFileFailuresLog:
+    """The breadcrumb is best-effort, but never silently so: a failed
+    write or removal logs one ``service.state_file_error`` event."""
+
+    @staticmethod
+    def _events(caplog):
+        return [r for r in caplog.records
+                if getattr(r, "event", None) == "service.state_file_error"]
+
+    def test_write_failure_logs_one_event(self, tmp_path, caplog):
+        # A directory where the file should be: the final rename fails.
+        (tmp_path / SERVICE_STATE_NAME).mkdir()
+        with caplog.at_level(logging.WARNING, logger="repro.service.registry"):
+            write_state_file(tmp_path, {"pid": 1})  # must not raise
+        [record] = self._events(caplog)
+        assert record.name == "repro.service.registry"
+        assert record.path == str(tmp_path / SERVICE_STATE_NAME)
+        assert "Error" in record.error
+        # The half-written temp file does not outlive the failure.
+        assert [p.name for p in tmp_path.iterdir()] == [SERVICE_STATE_NAME]
+
+    def test_remove_failure_logs_one_event(self, tmp_path, caplog):
+        (tmp_path / SERVICE_STATE_NAME).mkdir()
+        with caplog.at_level(logging.WARNING, logger="repro.service.registry"):
+            remove_state_file(tmp_path)  # must not raise
+        [record] = self._events(caplog)
+        assert record.path == str(tmp_path / SERVICE_STATE_NAME)
+
+    def test_removing_a_missing_file_stays_silent(self, tmp_path, caplog):
+        with caplog.at_level(logging.DEBUG, logger="repro.service.registry"):
+            remove_state_file(tmp_path)
+        assert self._events(caplog) == []
