@@ -223,7 +223,6 @@ def sweep(
     coins: Optional[Sequence] = None,
     processes: int = 1,
     cache_dir: Optional[str] = None,
-    scheduling: str = "flat",
     graph_store: Optional[str] = None,
     task_timeout: Optional[float] = None,
     retry=None,
@@ -239,12 +238,10 @@ def sweep(
     timeouts, ``max_seconds`` trips, I/O errors) retry under ``retry``
     (a :class:`RetryPolicy`, a max-attempts int, or None for the
     default bounded backoff-with-jitter policy) — no worker failure
-    aborts the sweep.  Results keep task order either way, so reports
-    are bit-identical across pool sizes.
-    ``scheduling="sharded"`` groups tasks by protocol and runs each
-    shard on one persistent warm worker (compiled program + engine
-    caches shared across the shard's valuations) — same report, less
-    recompilation; best for protocol × many-valuation matrices.
+    aborts the sweep.  Each pool job holds the tasks of one bound
+    system (protocol, valuation, coin), so a worker binds the system
+    once and answers its other targets warm.  Results keep task order
+    either way, so reports are bit-identical across pool sizes.
     ``graph_store=`` names the directory of the persistent
     state-graph store, shared by the whole worker pool.  Each
     explored successor graph is kept there as one snapshot file,
@@ -271,7 +268,6 @@ def sweep(
     return SweepRunner(
         processes=processes,
         cache_dir=cache_dir,
-        scheduling=scheduling,
         graph_store=graph_store,
         task_timeout=task_timeout,
         retry=retry,

@@ -25,8 +25,9 @@ process-wide caches below them.  The checkers bind their models through
 :func:`~repro.counter.program.shared_program` /
 :func:`~repro.counter.system.shared_system`, so within one task the
 agreement and validity targets share a bound system (termination uses
-the refined model's own), and across tasks a persistent sharded-sweep
-worker reuses the compiled program for every valuation of its shard.
+the refined model's own), and across tasks a sweep worker, handed every
+task of one bound system as one job, answers them on that system warm
+and keeps the compiled program for the protocol's next system.
 
 Heap rules of the explicit engine
 ---------------------------------

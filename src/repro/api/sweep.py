@@ -20,22 +20,19 @@ and deterministic jitter; when attempts run out the task is recorded
 as an error result.  **No worker failure mode raises out of**
 :meth:`SweepRunner.run`.
 
-Two scheduling modes shape the dispatch:
-
-* ``"flat"`` (default) — one task per pool job, so long tasks never
-  serialize behind short ones.
-* ``"sharded"`` — tasks are grouped by :attr:`~repro.api.task.
-  VerificationTask.shard_key` (the protocol) and each *shard* is one
-  pool job executed sequentially by a persistent worker.  The worker
-  compiles the protocol's :class:`~repro.counter.program.
-  ProtocolProgram` once and keeps the shared engine caches warm for
-  every valuation in the shard — the cross-validation workload (one
-  protocol × many valuations) stops paying per-task recompilation.
-  Results are reassembled into input task order either way, so both
-  modes (at any pool size) produce bit-identical reports under the
-  deterministic budgets — a ``max_seconds`` trip is load-dependent in
-  any mode (warm caches may push a borderline task under the wire),
-  which is the same reason such results are never cached.
+One rule shapes the dispatch (:func:`system_jobs`): each pool job
+holds the pending tasks of one *bound system* — one
+:attr:`~repro.api.task.VerificationTask.shard_key`, i.e. protocol,
+resolved valuation and coin.  A protocol's targets are queries over
+that one counter system, so the worker binds it once and answers the
+job's other tasks warm, while distinct systems (another valuation,
+another coin) still spread across the pool.  Jobs keep
+first-appearance order and tasks keep input order inside their job;
+results are reassembled into input task order, so reports are
+bit-identical at any pool size under the deterministic budgets — a
+``max_seconds`` trip is load-dependent (warm caches may push a
+borderline task under the wire), which is the same reason such
+results are never cached.
 
 An optional on-disk cache keyed by ``(protocol, valuation, targets,
 engine, limits, code-version)`` lets repeated sweeps (cross-validation
@@ -80,7 +77,7 @@ import threading
 import time
 from dataclasses import replace
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.api.engines import engine_for
 from repro.api.report import RunReport, TaskResult
@@ -93,7 +90,6 @@ from repro.counter.store import (
     publish,
 )
 from repro.counter.system import flush_shared_graphs
-from repro.errors import CheckError
 from repro.supervisor import RetryPolicy, SupervisedPool
 from repro.testing import faults
 from repro.version import code_version, seed_code_version, stable_digest
@@ -101,6 +97,7 @@ from repro.version import code_version, seed_code_version, stable_digest
 __all__ = [
     "SweepRunner",
     "run_task",
+    "system_jobs",
     "task_pool",
     "code_version",
     "ResultCache",
@@ -264,10 +261,11 @@ def task_pool(
 
     The one recipe the sweep's one-shot pool and the daemon's
     persistent pool share: workers run :func:`run_task`, start from
-    this process's code version and ``graph_store``, flush their grown
-    state graphs after every job, and turn crashes, timeouts and
-    exhausted retries into error :class:`TaskResult`\\ s.  Transient
-    results are retried under ``retry``.
+    this process's code version and ``graph_store``, and turn crashes,
+    timeouts and exhausted retries into error :class:`TaskResult`\\ s.
+    Transient results are retried under ``retry``.  :func:`run_task`
+    flushes a task's grown state graphs before its result is sent, so
+    workers need no epilogue between jobs.
     """
     return SupervisedPool(
         processes,
@@ -279,9 +277,24 @@ def task_pool(
         fallback=_fallback_result,
         failure=_failure_result,
         transient=_transient_result,
-        finalizer=flush_shared_graphs,
         fault_plan=fault_plan,
     )
+
+
+def system_jobs(
+    items: Iterable[Tuple[int, VerificationTask]],
+) -> List[List[Tuple[int, VerificationTask]]]:
+    """Group ``(index, task)`` items into one pool job per bound system.
+
+    The key is :attr:`~repro.api.task.VerificationTask.shard_key`.
+    Jobs keep first-appearance order and items keep input order inside
+    their job; the supervisor still retries and times out every item
+    on its own.  The sweep and the daemon both dispatch through this.
+    """
+    jobs: Dict[str, List[Tuple[int, VerificationTask]]] = {}
+    for index, task in items:
+        jobs.setdefault(task.shard_key, []).append((index, task))
+    return list(jobs.values())
 
 
 def _warn(event: str, key: str, exc: BaseException) -> None:
@@ -370,7 +383,7 @@ class ResultCache:
         try:
             blob = json.loads(path.read_text())
         except FileNotFoundError:
-            return None
+            return None  # a concurrent prune got there first: no entry
         except (OSError, ValueError) as exc:
             _warn("result_cache.entry_error", str(path), exc)
             return None
@@ -387,7 +400,8 @@ class SweepRunner:
         processes: pool size; ``1`` (the default) runs inline in this
             process — no pool, no pickling, easiest to debug (the
             in-process shared caches make inline runs warm by
-            construction, whatever the scheduling mode).
+            construction).  Above 1, each pool job is one bound
+            system's tasks (:func:`system_jobs`).
         cache_dir: directory for the on-disk result cache; ``None``
             disables caching.  Only registry tasks with named targets
             are cacheable (custom models / ad-hoc queries have no
@@ -401,11 +415,6 @@ class SweepRunner:
             in a fresh process replays on memoised successors —
             results-neutral (verdicts and ``states_explored`` stay
             bit-identical to cold runs).
-        scheduling: ``"flat"`` (one task per pool job) or ``"sharded"``
-            (one protocol-shard per pool job, executed by a persistent
-            warm worker).  Reports are bit-identical across modes
-            under the deterministic budgets (see the module doc for
-            the ``max_seconds`` caveat).
         task_timeout: supervisor-enforced wall-clock seconds per task;
             a task past the deadline gets its worker killed and is
             retried / recorded per the retry policy.  ``None`` (the
@@ -423,26 +432,17 @@ class SweepRunner:
             this process).
     """
 
-    SCHEDULING_MODES = ("flat", "sharded")
-
     def __init__(
         self,
         processes: int = 1,
         cache_dir: Optional[str] = None,
         cache_version: Optional[str] = None,
-        scheduling: str = "flat",
         graph_store: Optional[str] = None,
         task_timeout: Optional[float] = None,
         retry=None,
         fault_plan=None,
     ):
         self.processes = max(1, int(processes))
-        if scheduling not in self.SCHEDULING_MODES:
-            raise CheckError(
-                f"unknown scheduling mode {scheduling!r}; expected one of "
-                f"{self.SCHEDULING_MODES}"
-            )
-        self.scheduling = scheduling
         if graph_store:
             check_graph_store_dir(graph_store)
         self.graph_store = str(graph_store) if graph_store else None
@@ -574,7 +574,7 @@ class SweepRunner:
         """
         if self.processes == 1 or len(pending) == 1:
             # Inline: the process-wide program/system caches make this
-            # warm by construction, so flat and sharded coincide.
+            # warm by construction.
             for index in pending:
                 on_result(index, self._run_inline(tasks[index]))
             return 0
@@ -604,22 +604,8 @@ class SweepRunner:
         poolable: List[int],
         on_result: Callable[[int, TaskResult], None],
     ) -> int:
-        """Dispatch to the supervised pool (flat or sharded jobs)."""
-        if self.scheduling == "sharded":
-            # One job per protocol shard: the worker compiles the
-            # protocol program on the shard's first task and serves the
-            # rest warm.  Shards keep first-appearance order and tasks
-            # keep input order inside their shard; the supervisor still
-            # sees (and can retry / time out) every item individually.
-            shards: Dict[str, List[int]] = {}
-            for index in poolable:
-                shards.setdefault(tasks[index].shard_key, []).append(index)
-            jobs = [
-                [(index, tasks[index]) for index in indices]
-                for indices in shards.values()
-            ]
-        else:
-            jobs = [[(index, tasks[index])] for index in poolable]
+        """Dispatch to the supervised pool, one job per bound system."""
+        jobs = system_jobs((index, tasks[index]) for index in poolable)
         pool = task_pool(
             min(self.processes, len(jobs)),
             graph_store=self.graph_store,

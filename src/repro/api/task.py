@@ -138,18 +138,15 @@ class VerificationTask:
 
     @property
     def shard_key(self) -> str:
-        """The key sharded sweeps group by (one shard = one protocol).
+        """The bound system this task checks: the sweep's pool-job key.
 
-        All tasks of one protocol — every valuation, engine and target
-        selection — land on the same persistent worker, which compiles
-        the protocol's program once and keeps the shared engine caches
-        warm across the shard.
+        Protocol name, resolved valuation and coin, spelled as the
+        :attr:`task_id` prefix (``"cc85a[f=1,n=4,t=1]"``).  Every target
+        of one system queries the same counter system, so a sweep hands
+        all of a system's tasks to one worker, which binds the system
+        once and answers the rest warm.  Parameterized tasks quantify
+        over every valuation and key on ``"*"``.
         """
-        return self.protocol_name
-
-    @property
-    def task_id(self) -> str:
-        """Deterministic human-readable identity of this task."""
         if self.engine == "parameterized":
             params = "*"  # the schema checker covers all valuations
         else:
@@ -163,10 +160,15 @@ class VerificationTask:
             # Appended *inside* the bracket so the id stays one token;
             # coin-free tasks keep the exact historical format.
             params = f"{params};coin={self.coin.spec_str()}"
+        return f"{self.protocol_name}[{params}]"
+
+    @property
+    def task_id(self) -> str:
+        """Deterministic human-readable identity of this task."""
         parts = list(self.targets)
         if self.queries:
             parts.append("custom[%s]" % "+".join(q.name for q in self.queries))
-        return f"{self.protocol_name}[{params}]/{'+'.join(parts)}@{self.engine}"
+        return f"{self.shard_key}/{'+'.join(parts)}@{self.engine}"
 
     @property
     def dedup_key(self) -> str:

@@ -32,7 +32,7 @@ itself comes from :func:`~repro.counter.system.shared_system`, so the
 sharing extends *across checkers*: the compiled
 :class:`~repro.counter.program.ProtocolProgram` is built once per model
 structure per process, and successive checkers at the same valuation
-(obligation targets of one task, tasks of one sweep shard) inherit the
+(obligation targets of one task, tasks of one sweep job) inherit the
 warm explored graph.  With an active persistent graph store
 (:func:`repro.counter.store.activate_graph_store` — the sweep runner
 installs one in every worker when asked) the sharing crosses

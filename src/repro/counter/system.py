@@ -56,8 +56,8 @@ a growing graph.
 :func:`shared_system` additionally shares whole bound systems — and
 therefore their warm successor caches — across checkers in one
 process, keyed by ``(program, valuation)``; this is what lets a
-persistent sweep worker reuse the explored graph across the tasks of
-its shard.  The intern table itself lives one level up, on the shared
+sweep worker reuse the explored graph across the tasks of its job (one
+job holds every task of one bound system).  The intern table itself lives one level up, on the shared
 :class:`~repro.counter.program.ProtocolProgram` (configurations are
 valuation-independent values, so canonicalisation happens once per
 *structure*), and one level further out the persistent
@@ -500,9 +500,9 @@ class _SystemCache:
     The cap bounds *entries*, not bytes, and a cached system can own a
     large explored graph (intern table + successor cache), so it is
     deliberately small: the reuse it targets is short-range — the
-    obligation targets of one task and the consecutive same-valuation
-    tasks of a sweep shard — and FIFO eviction retires systems shortly
-    after a shard moves to its next valuation.  Workloads that need
+    obligation targets of one task and the tasks of one sweep job, all
+    on one bound system — and FIFO eviction retires systems shortly
+    after a worker moves on to its next job.  Workloads that need
     private lifetimes construct :class:`CounterSystem` directly (the
     parameterized checker's replay path does exactly that).
     """
@@ -548,8 +548,8 @@ def shared_system(
     Keyed by *structural* model identity (via
     :func:`~repro.counter.program.shared_program`) plus the valuation,
     so repeated checker constructions — the obligation targets of one
-    task, or every task of a sweep shard running in one persistent
-    worker — reuse both the compiled program *and* the warm
+    task, or every task of one sweep job running in one worker —
+    reuse both the compiled program *and* the warm
     intern/successor caches.  Sharing is results-neutral: memoised
     successors are exactly what cold expansion would produce, so
     verdicts and ``states_explored`` stay bit-identical.  Callers that
@@ -562,9 +562,9 @@ def shared_system(
 def flush_shared_graphs() -> int:
     """Flush the active store's *adopted* systems' graphs to disk.
 
-    The persistence hook of a sweep worker: called after each task (and
-    on shard completion) so the graphs grown by this process survive
-    it.  Only systems served through :func:`shared_system` while the
+    The persistence hook of a sweep worker: :func:`~repro.api.sweep.
+    run_task` calls it after each task, before the result is sent, so
+    the graphs grown by this process survive it.  Only systems served through :func:`shared_system` while the
     store was active are flushed — never whatever unrelated warm
     systems happen to sit in the process-wide cache.  A no-op without
     an active :func:`~repro.counter.store.activate_graph_store`;

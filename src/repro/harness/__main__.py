@@ -222,11 +222,6 @@ def _cmd_sweep(argv: List[str]) -> int:
                         "disagreeing:RHO; default: perfect only)")
     parser.add_argument("--processes", type=int, default=1,
                         help="worker pool size (1 = inline)")
-    parser.add_argument("--scheduling", default="flat",
-                        choices=api.SweepRunner.SCHEDULING_MODES,
-                        help="flat: one task per pool job; sharded: group "
-                        "tasks by protocol on persistent warm workers "
-                        "(identical results, less recompilation)")
     parser.add_argument("--cache-dir", default=None,
                         help="on-disk result cache directory; running an "
                         "interrupted sweep again with the same directory "
@@ -236,7 +231,7 @@ def _cmd_sweep(argv: List[str]) -> int:
                         help="run the matrix on a verification daemon "
                         "instead of locally (see 'serve'); execution "
                         "flags (--processes, --cache-dir, --graph-store, "
-                        "--task-timeout, --retries, --scheduling) then "
+                        "--task-timeout, --retries) then "
                         "belong to the daemon and are ignored here")
     parser.add_argument("--json", action="store_true",
                         help="emit the RunReport as JSON")
@@ -251,7 +246,6 @@ def _cmd_sweep(argv: List[str]) -> int:
                 ("--graph-store", args.graph_store is not None),
                 ("--task-timeout", args.task_timeout is not None),
                 ("--retries", args.retries is not None),
-                ("--scheduling", args.scheduling != "flat"),
             ) if value
         ]
         if ignored:
@@ -286,7 +280,6 @@ def _cmd_sweep(argv: List[str]) -> int:
         coins=tuple(args.coin) if args.coin else None,
         processes=args.processes,
         cache_dir=args.cache_dir,
-        scheduling=args.scheduling,
         graph_store=args.graph_store,
         task_timeout=args.task_timeout,
         retry=args.retries,

@@ -27,7 +27,9 @@ Three layers answer a submitted task, each consulted in order:
 
 Request handling is thread-per-connection
 (:class:`~http.server.ThreadingHTTPServer`); all pool dispatch happens
-on one *dispatcher* thread that drains the submission queue in batches,
+on one *dispatcher* thread that drains the submission queue in batches
+and hands each batch to the pool as one job per bound system
+(:func:`~repro.api.sweep.system_jobs`, the sweep's own rule),
 so the single-consumer discipline of
 :meth:`~repro.supervisor.SupervisedPool.run` is preserved while
 any number of requests stream concurrently.  Responses are
@@ -61,7 +63,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.api.report import TaskResult
-from repro.api.sweep import ResultCache, SweepRunner, task_pool
+from repro.api.sweep import ResultCache, SweepRunner, system_jobs, task_pool
 from repro.api.task import VerificationTask
 from repro.core.coinspec import resolve_coin_spec
 from repro.counter.store import check_graph_store_dir
@@ -375,19 +377,19 @@ class VerificationService:
                 try:
                     extra = self._queue.get_nowait()
                 except queue.Empty:
-                    break
+                    break  # the queue is drained: this is the whole batch
                 if extra is not _STOP:
                     batch.append(extra)
             assignments: Dict[int, Tuple[str, VerificationTask]] = {}
-            jobs = []
             for key, task in batch:
-                job_id = next(self._ids)
-                assignments[job_id] = (key, task)
-                jobs.append([(job_id, task)])
+                assignments[next(self._ids)] = (key, task)
+            jobs = system_jobs(
+                (index, task) for index, (_key, task) in assignments.items()
+            )
 
-            def on_result(job_id, result, attempts, timed_out,
+            def on_result(index, result, attempts, timed_out,
                           assignments=assignments):
-                key, task = assignments[job_id]
+                key, task = assignments[index]
                 self._complete(
                     key, task,
                     SweepRunner._decorate(result, attempts, timed_out),

@@ -418,13 +418,11 @@ def _pooled_records(
     from repro.supervisor import SupervisedPool
 
     # A few shards per worker keeps retry granularity small without
-    # paying per-run dispatch overhead.
+    # paying per-run dispatch overhead.  One job per shard: an idle
+    # worker takes the next shard, so a slow shard holds up no other.
     shards = _shards(seeds, processes * 4)
-    jobs: List[List[tuple]] = [[] for _ in range(processes)]
-    for index, shard in enumerate(shards):
-        jobs[index % processes].append(
-            (index, {**payload_base, "seeds": shard})
-        )
+    jobs = [[(index, {**payload_base, "seeds": shard})]
+            for index, shard in enumerate(shards)]
     with SupervisedPool(
         processes,
         _fleet_worker,
@@ -433,7 +431,7 @@ def _pooled_records(
         fallback=_fleet_fallback,
         failure=_fleet_failure,
     ) as pool:
-        outcome = pool.run([job for job in jobs if job])
+        outcome = pool.run(jobs)
     records: List[RunRecord] = []
     for index, shard in enumerate(shards):
         result = outcome.results.get(index)

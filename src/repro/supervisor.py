@@ -13,10 +13,11 @@ it with a small *supervised* pool built directly on
   supervisor multiplexes every worker's pipe *and* process sentinel
   through :func:`multiprocessing.connection.wait`, so worker death is
   an observable event, not a hang;
-* a *job* is an ordered list of ``(index, payload)`` items (one item
-  for flat scheduling, a whole protocol shard for sharded); workers
-  report each item's result as it completes, so the supervisor always
-  knows exactly which items of an in-flight job are still unfinished;
+* a *job* is an ordered list of ``(index, payload)`` items (for the
+  sweep, every task of one bound system); workers report each item's
+  result as it completes, so the supervisor always knows exactly which
+  items of an in-flight job are still unfinished, and the report of a
+  job's last item frees its worker for the next job;
 * a per-item wall-clock deadline (``task_timeout``) is enforced from
   the supervisor side: a worker that blows it is SIGKILLed, a
   replacement is forked, and the job's unfinished items are
@@ -61,6 +62,7 @@ Two lifecycles share the same run loop:
 from __future__ import annotations
 
 import itertools
+import logging
 import multiprocessing
 import random
 import time
@@ -80,6 +82,8 @@ from typing import (
 
 __all__ = ["RetryPolicy", "PoolOutcome", "SupervisedPool"]
 
+logger = logging.getLogger(__name__)
+
 #: Idle poll ceiling: the loop is event-driven (pipe readiness, process
 #: sentinels), so this only bounds how late a backoff-delayed retry job
 #: can be promoted.
@@ -90,13 +94,6 @@ _POLL_SECONDS = 0.1
 #: help.  After this many consecutive idle deaths the pool declares
 #: itself broken and fails the remaining items instead of fork-looping.
 _MAX_IDLE_DEATHS = 5
-
-#: Persistent mode: how long the end-of-batch settle pass waits for a
-#: worker to acknowledge its job (run the finalizer, send ``done``)
-#: before killing and replacing it.  Every item result has already
-#: been received by then, so only a wedged *finalizer* can make a
-#: worker miss this generous deadline.
-_SETTLE_SECONDS = 60.0
 
 
 #: Backoff before retry ``attempt`` is ``BASE_DELAY * BACKOFF**(attempt-1)``
@@ -184,16 +181,16 @@ class _Worker:
         self.deadline: Optional[float] = None
 
 
-def _worker_main(conn, target, initializer, initargs, fallback, finalizer,
+def _worker_main(conn, target, initializer, initargs, fallback,
                  fault_plan) -> None:
     """The worker loop: recv a job, run its items, report each result.
 
-    Every item produces exactly one ``("item", seq, index, result)``
-    message even when the *result* itself cannot cross the pipe: a
-    result that fails to pickle is degraded through ``fallback`` at
-    this boundary (the worker-side half of the "one bad task must
-    never kill the sweep" contract — tasks are pre-checked for
-    picklability by the dispatcher, results can only be checked here).
+    Every item produces exactly one ``(seq, index, result)`` message
+    even when the *result* itself cannot cross the pipe: a result that
+    fails to pickle is degraded through ``fallback`` at this boundary
+    (the worker-side half of the "one bad task must never kill the
+    sweep" contract — tasks are pre-checked for picklability by the
+    dispatcher, results can only be checked here).
     The fault hook fires *before* each item, so an injected ``kill``
     dies with the item observably in flight.
     """
@@ -207,7 +204,7 @@ def _worker_main(conn, target, initializer, initargs, fallback, finalizer,
         try:
             message = conn.recv()
         except (EOFError, OSError):
-            break
+            break  # the supervisor closed its end: no job can arrive
         if message is None:
             break
         seq, items = message
@@ -218,20 +215,11 @@ def _worker_main(conn, target, initializer, initargs, fallback, finalizer,
             except BaseException as exc:  # noqa: BLE001 — worker boundary
                 result = fallback(payload, exc)
             try:
-                conn.send(("item", seq, index, result))
+                conn.send((seq, index, result))
             except (EOFError, BrokenPipeError):
                 return  # supervisor went away; nothing left to report to
             except Exception as exc:  # noqa: BLE001 — unpicklable result
-                conn.send(("item", seq, index, fallback(payload, exc)))
-        if finalizer is not None:
-            try:
-                finalizer()
-            except Exception:  # noqa: BLE001 — best-effort epilogue
-                pass
-        try:
-            conn.send(("done", seq))
-        except (EOFError, BrokenPipeError, OSError):
-            return
+                conn.send((seq, index, fallback(payload, exc)))
 
 
 def _describe(payload) -> str:
@@ -248,7 +236,7 @@ class SupervisedPool:
             too, so replacement workers are indistinguishable).
         task_timeout: supervisor-enforced wall-clock seconds per
             *item*; ``None`` disables (the deadline resets as each item
-            of a shard job completes).
+            of a multi-item job completes).
         retry: a :class:`RetryPolicy` (or int / None via
             :meth:`RetryPolicy.of`).
         fallback: ``fallback(payload, exc) -> result`` — worker-side
@@ -259,8 +247,6 @@ class SupervisedPool:
             ``"SupervisorTimeout"``, ``"PoolBroken"``).
         transient: ``transient(result) -> bool`` — completed results to
             retry under the policy (None retries nothing completed).
-        finalizer: best-effort per-job epilogue in the worker (the
-            sweep flushes shard graphs here).
         fault_plan: a :class:`~repro.testing.faults.FaultPlan`
             installed in workers (never in the supervisor) before the
             initializer runs.
@@ -278,7 +264,6 @@ class SupervisedPool:
         fallback: Optional[Callable[[Any, BaseException], Any]] = None,
         failure: Optional[Callable[[Any, str, str], Any]] = None,
         transient: Optional[Callable[[Any], bool]] = None,
-        finalizer: Optional[Callable[[], None]] = None,
         fault_plan=None,
     ):
         self.processes = max(1, int(processes))
@@ -292,7 +277,6 @@ class SupervisedPool:
             lambda payload, kind, detail: RuntimeError(f"{kind}: {detail}")
         )
         self.transient = transient
-        self.finalizer = finalizer
         self.fault_plan = fault_plan
         self._context = multiprocessing.get_context()
         self._seq = itertools.count()
@@ -354,14 +338,12 @@ class SupervisedPool:
         (workers may still be computing the abandoned items).
         """
         if self._workers is not None:
-            return self._run_loop(self._workers, jobs, on_result, stop,
-                                  persistent=True)
+            return self._run_loop(self._workers, jobs, on_result, stop)
         workers = [self._spawn()
                    for _ in range(min(self.processes,
                                       sum(1 for job in jobs if job)))]
         try:
-            return self._run_loop(workers, jobs, on_result, stop,
-                                  persistent=False)
+            return self._run_loop(workers, jobs, on_result, stop)
         finally:
             self._shutdown(workers)
 
@@ -371,7 +353,6 @@ class SupervisedPool:
         jobs: Sequence[Sequence[Tuple[int, Any]]],
         on_result: Optional[Callable[[int, Any, int, bool], None]],
         stop: Optional[Callable[[], bool]],
-        persistent: bool,
     ) -> PoolOutcome:
         outcome = PoolOutcome()
         pending: deque = deque(_Job(list(job)) for job in jobs if job)
@@ -382,7 +363,7 @@ class SupervisedPool:
         payloads: Dict[int, Any] = {
             index: payload for job in pending for index, payload in job.items
         }
-        jobs_in_flight: Dict[int, Tuple[_Worker, _Job]] = {}
+        jobs_in_flight: Dict[int, _Job] = {}
         idle_deaths = 0
 
         def record(index: int, result: Any, timed_out: bool = False) -> None:
@@ -417,20 +398,18 @@ class SupervisedPool:
                 delayed.append(_Job(retriable, time.monotonic() + delay))
 
         def handle_message(worker: _Worker, message) -> None:
-            if message[0] == "done":
-                entry = jobs_in_flight.pop(message[1], None)
-                if entry is not None and entry[0] is worker:
-                    worker.job = None
-                    worker.seq = None
-                    worker.deadline = None
-                return
-            _tag, seq, index, result = message
-            entry = jobs_in_flight.get(seq)
-            if entry is None:
+            seq, index, result = message
+            job = jobs_in_flight.get(seq)
+            if job is None:
                 return  # job superseded by a reassignment; result replayed
-            _owner, job = entry
             job.items = [(i, p) for i, p in job.items if i != index]
-            if worker.deadline is not None:
+            if not job.items:
+                # The job's last item: the worker is back in recv.
+                del jobs_in_flight[seq]
+                worker.job = None
+                worker.seq = None
+                worker.deadline = None
+            elif worker.deadline is not None:
                 worker.deadline = time.monotonic() + self.task_timeout
             if (self.transient is not None and self.transient(result)
                     and outcome.attempts.get(index, 1)
@@ -456,6 +435,8 @@ class SupervisedPool:
                         return
                     message = worker.conn.recv()
                 except (EOFError, OSError):
+                    # The worker's end closed as it died: the death pass
+                    # that follows reassigns its unfinished items.
                     return
                 handle_message(worker, message)
 
@@ -526,35 +507,6 @@ class SupervisedPool:
                         payload, "PoolBroken",
                         "workers repeatedly died before accepting work"))
             return outcome
-        if persistent:
-            # Settle pass: every item result has landed, but a worker
-            # may still be inside its finalizer (graph-store flush)
-            # with the "done" message yet to arrive.  The next batch
-            # must only be assigned to workers with no job attached,
-            # so wait the epilogues out — replacing any worker that
-            # dies or wedges — and leave the fleet clean.
-            deadline = time.monotonic() + _SETTLE_SECONDS
-            while any(worker.job is not None for worker in workers):
-                busy = [w for w in workers if w.job is not None]
-                try:
-                    _connection_wait(
-                        [w.conn for w in busy]
-                        + [w.process.sentinel for w in busy],
-                        min(_POLL_SECONDS,
-                            max(0.0, deadline - time.monotonic())))
-                except OSError:
-                    pass
-                for worker in busy:
-                    drain(worker)
-                for position, worker in enumerate(workers):
-                    if worker.job is None:
-                        continue
-                    if (worker.process.is_alive()
-                            and time.monotonic() < deadline):
-                        continue
-                    if worker.seq is not None:
-                        jobs_in_flight.pop(worker.seq, None)
-                    self._replace(workers, position, outcome, kill=True)
         return outcome
 
     # ------------------------------------------------------------------
@@ -563,7 +515,7 @@ class SupervisedPool:
         process = self._context.Process(
             target=_worker_main,
             args=(theirs, self.target, self.initializer, self.initargs,
-                  self.fallback, self.finalizer, self.fault_plan),
+                  self.fallback, self.fault_plan),
             daemon=True,
         )
         process.start()
@@ -589,7 +541,7 @@ class SupervisedPool:
             time.monotonic() + self.task_timeout if self.task_timeout
             else None
         )
-        jobs_in_flight[seq] = (worker, job)
+        jobs_in_flight[seq] = job
         try:
             worker.conn.send((seq, job.items))
         except (OSError, BrokenPipeError):
@@ -610,38 +562,39 @@ class SupervisedPool:
         except OSError:
             pass  # a handle died mid-wait; the per-worker passes handle it
 
-    def _reap(self, worker: _Worker, kill: bool = False) -> None:
+    def _reap(self, worker: _Worker, kill: bool = False,
+              timeout: float = 5.0) -> None:
+        """Join a worker (killing it first, or once ``timeout`` passes)."""
+        process = worker.process
         try:
-            if kill and worker.process.is_alive():
-                worker.process.kill()
-            worker.process.join(timeout=5.0)
-        except (OSError, ValueError):
-            pass
+            if kill and process.is_alive():
+                process.kill()
+            process.join(timeout=timeout)
+            if process.is_alive():
+                process.kill()
+                process.join(timeout=5.0)
+        except (OSError, ValueError) as exc:
+            # The process handle is already closed or unusable; there is
+            # nothing left to join, but say so to whoever is listening.
+            logger.debug(
+                "supervisor could not reap worker %s: %r", process.pid, exc,
+                extra={"event": "supervisor.reap_error", "pid": process.pid,
+                       "error": repr(exc)},
+            )
         try:
             worker.conn.close()
         except OSError:
-            pass
+            pass  # a pipe that is already broken is as closed as it gets
 
     def _shutdown(self, workers: List[_Worker]) -> None:
         for worker in workers:
             try:
                 worker.conn.send(None)
             except (OSError, BrokenPipeError):
-                pass
+                pass  # the worker is already dead; the reap below joins it
         deadline = time.monotonic() + 5.0
         for worker in workers:
-            try:
-                worker.process.join(
-                    timeout=max(0.0, deadline - time.monotonic()))
-                if worker.process.is_alive():
-                    worker.process.kill()
-                    worker.process.join(timeout=5.0)
-            except (OSError, ValueError):
-                pass
-            try:
-                worker.conn.close()
-            except OSError:
-                pass
+            self._reap(worker, timeout=max(0.0, deadline - time.monotonic()))
 
 
 class _PoolBroken(Exception):

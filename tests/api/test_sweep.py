@@ -78,71 +78,97 @@ class TestDeterminism:
         assert report.verdict == "error"
 
 
-class TestShardedScheduling:
+class TestSystemJobs:
+    """One pool job per bound system: protocol, valuation and coin."""
+
     MATRIX = dict(
         protocols=("cc85a", "ks16"),
         valuations=({"n": 4, "t": 1, "f": 1}, {"n": 5, "t": 1, "f": 1}),
         targets=("validity",),
     )
 
-    def test_unknown_scheduling_mode_rejected(self):
-        from repro.errors import CheckError
+    @staticmethod
+    def _tasks():
+        """2 targets x 2 valuations x 2 coins, target-major.
 
-        with pytest.raises(CheckError, match="scheduling"):
-            api.SweepRunner(scheduling="zigzag")
-
-    def test_sharded_matches_flat_at_1_and_2_processes(self):
-        reports = [
-            api.sweep(**self.MATRIX, processes=processes, scheduling=scheduling)
-            for scheduling in ("flat", "sharded")
-            for processes in (1, 2)
+        Each system's two tasks are four positions apart, so grouping
+        has to gather them rather than find them adjacent.
+        """
+        return [
+            api.VerificationTask(protocol="cc85a", valuation=valuation,
+                                 targets=(target,), coin=coin)
+            for target in ("agreement", "validity")
+            for coin in (None, "biased:1/4")
+            for valuation in ({"n": 4, "t": 1, "f": 1},
+                              {"n": 5, "t": 1, "f": 1})
         ]
+
+    def test_pool_gets_one_job_per_system_in_first_appearance_order(
+            self, monkeypatch):
+        from repro.supervisor import SupervisedPool
+
+        seen = []
+        real = SupervisedPool.run
+
+        def spy(pool, jobs, *args, **kwargs):
+            seen.append([[index for index, _task in job] for job in jobs])
+            return real(pool, jobs, *args, **kwargs)
+
+        monkeypatch.setattr(SupervisedPool, "run", spy)
+        tasks = self._tasks()
+        report = api.SweepRunner(processes=2).run(tasks)
+        assert seen == [[[0, 4], [1, 5], [2, 6], [3, 7]]]
+        assert [r.task_id for r in report.results] == \
+            [t.task_id for t in tasks]
+        assert report.verdict == "holds"
+
+    def test_bit_identical_at_1_2_and_4_processes(self):
+        tasks = self._tasks()
+        reports = [api.SweepRunner(processes=processes).run(tasks)
+                   for processes in (1, 2, 4)]
         stables = [stable(report) for report in reports]
         assert all(s == stables[0] for s in stables[1:])
-        # Input task order survives shard grouping and reassembly.
-        assert [r.protocol for r in reports[-1].results] == [
-            "cc85a", "cc85a", "ks16", "ks16"
+
+    def test_shard_key_is_the_bound_system(self):
+        tasks = api.task_matrix(**self.MATRIX, coins=(None, "biased:1/4"),
+                                engines=("explicit", "parameterized"))
+        assert [t.shard_key for t in tasks][:5] == [
+            "cc85a[f=1,n=4,t=1]",
+            "cc85a[*]",
+            "cc85a[f=1,n=5,t=1]",
+            "cc85a[f=1,n=4,t=1;coin=biased:1/4]",
+            "cc85a[*;coin=biased:1/4]",
         ]
+        for task in tasks:
+            assert task.task_id.startswith(task.shard_key + "/")
+        # Another target of the same system shares the key.
+        assert (api.VerificationTask(protocol="cc85a",
+                                     targets=("agreement",)).shard_key
+                == tasks[0].shard_key)
 
-    def test_shard_key_groups_by_protocol(self):
-        tasks = api.task_matrix(**self.MATRIX)
-        assert [t.shard_key for t in tasks] == ["cc85a", "cc85a", "ks16", "ks16"]
-
-    def test_sharded_sweep_uses_cache(self, tmp_path):
-        kwargs = dict(**self.MATRIX, cache_dir=str(tmp_path),
-                      scheduling="sharded", processes=2)
+    def test_pooled_sweep_uses_cache(self, tmp_path):
+        kwargs = dict(**self.MATRIX, cache_dir=str(tmp_path), processes=2)
         first = api.sweep(**kwargs)
         assert first.cache_hits == 0
         second = api.sweep(**kwargs)
         assert second.cache_hits == 4
         assert stable(first) == stable(second)
 
-    def test_error_task_does_not_kill_its_shard(self):
+    def test_error_task_does_not_kill_its_job(self):
+        # All three cc85a tasks share one system, hence one job; the
+        # unknown engine fails only its own task.
         tasks = [
             api.VerificationTask(protocol="cc85a", targets=("validity",)),
             api.VerificationTask(protocol="cc85a", targets=("validity",),
-                                 valuation={"n": 1, "t": 1, "f": 1}),
+                                 engine="nope"),
+            api.VerificationTask(protocol="cc85a", targets=("agreement",)),
             api.VerificationTask(protocol="ks16", targets=("validity",)),
         ]
-        report = api.SweepRunner(processes=2, scheduling="sharded").run(tasks)
-        assert [r.verdict for r in report.results] == ["holds", "error", "holds"]
-        assert "resilience" in report.results[1].error
-
-    def test_code_version_seed_roundtrip(self):
-        import importlib
-
-        from repro.version import seed_code_version
-
-        # repro.api re-exports a sweep() *function*; fetch the module.
-        sweep_module = importlib.import_module("repro.api.sweep")
-
-        original = sweep_module.code_version()
-        try:
-            seed_code_version("feedface00000000")
-            assert sweep_module.code_version() == "feedface00000000"
-        finally:
-            seed_code_version(original)
-        assert sweep_module.code_version() == original
+        assert len({t.shard_key for t in tasks[:3]}) == 1
+        report = api.SweepRunner(processes=2).run(tasks)
+        assert [r.verdict for r in report.results] == \
+            ["holds", "error", "holds", "holds"]
+        assert "unknown engine" in report.results[1].error
 
 
 class TestCache:
@@ -175,6 +201,22 @@ class TestCache:
             ),
         }
         assert len(keys) == 4
+
+    def test_code_version_seed_roundtrip(self):
+        import importlib
+
+        from repro.version import seed_code_version
+
+        # repro.api re-exports a sweep() *function*; fetch the module.
+        sweep_module = importlib.import_module("repro.api.sweep")
+
+        original = sweep_module.code_version()
+        try:
+            seed_code_version("feedface00000000")
+            assert sweep_module.code_version() == "feedface00000000"
+        finally:
+            seed_code_version(original)
+        assert sweep_module.code_version() == original
 
     def test_code_version_invalidates(self, tmp_path):
         report = api.SweepRunner(cache_dir=str(tmp_path)).run(
@@ -319,7 +361,7 @@ class TestTaskPool:
             and node.module == "repro.api.sweep"
             for alias in node.names
         }
-        assert "task_pool" in names
+        assert {"task_pool", "system_jobs"} <= names
         assert not [name for name in names if name.startswith("_")]
 
 class TestGraphStore:
@@ -354,14 +396,15 @@ class TestGraphStore:
         assert second.cache_hits == len(second.results)
         assert stable(first) == stable(second)
 
-    def test_parallel_sharded_sweep_persists_and_replays(self, tmp_path):
+    POOLED = dict(protocols=("cc85a", "ks16"),
+                  valuations=({"n": 4, "t": 1, "f": 1},
+                              {"n": 5, "t": 1, "f": 1}),
+                  targets=("validity",), processes=2)
+
+    def test_parallel_sweep_persists_and_replays(self, tmp_path):
         from repro.counter.system import clear_shared_caches
 
-        kwargs = dict(protocols=("cc85a", "ks16"),
-                      valuations=({"n": 4, "t": 1, "f": 1},
-                                  {"n": 5, "t": 1, "f": 1}),
-                      targets=("validity",), processes=2,
-                      scheduling="sharded", graph_store=str(tmp_path))
+        kwargs = dict(**self.POOLED, graph_store=str(tmp_path))
         first = api.sweep(**kwargs)
         # 2 protocols x 2 valuations -> 4 per-valuation graph entries,
         # flushed by the pool workers (not this process).
@@ -369,6 +412,28 @@ class TestGraphStore:
         clear_shared_caches()
         second = api.sweep(**kwargs)
         assert stable(first) == stable(second)
+
+    def test_snapshot_is_on_disk_when_its_result_lands(self, tmp_path,
+                                                      monkeypatch):
+        # A worker flushes a task's graph before it sends the result,
+        # so no per-job epilogue is needed: by the time the k-th result
+        # reaches the sweep, k snapshots (one per system) are written.
+        from repro.supervisor import SupervisedPool
+
+        on_disk = []
+        real = SupervisedPool.run
+
+        def spy(pool, jobs, on_result=None, stop=None):
+            def landed(index, *rest):
+                on_disk.append(len(list(tmp_path.glob("*.graph"))))
+                on_result(index, *rest)
+
+            return real(pool, jobs, on_result=landed, stop=stop)
+
+        monkeypatch.setattr(SupervisedPool, "run", spy)
+        api.sweep(**self.POOLED, graph_store=str(tmp_path))
+        assert len(on_disk) == 4
+        assert all(count >= k for k, count in enumerate(on_disk, start=1))
 
     def test_sqlite_spec_is_refused(self, tmp_path, monkeypatch):
         # The store is a directory: an old ``sqlite:`` spec must fail
@@ -440,12 +505,6 @@ class TestGoldenSweep:
         )
         assert restored == report
 
-    def test_sharded_full_sweep_reproduces_seed_verdicts(self):
-        """The warm sharded mode replays the seed verdicts bit-for-bit."""
-        report = api.sweep(processes=4, scheduling="sharded")
-        assert len(report.results) == 8
-        _assert_matches_golden(report)
-
     def test_warm_from_disk_full_sweep_reproduces_seed_verdicts(
         self, tmp_path
     ):
@@ -478,15 +537,14 @@ class TestGoldenSweep:
 
 @pytest.mark.slow_equivalence
 class TestMultiValuationSweep:
-    """Acceptance: 8 protocols × ≥3 valuations, 2 modes × 2 pool sizes.
+    """Acceptance: 8 protocols × ≥3 valuations at 2 pool sizes.
 
     Every protocol contributes its seed (small) valuation plus two
     scaled ones (``n+1``, ``n+2``); the scaled tasks run the validity
     bundle under a deterministic ``max_states`` cap so the matrix stays
     tractable while still forcing every worker through cross-valuation
-    program rebinding.  All four (scheduling, processes) combinations
-    must agree bit-for-bit, and the seed-valuation slice must reproduce
-    the golden validity verdicts.
+    program rebinding.  Both pool sizes must agree bit-for-bit, and the
+    seed-valuation slice must reproduce the golden validity verdicts.
     """
 
     def _tasks(self):
@@ -507,15 +565,11 @@ class TestMultiValuationSweep:
                 ))
         return tasks
 
-    def test_three_valuations_identical_across_modes_and_pools(self):
+    def test_three_valuations_identical_across_pools(self):
         tasks = self._tasks()
-        reports = [
-            api.SweepRunner(processes=processes, scheduling=scheduling).run(tasks)
-            for scheduling in ("flat", "sharded")
-            for processes in (1, 4)
-        ]
-        stables = [stable(report) for report in reports]
-        assert all(s == stables[0] for s in stables[1:])
+        reports = [api.SweepRunner(processes=processes).run(tasks)
+                   for processes in (1, 4)]
+        assert stable(reports[0]) == stable(reports[1])
         # The seed-valuation slice reproduces the golden verdicts.
         from repro.protocols.registry import by_name
 

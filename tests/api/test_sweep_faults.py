@@ -73,17 +73,18 @@ class TestWorkerKills:
         assert report.worker_restarts >= 1
 
     def test_mid_shard_kill_salvages_completed_tasks(self, tmp_path):
-        matrix = dict(protocols=("cc85a", "ks16"),
-                      valuations=({"n": 4, "t": 1, "f": 1},
-                                  {"n": 5, "t": 1, "f": 1}),
-                      targets=("validity",))
-        clean = api.sweep(**matrix, processes=1)
-        # The worker dies picking up cc85a's *second* valuation: the
-        # first one's result is salvaged, only the rest of the shard
-        # is reassigned.
+        # cc85a's two targets query one system, so they are one job.
+        tasks = [api.VerificationTask(protocol=protocol, targets=(target,))
+                 for protocol, target in (("cc85a", "agreement"),
+                                          ("cc85a", "validity"),
+                                          ("ks16", "validity"))]
+        clean = api.sweep(tasks, processes=1)
+        # The worker dies picking up cc85a's *second* target: the
+        # first one's result is salvaged, only the rest of the job is
+        # reassigned.
         plan = FaultPlan(scratch=str(tmp_path)).kill_task("cc85a", nth=2)
-        report = api.sweep(**matrix, processes=2, scheduling="sharded",
-                           task_timeout=TIMEOUT, fault_plan=plan)
+        report = api.sweep(tasks, processes=2, task_timeout=TIMEOUT,
+                           fault_plan=plan)
         assert stable(report) == stable(clean)
         assert report.worker_restarts >= 1
         first, second = by_protocol(report, "cc85a")

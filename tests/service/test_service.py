@@ -114,6 +114,34 @@ class TestSweep:
         assert service.status()["tasks_computed"] == len(cold.results)
 
 
+    def test_dispatcher_hands_the_pool_one_job_per_system(self,
+                                                          monkeypatch):
+        # The daemon groups a batch with the sweep's own rule.  The
+        # pool is never started: its run is replaced by a recorder
+        # that also ends the dispatch loop.
+        from repro.supervisor import PoolOutcome
+
+        svc = VerificationService(processes=2)
+        tasks = [api.VerificationTask(protocol=name, targets=(target,))
+                 for name, target in (("cc85a", "agreement"),
+                                      ("ks16", "validity"),
+                                      ("cc85a", "validity"))]
+        for task in tasks:
+            svc._queue.put((task.dedup_key, task))
+        seen = []
+
+        def run(jobs, on_result=None, stop=None):
+            seen.append([[task.task_id for _index, task in job]
+                         for job in jobs])
+            svc._stopping.set()
+            return PoolOutcome()
+
+        monkeypatch.setattr(svc._pool, "run", run)
+        svc._dispatch_loop()
+        ids = [task.task_id for task in tasks]
+        assert seen == [[[ids[0], ids[2]], [ids[1]]]]
+
+
 class TestConcurrentClients:
     def test_identical_inflight_task_is_joined_not_recomputed(
         self, service, client
