@@ -1,16 +1,15 @@
 """Ablation: the solver stack behind the schema checker.
 
-DESIGN.md calls out three design choices worth quantifying:
+Three design choices are worth quantifying:
 
 1. **float-LP pruning** (HiGHS) vs. the exact Fraction simplex for
    prefix feasibility — the reason the schema DFS is tractable;
 2. **vertex rounding** vs. exact branch & bound at SAT leaves;
 3. the cost of exact branch & bound itself on schema-sized systems.
 
-Two costs around the solver are measured too: the float path fed the
-encoder's integer rows (what the DFS does) vs. a Fraction
-``LinearProblem``, and encoding a prefix incrementally on top of its
-parent's encoding (what the DFS does) vs. from scratch.
+Every solver reads the encoder's integer rows as they are.  One cost
+around the solver is measured too: encoding a prefix incrementally on
+top of its parent's encoding (what the DFS does) vs. from scratch.
 
 The workload is a real encoding: prefixes of the MMR14 CB2 schema tree.
 
@@ -20,15 +19,11 @@ The workload is a real encoding: prefixes of the MMR14 CB2 schema tree.
 import pytest
 
 from repro.checker.encoder import SchemaEncoder
-from repro.checker.milestones import (
-    CombinedModel,
-    extract_milestones,
-    precedence_order,
-)
-from repro.checker.schemas import EventItem
+from repro.checker.milestones import CombinedModel, extract_milestones
 from repro.protocols import mmr14
 from repro.solver.floatlp import RowMatrix, float_feasible, rounded_integer_model
 from repro.solver.ilp import SAT, ilp_feasible
+from repro.solver.shortcuts import satisfies
 from repro.solver.simplex import lp_feasible
 from repro.spec.properties import PropertyLibrary
 
@@ -59,16 +54,11 @@ def encoded(setup):
 
 @pytest.fixture(scope="module")
 def workload(encoded):
-    return encoded.problem
+    return encoded.rows
 
 
 def test_float_lp_prefix_feasibility(benchmark, workload):
-    feasible = benchmark(float_feasible, workload)
-    assert feasible is True
-
-
-def test_float_lp_rows_prefix_feasibility(benchmark, encoded):
-    feasible = benchmark(lambda: float_feasible(RowMatrix(encoded.rows)))
+    feasible = benchmark(lambda: float_feasible(RowMatrix(workload)))
     assert feasible is True
 
 
@@ -91,9 +81,9 @@ def test_exact_lp_prefix_feasibility(benchmark, workload):
 
 
 def test_vertex_rounding_fast_path(benchmark, workload):
-    model = benchmark(rounded_integer_model, RowMatrix(workload.rows()))
+    model = benchmark(rounded_integer_model, RowMatrix(workload))
     assert model is not None
-    assert workload.check(model)
+    assert satisfies(workload, model)
 
 
 def test_exact_branch_and_bound(benchmark, run_once, workload):

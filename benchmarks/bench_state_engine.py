@@ -511,23 +511,20 @@ def bench_parameterized() -> dict:
     timers: *encode* is
     ``SchemaEncoder.encode`` plus ``encode_set_relaxation``, *solve* the
     float HiGHS feasibility (``float_feasible``), and *confirm* the exact
-    work (building the Fraction problem, ``LinearProblem.from_rows``;
-    ``lp_feasible`` fallbacks, leaf ``rounded_integer_model`` and
-    ``ilp_feasible``).  ``dfs_other`` is the rest: the DFS's own
-    bookkeeping, schema counting and replay.  Node counts are asserted
+    work (``lp_feasible`` fallbacks, leaf ``rounded_integer_model`` and
+    ``ilp_feasible``, each on the encoder's rows).  ``dfs_other`` is the
+    rest: the DFS's own bookkeeping, schema counting and replay.  Node counts are asserted
     against the golden fixture's before any rate is reported.
     """
     import repro.checker.parameterized as parameterized
     from repro.checker.encoder import SchemaEncoder
     from repro.protocols.registry import by_name
-    from repro.solver.linear import LinearProblem
 
     layers = {"encode": 0.0, "solve": 0.0, "confirm": 0.0}
     targets = [
         (SchemaEncoder, "encode", "encode"),
         (SchemaEncoder, "encode_set_relaxation", "encode"),
         (parameterized, "float_feasible", "solve"),
-        (LinearProblem, "from_rows", "confirm"),
         (parameterized, "lp_feasible", "confirm"),
         (parameterized, "rounded_integer_model", "confirm"),
         (parameterized, "ilp_feasible", "confirm"),
@@ -546,12 +543,7 @@ def bench_parameterized() -> dict:
     out = {"queries": ["inv2[0]", "inv2[1]"], "protocols": {}}
     try:
         for owner, name, layer in targets:
-            original = vars(owner)[name]
-            if isinstance(original, classmethod):
-                wrapped = classmethod(timed(layer, original.__func__))
-            else:
-                wrapped = timed(layer, original)
-            setattr(owner, name, wrapped)
+            setattr(owner, name, timed(layer, vars(owner)[name]))
         for protocol, want_nodes in PARAM_PROTOCOLS.items():
             for layer in layers:
                 layers[layer] = 0.0

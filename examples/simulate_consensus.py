@@ -12,7 +12,6 @@ Run: ``python examples/simulate_consensus.py``
 
 from repro.sim import (
     ABY22Process,
-    CommonCoin,
     EquivocatingByzantine,
     Miller18Process,
     MMR14Process,
@@ -51,12 +50,12 @@ def round_statistics() -> None:
 
 
 def biased_coin() -> None:
-    print("\nε-Good coin (ε = 0.1): termination still almost-sure, "
-          "just slower on the unlucky side:")
+    print("\nbiased coin biased:1/10 (ε-Good with ε = 1/10): termination "
+          "still almost-sure, just slower on the unlucky side:")
     decided_rounds = []
     for seed in range(10):
         sim = Simulation(MMR14Process, n=4, t=1, inputs=[1, 1, 0],
-                         coin_seed=seed, epsilon=0.1)
+                         coin_seed=seed, coin="biased:1/10")
         scheduler = RandomScheduler(seed=seed)
         scheduler.byzantine = EquivocatingByzantine(list(sim.byzantine))
         result = run(sim, scheduler, max_steps=100_000)

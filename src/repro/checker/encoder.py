@@ -21,10 +21,10 @@ realize the prefix:
 * **Events**: at its boundary, the query event's counter proposition
   holds.
 
-The constraints are plain integer rows ``(coeffs, const, is_eq)`` (see
-:data:`repro.solver.linear.Row`).  The float pruning path reads them as
-they are; the Fraction :class:`LinearProblem` the exact solvers need is
-built only on demand (:attr:`EncodedPrefix.problem`).
+The constraints are plain integer rows ``(coeffs, const, is_eq)``, each
+built by :func:`repro.solver.linear.row`.  Every solver reads them as
+they are: the exact shortcuts, HiGHS, the exact simplex and the branch
+& bound.
 
 **Incremental encoding is exact.**  The schema DFS extends a prefix by
 one item at a time, so :meth:`SchemaEncoder.encode` accepts the parent
@@ -46,7 +46,6 @@ counter-system semantics before a counterexample is reported.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.checker.milestones import CombinedModel, Milestone
@@ -55,7 +54,7 @@ from repro.core.guards import Cmp
 from repro.core.rules import Rule
 from repro.counter.actions import Action
 from repro.errors import CheckError
-from repro.solver.linear import LinearProblem, Row
+from repro.solver.linear import Row, row
 from repro.spec.propositions import PropKind
 from repro.spec.queries import ReachQuery
 
@@ -77,19 +76,10 @@ def _merge_scaled(target: Expr, source: Expr, scale: int) -> None:
         target[var] = target.get(var, 0) + scale * coeff
 
 
-def _row(coeffs: Mapping[str, int], const: int, is_eq: bool = False) -> Row:
-    """Canonical row ``coeffs . x + const (>=|==) 0`` (sorted, zero-free)."""
-    return (
-        tuple(sorted((var, c) for var, c in coeffs.items() if c)),
-        const,
-        is_eq,
-    )
-
-
 def _expr_row(expr: Expr, offset: int = 0, is_eq: bool = False) -> Row:
     """Row ``expr + offset (>=|==) 0``."""
     coeffs = {var: c for var, c in expr.items() if var != CONST}
-    return _row(coeffs, expr.get(CONST, 0) + offset, is_eq)
+    return row(coeffs, expr.get(CONST, 0) + offset, is_eq)
 
 
 def _copy_state(state: Dict[str, Expr]) -> Dict[str, Expr]:
@@ -113,11 +103,6 @@ class EncodedPrefix:
     g: Dict[str, Expr]
     #: milestone -> boundary position (boundary j = j-th prefix item)
     positions: Dict[Milestone, int]
-
-    @cached_property
-    def problem(self) -> LinearProblem:
-        """The rows as an exact (Fraction) problem, built on first use."""
-        return LinearProblem.from_rows(self.rows)
 
 
 class SchemaEncoder:
@@ -163,7 +148,7 @@ class SchemaEncoder:
         combined = self.combined
         env = combined.model.environment
         rows: List[Row] = [
-            _row(dict(form.coeffs), form.const)
+            row(dict(form.coeffs), form.const)
             for item in env.resilience
             for form in item.ge_zero_forms()
         ]
@@ -172,18 +157,18 @@ class SchemaEncoder:
         population = {var: 1 for var in start_vars.values()}
         for name, coeff in n_expr.coeffs:
             population[name] = population.get(name, 0) - coeff
-        rows.append(_row(population, -n_expr.const, is_eq=True))
+        rows.append(row(population, -n_expr.const, is_eq=True))
         # At least one modelled process.
-        rows.append(_row(dict(n_expr.coeffs), n_expr.const - 1))
+        rows.append(row(dict(n_expr.coeffs), n_expr.const - 1))
         for loc in combined.coin_start:
             var = f"k0_{loc.name}"
             start_vars[loc.name] = var
-            rows.append(_row({var: 1}, -env.num_coins, is_eq=True))
+            rows.append(row({var: 1}, -env.num_coins, is_eq=True))
         for loc_name, count in (init_filter or {}).items():
             var = start_vars.get(loc_name)
             if var is None:
                 raise CheckError(f"init filter pins non-start location {loc_name!r}")
-            rows.append(_row({var: 1}, -count, is_eq=True))
+            rows.append(row({var: 1}, -count, is_eq=True))
 
         kappa: Dict[str, Expr] = {loc.name: _expr() for loc in combined.locations}
         for loc_name, var in start_vars.items():
@@ -196,12 +181,12 @@ class SchemaEncoder:
         kappa: Dict[str, Expr], g: Dict[str, Expr], rule: Rule, xvar: str
     ) -> Row:
         """Fire ``rule`` ``xvar`` times; the row says its source covers it."""
-        row = _expr_row({**kappa[rule.source], xvar: -1})
+        covered = _expr_row({**kappa[rule.source], xvar: -1})
         _add(kappa[rule.source], xvar, -1)
         _add(kappa[rule.target], xvar, 1)
         for var_name, increment in rule.update:
             _add(g[var_name], xvar, increment)
-        return row
+        return covered
 
     @staticmethod
     def _threshold(milestone: Milestone, g: Dict[str, Expr]) -> Row:

@@ -43,7 +43,7 @@ import re
 import time
 from collections import Counter
 from dataclasses import replace
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.checker.encoder import SchemaEncoder
 from repro.checker.milestones import (
@@ -68,7 +68,6 @@ from repro.counter.actions import Action
 from repro.counter.system import CounterSystem
 from repro.solver.floatlp import RowMatrix, float_feasible, rounded_integer_model
 from repro.solver.ilp import SAT, UNSAT, ilp_feasible
-from repro.solver.linear import LinearProblem
 from repro.solver.shortcuts import integer_witness, propagate, satisfies
 from repro.solver.simplex import lp_feasible
 from repro.spec.obligations import ObligationSet
@@ -234,9 +233,7 @@ class ParameterizedChecker(TimeBudgeted):
         return self._nschemas[n_events]
 
     # ------------------------------------------------------------------
-    def _feasible(
-        self, matrix: RowMatrix, exact: Callable[[], LinearProblem]
-    ) -> bool:
+    def _feasible(self, matrix: RowMatrix) -> bool:
         """Rational feasibility of ``matrix``'s rows over ``x >= 0``.
 
         Two exact shortcuts (:mod:`repro.solver.shortcuts`) come first.
@@ -248,8 +245,8 @@ class ParameterizedChecker(TimeBudgeted):
         an infeasible answer always carries an integer Farkas
         certificate that has been checked exactly.  When HiGHS is
         undecided, which includes an infeasible answer whose ray does
-        not round to a certificate, the exact simplex decides on
-        ``exact()``, so the Fraction problem is built only then.
+        not round to a certificate, the exact simplex decides on the
+        matrix's rows.
         """
         base = matrix.base
         rows = matrix.new_rows()
@@ -266,7 +263,7 @@ class ParameterizedChecker(TimeBudgeted):
         self.lp_calls += 1
         answer = float_feasible(matrix)
         if answer is None:
-            return lp_feasible(exact()).feasible
+            return lp_feasible(matrix.rows).feasible
         if answer:
             matrix.witness = integer_witness(matrix.rows, matrix.vertex)
         else:
@@ -278,9 +275,8 @@ class ParameterizedChecker(TimeBudgeted):
         cached = self._set_cache.get(flipped)
         if cached is not None:
             return cached
-        rows = self.encoder.encode_set_relaxation(flipped)
         answer = self._feasible(
-            RowMatrix(rows), lambda: LinearProblem.from_rows(rows)
+            RowMatrix(self.encoder.encode_set_relaxation(flipped))
         )
         self._set_cache[flipped] = answer
         return answer
@@ -373,7 +369,7 @@ class ParameterizedChecker(TimeBudgeted):
             if prefix:
                 encoded = self.encoder.encode(prefix, query, parent)
                 matrix = RowMatrix(encoded.rows, parent_matrix)
-                if not self._feasible(matrix, lambda: encoded.problem):
+                if not self._feasible(matrix):
                     self.pruned += 1
                     return None
             elif is_leaf:
@@ -385,7 +381,7 @@ class ParameterizedChecker(TimeBudgeted):
                 model_values = rounded_integer_model(matrix)
                 if model_values is None:
                     result = ilp_feasible(
-                        encoded.problem,
+                        encoded.rows,
                         max_nodes=LEAF_ILP_NODES,
                         deadline=deadline,
                     )

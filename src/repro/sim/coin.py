@@ -4,19 +4,12 @@ The paper's model ``BAMP_{n,t}[n > 3t, CC]`` enriches the network with
 a *common coin*: one shared sequence of random bits ``b_0, b_1, ...``
 that every correct process reads identically.  An ε-Good coin yields
 *each* value with probability at least ε; the paper's protocols use
-*strong* coins (ε = 1/2), the default here.  For ε < 1/2 the oracle
-models the worst admissible coin with an unbiased adversary: each
-round a fair meta-flip picks a favored side, and the disfavored value
-still comes up with probability exactly ε — so both values appear
-with probability ≥ ε in every round (as the definition demands) while
-the marginal stays 1/2.  (Historically ``get`` returned 1 with
-probability ε outright, which for ε < 1/2 gave value 1 a *smaller*
-probability than the definition's lower bound promises value 0;
-``tests/sim/test_coin_stats.py`` pins the corrected semantics.)
+*strong* coins (ε = 1/2), the default here.
 
-Alternatively, a :class:`~repro.core.coinspec.CoinSpec` gives the
-oracle the exact same coin models the checkers verify against:
-``biased:p1`` draws 1 with probability ``p1``; ``failing:δ`` /
+A :class:`~repro.core.coinspec.CoinSpec` gives the oracle the exact
+same coin models the checkers verify against: ``biased:p1`` draws 1
+with probability ``p1`` (an ε-Good coin with ε = min(p1, 1 - p1));
+``failing:δ`` /
 ``disagreeing:ρ`` rounds may yield *no common value at all*, in which
 case each process privately reads its own independent fair bit (split
 views) — ``peek`` then reports None, as there is nothing common for
@@ -40,23 +33,13 @@ class CommonCoin:
 
     Args:
         seed: RNG seed; identical seeds give identical coin sequences.
-        epsilon: the ε-Good bound for the legacy float interface; the
-            default 1/2 is the strong coin (and keeps the exact
-            pre-CoinSpec sample sequence under the same seed).
         spec: a :class:`~repro.core.coinspec.CoinSpec` (or spec
-            string); overrides ``epsilon``-based sampling with the
-            spec's model.  ``PerfectCoin`` reproduces the default
-            path bit-for-bit.
+            string) to sample from; ``None``, the default, is the
+            strong coin.  ``PerfectCoin`` reproduces the default path
+            bit-for-bit.
     """
 
-    def __init__(self, seed: int = 0, epsilon: float = 0.5,
-                 spec: CoinLike = None):
-        if not 0.0 < epsilon <= 0.5:
-            raise ValueError("epsilon must be in (0, 0.5] for a binary coin")
-        if spec is not None and epsilon != 0.5:
-            raise ValueError("pass either spec= or a non-default epsilon=, "
-                             "not both")
-        self.epsilon = epsilon
+    def __init__(self, seed: int = 0, spec: CoinLike = None):
         self.spec = resolve_coin_spec(spec) if spec is not None else None
         self._seed = seed
         self._rng = random.Random(seed)
@@ -70,17 +53,9 @@ class CommonCoin:
         """Draw the round's common value (None = no common value)."""
         if self.spec is not None:
             return self.spec.sample_round(self._rng)
-        if self.epsilon == 0.5:
-            # The strong coin: single draw, bit-identical to the
-            # historical sequence under the same seed.
-            return 1 if self._rng.random() < 0.5 else 0
-        # Worst admissible ε-good coin, unbiased adversary: a fair
-        # meta-flip picks the favored side, the disfavored value still
-        # appears with probability exactly ε.
-        favored = 1 if self._rng.random() < 0.5 else 0
-        if self._rng.random() < self.epsilon:
-            return 1 - favored
-        return favored
+        # The strong coin: single draw, bit-identical to the
+        # historical sequence under the same seed.
+        return 1 if self._rng.random() < 0.5 else 0
 
     def _private_bit(self, round_no: int, pid: int) -> int:
         """Process ``pid``'s independent view of a no-common-value round.

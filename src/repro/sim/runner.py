@@ -44,7 +44,6 @@ class Simulation:
         inputs: Sequence[int],
         coin_seed: int = 0,
         byzantine_count: Optional[int] = None,
-        epsilon: float = 0.5,
         coin=None,
     ):
         if n < 1:
@@ -72,7 +71,7 @@ class Simulation:
         self.n = n
         self.t = t
         self.network = Network(n)
-        self.coin = CommonCoin(seed=coin_seed, epsilon=epsilon, spec=coin)
+        self.coin = CommonCoin(seed=coin_seed, spec=coin)
         self.correct: Dict[int, CorrectProcess] = {}
         for pid in range(n_correct):
             self.correct[pid] = process_cls(

@@ -25,10 +25,11 @@ to a HiGHS object from scipy's private binding
 (``scipy.optimize._highspy._core``) with no integrality, so HiGHS
 solves the LP relaxation.  Each thread keeps one such object and
 reuses it: ``clearSolver``, ``passModel``, ``run``.  (A shared object
-gives wrong answers under threads.)  The schema DFS hands in a
-:class:`RowMatrix` that extends its parent prefix's matrix, so each row
-is converted once per DFS path.  Without numpy, scipy or that binding,
-every answer is undecided and the exact simplex decides.
+gives wrong answers under threads.)  Every input is a
+:class:`RowMatrix`; the schema DFS hands in one that extends its parent
+prefix's matrix, so each row is converted once per DFS path.  Without
+numpy, scipy or that binding, every answer is undecided and the exact
+simplex decides on the same rows.
 
 On the param-validity workload (cc85a, fmr05, rabin83 validity; 862
 LPs, median 66 rows by 60 columns; 2-vCPU 2.1 GHz VM, python 3.11,
@@ -45,9 +46,9 @@ import logging
 import threading
 from fractions import Fraction
 from math import lcm
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence
 
-from repro.solver.linear import LinearProblem, Row
+from repro.solver.linear import Row
 from repro.solver.shortcuts import refutes, satisfies
 
 try:  # numpy and scipy are optional; the exact solver always works.
@@ -182,7 +183,7 @@ def farkas_certificate(rows: Sequence[Row], ray) -> Optional[Dict[int, int]]:
     return None
 
 
-def float_solve(problem: Union[LinearProblem, RowMatrix]):
+def float_solve(matrix: RowMatrix):
     """Feasibility plus the evidence for it.
 
     Returns ``(feasible, evidence)``.  ``feasible`` is ``True``,
@@ -194,9 +195,7 @@ def float_solve(problem: Union[LinearProblem, RowMatrix]):
     """
     if not _HAVE_SCIPY:
         return None, None
-    if isinstance(problem, LinearProblem):
-        problem = RowMatrix(problem.rows())
-    columns, indptr, indices, data, lower, upper = problem.csr()
+    columns, indptr, indices, data, lower, upper = matrix.csr()
     if not columns:  # constant rows only: decide them directly
         for index, (low, up) in enumerate(zip(lower, upper)):
             if not low <= 0 <= up:  # const < 0, or an equality's const > 0
@@ -220,7 +219,7 @@ def float_solve(problem: Union[LinearProblem, RowMatrix]):
         if status == _INFEASIBLE:
             _status, has_ray, ray = highs.getDualRay()
             certificate = (
-                farkas_certificate(problem.rows, ray) if has_ray else None
+                farkas_certificate(matrix.rows, ray) if has_ray else None
             )
             if certificate is not None:
                 return False, certificate
@@ -259,18 +258,17 @@ def float_solve(problem: Union[LinearProblem, RowMatrix]):
     return None, None
 
 
-def float_feasible(problem: Union[LinearProblem, RowMatrix]) -> Optional[bool]:
+def float_feasible(matrix: RowMatrix) -> Optional[bool]:
     """Feasibility over non-negative reals; ``None`` when undecided.
 
     ``False`` only with an exactly checked integer Farkas certificate.
-    Given a :class:`RowMatrix`, it also leaves the float vertex of a
-    feasible answer in the matrix's ``vertex`` and the certificate of an
-    infeasible one in its ``certificate`` (each ``None`` otherwise).
+    It also leaves the float vertex of a feasible answer in the
+    matrix's ``vertex`` and the certificate of an infeasible one in its
+    ``certificate`` (each ``None`` otherwise).
     """
-    feasible, evidence = float_solve(problem)
-    if isinstance(problem, RowMatrix):
-        problem.vertex = evidence if feasible else None
-        problem.certificate = evidence if feasible is False else None
+    feasible, evidence = float_solve(matrix)
+    matrix.vertex = evidence if feasible else None
+    matrix.certificate = evidence if feasible is False else None
     return feasible
 
 

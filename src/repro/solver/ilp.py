@@ -10,7 +10,10 @@ above, a node budget caps the search and reports ``UNKNOWN`` — callers
 An optional wall-clock deadline, polled once per node, stops it the
 same way.
 
-The returned model is verified against the original constraints before
+The input is the encoder's own rows (:data:`repro.solver.linear.Row`);
+each node is those rows plus one bound row per branch taken.
+The returned model is verified against the original rows
+(:func:`repro.solver.shortcuts.satisfies`, plus non-negativity) before
 being handed back, so a SAT answer is always trustworthy.
 """
 
@@ -19,10 +22,11 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from repro.errors import SolverError
-from repro.solver.linear import LinearProblem, constraint
+from repro.solver.linear import Row, row
+from repro.solver.shortcuts import satisfies
 from repro.solver.simplex import lp_feasible
 
 SAT = "sat"
@@ -48,16 +52,16 @@ def _fractional_variable(assignment: Dict[str, Fraction]) -> Optional[str]:
 
 
 def ilp_feasible(
-    problem: LinearProblem,
+    rows: Sequence[Row],
     max_nodes: int = 5_000,
     deadline: Optional[float] = None,
 ) -> IlpResult:
-    """Decide integer feasibility of ``problem`` (non-negative integers).
+    """Decide integer feasibility of ``rows`` (non-negative integers).
 
     ``deadline`` is a :func:`time.perf_counter` instant; once it has
     passed, the next node returns ``UNKNOWN`` instead of solving.
     """
-    stack: List[LinearProblem] = [problem]
+    stack: List[Sequence[Row]] = [rows]
     nodes = 0
     pivots = 0
     exhausted = True
@@ -80,7 +84,7 @@ def ilp_feasible(
                 for name, value in relaxation.assignment.items()
             }
             # Defensive re-check: a SAT verdict must satisfy the input.
-            if not problem.check(model):
+            if any(v < 0 for v in model.values()) or not satisfies(rows, model):
                 raise SolverError(
                     "internal error: integral vertex fails the constraints"
                 )
@@ -88,8 +92,8 @@ def ilp_feasible(
         value = relaxation.assignment[branch_var]
         floor = value.numerator // value.denominator
         # Explore x <= floor first (pushed last): small witnesses first.
-        stack.append(node.extended([constraint({branch_var: 1}, -(floor + 1))]))
-        stack.append(node.extended([constraint({branch_var: -1}, floor)]))
+        stack.append([*node, row({branch_var: 1}, -(floor + 1))])
+        stack.append([*node, row({branch_var: -1}, floor)])
     if exhausted:
         return IlpResult(UNSAT, None, nodes, pivots)
     return IlpResult(UNKNOWN, None, nodes, pivots)

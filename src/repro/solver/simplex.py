@@ -6,7 +6,12 @@ rationals?"* — we answer it with a textbook phase-1 simplex over
 :class:`fractions.Fraction` (no floating-point error, no licensing, no
 SMT dependency).  Bland's anti-cycling rule guarantees termination.
 
-Standard form construction: each constraint ``a.x + c >= 0`` becomes
+It reads the encoder's integer rows (:data:`repro.solver.linear.Row`)
+as they are and makes each coefficient and constant a ``Fraction`` as
+it builds the tableau.  Columns are the variables in sorted order and
+tableau rows keep the input order, so Bland's rule is deterministic.
+
+Standard form construction: each row ``a.x + c >= 0`` becomes
 ``a.x - s = -c`` with a fresh slack ``s >= 0``; equalities pass through.
 Rows are sign-normalized to a non-negative right-hand side and seeded
 with artificial variables, whose sum is minimized; the problem is
@@ -18,10 +23,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from repro.errors import SolverError
-from repro.solver.linear import GE, LinearProblem
+from repro.solver.linear import Row
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -37,33 +42,26 @@ class SimplexResult:
     pivots: int = 0
 
 
-def lp_feasible(problem: LinearProblem) -> SimplexResult:
-    """Decide feasibility of ``problem`` over non-negative rationals."""
-    variables = list(problem.variables())
+def lp_feasible(rows: Sequence[Row]) -> SimplexResult:
+    """Decide feasibility of ``rows`` over non-negative rationals."""
+    if not rows:
+        return SimplexResult(True, {})
+    variables = sorted({name for coeffs, _c, _e in rows for name, _v in coeffs})
     var_index = {name: j for j, name in enumerate(variables)}
     n_vars = len(variables)
 
-    rows: List[List[Fraction]] = []
-    senses: List[str] = []
-    rhs: List[Fraction] = []
-    for item in problem.constraints:
-        row = [ZERO] * n_vars
-        for name, coeff in item.coeffs:
-            row[var_index[name]] = coeff
-        rows.append(row)
-        senses.append(item.sense)
-        rhs.append(-item.const)  # a.x + c >= 0  <=>  a.x >= -c
-    if not rows:
-        return SimplexResult(True, {})
-
     # --- standard form: A x' = b with x' >= 0 --------------------------
-    n_slacks = sum(1 for sense in senses if sense == GE)
+    # Fractions throughout: int / int in a pivot would give a float.
+    n_slacks = sum(1 for _coeffs, _const, is_eq in rows if not is_eq)
     total = n_vars + n_slacks
     tableau: List[List[Fraction]] = []
     slack_cursor = 0
-    for row, sense, b in zip(rows, senses, rhs):
-        full = row + [ZERO] * n_slacks + [b]
-        if sense == GE:
+    for coeffs, const, is_eq in rows:
+        full = [ZERO] * (total + 1)
+        for name, coeff in coeffs:
+            full[var_index[name]] = Fraction(coeff)
+        full[-1] = Fraction(-const)  # a.x + c >= 0  <=>  a.x >= -c
+        if not is_eq:
             full[n_vars + slack_cursor] = -ONE  # surplus: a.x - s = b
             slack_cursor += 1
         tableau.append(full)

@@ -7,7 +7,7 @@ from repro.checker.milestones import CombinedModel, Milestone, extract_milestone
 from repro.checker.parameterized import ParameterizedChecker
 from repro.checker.schemas import EventItem
 from repro.protocols import fmr05, mmr14, naive_voting
-from repro.solver.floatlp import float_feasible
+from repro.solver.floatlp import RowMatrix, float_feasible
 from repro.solver.ilp import SAT, ilp_feasible
 from repro.solver.linear import LinearProblem
 from repro.spec.properties import PropertyLibrary
@@ -27,7 +27,7 @@ class TestEmptyPrefix:
     def test_root_is_feasible(self, naive_setup):
         _model, encoder, _ms, lib = naive_setup
         encoded = encoder.encode([], lib.inv1(0))
-        result = ilp_feasible(encoded.problem)
+        result = ilp_feasible(encoded.rows)
         assert result.status == SAT
         # The model must respect the resilience condition n > 2f.
         assert result.model["n"] > 2 * result.model.get("f", 0)
@@ -35,7 +35,7 @@ class TestEmptyPrefix:
     def test_population_constraint(self, naive_setup):
         _model, encoder, _ms, lib = naive_setup
         encoded = encoder.encode([], lib.inv1(0))
-        result = ilp_feasible(encoded.problem)
+        result = ilp_feasible(encoded.rows)
         k0 = sum(
             result.model.get(var, 0) for var in encoded.start_vars.values()
         )
@@ -47,13 +47,13 @@ class TestEventEncoding:
         """EX{D0} cannot hold before anything executed."""
         _model, encoder, _ms, lib = naive_setup
         encoded = encoder.encode([EventItem(0)], lib.inv1(0))
-        assert float_feasible(encoded.problem) is False
+        assert float_feasible(RowMatrix(encoded.rows)) is False
 
     def test_event_after_milestone_feasible(self, naive_setup):
         _model, encoder, milestones, lib = naive_setup
         m0 = milestones["[2*v0 reaches -2*f + n + 1]"]
         encoded = encoder.encode([m0, EventItem(0)], lib.inv1(0))
-        result = ilp_feasible(encoded.problem)
+        result = ilp_feasible(encoded.rows)
         assert result.status == SAT
 
     def test_init_filter_pins_start(self, naive_setup):
@@ -62,7 +62,7 @@ class TestEventEncoding:
         m1 = milestones["[2*v1 reaches -2*f + n + 1]"]
         # With nobody starting at I1 the v1 threshold can never fire.
         encoded = encoder.encode([m1], query)
-        assert float_feasible(encoded.problem) is False
+        assert float_feasible(RowMatrix(encoded.rows)) is False
 
 
 class TestScheduleExtraction:
@@ -73,7 +73,7 @@ class TestScheduleExtraction:
         m1 = milestones["[2*v1 reaches -2*f + n + 1]"]
         prefix = [m0, m1, EventItem(0), EventItem(1)]
         encoded = encoder.encode(prefix, query)
-        result = ilp_feasible(encoded.problem)
+        result = ilp_feasible(encoded.rows)
         assert result.status == SAT
         valuation, placement, schedule = encoder.extract(encoded, result.model)
         from repro.counter.schedule import Schedule, is_applicable
@@ -103,11 +103,11 @@ class TestCoinBranchEncoding:
             {milestones["[cc0 reaches 1]"], milestones["[cc1 reaches 1]"]}
         )
         rows = encoder.encode_set_relaxation(both_coins)
-        assert float_feasible(LinearProblem.from_rows(rows)) is False
+        assert float_feasible(RowMatrix(rows)) is False
         # A single outcome is fine.
         one_coin = frozenset({milestones["[cc0 reaches 1]"]})
         rows = encoder.encode_set_relaxation(one_coin)
-        assert float_feasible(LinearProblem.from_rows(rows)) is True
+        assert float_feasible(RowMatrix(rows)) is True
 
 
 def _dfs_encodings(checker, query):
@@ -157,10 +157,7 @@ class TestIncrementalEncoding:
             assert encoded.start_vars == scratch.start_vars
             assert (encoded.kappa, encoded.g) == (scratch.kappa, scratch.g)
             assert encoded.positions == scratch.positions
-            assert (
-                encoded.problem.constraints
-                == _reference_problem(encoded.rows).constraints
-            )
+            assert encoded.rows == _reference_problem(encoded.rows)
 
     def test_rows_are_integer_and_canonical(self, naive_setup):
         _model, encoder, milestones, lib = naive_setup
@@ -170,9 +167,3 @@ class TestIncrementalEncoding:
             assert type(const) is int and type(is_eq) is bool
             assert all(type(c) is int and c for _name, c in coeffs)
             assert list(coeffs) == sorted(coeffs)
-
-    def test_problem_is_built_lazily_once(self, naive_setup):
-        _model, encoder, _ms, lib = naive_setup
-        encoded = encoder.encode([EventItem(0)], lib.inv1(0))
-        assert "problem" not in vars(encoded)
-        assert encoded.problem is encoded.problem

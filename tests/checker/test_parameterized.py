@@ -169,10 +169,10 @@ class TestFloatPrunesAreExact:
         refuted = []
         original = ParameterizedChecker._feasible
 
-        def spy(self, matrix, exact):
-            answer = original(self, matrix, exact)
+        def spy(self, matrix):
+            answer = original(self, matrix)
             if not answer:
-                refuted.append(exact)
+                refuted.append(matrix.rows)
             return answer
 
         monkeypatch.setattr(ParameterizedChecker, "_feasible", spy)
@@ -180,8 +180,8 @@ class TestFloatPrunesAreExact:
         checker = ParameterizedChecker(model)
         assert checker.check_reach(PropertyLibrary(model).inv2(0)).verdict == HOLDS
         assert refuted
-        for exact in refuted:
-            assert not lp_feasible(exact()).feasible
+        for rows in refuted:
+            assert not lp_feasible(rows).feasible
 
 
 def _refutes_in_fractions(rows, certificate):
@@ -211,17 +211,17 @@ class TestEveryPruneIsProved:
         exact_answers = []
         real_exact = parameterized.lp_feasible
 
-        def exact_spy(problem):
-            result = real_exact(problem)
+        def exact_spy(rows):
+            result = real_exact(rows)
             exact_answers.append(result.feasible)
             return result
 
         proofs = collections.Counter()
         original = ParameterizedChecker._feasible
 
-        def spy(self, matrix, exact):
+        def spy(self, matrix):
             before = (self.bound_prunes, len(exact_answers), self.certified)
-            answer = original(self, matrix, exact)
+            answer = original(self, matrix)
             if answer:
                 return answer
             if self.bound_prunes != before[0]:
@@ -263,9 +263,9 @@ class TestShortcutsMatchHiGHS:
         log = []
         original = ParameterizedChecker._feasible
 
-        def spy(self, matrix, exact):
+        def spy(self, matrix):
             prunes, hits = self.bound_prunes, self.witness_hits
-            answer = original(self, matrix, exact)
+            answer = original(self, matrix)
             if self.bound_prunes != prunes:
                 who = "bounds"
             elif self.witness_hits != hits:

@@ -2,15 +2,10 @@
 
 Two contracts:
 
-* **The ε semantics fix.**  ``CommonCoin``'s docstring has always
-  promised an ε-Good coin — *each* value with probability at least ε —
-  but ``get()`` historically sampled ``P(1) = ε`` outright, giving
-  value 1 *less* than the promised lower bound for every ε < 1/2 (and
-  a wildly asymmetric marginal).  The corrected oracle draws a fair
-  meta-flip for the favored side and serves the disfavored value with
-  probability exactly ε, so the marginal is 1/2 and both values keep
-  the ε guarantee round by round.  The chi-square test here fails
-  against the old semantics by four orders of magnitude.
+* **The strong coin.**  ``CommonCoin()`` replays the historical
+  single-draw stream under the same seed, and the chi-square pin used
+  for fairness rejects a ``P(1) = ε`` sampler by four orders of
+  magnitude.  A weaker ε-Good coin is a ``CoinSpec`` (``biased:p1``).
 
 * **Sim ≡ checker on the coin model.**  A ``CoinSpec`` is one object
   consumed by two semantics: the coin automaton's exact branch lottery
@@ -24,8 +19,6 @@ Everything is seeded; tolerances guard semantics drift, not noise.
 
 import random
 from fractions import Fraction
-
-import pytest
 
 from repro.protocols.registry import by_name
 from repro.sim.coin import CommonCoin
@@ -65,26 +58,12 @@ class TestEpsilonSemantics:
         assert _common_draws(CommonCoin(seed=7), 64) == legacy
         assert _common_draws(CommonCoin(seed=7, spec="perfect"), 64) == legacy
 
-    @pytest.mark.parametrize("epsilon", (0.1, 0.25, 0.4))
-    def test_marginal_is_fair_for_small_epsilon(self, epsilon):
-        values = _common_draws(CommonCoin(seed=11, epsilon=epsilon))
-        counts = (values.count(0), values.count(1))
-        stat = _chi2(counts, (0.5, 0.5))
-        assert stat < CHI2_CRIT[1], (
-            f"ε={epsilon}: marginal {counts} rejects fairness "
-            f"(χ²={stat:.1f}) — the old P(1)=ε semantics leaked back"
-        )
-
     def test_old_semantics_would_fail_this_pin(self):
         """Sanity: the pre-fix sampler is firmly rejected."""
         rng = random.Random(11)
         values = [1 if rng.random() < 0.1 else 0 for _ in range(ROUNDS)]
         counts = (values.count(0), values.count(1))
         assert _chi2(counts, (0.5, 0.5)) > 1000 * CHI2_CRIT[1]
-
-    def test_spec_and_custom_epsilon_are_exclusive(self):
-        with pytest.raises(ValueError):
-            CommonCoin(epsilon=0.25, spec="biased:1/4")
 
 
 class TestSpecSampling:

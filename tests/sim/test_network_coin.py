@@ -86,18 +86,3 @@ class TestCommonCoin:
         coin = CommonCoin(seed=11)
         ones = sum(coin.get(r, 0) for r in range(400))
         assert 120 < ones < 280
-
-    def test_epsilon_validation(self):
-        with pytest.raises(ValueError):
-            CommonCoin(epsilon=0.0)
-        with pytest.raises(ValueError):
-            CommonCoin(epsilon=0.7)
-
-    def test_weak_coin_marginal_stays_fair(self):
-        # The ε-Good contract: each value with probability at least ε
-        # per round, marginal 1/2.  (An earlier sampler implemented
-        # P(1) = ε outright — the statistical pins live in
-        # tests/sim/test_coin_stats.py.)
-        coin = CommonCoin(seed=3, epsilon=0.1)
-        ones = sum(coin.get(r, 0) for r in range(500))
-        assert 200 < ones < 300

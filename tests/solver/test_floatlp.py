@@ -19,7 +19,7 @@ from repro.solver.floatlp import (
     rounded_integer_model,
 )
 from repro.solver.linear import LinearProblem
-from repro.solver.shortcuts import refutes
+from repro.solver.shortcuts import refutes, satisfies
 from repro.solver.simplex import lp_feasible
 
 
@@ -33,19 +33,23 @@ def _box() -> LinearProblem:
     )
 
 
+def _solve(problem):
+    return float_solve(RowMatrix(problem))
+
+
 class TestAnswers:
     def test_feasible_with_vertex(self):
-        feasible, assignment = float_solve(_box())
+        feasible, assignment = _solve(_box())
         assert feasible is True
         assert 2 - 1e-9 <= assignment["x"] <= 5 + 1e-9
         assert assignment["y"] == pytest.approx(assignment["x"] + 1)
 
     def test_infeasible(self):
         problem = _box().ge({"x": -1}, 1)  # x <= 1
-        assert float_feasible(problem) is False
+        assert float_feasible(RowMatrix(problem)) is False
 
     def test_infeasible_carries_a_checked_certificate(self):
-        rows = _box().ge({"x": -1}, 1).rows()  # x <= 1
+        rows = _box().ge({"x": -1}, 1)  # x <= 1
         matrix = RowMatrix(rows)
         assert float_feasible(matrix) is False
         assert matrix.vertex is None
@@ -64,12 +68,12 @@ class TestAnswers:
         assert (feasible, certificate) == (False, {1: -1})
 
     def test_matrix_and_problem_agree(self):
-        problem = _box()
-        assert float_solve(RowMatrix(problem.rows())) == float_solve(problem)
+        """HiGHS and the exact simplex read the same rows."""
+        for problem in (_box(), _box().ge({"x": -1}, 1)):
+            assert _solve(problem)[0] is lp_feasible(problem).feasible
 
     def test_matrix_extends_its_base(self):
-        problem = _box()
-        rows = problem.rows()
+        rows = _box()
         base = RowMatrix(rows[:1])
         base.csr()
         extended = RowMatrix(rows, base)
@@ -77,12 +81,12 @@ class TestAnswers:
         assert len(base.csr()[4]) == 1  # the base is not mutated
 
     def test_empty_problem_feasible(self):
-        assert float_solve(LinearProblem()) == (True, {})
+        assert _solve(LinearProblem()) == (True, {})
 
     def test_rounded_model_checks_exactly(self):
         problem = _box()
-        model = rounded_integer_model(RowMatrix(problem.rows()))
-        assert model is not None and problem.check(model)
+        model = rounded_integer_model(RowMatrix(problem))
+        assert model is not None and satisfies(problem, model)
 
 
 @settings(max_examples=60, deadline=None)
@@ -99,7 +103,7 @@ def test_agrees_with_exact_simplex(data):
             problem.eq(coeffs, const)
         else:
             problem.ge(coeffs, const)
-    assert float_feasible(problem) == lp_feasible(problem).feasible
+    assert float_feasible(RowMatrix(problem)) == lp_feasible(problem).feasible
 
 
 def _random_rows(data, variables, rows, span):
@@ -123,7 +127,7 @@ def test_infeasible_answers_are_exact(data):
     """``False`` from the float path implies ``False`` from the exact
     simplex, and the certificate behind it checks."""
     problem = _random_rows(data, variables=6, rows=8, span=5)
-    matrix = RowMatrix(problem.rows())
+    matrix = RowMatrix(problem)
     if float_feasible(matrix) is False:
         assert lp_feasible(problem).feasible is False
         assert refutes(matrix.rows, matrix.certificate)
@@ -143,7 +147,7 @@ class TestThreads:
                     problem.eq(coeffs, rng.randint(-8, 8))
                 else:
                     problem.ge(coeffs, rng.randint(-8, 8))
-            problems.append(problem.rows())
+            problems.append(problem)
         expected = [float_solve(RowMatrix(rows)) for rows in problems]
         assert {True, False} <= {feasible for feasible, _ in expected}
 
@@ -200,7 +204,7 @@ class TestFailureEvents:
 
         self._patch(monkeypatch, run=broken)
         with caplog.at_level(logging.WARNING, logger="repro.solver.floatlp"):
-            assert float_solve(_box()) == (None, None)
+            assert _solve(_box()) == (None, None)
         [record] = caplog.records
         assert record.name == "repro.solver.floatlp"
         assert record.event == "floatlp.error"
@@ -211,14 +215,14 @@ class TestFailureEvents:
         limit = floatlp._core.HighsModelStatus.kIterationLimit
         self._patch(monkeypatch, getModelStatus=lambda: limit)
         with caplog.at_level(logging.WARNING, logger="repro.solver.floatlp"):
-            assert float_feasible(_box()) is None
+            assert float_feasible(RowMatrix(_box())) is None
         [record] = caplog.records
         assert record.event == "floatlp.undecided"
         assert record.status == int(limit)
 
     def test_infeasible_without_a_ray_is_undecided(self, monkeypatch, caplog):
         self._patch(monkeypatch, getDualRay=lambda: (None, False, []))
-        matrix = RowMatrix(_box().ge({"x": -1}, 1).rows())
+        matrix = RowMatrix(_box().ge({"x": -1}, 1))
         with caplog.at_level(logging.WARNING, logger="repro.solver.floatlp"):
             assert float_feasible(matrix) is None
         assert matrix.certificate is None
@@ -230,12 +234,12 @@ class TestFailureEvents:
         # every row weighted 1: the x terms cancel, y's does not
         self._patch(monkeypatch, getDualRay=lambda: (None, True, [1.0] * 4))
         with caplog.at_level(logging.WARNING, logger="repro.solver.floatlp"):
-            assert float_feasible(_box().ge({"x": -1}, 1)) is None
+            assert float_feasible(RowMatrix(_box().ge({"x": -1}, 1))) is None
         [record] = caplog.records
         assert record.event == "floatlp.uncertified"
 
     def test_decided_answers_log_nothing(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="repro.solver.floatlp"):
-            float_feasible(_box())
-            float_feasible(_box().ge({"x": -1}, 1))
+            float_feasible(RowMatrix(_box()))
+            float_feasible(RowMatrix(_box().ge({"x": -1}, 1)))
         assert caplog.records == []

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.solver.ilp import SAT, UNKNOWN, UNSAT, ilp_feasible
 from repro.solver.linear import LinearProblem
+from repro.solver.shortcuts import satisfies
 
 
 class TestBasics:
@@ -38,7 +39,7 @@ class TestBasics:
         p.eq({"a": 1, "b": 1}, -7)
         result = ilp_feasible(p)
         assert result.status == SAT
-        assert p.check(result.model)
+        assert satisfies(p, result.model)
 
     def test_node_budget_reports_unknown(self):
         # 2x - 2y = 1 has no integer solution but an unbounded LP
@@ -72,9 +73,9 @@ class TestBasics:
 
 
 def _brute_force(problem: LinearProblem, box: int) -> bool:
-    names = problem.variables()
+    names = sorted({name for coeffs, _const, _is_eq in problem for name, _c in coeffs})
     for point in itertools.product(range(box + 1), repeat=len(names)):
-        if problem.check(dict(zip(names, point))):
+        if satisfies(problem, dict(zip(names, point))):
             return True
     return False
 
@@ -105,4 +106,4 @@ def test_agrees_with_brute_force_in_a_box(data):
     assert ours.status in (SAT, UNSAT)
     assert (ours.status == SAT) == _brute_force(problem, box)
     if ours.status == SAT:
-        assert problem.check(ours.model)
+        assert satisfies(problem, ours.model)

@@ -5,13 +5,26 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.solver.linear import LinearProblem
 from repro.solver.shortcuts import integer_witness, propagate, satisfies
 from repro.solver.simplex import lp_feasible
 
 
 def _row(coeffs, const, is_eq=False):
     return tuple(sorted(coeffs.items())), const, is_eq
+
+
+def _holds(rows, point):
+    """An independent exact check: ``point`` is non-negative and every
+    row holds at it, summed in Fractions."""
+    if any(value < 0 for value in point.values()):
+        return False
+    for coeffs, const, is_eq in rows:
+        value = Fraction(const) + sum(
+            Fraction(coeff) * point.get(name, 0) for name, coeff in coeffs
+        )
+        if value < 0 or (is_eq and value != 0):
+            return False
+    return True
 
 
 @st.composite
@@ -35,8 +48,14 @@ def systems(draw):
 @given(rows=systems(), split=st.integers(0, 6))
 def test_an_infeasible_pass_is_exactly_infeasible(rows, split):
     """Propagation says infeasible only where the simplex does, also
-    when a parent's bounds are carried over to a child's new rows."""
-    feasible = lp_feasible(LinearProblem.from_rows(rows)).feasible
+    when a parent's bounds are carried over to a child's new rows.  The
+    simplex reads the integer rows as they are and answers in exact
+    Fractions: its vertex satisfies every row."""
+    result = lp_feasible(rows)
+    feasible = result.feasible
+    if feasible:
+        assert all(type(value) is Fraction for value in result.assignment.values())
+        assert _holds(rows, result.assignment)
     if propagate(rows) is None:
         assert feasible is False
     parent = propagate(rows[:split])
@@ -50,8 +69,7 @@ def test_an_infeasible_pass_is_exactly_infeasible(rows, split):
     noise=st.lists(st.floats(-0.6, 0.6), min_size=4, max_size=4),
 )
 def test_an_accepted_witness_satisfies_the_problem(rows, noise):
-    problem = LinearProblem.from_rows(rows)
-    result = lp_feasible(problem)
+    result = lp_feasible(rows)
     names = [f"x{j}" for j in range(4)]
     if result.feasible:  # the exact vertex, perturbed as a float solver's
         vertex = {
@@ -62,7 +80,7 @@ def test_an_accepted_witness_satisfies_the_problem(rows, noise):
         vertex = dict(zip(names, noise))
     witness = integer_witness(rows, vertex)
     if witness is not None:
-        assert problem.check(witness)
+        assert _holds(rows, witness)
         assert all(isinstance(value, int) and value > 0 for value in witness.values())
 
 
@@ -70,9 +88,7 @@ def test_an_accepted_witness_satisfies_the_problem(rows, noise):
 @given(rows=systems(), point=st.lists(st.integers(0, 4), min_size=4, max_size=4))
 def test_satisfies_matches_the_problem_check(rows, point):
     assignment = {f"x{j}": value for j, value in enumerate(point)}
-    assert satisfies(rows, assignment) == LinearProblem.from_rows(rows).check(
-        assignment
-    )
+    assert satisfies(rows, assignment) == _holds(rows, assignment)
 
 
 class TestHandMade:
@@ -87,7 +103,7 @@ class TestHandMade:
         assert lower == {"x": Fraction(1, 3)}
         rows = [_row({"x": 3}, -1), _row({"x": -6}, 1)]
         assert propagate(rows) is None
-        assert lp_feasible(LinearProblem.from_rows(rows)).feasible is False
+        assert lp_feasible(rows).feasible is False
 
     def test_no_integer_rounding(self):
         """2x == 1 has the real solution x = 1/2 (and no integer one)."""

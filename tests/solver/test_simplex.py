@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from repro.solver.linear import LinearProblem
+from repro.solver.shortcuts import satisfies
 from repro.solver.simplex import lp_feasible
 
 
@@ -51,7 +52,7 @@ class TestBasics:
         p.le({"x": 1, "y": 1}, -10)  # x + y <= 10
         result = lp_feasible(p)
         assert result.feasible
-        assert p.check(result.assignment)
+        assert satisfies(p, result.assignment)
 
     def test_flow_conservation_shape(self):
         # A miniature counter-system flow: n0 = in - out chain.
@@ -61,7 +62,7 @@ class TestBasics:
         p.ge({"start": 1}, -3)                    # at least 3 processes
         result = lp_feasible(p)
         assert result.feasible
-        assert p.check(result.assignment)
+        assert satisfies(p, result.assignment)
 
 
 def _scipy_feasible(constraints, n):
