@@ -159,6 +159,17 @@ class TestIncrementalEncoding:
             assert encoded.positions == scratch.positions
             assert encoded.rows == _reference_problem(encoded.rows)
 
+    def test_child_extends_its_parent_without_changing_it(self, naive_setup):
+        _model, encoder, milestones, lib = naive_setup
+        m0 = milestones["[2*v0 reaches -2*f + n + 1]"]
+        query = lib.inv1(0)
+        parent = encoder.encode([m0], query)
+        before = list(parent.rows)
+        child = encoder.encode([m0, EventItem(0)], query, parent)
+        assert parent.rows == before
+        assert child.rows[: len(before)] == before
+        assert len(child.rows) > len(before)
+
     def test_rows_are_integer_and_canonical(self, naive_setup):
         _model, encoder, milestones, lib = naive_setup
         m0 = milestones["[2*v0 reaches -2*f + n + 1]"]

@@ -4,6 +4,8 @@ import pytest
 
 from repro.sim.coin import CommonCoin
 from repro.sim.network import Message, Network
+from repro.sim.mmr14 import MMR14Process
+from repro.sim.runner import Simulation
 
 
 class TestNetwork:
@@ -86,3 +88,11 @@ class TestCommonCoin:
         coin = CommonCoin(seed=11)
         ones = sum(coin.get(r, 0) for r in range(400))
         assert 120 < ones < 280
+
+    def test_epsilon_keyword_is_gone(self):
+        # An ε-Good coin is spelled as a spec (``biased:1/10``); the old
+        # keyword must fail loudly rather than be ignored.
+        with pytest.raises(TypeError):
+            CommonCoin(seed=0, epsilon=0.1)
+        with pytest.raises(TypeError):
+            Simulation(MMR14Process, n=4, t=1, inputs=[1, 1, 0], epsilon=0.1)

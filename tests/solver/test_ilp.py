@@ -33,6 +33,24 @@ class TestBasics:
         assert result.status == SAT
         assert result.model == {"x": 2, "y": 4}
 
+    def test_branching_leaves_the_input_rows_untouched(self):
+        # 2x = y, 3 <= y <= 5 needs a branch on x; each branch row goes
+        # into a copy of its node, never into the caller's rows.
+        p = LinearProblem()
+        p.eq({"x": 2, "y": -1}, 0)
+        p.le({"y": 1}, -5)
+        p.ge({"y": 1}, -3)
+        before = list(p)
+        result = ilp_feasible(p)
+        assert result.status == SAT and result.nodes > 1
+        assert p == before
+
+    def test_reads_a_tuple_of_rows(self):
+        rows = tuple(LinearProblem().ge({"x": 2}, -3).le({"x": 1}, -2))
+        result = ilp_feasible(rows)
+        assert result.status == SAT
+        assert result.model == {"x": 2}
+
     def test_model_verified(self):
         p = LinearProblem()
         p.ge({"a": 3, "b": -2}, -1)

@@ -46,6 +46,17 @@ class TestBasics:
         assert result.feasible
         assert result.assignment["x"] == Fraction(1, 2)
 
+    def test_integer_rows_give_an_exact_fraction_vertex(self):
+        # int / int in a pivot would give the float 0.333..., which
+        # neither is a Fraction nor equals 1/3.
+        p = LinearProblem().eq({"x": 3}, -1)  # 3x = 1
+        before = list(p)
+        result = lp_feasible(p)
+        assert result.feasible
+        assert type(result.assignment["x"]) is Fraction
+        assert result.assignment["x"] == Fraction(1, 3)
+        assert p == before
+
     def test_assignment_satisfies_problem(self):
         p = LinearProblem()
         p.ge({"x": 1, "y": 2}, -4)   # x + 2y >= 4
