@@ -83,6 +83,7 @@ def test_exact_lp_prefix_feasibility(benchmark, workload):
 def test_vertex_rounding_fast_path(benchmark, workload):
     model = benchmark(rounded_integer_model, RowMatrix(workload))
     assert model is not None
+    assert all(v >= 0 for v in model.values())
     assert satisfies(workload, model)
 
 

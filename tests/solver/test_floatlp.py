@@ -67,11 +67,6 @@ class TestAnswers:
         )
         assert (feasible, certificate) == (False, {1: -1})
 
-    def test_matrix_and_problem_agree(self):
-        """HiGHS and the exact simplex read the same rows."""
-        for problem in (_box(), _box().ge({"x": -1}, 1)):
-            assert _solve(problem)[0] is lp_feasible(problem).feasible
-
     def test_matrix_extends_its_base(self):
         rows = _box()
         base = RowMatrix(rows[:1])
@@ -86,7 +81,9 @@ class TestAnswers:
     def test_rounded_model_checks_exactly(self):
         problem = _box()
         model = rounded_integer_model(RowMatrix(problem))
-        assert model is not None and satisfies(problem, model)
+        assert model is not None
+        assert all(v >= 0 for v in model.values())
+        assert satisfies(problem, model)
 
 
 @settings(max_examples=60, deadline=None)

@@ -57,6 +57,7 @@ class TestBasics:
         p.eq({"a": 1, "b": 1}, -7)
         result = ilp_feasible(p)
         assert result.status == SAT
+        assert all(v >= 0 for v in result.model.values())
         assert satisfies(p, result.model)
 
     def test_node_budget_reports_unknown(self):
@@ -124,4 +125,5 @@ def test_agrees_with_brute_force_in_a_box(data):
     assert ours.status in (SAT, UNSAT)
     assert (ours.status == SAT) == _brute_force(problem, box)
     if ours.status == SAT:
+        assert all(v >= 0 for v in ours.model.values())
         assert satisfies(problem, ours.model)

@@ -63,6 +63,7 @@ class TestBasics:
         p.le({"x": 1, "y": 1}, -10)  # x + y <= 10
         result = lp_feasible(p)
         assert result.feasible
+        assert all(v >= 0 for v in result.assignment.values())
         assert satisfies(p, result.assignment)
 
     def test_flow_conservation_shape(self):
@@ -73,6 +74,7 @@ class TestBasics:
         p.ge({"start": 1}, -3)                    # at least 3 processes
         result = lp_feasible(p)
         assert result.feasible
+        assert all(v >= 0 for v in result.assignment.values())
         assert satisfies(p, result.assignment)
 
 
